@@ -10,12 +10,13 @@ elementwise formula lives in the test suite as an oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .chars import Character
-from .cyclotomic import CycValue
+from .cyclotomic import CycValue, coefficient_stack, pairing
 from .errors import CharacterError, GroupError
 from .perm import PermGroup
-from .table import CharTable, character_table
+from .table import CharTable, as_multiplicity, character_table
 
 __all__ = [
     "ConstituentDecomposition",
@@ -73,17 +74,9 @@ def inner_product(a: Character, b: Character) -> int:
     if not (a.group is b.group or a.group.same_elements(b.group)):
         raise CharacterError("characters on different groups")
     G = a.group
-    sizes = G.conjugacy_classes().sizes
-    acc = CycValue.zero(1)
-    for k, size in enumerate(sizes):
-        acc = acc + a.values[k] * b.values[k].conjugate() * size
-    try:
-        total = acc.rebase(1).as_int()
-    except Exception:
-        raise CharacterError("inner product not integral") from None
-    if total % G.order or total < 0:
-        raise CharacterError("inner product not integral")
-    return total // G.order
+    e = lcm(*(v.e for v in a.values + b.values))
+    x, y = (coefficient_stack([c.values], e) for c in (a, b))
+    return as_multiplicity(pairing(x, G.conjugacy_classes().sizes, y, e)[0, 0], G.order)
 
 
 def decompose(theta: Character, cache_dir=None) -> ConstituentDecomposition:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 from .cyclotomic import CycValue
-from .errors import CharacterError
+from .errors import CharacterError, CyclotomicError
 from .perm import PermGroup, Permutation
 
 __all__ = ["Character"]
@@ -70,7 +70,7 @@ class Character:
     def degree(self) -> int:
         try:
             return self.values[0].as_int()
-        except Exception:
+        except CyclotomicError:
             raise CharacterError("character degree is not a rational integer") from None
 
     def value_on_class(self, i: int) -> CycValue:

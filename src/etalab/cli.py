@@ -12,7 +12,7 @@ import json
 import sys
 
 from .charops import decompose
-from .clifford import all_chains, build_chain, classify_chain
+from .clifford import ALL_CHAINS_CAP, all_chains, build_chain, classify_chain
 from .constructions import (
     cyclic,
     dihedral,
@@ -27,8 +27,6 @@ from .table import character_table
 from . import verify as verify_mod
 
 __all__ = ["run_cli", "main"]
-
-ALL_CHAINS_CAP = 64
 
 VERIFY_CHECKS = {
     "theorem-a": verify_mod.verify_theorem_a,
@@ -232,11 +230,8 @@ def _cmd_verify(args) -> int:
     if args.catalog != "default":
         return _usage(f"unknown catalog: {args.catalog}")
     fn = VERIFY_CHECKS[args.check]
-    if args.check == "prop5":
+    if args.check == "prop5" or args.max_order is None:
         report = fn()
-    elif args.check == "corollary-a":
-        max_order = args.max_order if args.max_order is not None else 64
-        report = fn(max_order=max_order)
     else:
         report = fn(max_order=args.max_order)
     for res in report.results:

@@ -32,6 +32,8 @@ __all__ = [
     "stabilizer",
 ]
 
+ALL_CHAINS_CAP = 64
+
 _STAB_MEMO: dict = {}
 
 _UNSTABLE_MISMATCH = "unstable chain step is neither an extension step nor an induced step"
@@ -223,9 +225,11 @@ def classify_chain(chain: CharacterChain, cache_dir=None) -> ChainLedger:
 
 def all_chains(G: PermGroup, chi: Character, cache_dir=None) -> list[CharacterChain]:
     """Every constituent chain under chi, not just the canonical one.
-    Supported for groups of order at most 64."""
-    if G.order > 64:
-        raise ChainError("all-chains enumeration is limited to groups of order at most 64")
+    Supported for groups of order at most ALL_CHAINS_CAP."""
+    if G.order > ALL_CHAINS_CAP:
+        raise ChainError(
+            f"all-chains enumeration is limited to groups of order at most {ALL_CHAINS_CAP}"
+        )
     if not G.p_group_info().is_p_group:
         raise GroupError("not a p-group")
     series = G.chief_series()

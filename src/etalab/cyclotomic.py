@@ -4,8 +4,9 @@ A value of conductor e lives in Z[zeta_e] and is stored as an integer
 coefficient vector over the power basis 1, zeta_e, ..., zeta_e^(phi(e)-1),
 reduced modulo the e-th cyclotomic polynomial.  Reduction is canonical, so two
 values with the same conductor are equal exactly when their coefficient
-vectors are equal.  Everything runs on Python integers; there is no floating
-point and no precision loss anywhere.
+vectors are equal.  Everything runs on Python integers, or on int64 where a
+bound proves no overflow; there is no floating point and no precision loss
+anywhere.
 
 Conductors mix by rebasing to the least common multiple.  Rebasing up is a
 substitution zeta_f = zeta_e^(e/f) writ backwards; rebasing down solves a small
@@ -126,24 +127,52 @@ def power_basis_matrix(e: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def reduction_tensor(e: int) -> np.ndarray:
-    """(phi, phi, phi) int64 tensor with basis_i * basis_j = sum_m T[i,j,m] basis_m."""
+def pairing_tensor(e: int) -> np.ndarray:
+    """(phi, phi, phi) int64 tensor with basis_a * conj(basis_b) = sum_c P[a,b,c] basis_c."""
     phi, rows = _basis_data(e)
-    t = np.zeros((phi, phi, phi), dtype=np.int64)
-    for i in range(phi):
-        for j in range(phi):
-            t[i, j] = rows[i + j]
-    return t
+    return np.array(
+        [[rows[(a - b) % e] for b in range(phi)] for a in range(phi)], dtype=np.int64
+    )
 
 
-@lru_cache(maxsize=None)
-def conjugation_matrix(e: int) -> np.ndarray:
-    """(phi, phi) int64 matrix of complex conjugation: row j is the image of basis_j."""
-    phi, rows = _basis_data(e)
-    m = np.zeros((phi, phi), dtype=np.int64)
-    for j in range(phi):
-        m[j] = rows[(e - j) % e]
-    return m
+def coefficient_stack(rows, e: int) -> np.ndarray:
+    """(m, K, phi) coefficients of m rows of K values, rebased to conductor e.
+
+    int64 when every coefficient fits, otherwise dtype=object holding Python
+    integers.
+    """
+    coeffs = [[v.rebase(e).coeffs for v in row] for row in rows]
+    try:
+        return np.array(coeffs, dtype=np.int64)
+    except OverflowError:
+        return np.array(coeffs, dtype=object)
+
+
+def _magnitude(a: np.ndarray) -> int:
+    return max(1, int(a.max(initial=0)), -int(a.min(initial=0)))
+
+
+def pairing(x: np.ndarray, weights, y: np.ndarray, e: int) -> np.ndarray:
+    """(m, n, phi) coefficients of sum_k w_k x_i(k) conj(y_j(k)) in Z[zeta_e].
+
+    x and y are (m, K, phi) and (n, K, phi) coefficient stacks, weights K
+    integers.  The sum runs as one int64 matmul per output coefficient when a
+    bound computed from the inputs keeps every partial sum below 2^63, and
+    through the same code on Python integers (dtype=object) otherwise.
+    """
+    m, k, phi = x.shape
+    n = y.shape[0]
+    w = np.asarray(weights)
+    pt = pairing_tensor(e)
+    bound = k * phi * phi * _magnitude(w) * _magnitude(x) * _magnitude(y) * _magnitude(pt)
+    dtype = np.int64 if bound < 1 << 63 else object
+    wx = x.astype(dtype) * w.astype(dtype)[:, None]
+    pt = pt.astype(dtype, copy=False)
+    flat_y = y.astype(dtype, copy=False).reshape(n, k * phi).T
+    out = np.empty((m, n, phi), dtype=dtype)
+    for c in range(phi):
+        out[:, :, c] = (wx @ pt[:, :, c]).reshape(m, k * phi) @ flat_y
+    return out
 
 
 def mul_coeffs(e: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:

@@ -240,8 +240,6 @@ class PermGroup:
         self._series = None
         self._content_key: Optional[str] = None
         self._char_table = None
-        self._stab_memo: dict = {}
-        self._descent_memo: dict = {}
 
     @property
     def identity(self) -> Permutation:

@@ -13,9 +13,11 @@ order, eigenvalues of each restriction in increasing residue order, and the
 finished table is sorted by (degree, coefficient vectors).  Recomputing with
 a different admissible prime reproduces the table byte for byte.
 
-No floating point anywhere.  numpy is used for int64 modular linear algebra;
-every product stays below 2^63 because q is kept under 2^21 and the element
-cap bounds matrix sizes.
+No floating point anywhere.  numpy does the int64 modular linear algebra,
+where every product stays below 2^63 because q is kept under 2^21 and the
+element cap bounds matrix sizes.  It also runs the exact pairing behind
+multiplicities and orthogonality (cyclotomic.pairing), which moves to Python
+integers whenever its overflow bound could be exceeded.
 """
 
 from __future__ import annotations
@@ -29,13 +31,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .chars import Character
-from .cyclotomic import (
-    CycValue,
-    _basis_data,
-    conjugation_matrix,
-    reduced_degree,
-    reduction_tensor,
-)
+from .cyclotomic import CycValue, _basis_data, coefficient_stack, pairing, reduced_degree
 from .errors import CharacterError, TableError
 from .perm import ConjugacyClassSet, PermGroup, Permutation
 
@@ -339,6 +335,14 @@ def class_mult_coefficients(classes: ConjugacyClassSet, i: int, j: int) -> list[
     return [int(v) for v in class_matrix(classes, i)[j]]
 
 
+def as_multiplicity(coeffs: np.ndarray, order: int) -> int:
+    """A pairing's coefficients divided by |G|, as a non-negative integer."""
+    m, rem = divmod(int(coeffs[0]), order)
+    if rem or m < 0 or coeffs[1:].any():
+        raise CharacterError("inner product not integral")
+    return m
+
+
 # ---------------------------------------------------------------------------
 # the table object
 
@@ -384,18 +388,14 @@ class CharTable:
             object.__setattr__(self, "_index", index)
         try:
             return index[chi.value_key()]
-        except Exception:
+        except KeyError:
             raise TableError("character not in table") from None
 
     def _cube(self) -> np.ndarray:
-        """(num chars, num classes, phi(e)) int64 stack of coefficient vectors."""
+        """(num chars, num classes, phi(e)) stack of coefficient vectors."""
         cube = self._coeff_cube
         if cube is None:
-            phi = reduced_degree(self.e)
-            cube = np.zeros((len(self.irreducibles), len(self.classes), phi), dtype=np.int64)
-            for i, chi in enumerate(self.irreducibles):
-                for j, v in enumerate(chi.values):
-                    cube[i, j] = v.rebase(self.e).coeffs
+            cube = coefficient_stack([chi.values for chi in self.irreducibles], self.e)
             object.__setattr__(self, "_coeff_cube", cube)
         return cube
 
@@ -403,107 +403,28 @@ class CharTable:
         """[theta, chi_i] for every table entry, as exact integers."""
         if not (theta.group is self.group or theta.group.same_elements(self.group)):
             raise CharacterError("characters on different groups")
-        order = self.group.order
-        sizes = np.array(self.classes.sizes, dtype=np.int64)
-        phi = reduced_degree(self.e)
-        try:
-            tvec = np.array(
-                [v.rebase(self.e).coeffs for v in theta.values], dtype=np.int64
-            )
-        except OverflowError:
-            return self._multiplicities_exact(theta)
-        cube = self._cube()
-        tens = reduction_tensor(self.e)
-        conj = conjugation_matrix(self.e)
-        cc = np.einsum("ikb,bc->ikc", cube, conj)
-        bound = (
-            len(self.classes)
-            * int(sizes.max(initial=1))
-            * max(1, int(np.abs(tvec).max(initial=0)))
-            * max(1, int(np.abs(cc).max(initial=0)))
-            * max(1, int(np.abs(tens).max(initial=0)))
-            * phi
-            * phi
-        )
-        if bound >= 1 << 62:
-            return self._multiplicities_exact(theta)
-        raw = np.einsum("k,ka,ikb,abc->ic", sizes, tvec, cc, tens)
-        out = []
-        for row in raw:
-            if any(int(x) % order for x in row) or any(int(x) for x in row[1:]):
-                raise CharacterError("inner product not integral")
-            m = int(row[0]) // order
-            if m < 0:
-                raise CharacterError("inner product not integral")
-            out.append(m)
-        return out
-
-    def _multiplicities_exact(self, theta: Character) -> list[int]:
-        order = self.group.order
-        sizes = self.classes.sizes
-        out = []
-        for chi in self.irreducibles:
-            acc = CycValue.zero(self.e)
-            for k, size in enumerate(sizes):
-                acc = acc + theta.values[k] * chi.values[k].conjugate() * size
-            acc = acc.rebase(self.e)
-            if any(acc.coeffs[1:]) or acc.coeffs[0] % order or acc.coeffs[0] < 0:
-                raise CharacterError("inner product not integral")
-            out.append(acc.coeffs[0] // order)
-        return out
+        tvec = coefficient_stack([theta.values], self.e)
+        raw = pairing(tvec, self.classes.sizes, self._cube(), self.e)[0]
+        return [as_multiplicity(row, self.group.order) for row in raw]
 
     def verify_orthogonality(self) -> None:
         """Exact row and column orthogonality; raises TableError on failure."""
         order = self.group.order
-        r = len(self.classes)
-        sizes = np.array(self.classes.sizes, dtype=np.int64)
+        sizes = self.classes.sizes
         cube = self._cube()
-        tens = reduction_tensor(self.e)
-        conj = conjugation_matrix(self.e)
-        cc = np.einsum("ikb,bc->ikc", cube, conj)
-        bound = (
-            r
-            * int(sizes.max(initial=1))
-            * max(1, int(np.abs(cube).max(initial=0))) ** 2
-            * max(1, int(np.abs(tens).max(initial=0)))
-            * reduced_degree(self.e) ** 2
-        )
-        if bound >= 1 << 62:
-            self._verify_orthogonality_exact()
-            return
-        gram = np.einsum("k,ika,jkb,abc->ijc", sizes, cube, cc, tens)
-        expect = np.zeros_like(gram)
+        gram = pairing(cube, sizes, cube, self.e)
+        expect = np.zeros(gram.shape, dtype=np.int64)
         for i in range(len(self.irreducibles)):
             expect[i, i, 0] = order
         if (gram != expect).any():
             raise TableError("row orthogonality violated")
-        cols = np.einsum("ika,ilb,abc->klc", cube, cc, tens)
-        expect = np.zeros_like(cols)
-        for k in range(r):
-            expect[k, k, 0] = order // int(sizes[k])
+        by_class = cube.transpose(1, 0, 2)
+        cols = pairing(by_class, [1] * len(cube), by_class, self.e)
+        expect = np.zeros(cols.shape, dtype=np.int64)
+        for k, size in enumerate(sizes):
+            expect[k, k, 0] = order // size
         if (cols != expect).any():
             raise TableError("column orthogonality violated")
-
-    def _verify_orthogonality_exact(self) -> None:
-        order = self.group.order
-        sizes = self.classes.sizes
-        chars = self.irreducibles
-        for i, a in enumerate(chars):
-            for j, b in enumerate(chars):
-                acc = CycValue.zero(self.e)
-                for k, size in enumerate(sizes):
-                    acc = acc + a.values[k] * b.values[k].conjugate() * size
-                want = order if i == j else 0
-                if acc != want:
-                    raise TableError("row orthogonality violated")
-        for k in range(len(sizes)):
-            for l in range(len(sizes)):
-                acc = CycValue.zero(self.e)
-                for a in chars:
-                    acc = acc + a.values[k] * a.values[l].conjugate()
-                want = order // sizes[k] if k == l else 0
-                if acc != want:
-                    raise TableError("column orthogonality violated")
 
     def to_json_dict(self) -> dict:
         return {
@@ -516,10 +437,7 @@ class CharTable:
                 "sizes": list(self.classes.sizes),
                 "reps": [list(rep.images) for rep in self.classes.representatives],
             },
-            "irreducibles": [
-                [list(v.rebase(self.e).coeffs) for v in chi.values]
-                for chi in self.irreducibles
-            ],
+            "irreducibles": self._cube().tolist(),
         }
 
 

@@ -8,10 +8,11 @@ import pytest
 
 from etalab.catalog import default_catalog, load_catalog_group
 from etalab.chars import Character
+from etalab.charops import inner_product
 from etalab.cyclotomic import CycValue
 from etalab.errors import CharacterError, TableError
 from etalab.perm import Permutation, power_map
-from etalab.table import character_table, class_matrix, class_mult_coefficients
+from etalab.table import CharTable, character_table, class_matrix, class_mult_coefficients
 
 # order-2 table is pinned exactly: principal row first, then the sign row
 C2_TABLE = [[1, 1], [1, -1]]
@@ -115,6 +116,52 @@ def test_orthogonality_small_groups():
     for gid in ("c2", "c8", "d8", "q8", "m16", "es27", "c3wrc3", "c25"):
         table = character_table(load_catalog_group(gid))
         table.verify_orthogonality()
+
+
+def _corrupted(table, irreducibles):
+    return CharTable(
+        group=table.group,
+        classes=table.classes,
+        irreducibles=tuple(irreducibles),
+        e=table.e,
+        q=table.q,
+    )
+
+
+@pytest.mark.parametrize("gid", ["d8", "es27"])
+def test_orthogonality_detects_corrupted_tables(gid):
+    table = character_table(load_catalog_group(gid))
+    chars = list(table)
+    values = list(chars[1].values)
+    values[3] = -values[3]
+    chars[1] = Character(table.group, tuple(values))
+    with pytest.raises(TableError, match="^row orthogonality violated$"):
+        _corrupted(table, chars).verify_orthogonality()
+    with pytest.raises(TableError, match="^column orthogonality violated$"):
+        _corrupted(table, list(table)[:-1]).verify_orthogonality()
+
+
+@pytest.mark.parametrize("gid", ["es27", "c3wrc3", "c25"])
+def test_multiplicities_beyond_int64(gid):
+    # 2**62 fits int64 but trips the overflow bound; 3**50 does not fit at all
+    table = character_table(load_catalog_group(gid))
+    for chi in table:
+        theta = chi * chi.conjugate()
+        base = table.multiplicities(theta)
+        for k in (2**62, 3**50):
+            assert table.multiplicities(k * theta) == [k * m for m in base], (gid, k)
+
+
+def test_huge_non_virtual_class_function_still_rejected(es27, es27_table):
+    vals = [2**70 if k == 0 else 0 for k in range(len(es27_table))]
+    with pytest.raises(CharacterError):
+        es27_table.multiplicities(Character.from_values(es27, vals))
+
+
+def test_inner_product_beyond_int64(es27_table):
+    k = 2**62
+    for chi in es27_table:
+        assert inner_product(k * chi, chi) == k
 
 
 def test_first_column_is_degree_and_principal_row_is_ones(es27_table):
