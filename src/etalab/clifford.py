@@ -1,19 +1,25 @@
 """Conjugation action on characters of normal subgroups, stabilizers,
 Clifford correspondents, and constituent chains along a chief series.
 
+G permutes N's classes, hence Irr(N) (`_class_action`).  A breadth-first
+search over G's generators gives nu's orbit and a transversal: |G_nu| is
+|G| / |orbit|, and G_nu itself is generated by the Schreier generators
+t_o g t_(o^g)^-1.  Nothing is memoized.
+
 A chain tracks one irreducible chi of a p-group G down its chief series:
 nu_t = chi, and each nu_{i-1} is the first constituent (canonical table
-order) of nu_i restricted one step down.  Every index is then classified as
-stable (restriction and stabilizer both persist) or unstable, the unstable
-ones splitting into extension steps (restriction survives, stabilizer index
-grows by p) and induced steps (nu_i is induced from below, stabilizer index
-shrinks by p).  The ledger counts m_i = unstable indices so far, r_i =
-log_p |G : G_nu_i|, s_i = log_p nu_i(1) and asserts m_i = 2 s_i + r_i.
+order) of nu_i restricted one step down.  Each index is stable (restriction
+and stabilizer persist), an extension step (restriction survives, stabilizer
+index grows by p) or an induced step (nu_i is induced from below, stabilizer
+index shrinks by p).  The ledger counts m_i = unstable indices so far,
+r_i = log_p of nu_i's orbit length, s_i = log_p nu_i(1), and asserts
+m_i = 2 s_i + r_i.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .chars import Character
 from .charops import induce, inner_product, restrict
@@ -34,9 +40,12 @@ __all__ = [
 
 ALL_CHAINS_CAP = 64
 
-_STAB_MEMO: dict = {}
 
-_UNSTABLE_MISMATCH = "unstable chain step is neither an extension step nor an induced step"
+def _class_action(N: PermGroup, g: Permutation) -> tuple[int, ...]:
+    """Class k of N goes to the class of g x_k g^-1."""
+    ncls = N.conjugacy_classes()
+    ginv = g.inverse()
+    return tuple(ncls.class_of(g * x * ginv) for x in ncls.representatives)
 
 
 def conjugate_action(nu: Character, g: Permutation, G: PermGroup) -> Character:
@@ -46,42 +55,41 @@ def conjugate_action(nu: Character, g: Permutation, G: PermGroup) -> Character:
         raise GroupError("element not in group")
     if not N.is_normal_in(G):
         raise GroupError("not normal")
-    ncls = N.conjugacy_classes()
-    ginv = g.inverse()
-    values = tuple(
-        nu.values[ncls.class_of(g * x * ginv)] for x in ncls.representatives
-    )
-    return Character(N, values)
+    return Character(N, tuple(nu.values[k] for k in _class_action(N, g)))
 
 
-def _conjugated_values(nu: Character, g: Permutation) -> tuple:
-    ncls = nu.group.conjugacy_classes()
-    ginv = g.inverse()
-    return tuple(nu.values[ncls.class_of(g * x * ginv)] for x in ncls.representatives)
+def _orbit(G: PermGroup, N: PermGroup, nu: Character) -> tuple[list, dict]:
+    """Breadth-first orbit of nu under G's generators: each generator's class
+    action, and a transversal taking nu to every orbit point (a value key)."""
+    if not N.is_normal_in(G):
+        raise GroupError("not normal")
+    actions = [_class_action(N, g) for g in G.generators]
+    start = nu.value_key()
+    transversal = {start: G.identity}
+    frontier = [start]
+    while frontier:
+        new = []
+        for point in frontier:
+            t = transversal[point]
+            for g, act in zip(G.generators, actions):
+                image = tuple(point[k] for k in act)
+                if image not in transversal:
+                    transversal[image] = t * g
+                    new.append(image)
+        frontier = new
+    return actions, transversal
 
 
 def stabilizer(G: PermGroup, N: PermGroup, nu: Character) -> PermGroup:
     """G_nu, the subgroup fixing nu under conjugation; always contains N."""
-    if not N.is_normal_in(G):
-        raise GroupError("not normal")
-    key = (G.content_key, N.content_key, nu.value_key())
-    hit = _STAB_MEMO.get(key)
-    if hit is not None:
-        return hit
-    # transversal scan in canonical element order; N acts trivially
-    seen: set = set()
-    fixed_reps = []
-    n_elems = N.elements
-    for g in G.elements:
-        if g in seen:
-            continue
-        seen.update(g * n for n in n_elems)
-        if _conjugated_values(nu, g) == nu.values:
-            fixed_reps.append(g)
-    elems = frozenset(g * n for g in fixed_reps for n in n_elems)
-    stab = G.subgroup_from_elements(elems, generators=tuple(N.generators) + tuple(fixed_reps))
-    _STAB_MEMO[key] = stab
-    return stab
+    actions, transversal = _orbit(G, N, nu)
+    gens = set()
+    for point, t in transversal.items():
+        for g, act in zip(G.generators, actions):
+            s = t * g * transversal[tuple(point[k] for k in act)].inverse()
+            if not s.is_identity():
+                gens.add(s)
+    return G.subgroup(sorted(gens))
 
 
 def clifford_correspondent(
@@ -177,49 +185,38 @@ def classify_chain(chain: CharacterChain, cache_dir=None) -> ChainLedger:
     G = chain.group
     info = G.p_group_info()
     p = info.p if info.p > 1 else 2
-    stabs = [stabilizer(G, N, nu) for N, nu in zip(chain.series, chain.nus)]
-    t = len(chain.series) - 1
-    stable = [True]
+    orders = [G.order // len(_orbit(G, N, nu)[1]) for N, nu in zip(chain.series, chain.nus)]
     case = ["none"]
-    m_list = [0]
-    r_list = [_plog(p, G.order // stabs[0].order)]
-    s_list = [_plog(p, chain.nus[0].degree)]
-    if m_list[0] != 2 * s_list[0] + r_list[0]:
-        raise ChainError("ledger identity m = 2s + r violated")
-    for i in range(1, t + 1):
-        below, here = chain.series[i - 1], chain.series[i]
+    for i in range(1, len(chain.series)):
         nu_below, nu_here = chain.nus[i - 1], chain.nus[i]
-        res = restrict(nu_here, below)
-        if res == nu_below:
-            if stabs[i - 1].same_elements(stabs[i]):
-                is_stable, label = True, "none"
-            elif stabs[i - 1].order == p * stabs[i].order:
-                is_stable, label = False, "extension"
-            else:
-                raise ChainError(_UNSTABLE_MISMATCH)
+        extends = restrict(nu_here, chain.series[i - 1]) == nu_below
+        # if nu_i extends nu_(i-1), G_nu_i <= G_nu_(i-1): equal orders mean equal groups
+        if extends and orders[i - 1] == orders[i]:
+            case.append("none")
+        elif extends and orders[i - 1] == p * orders[i]:
+            case.append("extension")
+        elif (
+            not extends
+            and nu_here.degree == p * nu_below.degree
+            and orders[i] == p * orders[i - 1]
+            and induce(nu_below, chain.series[i]) == nu_here
+        ):
+            case.append("induced")
         else:
-            if (
-                nu_here.degree == p * nu_below.degree
-                and stabs[i].order == p * stabs[i - 1].order
-                and induce(nu_below, here) == nu_here
-            ):
-                is_stable, label = False, "induced"
-            else:
-                raise ChainError(_UNSTABLE_MISMATCH)
-        stable.append(is_stable)
-        case.append(label)
-        m_list.append(m_list[-1] + (0 if is_stable else 1))
-        r_list.append(_plog(p, G.order // stabs[i].order))
-        s_list.append(_plog(p, nu_here.degree))
-        if m_list[i] != 2 * s_list[i] + r_list[i]:
-            raise ChainError("ledger identity m = 2s + r violated")
+            raise ChainError("unstable chain step is neither an extension step nor an induced step")
+    stable = tuple(label == "none" for label in case)
+    m = tuple(accumulate(0 if flag else 1 for flag in stable))
+    r = tuple(_plog(p, G.order // order) for order in orders)
+    s = tuple(_plog(p, nu.degree) for nu in chain.nus)
+    if any(mi != 2 * si + ri for mi, si, ri in zip(m, s, r)):
+        raise ChainError("ledger identity m = 2s + r violated")
     return ChainLedger(
-        stable=tuple(stable),
+        stable=stable,
         case=tuple(case),
-        m=tuple(m_list),
-        r=tuple(r_list),
-        s=tuple(s_list),
-        stabilizer_orders=tuple(st.order for st in stabs),
+        m=m,
+        r=r,
+        s=s,
+        stabilizer_orders=tuple(orders),
     )
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Union
@@ -31,7 +32,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .chars import Character
-from .cyclotomic import CycValue, _basis_data, coefficient_stack, pairing, reduced_degree
+from .cyclotomic import CycValue, coefficient_stack, pairing, power_basis_matrix, reduced_degree
 from .errors import CharacterError, TableError
 from .perm import ConjugacyClassSet, PermGroup, Permutation
 
@@ -478,8 +479,6 @@ def _compute_table(G: PermGroup, prime_offset: int = 0) -> CharTable:
         [[pow(zinv, (l * s) % e, q) for s in range(e)] for l in range(e)], dtype=np.int64
     )
     e_inv = pow(e, q - 2, q)
-    phi, rows = _basis_data(e)
-    basis_rows = np.array([rows[k] for k in range(e)], dtype=np.int64)
 
     chars = []
     deg_sum = 0
@@ -501,7 +500,7 @@ def _compute_table(G: PermGroup, prime_offset: int = 0) -> CharTable:
             raise TableError("internal lifting failure: multiplicity out of range")
         if (mults.sum(axis=1) != d).any():
             raise TableError("internal lifting failure: multiplicities do not sum to degree")
-        coeffs = mults @ basis_rows
+        coeffs = mults @ power_basis_matrix(e)
         values = tuple(
             CycValue(e, tuple(int(c) for c in coeffs[j])) for j in range(r)
         )
@@ -561,9 +560,14 @@ def _cache_load(G: PermGroup, path: Path) -> Optional[CharTable]:
         return None
     if sum(c.degree * c.degree for c in chars) != G.order:
         return None
-    return CharTable(
+    table = CharTable(
         group=G, classes=classes, irreducibles=tuple(chars), e=e, q=int(data.get("modulus", 0))
     )
+    try:
+        table.verify_orthogonality()
+    except TableError:
+        return None
+    return table
 
 
 def character_table(
@@ -599,9 +603,11 @@ def character_table(
     if cache_path is not None:
         try:
             cache_path.parent.mkdir(parents=True, exist_ok=True)
-            cache_path.write_text(
+            tmp_path = cache_path.with_suffix(f".{os.getpid()}.tmp")
+            tmp_path.write_text(
                 json.dumps(table.to_json_dict(), separators=(",", ":")), encoding="utf-8"
             )
+            os.replace(tmp_path, cache_path)
         except OSError:
             pass
     return table

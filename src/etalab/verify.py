@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .catalog import default_catalog
 from .chars import Character
 from .charops import decompose, irr_mod, restrict
-from .clifford import build_chain, classify_chain
+from .clifford import _plog, build_chain, classify_chain
 from .constructions import prop5_witness
 from .errors import EtalabError, GroupError
 from .groupfile import format_group
@@ -83,16 +83,6 @@ def _selection(groups, max_order=None):
             raise GroupError("not a p-group")
         out.append((gid, G))
     return out
-
-
-def _plog(p: int, m: int) -> int:
-    k = 0
-    while m > 1 and m % p == 0:
-        m //= p
-        k += 1
-    if m != 1:
-        raise GroupError(f"{m} is not a power of {p}")
-    return k
 
 
 def _counterexample(G: PermGroup, table, dec, **indices) -> dict:

@@ -100,3 +100,19 @@ def induced_values_elementwise(table_G, nu, N, G) -> list[CycValue]:
             raise AssertionError("induction sum not divisible by |N|")
         vals.append(CycValue(e, tuple(c // N.order for c in acc.coeffs)))
     return vals
+
+
+def stabilizer_elements(G: PermGroup, N: PermGroup, nu) -> frozenset:
+    """G_nu element by element: g is kept when nu(g x g^-1) = nu(x) for every
+    x in N, not just for class representatives."""
+    classes = N.conjugacy_classes()
+
+    def value(x):
+        return nu.values[classes.class_of(x)]
+
+    kept = set()
+    for g in G.elements:
+        ginv = g.inverse()
+        if all(value(g * x * ginv) == value(x) for x in N.elements):
+            kept.add(g)
+    return frozenset(kept)

@@ -5,9 +5,11 @@ import random
 
 import pytest
 
-from etalab.catalog import load_catalog_group
+from etalab.catalog import default_catalog, load_catalog_group
+from etalab.chars import Character
 from etalab.charops import inner_product, induce, restrict
 from etalab.clifford import (
+    CharacterChain,
     all_chains,
     build_chain,
     classify_chain,
@@ -18,6 +20,11 @@ from etalab.clifford import (
 from etalab.errors import ChainError, CharacterError, GroupError
 from etalab.perm import chief_series
 from etalab.table import character_table
+
+from oracles import stabilizer_elements
+
+# catalog groups small enough for the element-level stabilizer oracle
+ORACLE_GROUPS = [gid for gid, G in default_catalog() if G.order <= 32 or gid == "es27"]
 
 
 def test_conjugation_action_axiom():
@@ -69,6 +76,36 @@ def test_stabilizer_contains_subgroup_and_orbit_counts():
                 conjugate_action(nu, g, G).value_key() for g in G.elements
             }
             assert len(orbit_keys) * stab.order == G.order
+
+
+@pytest.mark.parametrize("gid", ORACLE_GROUPS)
+def test_stabilizer_matches_elementwise_oracle(gid):
+    G = load_catalog_group(gid)
+    for N in chief_series(G):
+        for nu in character_table(N):
+            expected = G.subgroup_from_elements(stabilizer_elements(G, N, nu))
+            assert stabilizer(G, N, nu).same_elements(expected), gid
+
+
+@pytest.mark.parametrize("gid", ORACLE_GROUPS)
+def test_ledger_stabilizer_orders_match_oracle(gid):
+    G = load_catalog_group(gid)
+    for chi in character_table(G):
+        chain = build_chain(G, chi)
+        ledger = classify_chain(chain)
+        expected = [
+            len(stabilizer_elements(G, N, nu)) for N, nu in zip(chain.series, chain.nus)
+        ]
+        assert list(ledger.stabilizer_orders) == expected, gid
+
+
+def test_classify_chain_rejects_broken_chain(d8, d8_table):
+    chain = build_chain(d8, d8_table[4])
+    nus = list(chain.nus)
+    nus[1] = Character.principal(chain.series[1])
+    broken = CharacterChain(group=d8, chi=chain.chi, series=chain.series, nus=tuple(nus))
+    with pytest.raises(ChainError):
+        classify_chain(broken)
 
 
 def test_stabilizer_requires_normal_subgroup():

@@ -236,6 +236,7 @@ def _fresh_memo(monkeypatch):
 
 
 def test_cache_round_trip(tmp_path, monkeypatch):
+    import etalab.table as table_mod
     from etalab.constructions import dihedral
 
     cache = tmp_path / "cache"
@@ -243,25 +244,24 @@ def test_cache_round_trip(tmp_path, monkeypatch):
     first = character_table(dihedral(4), cache_dir=cache)
     files = list(Path(cache).glob("*.json"))
     assert len(files) == 1
+    # the write goes through a temporary file that is renamed into place
+    assert [f.name for f in cache.iterdir()] == [files[0].name]
     data = json.loads(files[0].read_text())
     assert data["schema"] == 1
     assert data["order"] == 8
+
+    # prove the second call really read the file: computing again fails
+    def no_recompute(*args, **kwargs):
+        raise AssertionError("table recomputed although the cache entry is valid")
+
+    monkeypatch.setattr(table_mod, "_compute_table", no_recompute)
     _fresh_memo(monkeypatch)
     second = character_table(dihedral(4), cache_dir=cache)
     assert _values_equal(first, second)
-    # prove the second call really read the file: a flipped sign in the
-    # stored coefficients must surface in the loaded table
-    blob = json.loads(files[0].read_text())
-    assert blob["irreducibles"][1][1][0] == 1
-    blob["irreducibles"][1][1][0] = -1
-    files[0].write_text(json.dumps(blob))
-    _fresh_memo(monkeypatch)
-    tampered = character_table(dihedral(4), cache_dir=cache)
-    assert not _values_equal(first, tampered)
 
 
 def test_corrupted_cache_is_recomputed(tmp_path, monkeypatch):
-    from etalab.constructions import quaternion
+    from etalab.constructions import dihedral, quaternion
 
     cache = tmp_path / "cache"
     _fresh_memo(monkeypatch)
@@ -277,6 +277,21 @@ def test_corrupted_cache_is_recomputed(tmp_path, monkeypatch):
     _fresh_memo(monkeypatch)
     again = character_table(quaternion(), cache_dir=cache)
     assert _values_equal(base, again)
+
+    # one flipped sign keeps the degrees summing to |G| but breaks
+    # orthogonality, so the entry must be recomputed, not served
+    cache = tmp_path / "cache-d8"
+    _fresh_memo(monkeypatch)
+    first = character_table(dihedral(4), cache_dir=cache)
+    path = next(Path(cache).glob("*.json"))
+    blob = json.loads(path.read_text())
+    assert blob["irreducibles"][1][1][0] == 1
+    blob["irreducibles"][1][1][0] = -1
+    path.write_text(json.dumps(blob))
+    _fresh_memo(monkeypatch)
+    again = character_table(dihedral(4), cache_dir=cache)
+    assert _values_equal(first, again)
+    assert json.loads(path.read_text())["irreducibles"][1][1][0] == 1
 
 
 def test_index_of_unknown_character_raises(d8_table):
