@@ -2,9 +2,12 @@
 induction, kernels, and the related subgroup-character bookkeeping.
 
 Decomposition runs against the canonical table of the character's group and
-is memoized per (group, class function), since the verification sweeps ask
-for the same products repeatedly.  Induction works class-fusion-wise; the
-elementwise formula lives in the test suite as an oracle.
+is kept on that table, keyed by the class function's values, since the
+verification sweeps ask for the same products repeatedly.  Restriction
+multiplicities [theta|_N, psi] are paired at the parent's conductor, with N's
+table lifted up to it, so no value is rebased down.  Induction works
+class-fusion-wise; the elementwise formula lives in the test suite as an
+oracle.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from .chars import Character
 from .cyclotomic import CycValue, coefficient_stack, pairing
 from .errors import CharacterError, GroupError
 from .perm import PermGroup
-from .table import CharTable, as_multiplicity, character_table
+from .table import as_multiplicity, character_table
 
 __all__ = [
     "ConstituentDecomposition",
@@ -31,9 +34,8 @@ __all__ = [
     "lin",
     "product",
     "restrict",
+    "restriction_multiplicities",
 ]
-
-_DECOMP_MEMO: dict = {}
 
 
 @dataclass(frozen=True)
@@ -81,18 +83,18 @@ def inner_product(a: Character, b: Character) -> int:
 
 def decompose(theta: Character, cache_dir=None) -> ConstituentDecomposition:
     """Full decomposition of theta against the canonical table of its group."""
-    key = (theta.group.content_key, theta.value_key())
-    hit = _DECOMP_MEMO.get(key)
+    table = character_table(theta.group, cache_dir=cache_dir)
+    key = theta.value_key()
+    hit = table._decompositions.get(key)
     if hit is not None:
         return hit
-    table = character_table(theta.group, cache_dir=cache_dir)
     mults = table.multiplicities(theta)
     out = ConstituentDecomposition(
         tuple((table[i], m) for i, m in enumerate(mults) if m)
     )
     if sum(m * chi.degree for chi, m in out.constituents) != theta.degree:
         raise CharacterError("inner product not integral")
-    _DECOMP_MEMO[key] = out
+    table._decompositions[key] = out
     return out
 
 
@@ -121,6 +123,22 @@ def restrict(a: Character, N: PermGroup) -> Character:
     for rep in N.conjugacy_classes().representatives:
         values.append(a.values[gcls.class_of(rep)].rebase(e))
     return Character(N, tuple(values))
+
+
+def restriction_multiplicities(thetas, N: PermGroup, cache_dir=None) -> list[list[int]]:
+    """Rows [theta|_N, psi] over psi in N's canonical table, one per theta in
+    a sequence of class functions of one group G containing N, read on N's
+    classes through class fusion and paired at G's conductor."""
+    if not thetas:
+        return []
+    G = thetas[0].group
+    if not all(t.group is G or t.group.same_elements(G) for t in thetas):
+        raise CharacterError("characters on different groups")
+    _check_subgroup(N, G)
+    gcls = G.conjugacy_classes()
+    fused = [gcls.class_of(rep) for rep in N.conjugacy_classes().representatives]
+    table = character_table(N, cache_dir=cache_dir)
+    return table._multiplicity_rows([[t.values[k] for k in fused] for t in thetas])
 
 
 def _div_by_int(v: CycValue, n: int) -> CycValue:

@@ -4,7 +4,8 @@ Clifford correspondents, and constituent chains along a chief series.
 G permutes N's classes, hence Irr(N) (`_class_action`).  A breadth-first
 search over G's generators gives nu's orbit and a transversal: |G_nu| is
 |G| / |orbit|, and G_nu itself is generated by the Schreier generators
-t_o g t_(o^g)^-1.  Nothing is memoized.
+t_o g t_(o^g)^-1.  Class actions are kept on N, keyed by g, so each is
+computed once per (N, g) and freed with N.
 
 A chain tracks one irreducible chi of a p-group G down its chief series:
 nu_t = chi, and each nu_{i-1} is the first constituent (canonical table
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .chars import Character
-from .charops import induce, inner_product, restrict
+from .charops import induce, inner_product, restrict, restriction_multiplicities
 from .errors import ChainError, CharacterError, GroupError
 from .perm import PermGroup, Permutation
 from .table import character_table
@@ -43,9 +44,13 @@ ALL_CHAINS_CAP = 64
 
 def _class_action(N: PermGroup, g: Permutation) -> tuple[int, ...]:
     """Class k of N goes to the class of g x_k g^-1."""
-    ncls = N.conjugacy_classes()
-    ginv = g.inverse()
-    return tuple(ncls.class_of(g * x * ginv) for x in ncls.representatives)
+    act = N._class_actions.get(g.images)
+    if act is None:
+        ncls = N.conjugacy_classes()
+        ginv = g.inverse()
+        act = tuple(ncls.class_of(g * x * ginv) for x in ncls.representatives)
+        N._class_actions[g.images] = act
+    return act
 
 
 def conjugate_action(nu: Character, g: Permutation, G: PermGroup) -> Character:
@@ -161,11 +166,9 @@ def build_chain(G: PermGroup, chi: Character, cache_dir=None) -> CharacterChain:
     nus: list = [None] * len(series)
     nus[-1] = chi
     for i in range(len(series) - 1, 0, -1):
-        res = restrict(nus[i], series[i - 1])
-        tab = character_table(series[i - 1], cache_dir=cache_dir)
-        mults = tab.multiplicities(res)
-        first = next(j for j, m in enumerate(mults) if m)
-        nus[i - 1] = tab[first]
+        row = restriction_multiplicities([nus[i]], series[i - 1], cache_dir=cache_dir)[0]
+        first = next(j for j, m in enumerate(row) if m)
+        nus[i - 1] = character_table(series[i - 1], cache_dir=cache_dir)[first]
     return CharacterChain(group=G, chi=chi, series=tuple(series), nus=tuple(nus))
 
 
@@ -188,8 +191,10 @@ def classify_chain(chain: CharacterChain, cache_dir=None) -> ChainLedger:
     orders = [G.order // len(_orbit(G, N, nu)[1]) for N, nu in zip(chain.series, chain.nus)]
     case = ["none"]
     for i in range(1, len(chain.series)):
-        nu_below, nu_here = chain.nus[i - 1], chain.nus[i]
-        extends = restrict(nu_here, chain.series[i - 1]) == nu_below
+        N_below, nu_below, nu_here = chain.series[i - 1], chain.nus[i - 1], chain.nus[i]
+        row = restriction_multiplicities([nu_here], N_below, cache_dir=cache_dir)[0]
+        below = character_table(N_below, cache_dir=cache_dir).index_of(nu_below)
+        extends = row == [int(j == below) for j in range(len(row))]
         # if nu_i extends nu_(i-1), G_nu_i <= G_nu_(i-1): equal orders mean equal groups
         if extends and orders[i - 1] == orders[i]:
             case.append("none")
@@ -233,14 +238,8 @@ def all_chains(G: PermGroup, chi: Character, cache_dir=None) -> list[CharacterCh
     partials = [[chi]]
     for i in range(len(series) - 1, 0, -1):
         tab = character_table(series[i - 1], cache_dir=cache_dir)
-        grown = []
-        for chain in partials:
-            res = restrict(chain[0], series[i - 1])
-            mults = tab.multiplicities(res)
-            for j, m in enumerate(mults):
-                if m:
-                    grown.append([tab[j]] + chain)
-        partials = grown
+        rows = restriction_multiplicities([c[0] for c in partials], series[i - 1], cache_dir=cache_dir)
+        partials = [[tab[j]] + c for c, row in zip(partials, rows) for j, m in enumerate(row) if m]
     return [
         CharacterChain(group=G, chi=chi, series=tuple(series), nus=tuple(nus))
         for nus in partials

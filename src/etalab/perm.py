@@ -240,6 +240,7 @@ class PermGroup:
         self._series = None
         self._content_key: Optional[str] = None
         self._char_table = None
+        self._class_actions: dict = {}
 
     @property
     def identity(self) -> Permutation:

@@ -26,14 +26,15 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
+from math import lcm
 from pathlib import Path
 from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .chars import Character
-from .cyclotomic import CycValue, coefficient_stack, pairing, power_basis_matrix, reduced_degree
-from .errors import CharacterError, TableError
+from .cyclotomic import CycValue, coefficient_stack, pairing, power_basis_matrix
+from .errors import CharacterError, EtalabError, TableError
 from .perm import ConjugacyClassSet, PermGroup, Permutation
 
 __all__ = [
@@ -360,6 +361,8 @@ class CharTable:
     def __post_init__(self):
         object.__setattr__(self, "_index", None)
         object.__setattr__(self, "_coeff_cube", None)
+        # charops.decompose keeps its results here, keyed by value_key()
+        object.__setattr__(self, "_decompositions", {})
 
     def __len__(self) -> int:
         return len(self.irreducibles)
@@ -404,9 +407,22 @@ class CharTable:
         """[theta, chi_i] for every table entry, as exact integers."""
         if not (theta.group is self.group or theta.group.same_elements(self.group)):
             raise CharacterError("characters on different groups")
-        tvec = coefficient_stack([theta.values], self.e)
-        raw = pairing(tvec, self.classes.sizes, self._cube(), self.e)[0]
-        return [as_multiplicity(row, self.group.order) for row in raw]
+        return self._multiplicity_rows([theta.values])[0]
+
+    def _multiplicity_rows(self, rows) -> list[list[int]]:
+        """[row, chi_i] for rows of values on this table's classes.
+
+        The pairing runs at the lcm of the table's and the rows' conductors,
+        so nothing is rebased down: the cube is lifted by one integer matmul
+        against the rows zeta_e^(jk), k = e / self.e, of the power basis.
+        """
+        e = lcm(self.e, *(v.e for row in rows for v in row))
+        cube = self._cube()
+        if e != self.e:
+            k = e // self.e
+            cube = cube @ power_basis_matrix(e)[: k * cube.shape[2] : k].astype(cube.dtype)
+        raw = pairing(coefficient_stack(rows, e), self.classes.sizes, cube, e)
+        return [[as_multiplicity(c, self.group.order) for c in row] for row in raw]
 
     def verify_orthogonality(self) -> None:
         """Exact row and column orthogonality; raises TableError on failure."""
@@ -526,46 +542,29 @@ def _cache_key(G: PermGroup) -> str:
 
 
 def _cache_load(G: PermGroup, path: Path) -> Optional[CharTable]:
+    """The cached table of G, or None when the entry is unreadable, malformed,
+    describes another group or fails the orthogonality check."""
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return None
-    if not isinstance(data, dict) or data.get("schema") != 1:
-        return None
-    classes = G.conjugacy_classes()
-    if (
-        data.get("degree") != G.degree
-        or data.get("order") != G.order
-        or data.get("exponent") != G.exponent()
-        or data.get("classes", {}).get("sizes") != list(classes.sizes)
-        or data.get("classes", {}).get("reps")
-        != [list(rep.images) for rep in classes.representatives]
-    ):
-        return None
-    e = G.exponent()
-    phi = reduced_degree(e)
-    irr_raw = data.get("irreducibles")
-    if not isinstance(irr_raw, list) or len(irr_raw) != len(classes):
-        return None
-    chars = []
-    try:
-        for vals in irr_raw:
-            if len(vals) != len(classes):
-                return None
-            values = tuple(CycValue(e, tuple(int(c) for c in v)) for v in vals)
-            if len(values[0].coeffs) != phi:
-                return None
-            chars.append(Character(G, values))
-    except Exception:
-        return None
-    if sum(c.degree * c.degree for c in chars) != G.order:
-        return None
-    table = CharTable(
-        group=G, classes=classes, irreducibles=tuple(chars), e=e, q=int(data.get("modulus", 0))
-    )
-    try:
+        classes = G.conjugacy_classes()
+        e = G.exponent()
+        if (
+            data["schema"] != 1
+            or (data["degree"], data["order"], data["exponent"]) != (G.degree, G.order, e)
+            or data["classes"]["sizes"] != list(classes.sizes)
+            or data["classes"]["reps"] != [list(rep.images) for rep in classes.representatives]
+        ):
+            return None
+        chars = tuple(
+            Character(G, tuple(CycValue(e, tuple(int(c) for c in v)) for v in vals))
+            for vals in data["irreducibles"]
+        )
+        keys = [_canonical_sort_key(chi) for chi in chars]
+        if keys != sorted(keys) or keys[0][0] < 1:
+            return None
+        table = CharTable(group=G, classes=classes, irreducibles=chars, e=e, q=int(data["modulus"]))
         table.verify_orthogonality()
-    except TableError:
+    except (OSError, ValueError, TypeError, KeyError, EtalabError):
         return None
     return table
 

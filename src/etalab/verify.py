@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .catalog import default_catalog
 from .chars import Character
-from .charops import decompose, irr_mod, restrict
+from .charops import decompose, irr_mod, restriction_multiplicities
 from .clifford import _plog, build_chain, classify_chain
 from .constructions import prop5_witness
 from .errors import EtalabError, GroupError
@@ -216,21 +216,6 @@ def verify_corollary_a(groups=None, max_order=64, cache_dir=None) -> Verificatio
     return report
 
 
-_RESTRICT_MULT_MEMO: dict = {}
-
-
-def _restriction_multiplicities(theta: Character, N: PermGroup, cache_dir=None):
-    """Multiplicity vector of theta restricted to N, memoized across the
-    sweep (the same table irreducibles recur in many product decompositions)."""
-    key = (theta.group.content_key, theta.value_key(), N.content_key)
-    hit = _RESTRICT_MULT_MEMO.get(key)
-    if hit is None:
-        tab = character_table(N, cache_dir=cache_dir)
-        hit = tuple(tab.multiplicities(restrict(theta, N)))
-        _RESTRICT_MULT_MEMO[key] = hit
-    return hit
-
-
 def _chain_extras(G: PermGroup, chi: Character, chain, ledger, cache_dir=None):
     """Constituent bookkeeping behind the counting argument: per unstable
     index, every one-step character delta must be covered by a constituent
@@ -250,10 +235,7 @@ def _chain_extras(G: PermGroup, chi: Character, chain, ledger, cache_dir=None):
         one_step = irr_mod(N_i, N_below)
         step_idx = [tab_i.index_of(d) for d in one_step]
         nonprincipal_idx = [k for k in step_idx if k != tab_i.principal_index]
-        mult_rows = [
-            _restriction_multiplicities(theta, N_i, cache_dir=cache_dir)
-            for theta in xi
-        ]
+        mult_rows = restriction_multiplicities(xi, N_i, cache_dir=cache_dir)
         # one-step characters are linear, so restricting to theta(1)*delta
         # is the same as the delta-entry soaking up the whole degree
         for k in step_idx:

@@ -17,8 +17,10 @@ from etalab.charops import (
     kernel,
     lin,
     restrict,
+    restriction_multiplicities,
 )
-from etalab.constructions import prop5_witness
+from etalab.catalog import catalog_ids
+from etalab.constructions import cyclic, dihedral, prop5_witness
 from etalab.errors import CharacterError, GroupError
 from etalab.perm import chief_series
 from etalab.table import character_table
@@ -145,12 +147,47 @@ def test_frobenius_reciprocity():
         series = chief_series(G)
         N = series[-2]
         n_table = character_table(N)
-        for nu in n_table:
+        rows = restriction_multiplicities(table, N)
+        for j, nu in enumerate(n_table):
             ind = induce(nu, G)
-            for chi in table:
+            for chi, row in zip(table, rows):
                 assert inner_product(ind, chi) == inner_product(
                     restrict(chi, N), nu
-                )
+                ) == row[j]
+
+
+def _proper_subgroups(G):
+    """Every proper subgroup generated by at most two elements."""
+    seen, out = set(), []
+    for a in G.elements:
+        for b in G.elements:
+            H = G.subgroup([a, b])
+            if H.order < G.order and H.element_set not in seen:
+                seen.add(H.element_set)
+                out.append(H)
+    return out
+
+
+def _restriction_cases():
+    for gid in catalog_ids():
+        G = load_catalog_group(gid)
+        if G.order <= 32:
+            for N in chief_series(G):
+                yield G, N
+    for G in (cyclic(6), cyclic(12), dihedral(6)):
+        for N in _proper_subgroups(G):
+            yield G, N
+
+
+def test_restriction_multiplicities_match_elementwise_oracle():
+    # includes conductor pairs 12 -> 4, 12 -> 3 and 6 -> 3, not only p-powers
+    for G, N in _restriction_cases():
+        table = character_table(G)
+        n_table = character_table(N)
+        rows = restriction_multiplicities(table, N)
+        for chi, row in zip(table, rows):
+            res = restrict(chi, N)
+            assert row == [elementwise_inner(n_table, res, psi) for psi in n_table]
 
 
 def test_induction_matches_elementwise_oracle():

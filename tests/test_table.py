@@ -293,6 +293,32 @@ def test_corrupted_cache_is_recomputed(tmp_path, monkeypatch):
     assert _values_equal(first, again)
     assert json.loads(path.read_text())["irreducibles"][1][1][0] == 1
 
+    # malformed entries are cache misses as well, never errors
+    def identity_value_off_the_integers(blob):
+        blob["irreducibles"][1][0] = [1, 1]
+
+    def negated_row(blob):
+        blob["irreducibles"][1] = [[-c for c in v] for v in blob["irreducibles"][1]]
+
+    def rows_out_of_order(blob):
+        irr = blob["irreducibles"]
+        irr[1], irr[2] = irr[2], irr[1]
+
+    for corrupt in (
+        identity_value_off_the_integers,
+        lambda blob: blob.update(modulus="x"),
+        lambda blob: blob.update(classes=[]),
+        negated_row,
+        rows_out_of_order,
+    ):
+        blob = json.loads(path.read_text())
+        corrupt(blob)
+        path.write_text(json.dumps(blob))
+        _fresh_memo(monkeypatch)
+        again = character_table(dihedral(4), cache_dir=cache)
+        assert _values_equal(first, again)
+        assert again.q == first.q
+
 
 def test_index_of_unknown_character_raises(d8_table):
     stranger = Character.principal(load_catalog_group("c2"))

@@ -64,6 +64,18 @@ def test_ledger_report_fields():
     assert rec["disjoint"] is True
 
 
+def test_ledger_never_rebases_down(monkeypatch):
+    # the sweep pairs restrictions at the parent's conductor
+    from etalab.cyclotomic import CycValue
+
+    def refuse(self, f):
+        raise AssertionError(f"down {self.e}->{f}")
+
+    monkeypatch.setattr(CycValue, "_down", refuse)
+    rep = verify_ledger(groups=_small("d8", "q16", "c4wrc2", "es27", "c3wrc3", "c25"))
+    assert rep.passed
+
+
 def test_prop5_report():
     rep = verify_prop5(pairs=((2, 1), (3, 1)))
     etas = [res["records"][0]["eta"] for res in rep.results]
