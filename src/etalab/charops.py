@@ -19,7 +19,7 @@ from .chars import Character
 from .cyclotomic import CycValue, coefficient_stack, pairing
 from .errors import CharacterError, GroupError
 from .perm import PermGroup
-from .table import as_multiplicity, character_table
+from .table import as_multiplicities, character_table
 
 __all__ = [
     "ConstituentDecomposition",
@@ -78,7 +78,7 @@ def inner_product(a: Character, b: Character) -> int:
     G = a.group
     e = lcm(*(v.e for v in a.values + b.values))
     x, y = (coefficient_stack([c.values], e) for c in (a, b))
-    return as_multiplicity(pairing(x, G.conjugacy_classes().sizes, y, e)[0, 0], G.order)
+    return as_multiplicities(pairing(x, G.conjugacy_classes().sizes, y, e), G.order)[0][0]
 
 
 def decompose(theta: Character, cache_dir=None) -> ConstituentDecomposition:

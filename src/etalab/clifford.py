@@ -5,7 +5,8 @@ G permutes N's classes, hence Irr(N) (`_class_action`).  A breadth-first
 search over G's generators gives nu's orbit and a transversal: |G_nu| is
 |G| / |orbit|, and G_nu itself is generated by the Schreier generators
 t_o g t_(o^g)^-1.  Class actions are kept on N, keyed by g, so each is
-computed once per (N, g) and freed with N.
+computed once per (N, g) and freed with N; so is the finding that N is
+normal in G, keyed by G's content key.
 
 A chain tracks one irreducible chi of a p-group G down its chief series:
 nu_t = chi, and each nu_{i-1} is the first constituent (canonical table
@@ -66,8 +67,10 @@ def conjugate_action(nu: Character, g: Permutation, G: PermGroup) -> Character:
 def _orbit(G: PermGroup, N: PermGroup, nu: Character) -> tuple[list, dict]:
     """Breadth-first orbit of nu under G's generators: each generator's class
     action, and a transversal taking nu to every orbit point (a value key)."""
-    if not N.is_normal_in(G):
-        raise GroupError("not normal")
+    if G.content_key not in N._normal_in:
+        if not N.is_normal_in(G):
+            raise GroupError("not normal")
+        N._normal_in.add(G.content_key)
     actions = [_class_action(N, g) for g in G.generators]
     start = nu.value_key()
     transversal = {start: G.identity}

@@ -5,6 +5,9 @@ groupfile).  Permutations compare lexicographically on their image tuples and
 that order is the tie-break for every canonical choice downstream: class
 ordering, chief series steps, transversal scans.
 
+Products and inverses are valid by construction and skip validation (the
+trusted `_from_images`); the public constructor validates its images.
+
 Groups are enumerated by breadth-first closure of the generators, capped at
 2^21 elements.  Subgroups carry a reference to the ambient group they were cut
 from; they share its degree and are otherwise ordinary groups.
@@ -55,6 +58,13 @@ class Permutation:
                 raise PermutationError(f"invalid permutation: {imgs!r}")
             seen[x] = True
 
+    @classmethod
+    def _from_images(cls, images: tuple[int, ...]) -> "Permutation":
+        """Trusted constructor: images must already be a valid image tuple."""
+        perm = object.__new__(cls)
+        object.__setattr__(perm, "images", images)
+        return perm
+
     @staticmethod
     def identity(degree: int) -> "Permutation":
         return Permutation(tuple(range(degree)))
@@ -89,14 +99,13 @@ class Permutation:
         # apply self first, then other
         if len(self.images) != len(other.images):
             raise PermutationError("invalid permutation: degree mismatch in product")
-        o = other.images
-        return Permutation(tuple(o[x] for x in self.images))
+        return Permutation._from_images(tuple(map(other.images.__getitem__, self.images)))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
         for i, x in enumerate(self.images):
             inv[x] = i
-        return Permutation(tuple(inv))
+        return Permutation._from_images(tuple(inv))
 
     def __pow__(self, n: int) -> "Permutation":
         base = self if n >= 0 else self.inverse()
@@ -241,6 +250,7 @@ class PermGroup:
         self._content_key: Optional[str] = None
         self._char_table = None
         self._class_actions: dict = {}
+        self._normal_in: set[str] = set()  # content keys of groups N is normal in
 
     @property
     def identity(self) -> Permutation:

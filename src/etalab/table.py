@@ -11,13 +11,17 @@ square root and exact values are lifted through power maps into Z[zeta_e].
 Splitting is deterministic: class matrices are consumed in canonical class
 order, eigenvalues of each restriction in increasing residue order, and the
 finished table is sorted by (degree, coefficient vectors).  Recomputing with
-a different admissible prime reproduces the table byte for byte.
+a different admissible prime reproduces the table byte for byte.  A space on
+which a class matrix acts as a scalar is one eigenspace and is kept as it is:
+the eigenlines are unique, so the table does not depend on where splits
+happen.  Images under a class matrix are summed over its nonzeros only.
 
 No floating point anywhere.  numpy does the int64 modular linear algebra,
 where every product stays below 2^63 because q is kept under 2^21 and the
-element cap bounds matrix sizes.  It also runs the exact pairing behind
-multiplicities and orthogonality (cyclotomic.pairing), which moves to Python
-integers whenever its overflow bound could be exceeded.
+element cap bounds matrix sizes; the sparse images keep that bound.  It also
+runs the exact pairing behind multiplicities and orthogonality
+(cyclotomic.pairing), which moves to Python integers whenever its overflow
+bound could be exceeded.
 """
 
 from __future__ import annotations
@@ -250,7 +254,7 @@ def _minimal_polynomial(mat: np.ndarray, q: int) -> np.ndarray:
         g = _poly_gcd_mod(mp, ann, q)
         quo, rem = _poly_divmod_mod(ann, g, q)
         if len(rem):
-            raise TableError("internal eigensplit failure")
+            raise TableError("internal eigensplit failure: minimal polynomial")
         mp = _poly_mul_mod(mp, quo, q)
     return mp
 
@@ -263,43 +267,62 @@ def _poly_roots(poly: np.ndarray, q: int) -> list[int]:
     return [int(x) for x in np.nonzero(acc == 0)[0]]
 
 
-def _common_eigenbasis(get_matrix: Callable[[int], np.ndarray], r: int, q: int) -> np.ndarray:
+def _split_spaces(spaces: list[np.ndarray], mat: np.ndarray, q: int) -> list[np.ndarray]:
+    """Refine each space (rows in RREF) into the eigenspaces of mat on it."""
+    # image = basis @ mat.T over mat's nonzeros; every row has one, so the
+    # row starts are r increasing indices and no reduceat segment is empty
+    rows, cols = np.nonzero(mat)
+    vals = mat[rows, cols]
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    refined: list[np.ndarray] = []
+    for basis in spaces:
+        d = basis.shape[0]
+        if d == 1:
+            refined.append(basis)
+            continue
+        pivots = [int(np.nonzero(row)[0][0]) for row in basis]
+        image = np.add.reduceat(basis[:, cols] * vals, starts, axis=1) % q
+        # action on coordinate columns; image rows expand as act.T @ basis
+        act = image[:, pivots].T.copy()
+        if ((act.T @ basis - image) % q).any():
+            raise TableError("internal eigensplit failure: space is not invariant")
+        if np.array_equal(act, act[0, 0] * np.eye(d, dtype=np.int64)):
+            # a scalar action: the whole space is one eigenspace
+            refined.append(basis)
+            continue
+        total = 0
+        for lam in _poly_roots(_minimal_polynomial(act, q), q):
+            shifted = (act - lam * np.eye(d, dtype=np.int64)) % q
+            null = _nullspace(shifted, q)
+            if null.shape[0] == 0:
+                raise TableError("internal eigensplit failure: root without eigenvector")
+            sub, _ = _rref(null @ basis % q, q)
+            refined.append(sub)
+            total += null.shape[0]
+        if total != d:
+            raise TableError("internal eigensplit failure: eigenspaces do not fill the space")
+    return refined
+
+
+def _common_eigenbasis(
+    get_matrix: Callable[[int], np.ndarray], r: int, q: int, order: int
+) -> np.ndarray:
     """Rows of the returned (r, r) array span the r common eigenlines."""
+    # eigenspace dimensions always sum to r, so r spaces means r lines
     spaces: list[np.ndarray] = [np.eye(r, dtype=np.int64)]
-    for i in range(1, r):
-        if all(b.shape[0] == 1 for b in spaces):
-            break
-        mt = get_matrix(i).T % q
-        refined: list[np.ndarray] = []
-        for basis in spaces:
-            d = basis.shape[0]
-            if d == 1:
-                refined.append(basis)
-                continue
-            pivots = [int(np.nonzero(row)[0][0]) for row in basis]
-            image = basis @ mt % q
-            # action on coordinate columns; image rows expand as act.T @ basis
-            act = image[:, pivots].T.copy()
-            if ((act.T @ basis - image) % q).any():
-                raise TableError("internal eigensplit failure")
-            total = 0
-            for lam in _poly_roots(_minimal_polynomial(act, q), q):
-                shifted = (act - lam * np.eye(d, dtype=np.int64)) % q
-                null = _nullspace(shifted, q)
-                if null.shape[0] == 0:
-                    raise TableError("internal eigensplit failure")
-                sub, _ = _rref(null @ basis % q, q)
-                refined.append(sub)
-                total += null.shape[0]
-            if total != d:
-                raise TableError("internal eigensplit failure")
-        spaces = refined
-    if not all(b.shape[0] == 1 for b in spaces):
-        raise TableError("internal eigensplit failure")
-    out = np.vstack([b[0] for b in spaces]) % q
-    for row in out:
-        if row[0] == 0:
-            raise TableError("internal eigensplit failure")
+    i = 0
+    try:
+        for i in range(1, r):
+            if len(spaces) == r:
+                break
+            spaces = _split_spaces(spaces, get_matrix(i), q)
+        if len(spaces) < r:
+            raise TableError("internal eigensplit failure: class matrices leave a space unsplit")
+        out = np.vstack(spaces)
+        if not out[:, 0].all():
+            raise TableError("internal eigensplit failure: eigenvector vanishes at the identity")
+    except TableError as exc:
+        raise TableError(f"{exc} (group order {order}, q {q}, class matrix {i})") from None
     scale = np.array([pow(int(row[0]), q - 2, q) for row in out], dtype=np.int64)
     return out * scale[:, None] % q
 
@@ -337,12 +360,13 @@ def class_mult_coefficients(classes: ConjugacyClassSet, i: int, j: int) -> list[
     return [int(v) for v in class_matrix(classes, i)[j]]
 
 
-def as_multiplicity(coeffs: np.ndarray, order: int) -> int:
-    """A pairing's coefficients divided by |G|, as a non-negative integer."""
-    m, rem = divmod(int(coeffs[0]), order)
-    if rem or m < 0 or coeffs[1:].any():
+def as_multiplicities(raw: np.ndarray, order: int) -> list:
+    """A pairing result (int64 or object) divided by |G|, as nested lists of
+    non-negative integers: every coefficient past the first must vanish."""
+    head = raw[..., 0]
+    if raw[..., 1:].any() or (head % order).any() or (head < 0).any():
         raise CharacterError("inner product not integral")
-    return m
+    return (head // order).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +446,7 @@ class CharTable:
             k = e // self.e
             cube = cube @ power_basis_matrix(e)[: k * cube.shape[2] : k].astype(cube.dtype)
         raw = pairing(coefficient_stack(rows, e), self.classes.sizes, cube, e)
-        return [[as_multiplicity(c, self.group.order) for c in row] for row in raw]
+        return as_multiplicities(raw, self.group.order)
 
     def verify_orthogonality(self) -> None:
         """Exact row and column orthogonality; raises TableError on failure."""
@@ -475,7 +499,7 @@ def _compute_table(G: PermGroup, prime_offset: int = 0) -> CharTable:
     order = G.order
     q = _smallest_admissible_prime(order, e, prime_offset)
 
-    omegas = _common_eigenbasis(lambda i: class_matrix(classes, i) % q, r, q)
+    omegas = _common_eigenbasis(lambda i: class_matrix(classes, i) % q, r, q, order)
 
     inv_class = [classes.class_of(rep.inverse()) for rep in classes.representatives]
     sizes = classes.sizes
@@ -498,31 +522,34 @@ def _compute_table(G: PermGroup, prime_offset: int = 0) -> CharTable:
 
     chars = []
     deg_sum = 0
-    for w in omegas:
-        s_acc = 0
-        for j in range(r):
-            s_acc = (s_acc + int(w[j]) * int(w[inv_class[j]]) % q * size_inv[j]) % q
-        d_sq = order % q * pow(s_acc, q - 2, q) % q
-        d = _sqrt_mod(d_sq, q)
-        d = min(d, q - d)
-        if d == 0 or d * d > order:
-            raise TableError("internal lifting failure: bad degree")
+    for n, w in enumerate(omegas):
+        try:
+            s_acc = 0
+            for j in range(r):
+                s_acc = (s_acc + int(w[j]) * int(w[inv_class[j]]) % q * size_inv[j]) % q
+            d_sq = order % q * pow(s_acc, q - 2, q) % q
+            d = _sqrt_mod(d_sq, q)
+            d = min(d, q - d)
+            if d == 0 or d * d > order:
+                raise TableError("internal lifting failure: bad degree")
+            chi_mod = np.array(
+                [d * int(w[j]) % q * size_inv[j] % q for j in range(r)], dtype=np.int64
+            )
+            mults = chi_mod[pclass] @ zmat.T % q * e_inv % q
+            if (mults > d).any():
+                raise TableError("internal lifting failure: multiplicity out of range")
+            if (mults.sum(axis=1) != d).any():
+                raise TableError("internal lifting failure: multiplicities do not sum to degree")
+        except TableError as exc:
+            raise TableError(f"{exc} (group order {order}, q {q}, eigenvector {n})") from None
         deg_sum += d * d
-        chi_mod = np.array(
-            [d * int(w[j]) % q * size_inv[j] % q for j in range(r)], dtype=np.int64
-        )
-        mults = chi_mod[pclass] @ zmat.T % q * e_inv % q
-        if (mults > d).any():
-            raise TableError("internal lifting failure: multiplicity out of range")
-        if (mults.sum(axis=1) != d).any():
-            raise TableError("internal lifting failure: multiplicities do not sum to degree")
         coeffs = mults @ power_basis_matrix(e)
         values = tuple(
             CycValue(e, tuple(int(c) for c in coeffs[j])) for j in range(r)
         )
         chars.append(Character(G, values))
     if deg_sum != order:
-        raise TableError("internal lifting failure: degree sum mismatch")
+        raise TableError(f"internal lifting failure: degree sum mismatch (group order {order}, q {q})")
 
     chars.sort(key=_canonical_sort_key)
     return CharTable(group=G, classes=classes, irreducibles=tuple(chars), e=e, q=q)

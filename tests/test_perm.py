@@ -35,6 +35,21 @@ def test_permutation_algebra():
         assert (g ** -1) == g.inverse()
 
 
+def test_products_match_validated_permutations():
+    rng = random.Random(17)
+    for _ in range(60):
+        deg = rng.randrange(1, 9)
+        g, h = (Permutation(tuple(rng.sample(range(deg), deg))) for _ in range(2))
+        n = rng.randrange(-5, 6)
+        for x in (g * h, g.inverse(), g ** n):
+            assert isinstance(x.images, tuple)
+            y = Permutation(x.images)
+            assert x == y and hash(x) == hash(y)
+            assert sorted([x, h]) == sorted([y, h])
+    with pytest.raises(PermutationError):
+        Permutation.identity(3) * Permutation.identity(4)
+
+
 def test_invalid_images_rejected():
     with pytest.raises(PermutationError):
         Permutation((0, 0, 1))

@@ -4,11 +4,14 @@ identities, caching, and prime-choice independence."""
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import etalab.table as table_mod
 from etalab.catalog import default_catalog, load_catalog_group
 from etalab.chars import Character
 from etalab.charops import inner_product
+from etalab.constructions import dihedral
 from etalab.cyclotomic import CycValue
 from etalab.errors import CharacterError, TableError
 from etalab.perm import Permutation, power_map
@@ -211,12 +214,44 @@ def test_class_mult_coefficients_symmetry(es27):
 
 
 def test_next_prime_gives_identical_table():
-    for gid in ("d8", "c9", "es27"):
-        G = load_catalog_group(gid)
+    # dihedral(6) has classes of size 2 and 3; w22's chief-series members of
+    # order 64 and 128 are abelian (permutation class matrices only), and the
+    # one of order 512 has 152 classes
+    w22_series = {N.order: N for N in load_catalog_group("w22").chief_series()}
+    groups = [(gid, load_catalog_group(gid)) for gid in ("d8", "c9", "es27")]
+    groups.append(("dihedral(6)", dihedral(6)))
+    groups += [(f"w22 series {n}", w22_series[n]) for n in (64, 128, 512)]
+    for name, G in groups:
         base = character_table(G)
         shifted = character_table(G, prime_offset=1)
         assert shifted.q != base.q
-        assert _values_equal(base, shifted), gid
+        assert _values_equal(base, shifted), name
+        assert shifted.to_json_dict()["irreducibles"] == base.to_json_dict()["irreducibles"], name
+
+
+def test_eigensplit_skips_scalar_actions(monkeypatch):
+    # on a space where a class matrix acts as a scalar there is nothing to
+    # split, so no minimal polynomial may be computed there
+    original = table_mod._minimal_polynomial
+
+    def guarded(mat, q):
+        if np.array_equal(mat % q, mat[0, 0] % q * np.eye(mat.shape[0], dtype=np.int64)):
+            raise AssertionError("minimal polynomial of a scalar action")
+        return original(mat, q)
+
+    monkeypatch.setattr(table_mod, "_minimal_polynomial", guarded)
+    for _, G in default_catalog(max_order=64):
+        table_mod._compute_table(G)
+
+
+def test_eigensplit_failure_names_group_and_prime(d8, monkeypatch):
+    monkeypatch.setattr(table_mod, "_poly_roots", lambda poly, q: [])
+    with pytest.raises(TableError) as info:
+        table_mod._compute_table(d8)
+    message = str(info.value)
+    assert message.startswith("internal eigensplit failure")
+    assert "group order 8" in message and "q 13" in message
+    assert "class matrix 1" in message
 
 
 def _values_equal(a, b):
@@ -230,13 +265,11 @@ def _values_equal(a, b):
 
 def _fresh_memo(monkeypatch):
     # cache tests must dodge the in-process memo or the file is never touched
-    import etalab.table as table_mod
 
     monkeypatch.setattr(table_mod, "_TABLE_MEMO", {})
 
 
 def test_cache_round_trip(tmp_path, monkeypatch):
-    import etalab.table as table_mod
     from etalab.constructions import dihedral
 
     cache = tmp_path / "cache"
