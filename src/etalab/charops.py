@@ -208,9 +208,6 @@ def irr_mod(M: PermGroup, N: PermGroup, cache_dir=None) -> list[Character]:
     table = character_table(M, cache_dir=cache_dir)
     mcls = M.conjugacy_classes()
     gen_classes = sorted({mcls.class_of(g) for g in N.generators})
-    out = []
-    for chi in table:
-        deg = chi.values[0]
-        if all(chi.values[k] == deg for k in gen_classes):
-            out.append(chi)
-    return out
+    # rows whose values on N's generator classes equal the degree value
+    keep = (table.cube[:, gen_classes] == table.cube[:, :1]).all(axis=(1, 2))
+    return [chi for chi, kept in zip(table, keep) if kept]

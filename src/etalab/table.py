@@ -8,6 +8,9 @@ q > 2*sqrt(|G|).  Each common eigenvector, normalized at the identity class,
 is a vector of central character values; degrees come back from a modular
 square root and exact values are lifted through power maps into Z[zeta_e].
 
+A table is stored as its (characters, classes, phi(e)) int64 coefficient
+cube; its Characters, JSON form, cache entry and pairings are read off it.
+
 Splitting is deterministic: class matrices are consumed in canonical class
 order, eigenvalues of each restriction in increasing residue order, and the
 finished table is sorted by (degree, coefficient vectors).  Recomputing with
@@ -29,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import weakref
 from dataclasses import dataclass
 from math import lcm
 from pathlib import Path
@@ -37,7 +41,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .chars import Character
-from .cyclotomic import CycValue, coefficient_stack, pairing, power_basis_matrix
+from .cyclotomic import CycValue, coefficient_stack, pairing, power_basis_matrix, reduced_degree
 from .errors import CharacterError, EtalabError, TableError
 from .perm import ConjugacyClassSet, PermGroup, Permutation
 
@@ -50,8 +54,8 @@ __all__ = [
 
 _Q_SCAN_LIMIT = 1 << 21
 
-# in-memory table store, shared across equal-content group objects
-_TABLE_MEMO: dict[str, "CharTable"] = {}
+# tables shared across equal-content group objects while one of them lives
+_TABLE_MEMO: "weakref.WeakValueDictionary[str, CharTable]" = weakref.WeakValueDictionary()
 
 
 # ---------------------------------------------------------------------------
@@ -374,17 +378,25 @@ def as_multiplicities(raw: np.ndarray, order: int) -> list:
 
 @dataclass(frozen=True, eq=False)
 class CharTable:
-    """All irreducible characters of a group, canonically ordered."""
+    """All irreducible characters of a group, canonically ordered; cube[i, k]
+    holds chi_i's value on class k over the power basis of Z[zeta_e]."""
 
     group: PermGroup
     classes: ConjugacyClassSet
-    irreducibles: tuple[Character, ...]
+    cube: np.ndarray
     e: int
     q: int
 
     def __post_init__(self):
-        object.__setattr__(self, "_index", None)
-        object.__setattr__(self, "_coeff_cube", None)
+        self.cube.setflags(write=False)  # every attribute set below derives from it
+        keys = [tuple(map(tuple, row)) for row in self.cube.tolist()]
+        object.__setattr__(self, "irreducibles", tuple(
+            Character(self.group, tuple(CycValue(self.e, c) for c in key)) for key in keys
+        ))
+        # a character's value_key() is its row of coefficient tuples
+        object.__setattr__(self, "_index", {key: i for i, key in enumerate(keys)})
+        # the cube at each conductor _multiplicity_rows has paired at
+        object.__setattr__(self, "_lifted", {self.e: self.cube})
         # charops.decompose keeps its results here, keyed by value_key()
         object.__setattr__(self, "_decompositions", {})
 
@@ -399,33 +411,21 @@ class CharTable:
 
     @property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(chi.degree for chi in self.irreducibles)
+        return tuple(self.cube[:, 0, 0].tolist())
 
     @property
     def principal_index(self) -> int:
-        one = CycValue.one(self.e).coeffs
-        for i, chi in enumerate(self.irreducibles):
-            if chi.degree == 1 and all(v.coeffs == one for v in chi.values):
-                return i
-        raise TableError("principal character missing from table")
+        one = (1,) + (0,) * (self.cube.shape[2] - 1)
+        try:
+            return self._index[(one,) * self.cube.shape[1]]
+        except KeyError:
+            raise TableError("principal character missing from table") from None
 
     def index_of(self, chi: Character) -> int:
-        index = self._index
-        if index is None:
-            index = {c.value_key(): i for i, c in enumerate(self.irreducibles)}
-            object.__setattr__(self, "_index", index)
         try:
-            return index[chi.value_key()]
+            return self._index[chi.value_key()]
         except KeyError:
             raise TableError("character not in table") from None
-
-    def _cube(self) -> np.ndarray:
-        """(num chars, num classes, phi(e)) stack of coefficient vectors."""
-        cube = self._coeff_cube
-        if cube is None:
-            cube = coefficient_stack([chi.values for chi in self.irreducibles], self.e)
-            object.__setattr__(self, "_coeff_cube", cube)
-        return cube
 
     def multiplicities(self, theta: Character) -> list[int]:
         """[theta, chi_i] for every table entry, as exact integers."""
@@ -437,14 +437,15 @@ class CharTable:
         """[row, chi_i] for rows of values on this table's classes.
 
         The pairing runs at the lcm of the table's and the rows' conductors,
-        so nothing is rebased down: the cube is lifted by one integer matmul
-        against the rows zeta_e^(jk), k = e / self.e, of the power basis.
+        so nothing is rebased down: the cube is lifted, once per conductor, by
+        an integer matmul against the rows zeta_e^(jk), k = e / self.e.
         """
         e = lcm(self.e, *(v.e for row in rows for v in row))
-        cube = self._cube()
-        if e != self.e:
+        cube = self._lifted.get(e)
+        if cube is None:
             k = e // self.e
-            cube = cube @ power_basis_matrix(e)[: k * cube.shape[2] : k].astype(cube.dtype)
+            cube = self.cube @ power_basis_matrix(e)[: k * self.cube.shape[2] : k]
+            self._lifted[e] = cube
         raw = pairing(coefficient_stack(rows, e), self.classes.sizes, cube, e)
         return as_multiplicities(raw, self.group.order)
 
@@ -452,10 +453,10 @@ class CharTable:
         """Exact row and column orthogonality; raises TableError on failure."""
         order = self.group.order
         sizes = self.classes.sizes
-        cube = self._cube()
+        cube = self.cube
         gram = pairing(cube, sizes, cube, self.e)
         expect = np.zeros(gram.shape, dtype=np.int64)
-        for i in range(len(self.irreducibles)):
+        for i in range(len(cube)):
             expect[i, i, 0] = order
         if (gram != expect).any():
             raise TableError("row orthogonality violated")
@@ -478,18 +479,18 @@ class CharTable:
                 "sizes": list(self.classes.sizes),
                 "reps": [list(rep.images) for rep in self.classes.representatives],
             },
-            "irreducibles": self._cube().tolist(),
+            "irreducibles": self.cube.tolist(),
         }
 
 
 # ---------------------------------------------------------------------------
 # the computation
 
-def _canonical_sort_key(chi: Character):
-    flat = []
-    for v in chi.values:
-        flat.extend(-c for c in v.coeffs)
-    return (chi.degree, tuple(flat))
+def _canonical_order(cube: np.ndarray) -> np.ndarray:
+    """Row order of a coefficient cube sorted by degree, then by the
+    flattened coefficients in decreasing order."""
+    flat = cube.reshape(len(cube), -1)
+    return np.lexsort(np.vstack([-flat.T[::-1], cube[:, 0, 0]]))
 
 
 def _compute_table(G: PermGroup, prime_offset: int = 0) -> CharTable:
@@ -520,7 +521,7 @@ def _compute_table(G: PermGroup, prime_offset: int = 0) -> CharTable:
     )
     e_inv = pow(e, q - 2, q)
 
-    chars = []
+    rows = []
     deg_sum = 0
     for n, w in enumerate(omegas):
         try:
@@ -543,16 +544,12 @@ def _compute_table(G: PermGroup, prime_offset: int = 0) -> CharTable:
         except TableError as exc:
             raise TableError(f"{exc} (group order {order}, q {q}, eigenvector {n})") from None
         deg_sum += d * d
-        coeffs = mults @ power_basis_matrix(e)
-        values = tuple(
-            CycValue(e, tuple(int(c) for c in coeffs[j])) for j in range(r)
-        )
-        chars.append(Character(G, values))
+        rows.append(mults @ power_basis_matrix(e))
     if deg_sum != order:
         raise TableError(f"internal lifting failure: degree sum mismatch (group order {order}, q {q})")
 
-    chars.sort(key=_canonical_sort_key)
-    return CharTable(group=G, classes=classes, irreducibles=tuple(chars), e=e, q=q)
+    cube = np.stack(rows)
+    return CharTable(group=G, classes=classes, cube=cube[_canonical_order(cube)], e=e, q=q)
 
 
 # ---------------------------------------------------------------------------
@@ -575,23 +572,26 @@ def _cache_load(G: PermGroup, path: Path) -> Optional[CharTable]:
         data = json.loads(path.read_text(encoding="utf-8"))
         classes = G.conjugacy_classes()
         e = G.exponent()
+        q = _smallest_admissible_prime(G.order, e)
+        cube = np.array(data["irreducibles"], dtype=np.int64)
+        r = len(classes)
         if (
             data["schema"] != 1
             or (data["degree"], data["order"], data["exponent"]) != (G.degree, G.order, e)
+            or data["modulus"] != q
             or data["classes"]["sizes"] != list(classes.sizes)
             or data["classes"]["reps"] != [list(rep.images) for rep in classes.representatives]
+            or cube.shape != (r, r, reduced_degree(e))
+            or (_canonical_order(cube) != np.arange(r)).any()
+            # integer degrees >= 1: a row times a root of unity keeps
+            # both orthogonality relations and fails only this check
+            or (cube[:, 0, 0] < 1).any()
+            or cube[:, 0, 1:].any()
         ):
             return None
-        chars = tuple(
-            Character(G, tuple(CycValue(e, tuple(int(c) for c in v)) for v in vals))
-            for vals in data["irreducibles"]
-        )
-        keys = [_canonical_sort_key(chi) for chi in chars]
-        if keys != sorted(keys) or keys[0][0] < 1:
-            return None
-        table = CharTable(group=G, classes=classes, irreducibles=chars, e=e, q=int(data["modulus"]))
+        table = CharTable(group=G, classes=classes, cube=cube, e=e, q=q)
         table.verify_orthogonality()
-    except (OSError, ValueError, TypeError, KeyError, EtalabError):
+    except (OSError, ValueError, TypeError, KeyError, OverflowError, EtalabError):
         return None
     return table
 

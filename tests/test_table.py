@@ -1,6 +1,8 @@
 """Character tables: frozen small tables, orthogonality, class algebra
 identities, caching, and prime-choice independence."""
 
+import gc
+import hashlib
 import json
 from pathlib import Path
 
@@ -11,8 +13,8 @@ import etalab.table as table_mod
 from etalab.catalog import default_catalog, load_catalog_group
 from etalab.chars import Character
 from etalab.charops import inner_product
-from etalab.constructions import dihedral
-from etalab.cyclotomic import CycValue
+from etalab.constructions import dihedral, extraspecial_exp_p
+from etalab.cyclotomic import CycValue, coefficient_stack
 from etalab.errors import CharacterError, TableError
 from etalab.perm import Permutation, power_map
 from etalab.table import CharTable, character_table, class_matrix, class_mult_coefficients
@@ -103,8 +105,8 @@ def test_degree_squares_sum_to_group_order():
 
 
 def test_canonical_character_order():
-    for gid in ("d8", "q8", "es27", "c9"):
-        table = character_table(load_catalog_group(gid))
+    for gid, G in default_catalog():
+        table = character_table(G)
         keys = []
         for chi in table:
             flat = []
@@ -125,7 +127,7 @@ def _corrupted(table, irreducibles):
     return CharTable(
         group=table.group,
         classes=table.classes,
-        irreducibles=tuple(irreducibles),
+        cube=coefficient_stack([chi.values for chi in irreducibles], table.e),
         e=table.e,
         q=table.q,
     )
@@ -337,20 +339,65 @@ def test_corrupted_cache_is_recomputed(tmp_path, monkeypatch):
         irr = blob["irreducibles"]
         irr[1], irr[2] = irr[2], irr[1]
 
-    for corrupt in (
+    def coefficient_past_int64(blob):
+        blob["irreducibles"][1][1][0] = 2**70
+
+    def coefficient_missing(blob):
+        del blob["irreducibles"][1][1][-1]
+
+    def row_times_unit(blob):
+        # (a + b z3)(1 + z3) = (a - b) + a z3; 1 + z3 = -z3^2 is a unit, so
+        # row 9 (degree 3) keeps canonical order, a degree >= 1 and both
+        # orthogonality relations, but 3 + 3 z3 is not a rational integer
+        blob["irreducibles"][9] = [[a - b, a] for a, b in blob["irreducibles"][9]]
+
+    es27_cache = tmp_path / "cache-es27"
+    _fresh_memo(monkeypatch)
+    es27_first = character_table(extraspecial_exp_p(3), cache_dir=es27_cache)
+    d8_entry = (lambda: dihedral(4), cache, first)
+    es27_entry = (lambda: extraspecial_exp_p(3), es27_cache, es27_first)
+    d8_corruptions = (
         identity_value_off_the_integers,
         lambda blob: blob.update(modulus="x"),
+        lambda blob: blob.update(modulus=5),
+        lambda blob: blob.update(modulus=-3),
         lambda blob: blob.update(classes=[]),
         negated_row,
         rows_out_of_order,
-    ):
+        coefficient_past_int64,
+        coefficient_missing,
+    )
+    cases = [(d8_entry, c) for c in d8_corruptions] + [(es27_entry, row_times_unit)]
+    for (make_group, entry_cache, expected), corrupt in cases:
+        path = next(Path(entry_cache).glob("*.json"))
         blob = json.loads(path.read_text())
         corrupt(blob)
         path.write_text(json.dumps(blob))
         _fresh_memo(monkeypatch)
-        again = character_table(dihedral(4), cache_dir=cache)
-        assert _values_equal(first, again)
-        assert again.q == first.q
+        again = character_table(make_group(), cache_dir=entry_cache)
+        assert _values_equal(expected, again)
+        assert again.q == expected.q
+
+
+def test_table_memo_lasts_while_an_equal_group_is_alive():
+    # dihedral(5) is not in the catalog, so no other test keeps it alive
+    first, second = dihedral(5), dihedral(5)
+    key = first.content_key
+    table = character_table(first)
+    assert character_table(second) is table
+    del first, second, table
+    gc.collect()
+    assert key not in table_mod._TABLE_MEMO
+
+
+def test_catalog_tables_match_benchmark_reference():
+    reference = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+    expected = json.loads(reference.read_text(encoding="utf-8"))["tables"]
+    got = {}
+    for gid, G in default_catalog():
+        text = json.dumps(character_table(G).to_json_dict(), sort_keys=True, separators=(",", ":"))
+        got[gid] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert got == expected
 
 
 def test_index_of_unknown_character_raises(d8_table):
