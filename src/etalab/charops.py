@@ -5,18 +5,21 @@ Decomposition runs against the canonical table of the character's group and
 is kept on that table, keyed by the class function's values, since the
 verification sweeps ask for the same products repeatedly.  Restriction
 multiplicities [theta|_N, psi] are paired at the parent's conductor, with N's
-table lifted up to it, so no value is rebased down.  Induction works
-class-fusion-wise; the elementwise formula lives in the test suite as an
-oracle.
+table lifted up to it, so no value is rebased down.  Induction is one integer
+matmul: a class-fusion matrix, weighted by class sizes and centralizer
+orders, times the subgroup character's coefficients lifted to the parent's
+conductor, then an exact division by the subgroup order.  The elementwise
+formula lives in the test suite as an oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+
+import numpy as np
 
 from .chars import Character
-from .cyclotomic import CycValue, coefficient_stack, pairing
+from .cyclotomic import conjugate, lift, linear_map, multiply, pairing
 from .errors import CharacterError, GroupError
 from .perm import PermGroup
 from .table import as_multiplicities, character_table
@@ -76,9 +79,8 @@ def inner_product(a: Character, b: Character) -> int:
     if not (a.group is b.group or a.group.same_elements(b.group)):
         raise CharacterError("characters on different groups")
     G = a.group
-    e = lcm(*(v.e for v in a.values + b.values))
-    x, y = (coefficient_stack([c.values], e) for c in (a, b))
-    return as_multiplicities(pairing(x, G.conjugacy_classes().sizes, y, e), G.order)[0][0]
+    raw = pairing(a.coeffs[None], G.conjugacy_classes().sizes, b.coeffs[None], G.exponent())
+    return as_multiplicities(raw, G.order)[0][0]
 
 
 def decompose(theta: Character, cache_dir=None) -> ConstituentDecomposition:
@@ -118,11 +120,8 @@ def restrict(a: Character, N: PermGroup) -> Character:
     if N.same_elements(G):
         return a
     gcls = G.conjugacy_classes()
-    e = N.exponent()
-    values = []
-    for rep in N.conjugacy_classes().representatives:
-        values.append(a.values[gcls.class_of(rep)].rebase(e))
-    return Character(N, tuple(values))
+    reps = N.conjugacy_classes().representatives
+    return Character(N, (a.values[gcls.class_of(rep)] for rep in reps))
 
 
 def restriction_multiplicities(thetas, N: PermGroup, cache_dir=None) -> list[list[int]]:
@@ -138,16 +137,7 @@ def restriction_multiplicities(thetas, N: PermGroup, cache_dir=None) -> list[lis
     gcls = G.conjugacy_classes()
     fused = [gcls.class_of(rep) for rep in N.conjugacy_classes().representatives]
     table = character_table(N, cache_dir=cache_dir)
-    return table._multiplicity_rows([[t.values[k] for k in fused] for t in thetas])
-
-
-def _div_by_int(v: CycValue, n: int) -> CycValue:
-    out = []
-    for c in v.coeffs:
-        if c % n:
-            raise CharacterError("inner product not integral")
-        out.append(c // n)
-    return CycValue(v.e, tuple(out))
+    return table._multiplicity_rows(np.stack([t.coeffs[fused] for t in thetas]), G.exponent())
 
 
 def induce(nu: Character, G: PermGroup) -> Character:
@@ -158,41 +148,36 @@ def induce(nu: Character, G: PermGroup) -> Character:
         return nu
     gcls = G.conjugacy_classes()
     hcls = H.conjugacy_classes()
-    e = G.exponent()
-    fused = [gcls.class_of(rep) for rep in hcls.representatives]
-    sums = [CycValue.zero(e) for _ in range(len(gcls))]
-    for d, k in enumerate(fused):
-        sums[k] = sums[k] + nu.values[d].rebase(e) * hcls.sizes[d]
-    values = []
-    for k in range(len(gcls)):
-        cent = G.order // gcls.sizes[k]
-        values.append(_div_by_int(sums[k] * cent, H.order))
-    return Character(G, tuple(values))
+    # fusion[k, d] = |C_G(g_k)| |d-th class of H| when that class lies in g_k's
+    fusion = np.zeros((len(gcls), len(hcls)), dtype=np.int64)
+    for d, rep in enumerate(hcls.representatives):
+        k = gcls.class_of(rep)
+        fusion[k, d] = G.order // gcls.sizes[k] * hcls.sizes[d]
+    sums = linear_map(fusion, lift(nu.coeffs, H.exponent(), G.exponent()))
+    if (sums % H.order).any():
+        raise CharacterError("inner product not integral")
+    return Character._of(G, sums // H.order)
 
 
 def kernel(a: Character) -> PermGroup:
     """Elements where the character takes its degree value; always normal."""
-    G = a.group
-    cls = G.conjugacy_classes()
-    deg = a.values[0]
-    elems = []
-    for i, val in enumerate(a.values):
-        if val == deg:
-            elems.extend(cls.members[i])
-    return G.subgroup_from_elements(frozenset(elems))
+    return _subgroup_of_classes(a.group, (a.coeffs == a.coeffs[0]).all(axis=1))
 
 
 def center_of_character(a: Character) -> PermGroup:
     """Elements where the character value has maximal modulus, i.e. where
     value * conj(value) equals the squared degree; contains the kernel."""
-    G = a.group
-    cls = G.conjugacy_classes()
-    target = a.values[0] * a.values[0].conjugate()
-    elems = []
-    for i, val in enumerate(a.values):
-        if val * val.conjugate() == target:
-            elems.extend(cls.members[i])
-    return G.subgroup_from_elements(frozenset(elems))
+    e = a.group.exponent()
+    norms = multiply(a.coeffs, conjugate(a.coeffs, e), e)
+    return _subgroup_of_classes(a.group, (norms == norms[0]).all(axis=1))
+
+
+def _subgroup_of_classes(G: PermGroup, kept) -> PermGroup:
+    """The subgroup made of the classes k of G with kept[k] true."""
+    members = G.conjugacy_classes().members
+    return G.subgroup_from_elements(
+        frozenset(x for k, keep in enumerate(kept) if keep for x in members[k])
+    )
 
 
 def lin(G: PermGroup, cache_dir=None) -> list[Character]:

@@ -1,9 +1,11 @@
 """Class functions with exact cyclotomic values.
 
-A Character stores one value per conjugacy class, in the group's canonical
-class order.  Values are CycValues; the conductor in canonical use is the
-group exponent, but pointwise operations align mixed conductors on the fly,
-so intermediate results never need manual rebasing.
+A Character is its coefficient array: one row per conjugacy class, in the
+group's canonical class order, holding the class value over the power basis
+of Z[zeta_e] at the group exponent e.  The array is int64, or dtype=object
+holding Python integers when a coefficient does not fit, and read-only.
+Products and conjugates run on the whole array through the cyclotomic
+kernels; `values` reads the array back as CycValues.
 
 Instances of the same group interoperate directly.  Characters of a subgroup
 and its parent only meet through restrict/induce (charops); there is no
@@ -12,10 +14,14 @@ implicit coercion between groups.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
-from .cyclotomic import CycValue
+import numpy as np
+
+from .cyclotomic import CycValue, as_coeffs, conjugate, multiply
 from .errors import CharacterError, CyclotomicError
 from .perm import PermGroup, Permutation
 
@@ -26,24 +32,41 @@ def _same_group(a: PermGroup, b: PermGroup) -> bool:
     return a is b or a.same_elements(b)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Character:
     """A class function on a group, one exact value per conjugacy class."""
 
     group: PermGroup
-    values: tuple[CycValue, ...]
+    coeffs: np.ndarray
 
-    def __post_init__(self):
-        vals = self.values
-        if not isinstance(vals, tuple):
-            vals = tuple(vals)
-            object.__setattr__(self, "values", vals)
-        ncls = len(self.group.conjugacy_classes())
-        if len(vals) != ncls:
-            raise CharacterError(f"expected {ncls} class values, got {len(vals)}")
-        for v in vals:
+    def __init__(self, group: PermGroup, values: Iterable[CycValue]):
+        values = tuple(values)
+        ncls = len(group.conjugacy_classes())
+        if len(values) != ncls:
+            raise CharacterError(f"expected {ncls} class values, got {len(values)}")
+        e = group.exponent()
+        rows = []
+        for v in values:
             if not isinstance(v, CycValue):
                 raise CharacterError(f"class value is not a CycValue: {v!r}")
+            try:
+                rows.append(v.rebase(e).coeffs)
+            except CyclotomicError:
+                raise CharacterError(f"class value {v} does not lie in Z[zeta_{e}]") from None
+        self._set(group, as_coeffs(rows))
+
+    def _set(self, group: PermGroup, coeffs: np.ndarray) -> None:
+        coeffs.setflags(write=False)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    @classmethod
+    def _of(cls, group: PermGroup, coeffs: np.ndarray) -> "Character":
+        """Trusted constructor: coeffs is a (classes, phi(e)) coefficient
+        array at the group exponent e, which no caller writes to again."""
+        chi = object.__new__(cls)
+        chi._set(group, coeffs)
+        return chi
 
     @classmethod
     def from_values(
@@ -62,16 +85,18 @@ class Character:
 
     @classmethod
     def principal(cls, group: PermGroup) -> "Character":
-        e = group.exponent()
-        one = CycValue.one(e)
-        return cls(group, tuple(one for _ in range(len(group.conjugacy_classes()))))
+        return cls.from_values(group, [1] * len(group.conjugacy_classes()))
+
+    @cached_property
+    def values(self) -> tuple[CycValue, ...]:
+        e = self.group.exponent()
+        return tuple(CycValue(e, row) for row in self.coeffs.tolist())
 
     @property
     def degree(self) -> int:
-        try:
-            return self.values[0].as_int()
-        except CyclotomicError:
-            raise CharacterError("character degree is not a rational integer") from None
+        if self.coeffs[0, 1:].any():
+            raise CharacterError("character degree is not a rational integer")
+        return int(self.coeffs[0, 0])
 
     def value_on_class(self, i: int) -> CycValue:
         return self.values[i]
@@ -80,7 +105,7 @@ class Character:
         return self.values[self.group.conjugacy_classes().class_of(g)]
 
     def conjugate(self) -> "Character":
-        return Character(self.group, tuple(v.conjugate() for v in self.values))
+        return Character._of(self.group, conjugate(self.coeffs, self.group.exponent()))
 
     def is_linear(self) -> bool:
         return self.degree == 1
@@ -89,8 +114,8 @@ class Character:
         if isinstance(other, Character):
             if not _same_group(self.group, other.group):
                 raise CharacterError("characters on different groups")
-            return Character(
-                self.group, tuple(a * b for a, b in zip(self.values, other.values))
+            return Character._of(
+                self.group, multiply(self.coeffs, other.coeffs, self.group.exponent())
             )
         if isinstance(other, int):
             return Character(self.group, tuple(v * other for v in self.values))
@@ -101,33 +126,31 @@ class Character:
             return self * other
         return NotImplemented
 
-    def __add__(self, other):
+    def _pointwise(self, op, other):
         if not isinstance(other, Character):
             return NotImplemented
         if not _same_group(self.group, other.group):
             raise CharacterError("characters on different groups")
-        return Character(self.group, tuple(a + b for a, b in zip(self.values, other.values)))
+        return Character(self.group, map(op, self.values, other.values))
+
+    def __add__(self, other):
+        return self._pointwise(operator.add, other)
 
     def __sub__(self, other):
-        if not isinstance(other, Character):
-            return NotImplemented
-        if not _same_group(self.group, other.group):
-            raise CharacterError("characters on different groups")
-        return Character(self.group, tuple(a - b for a, b in zip(self.values, other.values)))
+        return self._pointwise(operator.sub, other)
 
     def __eq__(self, other):
         if not isinstance(other, Character):
             return NotImplemented
         if not _same_group(self.group, other.group):
             return False
-        return all(a == b for a, b in zip(self.values, other.values))
+        return bool(np.array_equal(self.coeffs, other.coeffs))
 
     __hash__ = None  # mutable-free but equality is structural; use value_key for dict keys
 
     def value_key(self) -> tuple:
-        """Hashable identity: class values rebased to the group exponent."""
-        e = self.group.exponent()
-        return tuple(v.rebase(e).coeffs for v in self.values)
+        """Hashable identity: the rows of coefficients at the group exponent."""
+        return tuple(map(tuple, self.coeffs.tolist()))
 
     def __repr__(self):
         head = ", ".join(str(v) for v in self.values[:6])

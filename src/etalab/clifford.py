@@ -61,7 +61,7 @@ def conjugate_action(nu: Character, g: Permutation, G: PermGroup) -> Character:
         raise GroupError("element not in group")
     if not N.is_normal_in(G):
         raise GroupError("not normal")
-    return Character(N, tuple(nu.values[k] for k in _class_action(N, g)))
+    return Character._of(N, nu.coeffs[list(_class_action(N, g))])
 
 
 def _orbit(G: PermGroup, N: PermGroup, nu: Character) -> tuple[list, dict]:
@@ -211,13 +211,19 @@ def classify_chain(chain: CharacterChain, cache_dir=None) -> ChainLedger:
         ):
             case.append("induced")
         else:
-            raise ChainError("unstable chain step is neither an extension step nor an induced step")
+            raise ChainError(
+                "unstable chain step is neither an extension step nor an induced step"
+                f" (group order {G.order}, chain index {i})"
+            )
     stable = tuple(label == "none" for label in case)
     m = tuple(accumulate(0 if flag else 1 for flag in stable))
     r = tuple(_plog(p, G.order // order) for order in orders)
     s = tuple(_plog(p, nu.degree) for nu in chain.nus)
-    if any(mi != 2 * si + ri for mi, si, ri in zip(m, s, r)):
-        raise ChainError("ledger identity m = 2s + r violated")
+    for i, (mi, si, ri) in enumerate(zip(m, s, r)):
+        if mi != 2 * si + ri:
+            raise ChainError(
+                f"ledger identity m = 2s + r violated (group order {G.order}, chain index {i})"
+            )
     return ChainLedger(
         stable=stable,
         case=tuple(case),

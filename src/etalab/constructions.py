@@ -220,11 +220,10 @@ def prop5_witness(p: int, n: int, cache_dir=None) -> WitnessPair:
     G, H = wreath_cp(A, p)
     d = A.degree
     acls = A.conjugacy_classes()
-    e_h = H.exponent()
     values = []
     for rep in H.conjugacy_classes().representatives:
         block0 = Permutation(tuple(rep.images[:d]))
-        values.append(alpha.values[acls.class_of(block0)].rebase(e_h))
+        values.append(alpha.values[acls.class_of(block0)])
     theta0 = Character(H, tuple(values))
     chi = induce(theta0, G)
     if (

@@ -4,14 +4,19 @@ A value of conductor e lives in Z[zeta_e] and is stored as an integer
 coefficient vector over the power basis 1, zeta_e, ..., zeta_e^(phi(e)-1),
 reduced modulo the e-th cyclotomic polynomial.  Reduction is canonical, so two
 values with the same conductor are equal exactly when their coefficient
-vectors are equal.  Everything runs on Python integers, or on int64 where a
-bound proves no overflow; there is no floating point and no precision loss
-anywhere.
+vectors are equal.
 
-Conductors mix by rebasing to the least common multiple.  Rebasing up is a
-substitution zeta_f = zeta_e^(e/f) writ backwards; rebasing down solves a small
-exact linear system and fails loudly if the value does not lie in the smaller
-ring.
+One set of array kernels does all the ring arithmetic on (..., phi) stacks of
+such vectors: `multiply`, `conjugate`, `lift` (to a multiple of the
+conductor) and `pairing`, each an integer matmul against a small cached
+table of powers of zeta_e.  They run in int64 when a bound computed from the
+inputs keeps every partial sum below 2^63, and on Python integers
+(dtype=object) otherwise.  CycValue, the scalar type, calls the same kernels
+on a single row.  There is no floating point and no precision loss anywhere.
+
+Conductors mix by rebasing to the least common multiple.  Rebasing up is the
+`lift` kernel; rebasing down solves a small exact linear system and fails
+loudly if the value does not lie in the smaller ring.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from .errors import CyclotomicError
 
 __all__ = [
     "CycValue",
-    "cyc_conjugate",
     "cyclotomic_polynomial",
     "euler_phi",
 ]
@@ -89,67 +93,87 @@ def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
     return tuple(quo)
 
 
-@lru_cache(maxsize=None)
-def _basis_data(e: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """phi(e), plus rows giving zeta^k over the power basis for all needed k.
-
-    Rows cover k < max(e, 2*phi-1): enough for both full-period powers
-    (conjugation, rebasing) and products of two reduced values.
-    """
-    poly = cyclotomic_polynomial(e)
-    phi = len(poly) - 1
-    nrows = max(e, 2 * phi - 1)
-    rows = []
-    cur = [0] * phi
-    cur[0] = 1
-    for _ in range(nrows):
-        rows.append(tuple(cur))
-        top = cur[phi - 1]
-        nxt = [0] * phi
-        for i in range(phi - 1):
-            nxt[i + 1] = cur[i]
-        if top:
-            for i in range(phi):
-                nxt[i] -= top * poly[i]
-        cur = nxt
-    return phi, tuple(rows)
-
-
 def reduced_degree(e: int) -> int:
-    return _basis_data(e)[0]
+    return len(cyclotomic_polynomial(e)) - 1
 
 
 @lru_cache(maxsize=None)
 def power_basis_matrix(e: int) -> np.ndarray:
-    """(e, phi) int64 matrix whose row k is zeta_e^k over the power basis."""
-    phi, rows = _basis_data(e)
-    return np.array([rows[k] for k in range(e)], dtype=np.int64)
+    """(e, phi) read-only int64 matrix whose row k is zeta_e^k over the power
+    basis; the kernels' tables are all read off it."""
+    poly = np.array(cyclotomic_polynomial(e)[:-1], dtype=np.int64)
+    out = np.zeros((e, len(poly)), dtype=np.int64)
+    out[0, 0] = 1
+    for k in range(1, e):
+        # times zeta: shift up, then zeta^phi = -(poly[0] + ... + poly[phi-1] zeta^(phi-1))
+        out[k, 1:] = out[k - 1, :-1]
+        out[k] -= out[k - 1, -1] * poly
+    out.setflags(write=False)
+    return out
 
 
 @lru_cache(maxsize=None)
 def pairing_tensor(e: int) -> np.ndarray:
     """(phi, phi, phi) int64 tensor with basis_a * conj(basis_b) = sum_c P[a,b,c] basis_c."""
-    phi, rows = _basis_data(e)
-    return np.array(
-        [[rows[(a - b) % e] for b in range(phi)] for a in range(phi)], dtype=np.int64
-    )
+    j = np.arange(reduced_degree(e))
+    return power_basis_matrix(e)[(j[:, None] - j) % e]
 
 
-def coefficient_stack(rows, e: int) -> np.ndarray:
-    """(m, K, phi) coefficients of m rows of K values, rebased to conductor e.
+@lru_cache(maxsize=None)
+def product_tensor(e: int) -> np.ndarray:
+    """(phi, phi, phi) int64 tensor with basis_a * basis_b = sum_c T[a,b,c] basis_c."""
+    j = np.arange(reduced_degree(e))
+    return power_basis_matrix(e)[(j[:, None] + j) % e]
 
-    int64 when every coefficient fits, otherwise dtype=object holding Python
-    integers.
-    """
-    coeffs = [[v.rebase(e).coeffs for v in row] for row in rows]
+
+def as_coeffs(data) -> np.ndarray:
+    """Nested lists of integer coefficients as an int64 array, or as a
+    dtype=object array of Python integers when a coefficient does not fit."""
     try:
-        return np.array(coeffs, dtype=np.int64)
+        return np.array(data, dtype=np.int64)
     except OverflowError:
-        return np.array(coeffs, dtype=object)
+        return np.array(data, dtype=object)
 
 
 def _magnitude(a: np.ndarray) -> int:
     return max(1, int(a.max(initial=0)), -int(a.min(initial=0)))
+
+
+def _exact(bound: int, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays in int64 when bound, a bound on every partial sum the
+    caller forms from them, is below 2^63; otherwise on Python integers."""
+    dtype = np.int64 if bound < 1 << 63 else object
+    return tuple(a.astype(dtype, copy=False) for a in arrays)
+
+
+def linear_map(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x @ m, exactly: x is (..., n) and m is (n, k)."""
+    x, m = _exact(m.shape[0] * _magnitude(x) * _magnitude(m), x, m)
+    return x @ m
+
+
+def multiply(x: np.ndarray, y: np.ndarray, e: int) -> np.ndarray:
+    """Pointwise products of two (..., phi) stacks of conductor-e values."""
+    t = product_tensor(e)
+    phi = t.shape[0]
+    x, y, t = _exact(phi * phi * _magnitude(x) * _magnitude(y) * _magnitude(t), x, y, t)
+    outer = x[..., :, None] * y[..., None, :]
+    return outer.reshape(*outer.shape[:-2], phi * phi) @ t.reshape(phi * phi, phi)
+
+
+def conjugate(x: np.ndarray, e: int) -> np.ndarray:
+    """Complex conjugates of a (..., phi) stack of conductor-e values."""
+    phi = x.shape[-1]
+    return linear_map(x, power_basis_matrix(e)[-np.arange(phi) % e])
+
+
+def lift(x: np.ndarray, e: int, f: int) -> np.ndarray:
+    """A (..., phi(e)) stack of conductor-e values at conductor f, e | f:
+    zeta_e^j becomes zeta_f^(jk), k = f / e."""
+    if e == f:
+        return x
+    k = f // e
+    return linear_map(x, power_basis_matrix(f)[: k * x.shape[-1] : k])
 
 
 def pairing(x: np.ndarray, weights, y: np.ndarray, e: int) -> np.ndarray:
@@ -165,40 +189,13 @@ def pairing(x: np.ndarray, weights, y: np.ndarray, e: int) -> np.ndarray:
     w = np.asarray(weights)
     pt = pairing_tensor(e)
     bound = k * phi * phi * _magnitude(w) * _magnitude(x) * _magnitude(y) * _magnitude(pt)
-    dtype = np.int64 if bound < 1 << 63 else object
-    wx = x.astype(dtype) * w.astype(dtype)[:, None]
-    pt = pt.astype(dtype, copy=False)
-    flat_y = y.astype(dtype, copy=False).reshape(n, k * phi).T
-    out = np.empty((m, n, phi), dtype=dtype)
+    x, w, pt, y = _exact(bound, x, w, pt, y)
+    wx = x * w[:, None]
+    flat_y = y.reshape(n, k * phi).T
+    out = np.empty((m, n, phi), dtype=x.dtype)
     for c in range(phi):
         out[:, :, c] = (wx @ pt[:, :, c]).reshape(m, k * phi) @ flat_y
     return out
-
-
-def mul_coeffs(e: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Product of two reduced coefficient vectors, reduced again."""
-    phi, rows = _basis_data(e)
-    out = [0] * phi
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    c = ai * bj
-                    row = rows[i + j]
-                    for m in range(phi):
-                        out[m] += c * row[m]
-    return tuple(out)
-
-
-def conj_coeffs(e: int, a: tuple[int, ...]) -> tuple[int, ...]:
-    phi, rows = _basis_data(e)
-    out = [0] * phi
-    for j, c in enumerate(a):
-        if c:
-            row = rows[(e - j) % e]
-            for m in range(phi):
-                out[m] += c * row[m]
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -209,14 +206,11 @@ def _down_solver(e: int, f: int):
     the e-basis, P a rational left inverse of A.  A value v is in Z[zeta_f] iff
     x = P @ v is integral and A @ x == v.
     """
-    phi_e, rows_e = _basis_data(e)
+    phi_e = reduced_degree(e)
     phi_f = reduced_degree(f)
     k = e // f
-    cols = []
-    for j in range(phi_f):
-        cols.append(rows_e[(j * k) % e])
-    # A has shape (phi_e, phi_f)
-    a = [[cols[j][i] for j in range(phi_f)] for i in range(phi_e)]
+    # A has shape (phi_e, phi_f); column j is zeta_f^j = zeta_e^(jk)
+    a = power_basis_matrix(e)[: k * phi_f : k].T.tolist()
     # Gram = A^T A, then P = Gram^-1 A^T over Q.
     gram = [
         [Fraction(sum(a[i][r] * a[i][c] for i in range(phi_e))) for c in range(phi_f)]
@@ -273,8 +267,7 @@ class CycValue:
 
     @classmethod
     def root_of_unity(cls, e: int, k: int = 1) -> "CycValue":
-        _, rows = _basis_data(e)
-        return cls(e, rows[k % e])
+        return cls(e, power_basis_matrix(e)[k % e].tolist())
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -288,27 +281,16 @@ class CycValue:
         return self.coeffs[0]
 
     def conjugate(self) -> "CycValue":
-        return CycValue(self.e, conj_coeffs(self.e, self.coeffs))
+        return CycValue(self.e, conjugate(as_coeffs(self.coeffs), self.e).tolist())
 
     def rebase(self, f: int) -> "CycValue":
         if f == self.e:
             return self
         big = lcm(self.e, f)
-        v = self if big == self.e else self._up(big)
+        v = CycValue(big, lift(as_coeffs(self.coeffs), self.e, big).tolist())
         if big == f:
             return v
         return v._down(f)
-
-    def _up(self, f: int) -> "CycValue":
-        k = f // self.e
-        phi_f, rows = _basis_data(f)
-        out = [0] * phi_f
-        for j, c in enumerate(self.coeffs):
-            if c:
-                row = rows[(j * k) % f]
-                for m in range(phi_f):
-                    out[m] += c * row[m]
-        return CycValue(f, tuple(out))
 
     def _down(self, f: int) -> "CycValue":
         a, p = _down_solver(self.e, f)
@@ -358,7 +340,7 @@ class CycValue:
         a, b = self._coerce(other)
         if a is None:
             return NotImplemented
-        return CycValue(a.e, mul_coeffs(a.e, a.coeffs, b.coeffs))
+        return CycValue(a.e, multiply(as_coeffs(a.coeffs), as_coeffs(b.coeffs), a.e).tolist())
 
     __rmul__ = __mul__
 
@@ -402,8 +384,3 @@ class CycValue:
 
     def __repr__(self):
         return f"CycValue({self.e}, {self.coeffs!r})"
-
-
-def cyc_conjugate(value: CycValue) -> CycValue:
-    """Complex conjugation, i.e. the ring map zeta -> zeta^(e-1)."""
-    return value.conjugate()

@@ -34,14 +34,13 @@ import json
 import os
 import weakref
 from dataclasses import dataclass
-from math import lcm
 from pathlib import Path
 from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .chars import Character
-from .cyclotomic import CycValue, coefficient_stack, pairing, power_basis_matrix, reduced_degree
+from .cyclotomic import lift, pairing, power_basis_matrix, reduced_degree
 from .errors import CharacterError, EtalabError, TableError
 from .perm import ConjugacyClassSet, PermGroup, Permutation
 
@@ -389,11 +388,11 @@ class CharTable:
 
     def __post_init__(self):
         self.cube.setflags(write=False)  # every attribute set below derives from it
-        keys = [tuple(map(tuple, row)) for row in self.cube.tolist()]
-        object.__setattr__(self, "irreducibles", tuple(
-            Character(self.group, tuple(CycValue(self.e, c) for c in key)) for key in keys
-        ))
+        object.__setattr__(
+            self, "irreducibles", tuple(Character._of(self.group, row) for row in self.cube)
+        )
         # a character's value_key() is its row of coefficient tuples
+        keys = (tuple(map(tuple, row)) for row in self.cube.tolist())
         object.__setattr__(self, "_index", {key: i for i, key in enumerate(keys)})
         # the cube at each conductor _multiplicity_rows has paired at
         object.__setattr__(self, "_lifted", {self.e: self.cube})
@@ -422,6 +421,8 @@ class CharTable:
             raise TableError("principal character missing from table") from None
 
     def index_of(self, chi: Character) -> int:
+        if not (chi.group is self.group or chi.group.same_elements(self.group)):
+            raise TableError("character not in table")
         try:
             return self._index[chi.value_key()]
         except KeyError:
@@ -431,22 +432,20 @@ class CharTable:
         """[theta, chi_i] for every table entry, as exact integers."""
         if not (theta.group is self.group or theta.group.same_elements(self.group)):
             raise CharacterError("characters on different groups")
-        return self._multiplicity_rows([theta.values])[0]
+        return self._multiplicity_rows(theta.coeffs[None], self.e)[0]
 
-    def _multiplicity_rows(self, rows) -> list[list[int]]:
-        """[row, chi_i] for rows of values on this table's classes.
+    def _multiplicity_rows(self, rows: np.ndarray, e: int) -> list[list[int]]:
+        """[row, chi_i] for a (m, classes, phi(e)) stack of class functions
+        on this table's classes at a conductor e that self.e divides.
 
-        The pairing runs at the lcm of the table's and the rows' conductors,
-        so nothing is rebased down: the cube is lifted, once per conductor, by
-        an integer matmul against the rows zeta_e^(jk), k = e / self.e.
+        The pairing runs at e, so nothing is rebased down: the cube is
+        lifted, once per conductor.
         """
-        e = lcm(self.e, *(v.e for row in rows for v in row))
         cube = self._lifted.get(e)
         if cube is None:
-            k = e // self.e
-            cube = self.cube @ power_basis_matrix(e)[: k * self.cube.shape[2] : k]
+            cube = lift(self.cube, self.e, e)
             self._lifted[e] = cube
-        raw = pairing(coefficient_stack(rows, e), self.classes.sizes, cube, e)
+        raw = pairing(rows, self.classes.sizes, cube, e)
         return as_multiplicities(raw, self.group.order)
 
     def verify_orthogonality(self) -> None:

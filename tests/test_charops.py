@@ -21,6 +21,7 @@ from etalab.charops import (
 )
 from etalab.catalog import catalog_ids
 from etalab.constructions import cyclic, dihedral, prop5_witness
+from etalab.cyclotomic import CycValue
 from etalab.errors import CharacterError, GroupError
 from etalab.perm import chief_series
 from etalab.table import character_table
@@ -112,6 +113,19 @@ def test_product_degree_and_linear_twist(d8_table):
     twisted = lam * chi
     assert twisted.degree == chi.degree
     assert eta_count(chi, lam) == 1
+
+
+def test_character_values_must_lie_in_the_group_ring(d8, d8_table):
+    # zeta_8 is not in Z[zeta_4], the ring of d8's character values
+    with pytest.raises(CharacterError):
+        Character(d8, [CycValue.root_of_unity(8)] * 5)
+    chi = d8_table[4]
+    for attr in ("group", "coeffs", "values"):
+        with pytest.raises(AttributeError):
+            setattr(chi, attr, getattr(chi, attr))
+    with pytest.raises(ValueError):
+        chi.coeffs[0, 0] = 7
+    assert chi.degree == 2
 
 
 def test_bracket_shuffle_identity():

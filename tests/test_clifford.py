@@ -104,7 +104,7 @@ def test_classify_chain_rejects_broken_chain(d8, d8_table):
     nus = list(chain.nus)
     nus[1] = Character.principal(chain.series[1])
     broken = CharacterChain(group=d8, chi=chain.chi, series=chain.series, nus=tuple(nus))
-    with pytest.raises(ChainError):
+    with pytest.raises(ChainError, match=r"\(group order 8, chain index [1-3]\)$"):
         classify_chain(broken)
 
 

@@ -4,12 +4,18 @@ conjugation, conductor changes."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from etalab.cyclotomic import (
     CycValue,
+    _poly_divmod_monic,
+    _poly_mul,
+    as_coeffs,
+    conjugate,
     cyclotomic_polynomial,
     euler_phi,
+    lift,
+    multiply,
     reduced_degree,
 )
 from etalab.errors import CyclotomicError
@@ -148,3 +154,45 @@ def test_integer_round_trip_and_fraction_free():
     v = CycValue.integer(12, -7)
     assert v.is_rational_integer() and v.as_int() == -7
     assert isinstance(Fraction(v.as_int()), Fraction)
+
+
+def _reduce(poly: list[int], e: int) -> list[int]:
+    """poly modulo the e-th cyclotomic polynomial, as phi(e) coefficients."""
+    phi = reduced_degree(e)
+    _, rem = _poly_divmod_monic(poly + [0] * phi, list(cyclotomic_polynomial(e)))
+    return rem
+
+
+@seed(20260)
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_kernels_match_polynomial_remainders(data):
+    # the kernels against schoolbook polynomial arithmetic on Python integers;
+    # coefficients past 2**62 trip the overflow bound onto the object path
+    e = data.draw(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 27]))
+    phi = reduced_degree(e)
+    coeff = st.integers(-9, 9)
+    if data.draw(st.booleans()):
+        coeff = st.one_of(coeff, st.integers(2**62, 2**64), st.integers(-(2**64), -(2**62)))
+    row = st.lists(coeff, min_size=phi, max_size=phi)
+    x = data.draw(st.lists(row, min_size=1, max_size=3))
+    y = data.draw(st.lists(row, min_size=len(x), max_size=len(x)))
+    k = data.draw(st.sampled_from([1, 2, 3]))
+
+    got = multiply(as_coeffs(x), as_coeffs(y), e).tolist()
+    assert got == [_reduce(_poly_mul(a, b), e) for a, b in zip(x, y)]
+
+    want = []
+    for a in x:
+        poly = [0] * e
+        for j, c in enumerate(a):
+            poly[-j % e] += c
+        want.append(_reduce(poly, e))
+    assert conjugate(as_coeffs(x), e).tolist() == want
+
+    want = []
+    for a in x:
+        poly = [0] * (k * phi)
+        poly[::k] = a
+        want.append(_reduce(poly, k * e))
+    assert lift(as_coeffs(x), e, k * e).tolist() == want
