@@ -5,11 +5,12 @@ Decomposition runs against the canonical table of the character's group and
 is kept on that table, keyed by the class function's values, since the
 verification sweeps ask for the same products repeatedly.  Restriction
 multiplicities [theta|_N, psi] are paired at the parent's conductor, with N's
-table lifted up to it, so no value is rebased down.  Induction is one integer
-matmul: a class-fusion matrix, weighted by class sizes and centralizer
-orders, times the subgroup character's coefficients lifted to the parent's
-conductor, then an exact division by the subgroup order.  The elementwise
-formula lives in the test suite as an oracle.
+table lifted up to it, so no value is rebased down; only the public
+`restrict` takes values down to N's conductor, through the `down` kernel.
+Induction is one integer matmul: a class-fusion matrix, weighted by class
+sizes and centralizer orders, times the subgroup character's coefficients
+lifted to the parent's conductor, then an exact division by the subgroup
+order.  The elementwise formula lives in the test suite as an oracle.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chars import Character
-from .cyclotomic import conjugate, lift, linear_map, multiply, pairing
-from .errors import CharacterError, GroupError
+from .cyclotomic import conjugate, down, lift, linear_map, multiply, pairing
+from .errors import CharacterError, CyclotomicError, GroupError
 from .perm import PermGroup
 from .table import as_multiplicities, character_table
 
@@ -113,15 +114,22 @@ def _check_subgroup(H: PermGroup, G: PermGroup) -> None:
         raise GroupError("not a subgroup")
 
 
+def _fusion(N: PermGroup, G: PermGroup) -> list[int]:
+    """The class of G holding each class of N, in N's class order."""
+    gcls = G.conjugacy_classes()
+    return [gcls.class_of(rep) for rep in N.conjugacy_classes().representatives]
+
+
 def restrict(a: Character, N: PermGroup) -> Character:
     """Values of a read off on N's own class structure, at N's conductor."""
     G = a.group
     _check_subgroup(N, G)
     if N.same_elements(G):
         return a
-    gcls = G.conjugacy_classes()
-    reps = N.conjugacy_classes().representatives
-    return Character(N, (a.values[gcls.class_of(rep)] for rep in reps))
+    try:
+        return Character._of(N, down(a.coeffs[_fusion(N, G)], G.exponent(), N.exponent()))
+    except CyclotomicError:
+        raise CharacterError(f"restricted values do not lie in Z[zeta_{N.exponent()}]") from None
 
 
 def restriction_multiplicities(thetas, N: PermGroup, cache_dir=None) -> list[list[int]]:
@@ -134,8 +142,7 @@ def restriction_multiplicities(thetas, N: PermGroup, cache_dir=None) -> list[lis
     if not all(t.group is G or t.group.same_elements(G) for t in thetas):
         raise CharacterError("characters on different groups")
     _check_subgroup(N, G)
-    gcls = G.conjugacy_classes()
-    fused = [gcls.class_of(rep) for rep in N.conjugacy_classes().representatives]
+    fused = _fusion(N, G)
     table = character_table(N, cache_dir=cache_dir)
     return table._multiplicity_rows(np.stack([t.coeffs[fused] for t in thetas]), G.exponent())
 
@@ -150,8 +157,7 @@ def induce(nu: Character, G: PermGroup) -> Character:
     hcls = H.conjugacy_classes()
     # fusion[k, d] = |C_G(g_k)| |d-th class of H| when that class lies in g_k's
     fusion = np.zeros((len(gcls), len(hcls)), dtype=np.int64)
-    for d, rep in enumerate(hcls.representatives):
-        k = gcls.class_of(rep)
+    for d, k in enumerate(_fusion(H, G)):
         fusion[k, d] = G.order // gcls.sizes[k] * hcls.sizes[d]
     sums = linear_map(fusion, lift(nu.coeffs, H.exponent(), G.exponent()))
     if (sums % H.order).any():

@@ -4,8 +4,10 @@ A Character is its coefficient array: one row per conjugacy class, in the
 group's canonical class order, holding the class value over the power basis
 of Z[zeta_e] at the group exponent e.  The array is int64, or dtype=object
 holding Python integers when a coefficient does not fit, and read-only.
-Products and conjugates run on the whole array through the cyclotomic
-kernels; `values` reads the array back as CycValues.
+Products, conjugates, sums, differences and integer multiples run on the
+whole array, in int64 unless a bound calls for Python integers.  The public
+constructor takes each value to the group exponent with `CycValue.rebase`
+(the `down` kernel); `values` reads the array back as CycValues.
 
 Instances of the same group interoperate directly.  Characters of a subgroup
 and its parent only meet through restrict/induce (charops); there is no
@@ -14,14 +16,13 @@ implicit coercion between groups.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .cyclotomic import CycValue, as_coeffs, conjugate, multiply
+from .cyclotomic import CycValue, _exact, _magnitude, as_coeffs, conjugate, multiply
 from .errors import CharacterError, CyclotomicError
 from .perm import PermGroup, Permutation
 
@@ -75,13 +76,7 @@ class Character:
         """Build from a value list, coercing plain integers at conductor e."""
         if e <= 0:
             e = group.exponent()
-        out = []
-        for v in values:
-            if isinstance(v, CycValue):
-                out.append(v)
-            else:
-                out.append(CycValue.integer(e, v))
-        return cls(group, tuple(out))
+        return cls(group, [v if isinstance(v, CycValue) else CycValue.integer(e, v) for v in values])
 
     @classmethod
     def principal(cls, group: PermGroup) -> "Character":
@@ -118,7 +113,8 @@ class Character:
                 self.group, multiply(self.coeffs, other.coeffs, self.group.exponent())
             )
         if isinstance(other, int):
-            return Character(self.group, tuple(v * other for v in self.values))
+            (x,) = _exact(_magnitude(self.coeffs) * max(1, abs(other)), self.coeffs)
+            return Character._of(self.group, x * other)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -126,18 +122,20 @@ class Character:
             return self * other
         return NotImplemented
 
-    def _pointwise(self, op, other):
+    def _array_op(self, op, other):
+        """op on the two coefficient arrays, in int64 when a sum or difference fits."""
         if not isinstance(other, Character):
             return NotImplemented
         if not _same_group(self.group, other.group):
             raise CharacterError("characters on different groups")
-        return Character(self.group, map(op, self.values, other.values))
+        x, y = _exact(_magnitude(self.coeffs) + _magnitude(other.coeffs), self.coeffs, other.coeffs)
+        return Character._of(self.group, op(x, y))
 
     def __add__(self, other):
-        return self._pointwise(operator.add, other)
+        return self._array_op(np.add, other)
 
     def __sub__(self, other):
-        return self._pointwise(operator.sub, other)
+        return self._array_op(np.subtract, other)
 
     def __eq__(self, other):
         if not isinstance(other, Character):

@@ -5,8 +5,7 @@ G permutes N's classes, hence Irr(N) (`_class_action`).  A breadth-first
 search over G's generators gives nu's orbit and a transversal: |G_nu| is
 |G| / |orbit|, and G_nu itself is generated by the Schreier generators
 t_o g t_(o^g)^-1.  Class actions are kept on N, keyed by g, so each is
-computed once per (N, g) and freed with N; so is the finding that N is
-normal in G, keyed by G's content key.
+computed once per (N, g) and freed with N.
 
 A chain tracks one irreducible chi of a p-group G down its chief series:
 nu_t = chi, and each nu_{i-1} is the first constituent (canonical table
@@ -23,8 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
+import numpy as np
+
 from .chars import Character
-from .charops import induce, inner_product, restrict, restriction_multiplicities
+from .charops import induce, inner_product, restriction_multiplicities
 from .errors import ChainError, CharacterError, GroupError
 from .perm import PermGroup, Permutation
 from .table import character_table
@@ -67,10 +68,8 @@ def conjugate_action(nu: Character, g: Permutation, G: PermGroup) -> Character:
 def _orbit(G: PermGroup, N: PermGroup, nu: Character) -> tuple[list, dict]:
     """Breadth-first orbit of nu under G's generators: each generator's class
     action, and a transversal taking nu to every orbit point (a value key)."""
-    if G.content_key not in N._normal_in:
-        if not N.is_normal_in(G):
-            raise GroupError("not normal")
-        N._normal_in.add(G.content_key)
+    if not N.is_normal_in(G):
+        raise GroupError("not normal")
     actions = [_class_action(N, g) for g in G.generators]
     start = nu.value_key()
     transversal = {start: G.identity}
@@ -106,18 +105,16 @@ def clifford_correspondent(
     """The unique irreducible of the stabilizer lying over nu that induces
     back to chi."""
     G = chi.group
-    if inner_product(restrict(chi, N), nu) == 0:
+    # [theta|_N, nu] is theta's restriction row over Irr(N) dotted with nu's
+    over_nu = character_table(N, cache_dir=cache_dir).multiplicities(nu)
+    if not np.dot(restriction_multiplicities([chi], N, cache_dir=cache_dir)[0], over_nu):
         raise CharacterError("not a constituent")
     stab = stabilizer(G, N, nu)
     if stab.same_elements(G):
         return chi
     table = character_table(stab, cache_dir=cache_dir)
-    matches = []
-    for theta in table:
-        if inner_product(restrict(theta, N), nu) == 0:
-            continue
-        if induce(theta, G) == chi:
-            matches.append(theta)
+    rows = restriction_multiplicities(list(table), N, cache_dir=cache_dir)
+    matches = [t for t, row in zip(table, rows) if np.dot(row, over_nu) and induce(t, G) == chi]
     if len(matches) != 1:
         raise ChainError("internal Clifford failure")
     return matches[0]

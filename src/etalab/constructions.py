@@ -218,13 +218,13 @@ def prop5_witness(p: int, n: int, cache_dir=None) -> WitnessPair:
     prev = prop5_witness(p, n - 1, cache_dir=cache_dir)
     A, alpha = prev.group, prev.chi
     G, H = wreath_cp(A, p)
+    # theta0 is alpha on the first block; H = A^p has A's exponent
     d = A.degree
     acls = A.conjugacy_classes()
-    values = []
-    for rep in H.conjugacy_classes().representatives:
-        block0 = Permutation(tuple(rep.images[:d]))
-        values.append(alpha.values[acls.class_of(block0)])
-    theta0 = Character(H, tuple(values))
+    block0 = [
+        acls.class_of(Permutation(rep.images[:d])) for rep in H.conjugacy_classes().representatives
+    ]
+    theta0 = Character._of(H, alpha.coeffs[block0])
     chi = induce(theta0, G)
     if (
         inner_product(chi, chi) != 1

@@ -8,15 +8,17 @@ vectors are equal.
 
 One set of array kernels does all the ring arithmetic on (..., phi) stacks of
 such vectors: `multiply`, `conjugate`, `lift` (to a multiple of the
-conductor) and `pairing`, each an integer matmul against a small cached
-table of powers of zeta_e.  They run in int64 when a bound computed from the
-inputs keeps every partial sum below 2^63, and on Python integers
-(dtype=object) otherwise.  CycValue, the scalar type, calls the same kernels
-on a single row.  There is no floating point and no precision loss anywhere.
+conductor), `down` (to a divisor) and `pairing`, each an integer matmul
+against a small cached table read off the powers of zeta_e.  They run in
+int64 when a bound computed from the inputs keeps every partial sum below
+2^63, and on Python integers (dtype=object) otherwise.  CycValue, the scalar
+type, calls the same kernels on a single row.  There is no floating point and
+no precision loss anywhere.
 
 Conductors mix by rebasing to the least common multiple.  Rebasing up is the
-`lift` kernel; rebasing down solves a small exact linear system and fails
-loudly if the value does not lie in the smaller ring.
+`lift` kernel; rebasing down is the `down` kernel, which reads the values at
+a few pivot positions through a small integral inverse and fails loudly if
+they do not lie in the smaller ring.
 """
 
 from __future__ import annotations
@@ -176,6 +178,46 @@ def lift(x: np.ndarray, e: int, f: int) -> np.ndarray:
     return linear_map(x, power_basis_matrix(f)[: k * x.shape[-1] : k])
 
 
+@lru_cache(maxsize=None)
+def _down_map(e: int, f: int) -> tuple[list[int], np.ndarray]:
+    """For f | e, the positions of the conductor-e basis at which the rows
+    zeta_f^j = zeta_e^(jk), k = e / f, form an invertible block, and that
+    block's inverse, which must be integral; one exact solve over Q."""
+    k = e // f
+    n = reduced_degree(f)
+    aug = [
+        [Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(power_basis_matrix(e)[: k * n : k].tolist())
+    ]
+    pivots = []
+    for col in range(reduced_degree(e)):
+        r = len(pivots)
+        piv = next((i for i in range(r, n) if aug[i][col]), None)
+        if piv is not None:
+            row = [v / aug[piv][col] for v in aug[piv]]
+            aug[piv], aug[r] = aug[r], row
+            for i, a in enumerate(aug):
+                if a is not row and a[col]:
+                    aug[i] = [v - a[col] * w for v, w in zip(a, row)]
+            pivots.append(col)
+    # the left block is the inverse times the integer rows: integral when the inverse is
+    if any(v.denominator != 1 for a in aug for v in a):
+        raise CyclotomicError(f"internal down-rebase failure: no integral inverse for {e} -> {f}")
+    return pivots, np.array([[v.numerator for v in a[-n:]] for a in aug], dtype=np.int64)
+
+
+def down(x: np.ndarray, e: int, f: int) -> np.ndarray:
+    """A (..., phi(e)) stack of conductor-e values at conductor f, f | e;
+    raises CyclotomicError unless every value lies in Z[zeta_f]."""
+    if e == f:
+        return x
+    pivots, inv = _down_map(e, f)
+    out = linear_map(x[..., pivots], inv)
+    if not np.array_equal(lift(out, f, e), x):
+        raise CyclotomicError(f"values do not lie in conductor {f}")
+    return out
+
+
 def pairing(x: np.ndarray, weights, y: np.ndarray, e: int) -> np.ndarray:
     """(m, n, phi) coefficients of sum_k w_k x_i(k) conj(y_j(k)) in Z[zeta_e].
 
@@ -196,43 +238,6 @@ def pairing(x: np.ndarray, weights, y: np.ndarray, e: int) -> np.ndarray:
     for c in range(phi):
         out[:, :, c] = (wx @ pt[:, :, c]).reshape(m, k * phi) @ flat_y
     return out
-
-
-@lru_cache(maxsize=None)
-def _down_solver(e: int, f: int):
-    """Exact solver expressing conductor-e vectors over the conductor-f basis.
-
-    Returns (A, P): A the integer matrix whose columns are the zeta_f powers in
-    the e-basis, P a rational left inverse of A.  A value v is in Z[zeta_f] iff
-    x = P @ v is integral and A @ x == v.
-    """
-    phi_e = reduced_degree(e)
-    phi_f = reduced_degree(f)
-    k = e // f
-    # A has shape (phi_e, phi_f); column j is zeta_f^j = zeta_e^(jk)
-    a = power_basis_matrix(e)[: k * phi_f : k].T.tolist()
-    # Gram = A^T A, then P = Gram^-1 A^T over Q.
-    gram = [
-        [Fraction(sum(a[i][r] * a[i][c] for i in range(phi_e))) for c in range(phi_f)]
-        for r in range(phi_f)
-    ]
-    aug = [row[:] + [Fraction(1 if i == j else 0) for j in range(phi_f)] for i, row in enumerate(gram)]
-    n = phi_f
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1, 1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    gram_inv = [row[n:] for row in aug]
-    p = [
-        [sum(gram_inv[r][m] * a[i][m] for m in range(phi_f)) for i in range(phi_e)]
-        for r in range(phi_f)
-    ]
-    return a, p
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,24 +292,7 @@ class CycValue:
         if f == self.e:
             return self
         big = lcm(self.e, f)
-        v = CycValue(big, lift(as_coeffs(self.coeffs), self.e, big).tolist())
-        if big == f:
-            return v
-        return v._down(f)
-
-    def _down(self, f: int) -> "CycValue":
-        a, p = _down_solver(self.e, f)
-        v = self.coeffs
-        xs = []
-        for row in p:
-            x = sum(row[i] * v[i] for i in range(len(v)))
-            if x.denominator != 1:
-                raise CyclotomicError(f"{self} does not lie in conductor {f}")
-            xs.append(int(x))
-        for i in range(len(v)):
-            if sum(a[i][j] * xs[j] for j in range(len(xs))) != v[i]:
-                raise CyclotomicError(f"{self} does not lie in conductor {f}")
-        return CycValue(f, tuple(xs))
+        return CycValue(f, down(lift(as_coeffs(self.coeffs), self.e, big), big, f).tolist())
 
     def _coerce(self, other):
         if isinstance(other, int):

@@ -19,7 +19,7 @@ import re
 from pathlib import Path
 from typing import Union
 
-from .errors import GroupFileError
+from .errors import GroupFileError, PermutationError
 from .perm import DEFAULT_ORDER_CAP, PermGroup, Permutation, group_from_generators
 
 __all__ = ["load_group", "parse_group", "format_group", "save_group", "format_permutation"]
@@ -49,7 +49,7 @@ def _parse_cycles(degree: int, text: str, lineno: int) -> Permutation:
         cycles.append(tuple(pt - 1 for pt in pts))
     try:
         return Permutation.from_cycles(degree, cycles)
-    except Exception as exc:
+    except PermutationError as exc:
         raise GroupFileError(f"line {lineno}: {exc}") from None
 
 
@@ -71,8 +71,8 @@ def parse_group(text: str, order_cap: int = DEFAULT_ORDER_CAP) -> PermGroup:
                 degree = int(rest.strip())
             except ValueError:
                 raise GroupFileError(f"line {lineno}: bad degree {rest!r}") from None
-            if degree < 1:
-                raise GroupFileError(f"line {lineno}: degree must be positive")
+            if not 1 <= degree <= DEFAULT_ORDER_CAP:
+                raise GroupFileError(f"line {lineno}: degree must lie in 1..{DEFAULT_ORDER_CAP}")
         elif keyword == "gen":
             if degree is None:
                 raise GroupFileError(f"line {lineno}: gen before degree line")
@@ -89,7 +89,7 @@ def load_group(path: Union[str, Path], order_cap: int = DEFAULT_ORDER_CAP) -> Pe
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GroupFileError(f"cannot read {path}: {exc}") from None
     return parse_group(text, order_cap=order_cap)
 

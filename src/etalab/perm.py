@@ -10,7 +10,8 @@ trusted `_from_images`); the public constructor validates its images.
 
 Groups are enumerated by breadth-first closure of the generators, capped at
 2^21 elements.  Subgroups carry a reference to the ambient group they were cut
-from; they share its degree and are otherwise ordinary groups.
+from; they share its degree and are otherwise ordinary groups.  A group keeps
+the content keys of the groups it was found to lie in, or be normal in.
 """
 
 from __future__ import annotations
@@ -250,7 +251,8 @@ class PermGroup:
         self._content_key: Optional[str] = None
         self._char_table = None
         self._class_actions: dict = {}
-        self._normal_in: set[str] = set()  # content keys of groups N is normal in
+        self._subgroup_of: set[str] = set()  # content keys of known supergroups
+        self._normal_in: set[str] = set()  # content keys of groups known to normalize it
 
     @property
     def identity(self) -> Permutation:
@@ -280,16 +282,21 @@ class PermGroup:
         return PermGroup(self.degree, generators, parent=self, order_cap=order_cap)
 
     def is_subgroup_of(self, other: "PermGroup") -> bool:
-        return self.degree == other.degree and self.element_set <= other.element_set
+        if other.content_key not in self._subgroup_of:
+            if self.degree != other.degree or not self.element_set <= other.element_set:
+                return False
+            self._subgroup_of.add(other.content_key)
+        return True
 
     def is_normal_in(self, other: "PermGroup") -> bool:
-        if not self.is_subgroup_of(other):
-            return False
-        for g in other.generators:
-            ginv = g.inverse()
-            for s in self.generators:
-                if ginv * s * g not in self.element_set:
-                    return False
+        if other.content_key not in self._normal_in:
+            if not self.is_subgroup_of(other) or any(
+                g.inverse() * s * g not in self.element_set
+                for g in other.generators
+                for s in self.generators
+            ):
+                return False
+            self._normal_in.add(other.content_key)
         return True
 
     def same_elements(self, other: "PermGroup") -> bool:

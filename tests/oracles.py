@@ -7,7 +7,7 @@ genuine cross-check rather than the same code run twice.
 
 from __future__ import annotations
 
-from etalab.cyclotomic import CycValue
+from etalab.cyclotomic import CycValue, _poly_divmod_monic, cyclotomic_polynomial
 from etalab.perm import PermGroup, Permutation
 
 
@@ -54,25 +54,38 @@ def commutator_subgroup_elements(G: PermGroup) -> frozenset:
     return frozenset(closure)
 
 
-def _value_on_element(table, chi, g) -> CycValue:
-    k = table.classes.class_of(g)
-    return chi.values[k]
+def _reduced(acc: list[int], e: int) -> list[int]:
+    """A polynomial in zeta_e, one coefficient per power 0..e-1, reduced
+    modulo the e-th cyclotomic polynomial."""
+    return _poly_divmod_monic(acc, list(cyclotomic_polynomial(e)))[1]
+
+
+def _exact_quotient(coeffs: list[int], n: int, what: str) -> list[int]:
+    if any(c % n for c in coeffs):
+        raise AssertionError(f"{what} not divisible by {n}: {coeffs}")
+    return [c // n for c in coeffs]
 
 
 def elementwise_inner(table, a, b) -> int:
-    """[a, b] by summation over every group element, exact division."""
+    """[a, b] by summation over every group element, exact division.
+
+    The sum runs over plain integer coefficients of the powers of zeta_e,
+    with conj(zeta^j) = zeta^(-j), and is reduced once at the end."""
     G = table.group
     e = table.e
-    acc = CycValue.zero(e)
+    classes = table.classes
+    a_rows, b_rows = a.coeffs.tolist(), b.coeffs.tolist()
+    acc = [0] * e
     for g in G.elements:
-        va = _value_on_element(table, a, g).rebase(e)
-        vb = _value_on_element(table, b, g).rebase(e)
-        acc = acc + va * vb.conjugate()
-    n = G.order
-    if any(c % n for c in acc.coeffs):
-        raise AssertionError(f"inner product not divisible by {n}: {acc}")
-    total = CycValue(e, tuple(c // n for c in acc.coeffs))
-    return total.as_int()
+        k = classes.class_of(g)
+        for i, x in enumerate(a_rows[k]):
+            if x:
+                for j, y in enumerate(b_rows[k]):
+                    acc[(i - j) % e] += x * y
+    total = _exact_quotient(_reduced(acc, e), G.order, "inner product")
+    if any(total[1:]):
+        raise AssertionError(f"inner product is not a rational integer: {total}")
+    return total[0]
 
 
 def eta_elementwise(table, chi, psi) -> int:
@@ -86,19 +99,22 @@ def eta_elementwise(table, chi, psi) -> int:
 
 def induced_values_elementwise(table_G, nu, N, G) -> list[CycValue]:
     """Induced character values by the defining sum over all of G, with the
-    off-subgroup extension by zero."""
+    off-subgroup extension by zero.  nu's values at N's exponent f enter as
+    zeta_f^j = zeta_e^(j e/f), summed over plain integer coefficients and
+    reduced once per class."""
     e = table_G.e
+    k = e // N.exponent()
     n_classes = N.conjugacy_classes()
+    nu_rows = nu.coeffs.tolist()
     vals = []
     for rep in table_G.classes.representatives:
-        acc = CycValue.zero(e)
+        acc = [0] * e
         for x in G.elements:
             y = x * rep * x.inverse()
             if y in N.element_set:
-                acc = acc + nu.values[n_classes.class_of(y)].rebase(e)
-        if any(c % N.order for c in acc.coeffs):
-            raise AssertionError("induction sum not divisible by |N|")
-        vals.append(CycValue(e, tuple(c // N.order for c in acc.coeffs)))
+                for j, c in enumerate(nu_rows[n_classes.class_of(y)]):
+                    acc[j * k] += c
+        vals.append(CycValue(e, _exact_quotient(_reduced(acc, e), N.order, "induction sum")))
     return vals
 
 

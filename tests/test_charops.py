@@ -128,6 +128,30 @@ def test_character_values_must_lie_in_the_group_ring(d8, d8_table):
     assert chi.degree == 2
 
 
+def test_character_sums_and_integer_multiples_match_value_by_value(d8_table, es27_table):
+    # the 2**62-scaled pair sums past int64, onto Python integers
+    for table in (d8_table, es27_table):
+        G = table.group
+        for a, b in ((table[1], table[-1]), (table[-1] * 2**62, table[-2] * 2**62)):
+            assert a + b == Character(G, [x + y for x, y in zip(a.values, b.values)])
+            assert a - b == Character(G, [x - y for x, y in zip(a.values, b.values)])
+            for n in (0, -3, 2**62, 2**70):
+                assert a * n == Character(G, [x * n for x in a.values]) == n * a
+        big = table[-1] * 2**62
+        assert (big + big).coeffs.dtype == object
+        assert (big + big).degree == 2**63 * table[-1].degree
+    with pytest.raises(CharacterError):
+        d8_table[0] + es27_table[0]
+
+
+def test_restrict_rejects_values_outside_the_subgroup_ring(d8):
+    # zeta_4 on every class of d8 is no class function of the exponent-2 center
+    theta = Character(d8, [CycValue.root_of_unity(4)] * 5)
+    with pytest.raises(CharacterError):
+        restrict(theta, d8.center())
+    assert restrict(theta * 0, d8.center()).coeffs.shape == (2, 1)
+
+
 def test_bracket_shuffle_identity():
     # [theta, chi*psi] = [theta * conj(psi), chi]
     rng = random.Random(41)
@@ -205,7 +229,8 @@ def test_restriction_multiplicities_match_elementwise_oracle():
 
 
 def test_induction_matches_elementwise_oracle():
-    for gid in ("d8", "es27"):
+    # in c8, N = C4 has a smaller exponent, so nu's values are lifted
+    for gid in ("d8", "es27", "c8"):
         G = load_catalog_group(gid)
         table = character_table(G)
         N = chief_series(G)[-2]

@@ -3,16 +3,19 @@ conjugation, conductor changes."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from etalab.cyclotomic import (
     CycValue,
+    _down_map,
     _poly_divmod_monic,
     _poly_mul,
     as_coeffs,
     conjugate,
     cyclotomic_polynomial,
+    down,
     euler_phi,
     lift,
     multiply,
@@ -135,6 +138,34 @@ def test_rebase_rejects_values_outside_target_field():
     z = CycValue.root_of_unity(8)
     with pytest.raises(CyclotomicError):
         z.rebase(4)
+
+
+def test_down_inverts_lift_for_every_divisor():
+    # f | e <= 60, on int64 stacks and on Python integers past 2**70
+    rng = np.random.default_rng(2026)
+    for e in range(1, 61):
+        for f in (f for f in range(1, e + 1) if e % f == 0):
+            x = rng.integers(-99, 100, size=(3, 2, reduced_degree(f)))
+            assert np.array_equal(down(lift(x, f, e), e, f), x)
+            big = x.astype(object) * 2**70 + 2**71
+            assert down(lift(big, f, e), e, f).tolist() == big.tolist()
+
+
+def test_down_at_prime_power_conductors_selects_coefficients():
+    # zeta_f^j = zeta_e^(jk) is a basis vector when e is a prime power
+    for e, f in ((8, 4), (27, 3), (32, 2), (25, 5)):
+        pivots, inv = _down_map(e, f)
+        assert pivots == [j * (e // f) for j in range(reduced_degree(f))]
+        assert np.array_equal(inv, np.eye(reduced_degree(f), dtype=np.int64))
+
+
+def test_down_rejects_values_outside_the_smaller_ring():
+    for e, f in ((8, 4), (12, 6)):
+        z = as_coeffs([CycValue.one(e).coeffs, CycValue.root_of_unity(e).coeffs])
+        with pytest.raises(CyclotomicError):
+            down(z, e, f)
+        with pytest.raises(CyclotomicError):
+            CycValue.root_of_unity(e).rebase(f)
 
 
 def test_cross_conductor_equality():

@@ -66,12 +66,22 @@ def test_ledger_report_fields():
 
 def test_ledger_never_rebases_down(monkeypatch):
     # the sweep pairs restrictions at the parent's conductor
-    from etalab.cyclotomic import CycValue
+    import sys
 
-    def refuse(self, f):
-        raise AssertionError(f"down {self.e}->{f}")
+    from etalab import cyclotomic
 
-    monkeypatch.setattr(CycValue, "_down", refuse)
+    def refuse(x, e, f):
+        raise AssertionError(f"down {e}->{f}")
+
+    kernel = cyclotomic.down
+    patched = [
+        name
+        for name, mod in list(sys.modules.items())
+        if name.startswith("etalab") and getattr(mod, "down", None) is kernel
+    ]
+    for name in patched:
+        monkeypatch.setattr(sys.modules[name], "down", refuse)
+    assert {"etalab.cyclotomic", "etalab.charops"} <= set(patched)
     rep = verify_ledger(groups=_small("d8", "q16", "c4wrc2", "es27", "c3wrc3", "c25"))
     assert rep.passed
 
@@ -171,6 +181,21 @@ def test_cli_computation_errors(tmp_path, capsys):
     assert run_cli(["table", str(bad)]) == 3
     err = capsys.readouterr().err
     assert "error" in err
+
+
+def test_cli_rejects_non_utf8_group_file(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.grp"
+    latin1.write_bytes("# caf\xe9\ndegree 4\ngen (1,2)\n".encode("latin-1"))
+    assert run_cli(["table", str(latin1)]) == 3
+    assert "cannot read" in capsys.readouterr().err
+
+
+def test_cli_rejects_degree_past_the_order_cap(tmp_path, capsys):
+    # refused while parsing, before a permutation of that degree is built
+    huge = tmp_path / "huge.grp"
+    huge.write_text("degree 99999999999999999999\n")
+    assert run_cli(["table", str(huge)]) == 3
+    assert "line 1: degree must lie in 1.." in capsys.readouterr().err
 
 
 def test_cli_violation_exit_code(monkeypatch, capsys):
