@@ -7,6 +7,9 @@ verification sweeps ask for the same products repeatedly.  Restriction
 multiplicities [theta|_N, psi] are paired at the parent's conductor, with N's
 table lifted up to it, so no value is rebased down; only the public
 `restrict` takes values down to N's conductor, through the `down` kernel.
+The restriction of a whole table to a subgroup is its branching matrix,
+kept on the table; along a chain of subgroups the restrictions of the top
+table are products of the one-step matrices, with no further pairing.
 Induction is one integer matmul: a class-fusion matrix, weighted by class
 sizes and centralizer orders, times the subgroup character's coefficients
 lifted to the parent's conductor, then an exact division by the subgroup
@@ -27,6 +30,7 @@ from .table import as_multiplicities, character_table
 
 __all__ = [
     "ConstituentDecomposition",
+    "branching_matrix",
     "conjugate_character",
     "decompose",
     "eta_count",
@@ -145,6 +149,37 @@ def restriction_multiplicities(thetas, N: PermGroup, cache_dir=None) -> list[lis
     fused = _fusion(N, G)
     table = character_table(N, cache_dir=cache_dir)
     return table._multiplicity_rows(np.stack([t.coeffs[fused] for t in thetas]), G.exponent())
+
+
+def branching_matrix(N: PermGroup, M: PermGroup, cache_dir=None) -> np.ndarray:
+    """The int64 matrix [psi|_M, nu] over psi in N's canonical table (rows)
+    and nu in M's (columns), for a subgroup M of N.  It is kept on N's
+    table, keyed by M's content key."""
+    table = character_table(N, cache_dir=cache_dir)
+    out = table._branching.get(M.content_key)
+    if out is None:
+        rows = restriction_multiplicities(list(table), M, cache_dir=cache_dir)
+        out = np.array(rows, dtype=np.int64)
+        out.setflags(write=False)
+        table._branching[M.content_key] = out
+    return out
+
+
+def _restrictions_along(series, cache_dir=None) -> list[np.ndarray]:
+    """branching_matrix(series[-1], N) for each N in an increasing sequence
+    of subgroups, built as products of the one-step matrices: restriction is
+    transitive, so R_(i-1) = R_i @ B_i with R_t the identity."""
+    top = character_table(series[-1], cache_dir=cache_dir)
+    out = [np.eye(len(top), dtype=np.int64)]
+    for i in range(len(series) - 1, 0, -1):
+        key = series[i - 1].content_key
+        rows = top._branching.get(key)
+        if rows is None:
+            rows = out[-1] @ branching_matrix(series[i], series[i - 1], cache_dir=cache_dir)
+            rows.setflags(write=False)
+            top._branching[key] = rows
+        out.append(rows)
+    return out[::-1]
 
 
 def induce(nu: Character, G: PermGroup) -> Character:

@@ -5,7 +5,9 @@ G permutes N's classes, hence Irr(N) (`_class_action`).  A breadth-first
 search over G's generators gives nu's orbit and a transversal: |G_nu| is
 |G| / |orbit|, and G_nu itself is generated by the Schreier generators
 t_o g t_(o^g)^-1.  Class actions are kept on N, keyed by g, so each is
-computed once per (N, g) and freed with N.
+computed once per (N, g) and freed with N.  The orbit lengths of all of
+N's table at once, with G's generators acting on table indices, are kept on
+N as well, keyed by G.
 
 A chain tracks one irreducible chi of a p-group G down its chief series:
 nu_t = chi, and each nu_{i-1} is the first constituent (canonical table
@@ -15,6 +17,16 @@ index grows by p) or an induced step (nu_i is induced from below, stabilizer
 index shrinks by p).  The ledger counts m_i = unstable indices so far,
 r_i = log_p of nu_i's orbit length, s_i = log_p nu_i(1), and asserts
 m_i = 2 s_i + r_i.
+
+Every chain question is read off the branching matrix
+B_i = [psi|N_(i-1), nu] of one step (`charops.branching_matrix`, kept on
+N_i's table) and the orbit lengths, by table index:
+- nu_(i-1) is the first nonzero entry of nu_i's row of B_i;
+- nu_i extends nu_(i-1) when that row is the unit vector at nu_(i-1);
+- Ind nu_(i-1) = nu_i (Frobenius reciprocity) when nu_(i-1)'s column of
+  B_i is the unit vector at nu_i, so no character is induced;
+- |G_nu_i| is |G| divided by nu_i's orbit length.
+So the restriction pairing runs once per chief-series step, not per chain.
 """
 
 from __future__ import annotations
@@ -25,8 +37,8 @@ from itertools import accumulate
 import numpy as np
 
 from .chars import Character
-from .charops import induce, inner_product, restriction_multiplicities
-from .errors import ChainError, CharacterError, GroupError
+from .charops import branching_matrix, induce, restriction_multiplicities
+from .errors import ChainError, CharacterError, GroupError, TableError
 from .perm import PermGroup, Permutation
 from .table import character_table
 
@@ -85,6 +97,42 @@ def _orbit(G: PermGroup, N: PermGroup, nu: Character) -> tuple[list, dict]:
                     new.append(image)
         frontier = new
     return actions, transversal
+
+
+def _orbit_sizes(G: PermGroup, N: PermGroup, cache_dir=None) -> tuple[int, ...]:
+    """Orbit length under G of each character in N's table, by table index.
+    Kept on N, keyed by G."""
+    sizes = N._orbit_sizes.get(G.content_key)
+    if sizes is not None:
+        return sizes
+    if not N.is_normal_in(G):
+        raise GroupError("not normal")
+    table = character_table(N, cache_dir=cache_dir)
+    # each generator's permutation of the table indices
+    moves = []
+    for g in G.generators:
+        moved = table.cube[:, list(_class_action(N, g))]
+        try:
+            moves.append([table._index[tuple(map(tuple, row))] for row in moved.tolist()])
+        except KeyError:
+            raise TableError(
+                "internal orbit failure: a conjugate character is not in the table"
+                f" (group order {G.order}, subgroup order {N.order})"
+            ) from None
+    sizes = [0] * len(table)
+    for start in range(len(table)):
+        if sizes[start]:
+            continue
+        orbit = {start}
+        frontier = {start}
+        while frontier:
+            frontier = {m[k] for k in frontier for m in moves} - orbit
+            orbit |= frontier
+        for k in orbit:
+            sizes[k] = len(orbit)
+    sizes = tuple(sizes)
+    N._orbit_sizes[G.content_key] = sizes
+    return sizes
 
 
 def stabilizer(G: PermGroup, N: PermGroup, nu: Character) -> PermGroup:
@@ -153,23 +201,31 @@ class ChainLedger:
         return tuple(i for i, flag in enumerate(self.stable) if not flag)
 
 
-def build_chain(G: PermGroup, chi: Character, cache_dir=None) -> CharacterChain:
-    """Canonical chain under chi: first-constituent descent along the chief
-    series."""
+def _irreducible_index(G: PermGroup, chi: Character, cache_dir=None) -> int:
+    """chi's index in G's table, once G is a p-group and chi an irreducible
+    character of G."""
     if not G.p_group_info().is_p_group:
         raise GroupError("not a p-group")
     if not (chi.group is G or chi.group.same_elements(G)):
         raise CharacterError("characters on different groups")
-    if inner_product(chi, chi) != 1:
-        raise CharacterError("not irreducible")
+    # Irr(G) is the table: a class function outside it is not irreducible
+    try:
+        return character_table(G, cache_dir=cache_dir).index_of(chi)
+    except TableError:
+        raise CharacterError("not irreducible") from None
+
+
+def build_chain(G: PermGroup, chi: Character, cache_dir=None) -> CharacterChain:
+    """Canonical chain under chi: first-constituent descent along the chief
+    series."""
+    k = _irreducible_index(G, chi, cache_dir=cache_dir)
     series = G.chief_series()
-    nus: list = [None] * len(series)
-    nus[-1] = chi
+    idx = [k] * len(series)
     for i in range(len(series) - 1, 0, -1):
-        row = restriction_multiplicities([nus[i]], series[i - 1], cache_dir=cache_dir)[0]
-        first = next(j for j, m in enumerate(row) if m)
-        nus[i - 1] = character_table(series[i - 1], cache_dir=cache_dir)[first]
-    return CharacterChain(group=G, chi=chi, series=tuple(series), nus=tuple(nus))
+        row = branching_matrix(series[i], series[i - 1], cache_dir=cache_dir)[idx[i]]
+        idx[i - 1] = int(np.flatnonzero(row)[0])
+    nus = [character_table(N, cache_dir=cache_dir)[j] for N, j in zip(series[:-1], idx)]
+    return CharacterChain(group=G, chi=chi, series=tuple(series), nus=(*nus, chi))
 
 
 def _plog(p: int, n: int) -> int:
@@ -188,13 +244,20 @@ def classify_chain(chain: CharacterChain, cache_dir=None) -> ChainLedger:
     G = chain.group
     info = G.p_group_info()
     p = info.p if info.p > 1 else 2
-    orders = [G.order // len(_orbit(G, N, nu)[1]) for N, nu in zip(chain.series, chain.nus)]
+    idx = [
+        character_table(N, cache_dir=cache_dir).index_of(nu)
+        for N, nu in zip(chain.series, chain.nus)
+    ]
+    orders = [
+        G.order // _orbit_sizes(G, N, cache_dir=cache_dir)[k]
+        for N, k in zip(chain.series, idx)
+    ]
     case = ["none"]
     for i in range(1, len(chain.series)):
-        N_below, nu_below, nu_here = chain.series[i - 1], chain.nus[i - 1], chain.nus[i]
-        row = restriction_multiplicities([nu_here], N_below, cache_dir=cache_dir)[0]
-        below = character_table(N_below, cache_dir=cache_dir).index_of(nu_below)
-        extends = row == [int(j == below) for j in range(len(row))]
+        branching = branching_matrix(chain.series[i], chain.series[i - 1], cache_dir=cache_dir)
+        here, below = idx[i], idx[i - 1]
+        # nu_i restricts to nu_(i-1) alone
+        extends = branching[here, below] == 1 and branching[here].sum() == 1
         # if nu_i extends nu_(i-1), G_nu_i <= G_nu_(i-1): equal orders mean equal groups
         if extends and orders[i - 1] == orders[i]:
             case.append("none")
@@ -202,9 +265,11 @@ def classify_chain(chain: CharacterChain, cache_dir=None) -> ChainLedger:
             case.append("extension")
         elif (
             not extends
-            and nu_here.degree == p * nu_below.degree
+            and chain.nus[i].degree == p * chain.nus[i - 1].degree
             and orders[i] == p * orders[i - 1]
-            and induce(nu_below, chain.series[i]) == nu_here
+            # Frobenius reciprocity: Ind nu_(i-1) = nu_i alone
+            and branching[here, below] == 1
+            and branching[:, below].sum() == 1
         ):
             case.append("induced")
         else:
@@ -238,15 +303,19 @@ def all_chains(G: PermGroup, chi: Character, cache_dir=None) -> list[CharacterCh
         raise ChainError(
             f"all-chains enumeration is limited to groups of order at most {ALL_CHAINS_CAP}"
         )
-    if not G.p_group_info().is_p_group:
-        raise GroupError("not a p-group")
     series = G.chief_series()
-    partials = [[chi]]
+    # partial chains as table indices, bottom first
+    partials = [[_irreducible_index(G, chi, cache_dir=cache_dir)]]
     for i in range(len(series) - 1, 0, -1):
-        tab = character_table(series[i - 1], cache_dir=cache_dir)
-        rows = restriction_multiplicities([c[0] for c in partials], series[i - 1], cache_dir=cache_dir)
-        partials = [[tab[j]] + c for c, row in zip(partials, rows) for j, m in enumerate(row) if m]
+        branching = branching_matrix(series[i], series[i - 1], cache_dir=cache_dir)
+        partials = [[j] + c for c in partials for j in np.flatnonzero(branching[c[0]]).tolist()]
+    tables = [character_table(N, cache_dir=cache_dir) for N in series[:-1]]
     return [
-        CharacterChain(group=G, chi=chi, series=tuple(series), nus=tuple(nus))
-        for nus in partials
+        CharacterChain(
+            group=G,
+            chi=chi,
+            series=tuple(series),
+            nus=(*(t[j] for t, j in zip(tables, idx)), chi),
+        )
+        for idx in partials
     ]

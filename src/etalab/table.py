@@ -10,6 +10,8 @@ square root and exact values are lifted through power maps into Z[zeta_e].
 
 A table is stored as its (characters, classes, phi(e)) int64 coefficient
 cube; its Characters, JSON form, cache entry and pairings are read off it.
+What callers derive from it (the cube lifted to other conductors,
+decompositions, branching matrices to subgroups) is kept on the table.
 
 Splitting is deterministic: class matrices are consumed in canonical class
 order, eigenvalues of each restriction in increasing residue order, and the
@@ -398,6 +400,9 @@ class CharTable:
         object.__setattr__(self, "_lifted", {self.e: self.cube})
         # charops.decompose keeps its results here, keyed by value_key()
         object.__setattr__(self, "_decompositions", {})
+        # charops.branching_matrix keeps its results here, keyed by the
+        # subgroup's content_key
+        object.__setattr__(self, "_branching", {})
 
     def __len__(self) -> int:
         return len(self.irreducibles)

@@ -4,7 +4,13 @@ Each sweep walks (catalog) groups, checks its statement character by
 character with exact arithmetic, and collects per-record results into a
 VerificationReport.  A failing record always carries enough serialized
 context (group file text, character indices, decomposition) to reproduce the
-violation in isolation.  Reports are deterministic apart from elapsed_ms.
+violation in isolation; in the ledger sweep an error raised for one
+character becomes that character's failing record.  Reports are
+deterministic apart from elapsed_ms.
+
+The ledger sweep restricts no character on its own: chains, their labels
+and the constituent bookkeeping read rows and columns of the branching
+matrices along G's chief series, which are kept on the subgroups' tables.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .catalog import default_catalog
 from .chars import Character
-from .charops import decompose, irr_mod, restriction_multiplicities
+from .charops import _restrictions_along, branching_matrix, decompose
 from .clifford import _plog, build_chain, classify_chain
 from .constructions import prop5_witness
 from .errors import EtalabError, GroupError
@@ -220,9 +226,17 @@ def _chain_extras(G: PermGroup, chi: Character, chain, ledger, cache_dir=None):
     """Constituent bookkeeping behind the counting argument: per unstable
     index, every one-step character delta must be covered by a constituent
     of chi*conj(chi) restricting to exactly theta(1)*delta, and the
-    constituent sets attached to distinct unstable indices must not overlap."""
+    constituent sets attached to distinct unstable indices must not overlap.
+
+    The constituents' restrictions to N_i are their rows of the branching
+    matrix of G over N_i, and the one-step characters of N_i / N_(i-1) are
+    the k whose restriction to N_(i-1) is deg_k times the principal
+    character."""
     dec = decompose(chi * chi.conjugate())
     xi = dec.characters()
+    table = character_table(G, cache_dir=cache_dir)
+    xi_idx = [table.index_of(theta) for theta in xi]
+    restricted = _restrictions_along(chain.series, cache_dir=cache_dir)
     p = G.p_group_info().p
     attach: dict[int, set] = {}
     coverage_ok = True
@@ -230,12 +244,12 @@ def _chain_extras(G: PermGroup, chi: Character, chain, ledger, cache_dir=None):
         if i == 0:
             continue
         N_i = chain.series[i]
-        N_below = chain.series[i - 1]
         tab_i = character_table(N_i, cache_dir=cache_dir)
-        one_step = irr_mod(N_i, N_below)
-        step_idx = [tab_i.index_of(d) for d in one_step]
+        principal = character_table(chain.series[i - 1], cache_dir=cache_dir).principal_index
+        branching = branching_matrix(N_i, chain.series[i - 1], cache_dir=cache_dir)
+        step_idx = [k for k, deg in enumerate(tab_i.degrees) if branching[k, principal] == deg]
         nonprincipal_idx = [k for k in step_idx if k != tab_i.principal_index]
-        mult_rows = restriction_multiplicities(xi, N_i, cache_dir=cache_dir)
+        mult_rows = restricted[i][xi_idx]
         # one-step characters are linear, so restricting to theta(1)*delta
         # is the same as the delta-entry soaking up the whole degree
         for k in step_idx:
@@ -271,6 +285,9 @@ def verify_ledger(groups=None, max_order=None, cache_dir=None) -> VerificationRe
             try:
                 chain = build_chain(G, chi, cache_dir=cache_dir)
                 ledger = classify_chain(chain, cache_dir=cache_dir)
+                coverage_ok, disjoint_ok, sizes_ok = _chain_extras(
+                    G, chi, chain, ledger, cache_dir=cache_dir
+                )
             except EtalabError as exc:
                 records.append(
                     {
@@ -284,9 +301,6 @@ def verify_ledger(groups=None, max_order=None, cache_dir=None) -> VerificationRe
                 continue
             identity_ok = all(
                 m == 2 * s + r for m, r, s in zip(ledger.m, ledger.r, ledger.s)
-            )
-            coverage_ok, disjoint_ok, sizes_ok = _chain_extras(
-                G, chi, chain, ledger, cache_dir=cache_dir
             )
             ok = identity_ok and coverage_ok and disjoint_ok and sizes_ok
             rec = {

@@ -3,11 +3,21 @@ correspondents, ledger classification."""
 
 import random
 
+import numpy as np
 import pytest
 
 from etalab.catalog import default_catalog, load_catalog_group
 from etalab.chars import Character
-from etalab.charops import inner_product, induce, restrict
+from etalab.charops import (
+    _restrictions_along,
+    branching_matrix,
+    inner_product,
+    induce,
+    irr_mod,
+    restrict,
+    restriction_multiplicities,
+)
+import etalab.clifford as clifford_mod
 from etalab.clifford import (
     CharacterChain,
     all_chains,
@@ -17,14 +27,16 @@ from etalab.clifford import (
     conjugate_action,
     stabilizer,
 )
-from etalab.errors import ChainError, CharacterError, GroupError
+from etalab.constructions import dihedral
+from etalab.errors import ChainError, CharacterError, GroupError, TableError
 from etalab.perm import chief_series
 from etalab.table import character_table
 
-from oracles import stabilizer_elements
+from oracles import elementwise_inner, stabilizer_elements
 
 # catalog groups small enough for the element-level stabilizer oracle
 ORACLE_GROUPS = [gid for gid, G in default_catalog() if G.order <= 32 or gid == "es27"]
+CATALOG_IDS = [gid for gid, _ in default_catalog()]
 
 
 def test_conjugation_action_axiom():
@@ -145,6 +157,12 @@ def test_chain_descent_consistency():
             for i in range(1, len(chain.series)):
                 down = restrict(chain.nus[i], chain.series[i - 1])
                 assert inner_product(down, chain.nus[i - 1]) > 0
+                # the first constituent in canonical table order
+                first = next(
+                    nu for nu in character_table(chain.series[i - 1])
+                    if inner_product(down, nu) > 0
+                )
+                assert chain.nus[i - 1] == first
 
 
 def test_chain_is_deterministic(es27, es27_table):
@@ -255,3 +273,79 @@ def test_all_chains_order_cap():
     chi = character_table(G)[0]
     with pytest.raises(ChainError):
         all_chains(G, chi)
+
+
+@pytest.mark.parametrize("gid", [gid for gid, G in default_catalog() if G.order <= 32])
+def test_branching_matrices_match_elementwise_oracle(gid):
+    series = chief_series(load_catalog_group(gid))
+    for N, M in zip(series[1:], series):
+        m_table = character_table(M)
+        expected = [
+            [elementwise_inner(m_table, restrict(psi, M), nu) for nu in m_table]
+            for psi in character_table(N)
+        ]
+        assert branching_matrix(N, M).tolist() == expected, gid
+
+
+@pytest.mark.parametrize("gid", CATALOG_IDS)
+def test_branching_columns_read_induction_and_one_step_characters(gid):
+    series = chief_series(load_catalog_group(gid))
+    for N, M in zip(series[1:], series):
+        table = character_table(N)
+        branching = branching_matrix(N, M)
+        for below, nu in enumerate(character_table(M)):
+            ind = induce(nu, N)
+            column = branching[:, below].tolist()
+            # Frobenius reciprocity: the column holds Ind nu's multiplicities
+            assert column == table.multiplicities(ind), gid
+            # entries are non-negative: a unit vector sums to 1
+            unit = sum(column) == 1
+            for here, psi in enumerate(table):
+                assert (unit and column[here] == 1) == (ind == psi), gid
+        principal = character_table(M).principal_index
+        one_step = [psi for psi, row in zip(table, branching) if row[principal] == psi.degree]
+        assert one_step == irr_mod(N, M), gid
+
+
+@pytest.mark.parametrize("gid", CATALOG_IDS)
+def test_chain_restrictions_are_products_of_branching_matrices(gid):
+    G = load_catalog_group(gid)
+    series = chief_series(G)
+    rows = _restrictions_along(series)
+    irr = list(character_table(G))
+    for N, product in zip(series, rows):
+        assert product.dtype == np.int64
+        assert product.tolist() == restriction_multiplicities(irr, N), gid
+
+
+def test_classify_chain_rejects_character_outside_table(d8, d8_table):
+    chain = build_chain(d8, d8_table[4])
+    nus = list(chain.nus)
+    nus[1] = 2 * Character.principal(chain.series[1])
+    broken = CharacterChain(group=d8, chi=chain.chi, series=chain.series, nus=tuple(nus))
+    with pytest.raises(TableError, match="character not in table"):
+        classify_chain(broken)
+
+
+def test_all_chains_rejects_what_build_chain_rejects(d8, d8_table, q8):
+    cases = (
+        (d8_table[4] + d8_table[4], "not irreducible"),
+        # [chi, chi] = 1, but -chi is no character
+        (-1 * d8_table[4], "not irreducible"),
+        (character_table(q8)[4], "characters on different groups"),
+    )
+    for chi, message in cases:
+        for enumerate_chains in (build_chain, all_chains):
+            with pytest.raises(CharacterError, match=message):
+                enumerate_chains(d8, chi)
+
+
+def test_orbit_sizes_refuse_a_conjugate_outside_the_table(monkeypatch):
+    # every class sent to the identity class: a degree-2 row becomes the
+    # constant 2, which is no character of the table
+    G = dihedral(4)
+    monkeypatch.setattr(
+        clifford_mod, "_class_action", lambda N, g: (0,) * len(N.conjugacy_classes())
+    )
+    with pytest.raises(TableError, match="^internal orbit failure"):
+        clifford_mod._orbit_sizes(G, G)

@@ -5,11 +5,14 @@ import json
 
 import pytest
 
-from etalab.catalog import load_catalog_group
+from etalab.catalog import default_catalog, load_catalog_group
 from etalab.cli import run_cli
 import etalab.cli as cli_mod
-from etalab.errors import GroupError
+import etalab.verify as verify_mod
+from etalab.charops import inner_product
+from etalab.errors import GroupError, TableError
 from etalab.perm import Permutation, group_from_generators
+from etalab.table import character_table
 from etalab.verify import (
     VerificationReport,
     verify_corollary_a,
@@ -84,6 +87,60 @@ def test_ledger_never_rebases_down(monkeypatch):
     assert {"etalab.cyclotomic", "etalab.charops"} <= set(patched)
     rep = verify_ledger(groups=_small("d8", "q16", "c4wrc2", "es27", "c3wrc3", "c25"))
     assert rep.passed
+
+
+def test_ledger_records_an_error_in_the_constituent_bookkeeping(monkeypatch, capsys):
+    # a failure in one chi's bookkeeping is that chi's failing record; the
+    # sweep goes on to the others
+    extras = verify_mod._chain_extras
+
+    def failing_on_degree_two(G, chi, chain, ledger, cache_dir=None):
+        if chi.degree == 2:
+            raise TableError("injected bookkeeping failure")
+        return extras(G, chi, chain, ledger, cache_dir=cache_dir)
+
+    monkeypatch.setattr(verify_mod, "_chain_extras", failing_on_degree_two)
+    rep = verify_ledger(groups=_small("d8"))
+    assert not rep.passed
+    records = rep.results[0]["records"]
+    assert [r["pass"] for r in records] == [True, True, True, True, False]
+    assert records[4]["error"] == "injected bookkeeping failure"
+    assert records[4]["counterexample"]["chi"] == 4
+    assert run_cli(["verify", "ledger", "--max-order", "8"]) == 1
+    assert "injected bookkeeping failure" in capsys.readouterr().out
+
+
+def test_ledger_pairs_once_per_step_and_character(monkeypatch):
+    # one branching matrix per chief-series step, and per character only
+    # the decomposition of chi * conj(chi); warm tables make it fewer
+    import sys
+
+    from etalab import cyclotomic
+
+    kernel = cyclotomic.pairing
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    patched = [
+        name
+        for name, mod in list(sys.modules.items())
+        if name.startswith("etalab") and getattr(mod, "pairing", None) is kernel
+    ]
+    for name in patched:
+        monkeypatch.setattr(sys.modules[name], "pairing", counted)
+    assert {"etalab.cyclotomic", "etalab.table", "etalab.charops"} <= set(patched)
+    selection = [G for _, G in default_catalog() if G.order <= 64]
+    steps = sum(len(G.chief_series()) - 1 for G in selection)
+    characters = sum(len(character_table(G)) for G in selection)
+    chi = character_table(selection[0])[0]
+    inner_product(chi, chi)
+    assert len(calls) == 1
+    calls.clear()
+    assert verify_ledger(max_order=64).passed
+    assert len(calls) <= steps + characters
 
 
 def test_prop5_report():
