@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 
+from .catalog import catalog_index
 from .charops import decompose
 from .clifford import ALL_CHAINS_CAP, all_chains, build_chain, classify_chain
 from .constructions import (
@@ -230,8 +231,12 @@ def _cmd_verify(args) -> int:
     if args.catalog != "default":
         return _usage(f"unknown catalog: {args.catalog}")
     fn = VERIFY_CHECKS[args.check]
-    if args.check == "prop5" or args.max_order is None:
+    if args.max_order is None:
         report = fn()
+    elif args.check == "prop5":
+        return _usage("--max-order does not apply to prop5, whose witnesses are fixed")
+    elif all(entry["order"] > args.max_order for entry in catalog_index()):
+        return _usage(f"--max-order {args.max_order} selects no catalog group")
     else:
         report = fn(max_order=args.max_order)
     for res in report.results:

@@ -1,7 +1,7 @@
 """Conjugation action on characters of normal subgroups, stabilizers,
 Clifford correspondents, and constituent chains along a chief series.
 
-G permutes N's classes, hence Irr(N) (`_class_action`).  A breadth-first
+G permutes N's classes, hence Irr(N) (`perm._class_action`).  A breadth-first
 search over G's generators gives nu's orbit and a transversal: |G_nu| is
 |G| / |orbit|, and G_nu itself is generated by the Schreier generators
 t_o g t_(o^g)^-1.  Class actions are kept on N, keyed by g, so each is
@@ -39,7 +39,7 @@ import numpy as np
 from .chars import Character
 from .charops import branching_matrix, induce, restriction_multiplicities
 from .errors import ChainError, CharacterError, GroupError, TableError
-from .perm import PermGroup, Permutation
+from .perm import PermGroup, Permutation, _class_action
 from .table import character_table
 
 __all__ = [
@@ -54,17 +54,6 @@ __all__ = [
 ]
 
 ALL_CHAINS_CAP = 64
-
-
-def _class_action(N: PermGroup, g: Permutation) -> tuple[int, ...]:
-    """Class k of N goes to the class of g x_k g^-1."""
-    act = N._class_actions.get(g.images)
-    if act is None:
-        ncls = N.conjugacy_classes()
-        ginv = g.inverse()
-        act = tuple(ncls.class_of(g * x * ginv) for x in ncls.representatives)
-        N._class_actions[g.images] = act
-    return act
 
 
 def conjugate_action(nu: Character, g: Permutation, G: PermGroup) -> Character:
@@ -109,16 +98,13 @@ def _orbit_sizes(G: PermGroup, N: PermGroup, cache_dir=None) -> tuple[int, ...]:
         raise GroupError("not normal")
     table = character_table(N, cache_dir=cache_dir)
     # each generator's permutation of the table indices
-    moves = []
-    for g in G.generators:
-        moved = table.cube[:, list(_class_action(N, g))]
-        try:
-            moves.append([table._index[tuple(map(tuple, row))] for row in moved.tolist()])
-        except KeyError:
-            raise TableError(
-                "internal orbit failure: a conjugate character is not in the table"
-                f" (group order {G.order}, subgroup order {N.order})"
-            ) from None
+    try:
+        moves = [table._row_images(_class_action(N, g)) for g in G.generators]
+    except KeyError:
+        raise TableError(
+            "internal orbit failure: a conjugate character is not in the table"
+            f" (group order {G.order}, subgroup order {N.order})"
+        ) from None
     sizes = [0] * len(table)
     for start in range(len(table)):
         if sizes[start]:

@@ -12,6 +12,9 @@ Groups are enumerated by breadth-first closure of the generators, capped at
 2^21 elements.  Subgroups carry a reference to the ambient group they were cut
 from; they share its degree and are otherwise ordinary groups.  A group keeps
 the content keys of the groups it was found to lie in, or be normal in.
+Each member of a chief series, the top group included, records the member
+below it and the element that generates it over that one; character tables
+are seeded from that link.
 """
 
 from __future__ import annotations
@@ -248,6 +251,9 @@ class PermGroup:
         self._exponent: Optional[int] = None
         self._pinfo: Optional[PGroupInfo] = None
         self._series = None
+        # (N, g) with this group = <N, g> and N of index p, when a chief
+        # series has this group as a member (see _chief_series)
+        self._series_link: Optional[tuple["PermGroup", Permutation]] = None
         self._content_key: Optional[str] = None
         self._char_table = None
         self._class_actions: dict = {}
@@ -445,13 +451,27 @@ def _chief_series(G: PermGroup) -> list[PermGroup]:
             pw = pw * chosen
         cur_set = frozenset(new_set)
         cur = G.subgroup_from_elements(cur_set, generators=cur.generators + (chosen,))
+        cur._series_link = (series[-1], chosen)
         series.append(cur)
+    if G._series_link is None:
+        G._series_link = cur._series_link
     series[-1] = G
     return series
 
 
 def chief_series(G: PermGroup) -> list[PermGroup]:
     return G.chief_series()
+
+
+def _class_action(N: PermGroup, g: Permutation) -> tuple[int, ...]:
+    """Class k of N goes to the class of g x_k g^-1.  Kept on N, keyed by g."""
+    act = N._class_actions.get(g.images)
+    if act is None:
+        ncls = N.conjugacy_classes()
+        ginv = g.inverse()
+        act = tuple(ncls.class_of(g * x * ginv) for x in ncls.representatives)
+        N._class_actions[g.images] = act
+    return act
 
 
 def power_map(G: PermGroup, classes: ConjugacyClassSet, j: int) -> list[int]:

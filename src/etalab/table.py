@@ -19,7 +19,23 @@ finished table is sorted by (degree, coefficient vectors).  Recomputing with
 a different admissible prime reproduces the table byte for byte.  A space on
 which a class matrix acts as a scalar is one eigenspace and is kept as it is:
 the eigenlines are unique, so the table does not depend on where splits
-happen.  Images under a class matrix are summed over its nonzeros only.
+happen.  Images under a class matrix are summed over its nonzeros only,
+for the rows of all unsplit spaces at once.
+
+Seeding (after Schneider, "Dixon's character table algorithm revisited",
+J. Symbolic Comput. 9, 1990): when G = <N, g> is a chief-series member of
+index p over N and N's table is already held, the characters of G known
+from it are written down mod q: the p extensions of each g-invariant linear
+character and one induced character per g-orbit of size p.  Their lines
+come directly, and class matrices split only the common kernel of their
+functionals.  Lifting and sorting are unchanged, so a seeded table equals
+the plain one byte for byte; a group with no held predecessor, and every
+prime_offset rerun, takes the plain path, and no table is built only to
+seed another.
+
+Class matrices and power maps are numpy gathers: products are formed as
+image arrays, in chunks of bounded size, and each is looked up by binary
+search among the group's sorted elements, read as big-endian byte rows.
 
 No floating point anywhere.  numpy does the int64 modular linear algebra,
 where every product stays below 2^63 because q is kept under 2^21 and the
@@ -44,7 +60,7 @@ import numpy as np
 from .chars import Character
 from .cyclotomic import lift, pairing, power_basis_matrix, reduced_degree
 from .errors import CharacterError, EtalabError, TableError
-from .perm import ConjugacyClassSet, PermGroup, Permutation
+from .perm import ConjugacyClassSet, PermGroup, _class_action
 
 __all__ = [
     "CharTable",
@@ -54,6 +70,8 @@ __all__ = [
 ]
 
 _Q_SCAN_LIMIT = 1 << 21
+# bound on the permutation entries one class-matrix gather holds at a time
+_GATHER_ENTRIES = 1 << 20
 
 # tables shared across equal-content group objects while one of them lives
 _TABLE_MEMO: "weakref.WeakValueDictionary[str, CharTable]" = weakref.WeakValueDictionary()
@@ -148,29 +166,27 @@ def _sqrt_mod(a: int, q: int) -> int:
 
 def _rref(a: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    a = a.copy() % q
+    a = a % q
     rows, cols = a.shape
-    r = 0
+    r = c = 0
     pivots = []
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if a[i, c]:
-                piv = i
-                break
-        if piv is None:
-            continue
+    while r < rows:
+        # the next pivot column is the first with a nonzero below row r
+        nonzero = np.flatnonzero(a[r:, c:].any(axis=0))
+        if not len(nonzero):
+            break
+        c += int(nonzero[0])
+        piv = r + int(np.flatnonzero(a[r:, c])[0])
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), q - 2, q)
-        a[r] = a[r] * inv % q
+        # row r is zero left of c, so only columns c.. change
+        a[r, c:] = a[r, c:] * pow(int(a[r, c]), q - 2, q) % q
         col = a[:, c].copy()
         col[r] = 0
-        a = (a - np.outer(col, a[r])) % q
+        a[:, c:] = (a[:, c:] - np.outer(col, a[r, c:])) % q
         pivots.append(c)
         r += 1
-        if r == rows:
-            break
+        c += 1
     return a[:r], pivots
 
 
@@ -180,10 +196,8 @@ def _nullspace(a: np.ndarray, q: int) -> np.ndarray:
     cols = a.shape[1]
     free = [c for c in range(cols) if c not in pivots]
     basis = np.zeros((len(free), cols), dtype=np.int64)
-    for bi, f in enumerate(free):
-        basis[bi, f] = 1
-        for ri, p in enumerate(pivots):
-            basis[bi, p] = (-int(ech[ri, f])) % q
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = -ech[:, free].T % q
     return basis
 
 
@@ -274,35 +288,45 @@ def _poly_roots(poly: np.ndarray, q: int) -> list[int]:
 
 def _split_spaces(spaces: list[np.ndarray], mat: np.ndarray, q: int) -> list[np.ndarray]:
     """Refine each space (rows in RREF) into the eigenspaces of mat on it."""
-    # image = basis @ mat.T over mat's nonzeros; every row has one, so the
+    # images = basis @ mat.T over mat's nonzeros, for the rows of all spaces
+    # of dimension above one at once; every row of mat has a nonzero, so the
     # row starts are r increasing indices and no reduceat segment is empty
     rows, cols = np.nonzero(mat)
-    vals = mat[rows, cols]
     starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    multi = [basis for basis in spaces if basis.shape[0] > 1]
+    dims = [basis.shape[0] for basis in multi]
+    first = np.cumsum([0] + dims[:-1])
+    stacked = np.vstack(multi)
+    images = np.add.reduceat(stacked[:, cols] * mat[rows, cols], starts, axis=1) % q
+    # mat acts on a space as a scalar when each image row is one scalar times
+    # its basis row: the whole space is then one eigenspace
+    scalars = images[np.arange(len(stacked)), (stacked != 0).argmax(axis=1)]
+    fits = ~((images - scalars[:, None] * stacked) % q).any(axis=1)
+    fits &= scalars == np.repeat(scalars[first], dims)
+    blocks = iter(zip(first.tolist(), np.logical_and.reduceat(fits, first).tolist()))
     refined: list[np.ndarray] = []
     for basis in spaces:
         d = basis.shape[0]
         if d == 1:
             refined.append(basis)
             continue
-        pivots = [int(np.nonzero(row)[0][0]) for row in basis]
-        image = np.add.reduceat(basis[:, cols] * vals, starts, axis=1) % q
-        # action on coordinate columns; image rows expand as act.T @ basis
-        act = image[:, pivots].T.copy()
-        if ((act.T @ basis - image) % q).any():
-            raise TableError("internal eigensplit failure: space is not invariant")
-        if np.array_equal(act, act[0, 0] * np.eye(d, dtype=np.int64)):
-            # a scalar action: the whole space is one eigenspace
+        start, is_scalar = next(blocks)
+        if is_scalar:
             refined.append(basis)
             continue
+        image = images[start : start + d]
+        # action on coordinate columns; image rows expand as act.T @ basis
+        act = image[:, (basis != 0).argmax(axis=1)].T.copy()
+        if ((act.T @ basis - image) % q).any():
+            raise TableError("internal eigensplit failure: space is not invariant")
         total = 0
         for lam in _poly_roots(_minimal_polynomial(act, q), q):
             shifted = (act - lam * np.eye(d, dtype=np.int64)) % q
             null = _nullspace(shifted, q)
             if null.shape[0] == 0:
                 raise TableError("internal eigensplit failure: root without eigenvector")
-            sub, _ = _rref(null @ basis % q, q)
-            refined.append(sub)
+            # basis is in RREF, so (RREF of null) @ basis is in RREF too
+            refined.append(_rref(null, q)[0] @ basis % q)
             total += null.shape[0]
         if total != d:
             raise TableError("internal eigensplit failure: eigenspaces do not fill the space")
@@ -310,11 +334,13 @@ def _split_spaces(spaces: list[np.ndarray], mat: np.ndarray, q: int) -> list[np.
 
 
 def _common_eigenbasis(
-    get_matrix: Callable[[int], np.ndarray], r: int, q: int, order: int
+    get_matrix: Callable[[int], np.ndarray], spaces: list[np.ndarray], r: int, q: int, order: int
 ) -> np.ndarray:
-    """Rows of the returned (r, r) array span the r common eigenlines."""
+    """Rows of the returned (r, r) array span the r common eigenlines.
+
+    spaces are invariant subspaces (rows in RREF) whose direct sum is F_q^r;
+    only those of dimension above one are split."""
     # eigenspace dimensions always sum to r, so r spaces means r lines
-    spaces: list[np.ndarray] = [np.eye(r, dtype=np.int64)]
     i = 0
     try:
         for i in range(1, r):
@@ -343,19 +369,64 @@ def _class_matrix_store(classes: ConjugacyClassSet) -> dict:
     return store
 
 
+def _as_keys(rows: np.ndarray) -> np.ndarray:
+    """Rows (last axis) as one void key each.  Keys compare as their bytes:
+    for image rows of an unsigned big-endian dtype, as the image tuples."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.shape[-1] * rows.itemsize)))[..., 0]
+
+
+def _element_index(classes: ConjugacyClassSet) -> tuple[np.dtype, np.ndarray, np.ndarray]:
+    """(dtype, keys, classes): the group's sorted elements as keys of image
+    rows in dtype, and the class of each.  Kept on the class set."""
+    index = getattr(classes, "_element_index", None)
+    if index is None:
+        G = classes.group
+        dtype = np.dtype(">u1" if G.degree <= 1 << 8 else ">u2" if G.degree <= 1 << 16 else ">u4")
+        keys = _as_keys(np.array([x.images for x in G.elements], dtype=dtype))
+        owner = np.array([classes.class_of(x) for x in G.elements], dtype=np.int64)
+        index = (dtype, keys, owner)
+        object.__setattr__(classes, "_element_index", index)
+    return index
+
+
+def _classes_of_rows(classes: ConjugacyClassSet, rows: np.ndarray) -> np.ndarray:
+    """The class of each image row (last axis) of an array in the element
+    index's dtype; a row that is no group element raises TableError."""
+    _, keys, owner = _element_index(classes)
+    found = _as_keys(rows)
+    pos = np.minimum(np.searchsorted(keys, found), len(keys) - 1)
+    if (keys[pos] != found).any():
+        raise TableError(
+            f"internal class lookup failure: a product is not in the group"
+            f" (group order {classes.group.order})"
+        )
+    return owner[pos]
+
+
 def class_matrix(classes: ConjugacyClassSet, i: int) -> np.ndarray:
     """(r, r) matrix whose [j, k] entry counts pairs (x, y) in C_i x C_j
-    with x*y equal to the k-th class representative."""
+    with x*y equal to the k-th class representative.
+
+    y = x^-1 z_k for every member x of C_i and representative z_k, formed as
+    image arrays in chunks of members, looked up among the group's sorted
+    elements and counted by class."""
     store = _class_matrix_store(classes)
     mat = store.get(i)
     if mat is None:
-        reps = classes.representatives
-        r = len(reps)
-        mat = np.zeros((r, r), dtype=np.int64)
-        for x in classes.members[i]:
-            xinv = x.inverse()
-            for k, z in enumerate(reps):
-                mat[classes.class_of(xinv * z), k] += 1
+        dtype = _element_index(classes)[0]
+        reps = np.array([z.images for z in classes.representatives], dtype=dtype)
+        r, n = reps.shape
+        members = classes.members[i]
+        step = max(1, _GATHER_ENTRIES // (r * n))
+        counts = np.zeros(r * r, dtype=np.int64)
+        for start in range(0, len(members), step):
+            inv = np.argsort(np.array([x.images for x in members[start : start + step]]), axis=1)
+            # (x^-1 z_k)[pt] = z_k[x^-1[pt]]: products apply the left factor first
+            products = reps[np.arange(r)[None, :, None], inv[:, None, :]]
+            owner = _classes_of_rows(classes, products)
+            counts += np.bincount((owner * r + np.arange(r)).ravel(), minlength=r * r)
+        mat = counts.reshape(r, r)
         store[i] = mat
     return mat
 
@@ -424,6 +495,17 @@ class CharTable:
             return self._index[(one,) * self.cube.shape[1]]
         except KeyError:
             raise TableError("principal character missing from table") from None
+
+    def _row_images(self, act) -> list[int]:
+        """The table index of each row with its classes permuted by act
+        (class k read at class act[k]); KeyError if one is not in the table."""
+        keys = _as_keys(self.cube.reshape(len(self.cube), -1))
+        order = np.argsort(keys)
+        moved = _as_keys(self.cube[:, list(act)].reshape(len(self.cube), -1))
+        pos = np.minimum(np.searchsorted(keys[order], moved), len(keys) - 1)
+        if (keys[order[pos]] != moved).any():
+            raise KeyError("row not in table")
+        return order[pos].tolist()
 
     def index_of(self, chi: Character) -> int:
         if not (chi.group is self.group or chi.group.same_elements(self.group)):
@@ -497,28 +579,120 @@ def _canonical_order(cube: np.ndarray) -> np.ndarray:
     return np.lexsort(np.vstack([-flat.T[::-1], cube[:, 0, 0]]))
 
 
+def _seed_spaces(
+    G: PermGroup, classes: ConjugacyClassSet, inv_class: list[int], q: int, z: int
+) -> Optional[list[np.ndarray]]:
+    """The eigenlines of the characters of G = <N, g> known from N's table,
+    each as a one-row space, then the space the other lines span; None
+    when G is no chief-series member over N or N's table is not held.
+
+    Known mod q, with zeta_e -> z as the lift reads it: the p extensions
+    lambda(n g^j) = nu(n) c^j, c^p = nu(g^p), of each g-invariant linear nu,
+    and Ind nu, the sum of nu's orbit on N, for each g-orbit of size p.  A
+    known psi's line is |C_k| psi(x_k) / psi(1); the other lines span the
+    common kernel of v -> sum_k v_k psi(x_k^-1)."""
+    link = G._series_link
+    below = None if link is None else _held_table(link[0])
+    if below is None:
+        return None
+    N, g = link
+    p = G.order // N.order
+    e = G.exponent()
+    ncls = below.classes
+    # N's irreducibles mod q on N's classes, zeta_f read as z^(e/f)
+    zf = pow(z, e // below.e, q)
+    powers = np.array([pow(zf, j, q) for j in range(below.cube.shape[2])], dtype=np.int64)
+    vals = below.cube % q @ powers % q
+    # class representative x_k of G as n g^j with n in N: j and n's class
+    ginv = g.inverse()
+    coset, fused = [], []
+    for x in classes.representatives:
+        for j in range(p):
+            if x in N.element_set:
+                break
+            x = x * ginv
+        else:
+            raise TableError("internal seeding failure: a class lies outside <N, g>")
+        coset.append(j)
+        fused.append(ncls.class_of(x))
+    coset = np.array(coset)
+    gp = g ** p
+    if gp not in N.element_set:
+        raise TableError("internal seeding failure: g^p lies outside N")
+    try:
+        image = below._row_images(_class_action(below.group, g))
+    except KeyError:
+        raise TableError("internal seeding failure: a conjugate character is not in N's table") from None
+    if sorted(image) != list(range(len(image))):
+        raise TableError("internal seeding failure: g does not permute N's table")
+    zpow = [pow(z, s, q) for s in range(e)]
+    degrees, known = [], []
+    seen = set()
+    for a, deg in enumerate(below.degrees):
+        if a in seen:
+            continue
+        orbit = [a]
+        while image[orbit[-1]] != a:
+            orbit.append(image[orbit[-1]])
+        seen.update(orbit)
+        if len(orbit) == p:
+            # Ind nu vanishes off N and is the orbit sum on N
+            degrees.append(p * deg)
+            known.append(np.where(coset == 0, vals[orbit][:, fused].sum(axis=0) % q, 0))
+        elif len(orbit) != 1:
+            raise TableError("internal seeding failure: an orbit of length neither 1 nor p")
+        elif deg == 1:
+            target = vals[a, ncls.class_of(gp)]
+            roots = [s for s in range(e) if zpow[s * p % e] == target]
+            if len(roots) != p:
+                raise TableError("internal seeding failure: nu(g^p) has no p-th roots in <z>")
+            for s in roots:
+                degrees.append(1)
+                known.append(vals[a, fused] * np.array([zpow[s * j % e] for j in coset]) % q)
+    known = np.array(known, dtype=np.int64)
+    sizes = np.array(classes.sizes, dtype=np.int64) % q
+    deg_inv = np.array([pow(d, q - 2, q) for d in degrees], dtype=np.int64)
+    lines = known * sizes % q * deg_inv[:, None] % q
+    functionals = known[:, inv_class]
+    # orthogonality mod q: psi's functional is |G| / psi(1) on its own line, 0 on the others
+    expect = np.diag(G.order % q * deg_inv % q)
+    if (functionals @ lines.T % q != expect).any():
+        raise TableError("internal seeding failure: known characters are not orthogonal")
+    rest, _ = _rref(_nullspace(functionals, q), q)
+    return [line[None] for line in lines] + ([rest] if len(rest) else [])
+
+
 def _compute_table(G: PermGroup, prime_offset: int = 0) -> CharTable:
     classes = G.conjugacy_classes()
     r = len(classes)
     e = G.exponent()
     order = G.order
     q = _smallest_admissible_prime(order, e, prime_offset)
-
-    omegas = _common_eigenbasis(lambda i: class_matrix(classes, i) % q, r, q, order)
-
+    z = pow(_primitive_root(q), (q - 1) // e, q)
     inv_class = [classes.class_of(rep.inverse()) for rep in classes.representatives]
+
+    spaces = None
+    if not prime_offset:
+        try:
+            spaces = _seed_spaces(G, classes, inv_class, q, z)
+        except TableError as exc:
+            raise TableError(f"{exc} (group order {order}, q {q})") from None
+    if spaces is None:
+        spaces = [np.eye(r, dtype=np.int64)]
+    omegas = _common_eigenbasis(lambda i: class_matrix(classes, i) % q, spaces, r, q, order)
+
     sizes = classes.sizes
     size_inv = [pow(s, q - 2, q) for s in sizes]
 
-    # power maps: class of rep_j^s for s < e
-    pclass = np.zeros((r, e), dtype=np.int64)
-    for j, rep in enumerate(classes.representatives):
-        cur = Permutation.identity(G.degree)
-        for s in range(e):
-            pclass[j, s] = classes.class_of(cur)
-            cur = cur * rep
+    # power maps: class of rep_j^s for s < e, applying rep_j once more per step
+    dtype = _element_index(classes)[0]
+    reps = np.array([rep.images for rep in classes.representatives], dtype=np.intp)
+    power = np.broadcast_to(np.arange(G.degree), reps.shape)
+    pclass = np.empty((r, e), dtype=np.int64)
+    for s in range(e):
+        pclass[:, s] = _classes_of_rows(classes, power.astype(dtype))
+        power = np.take_along_axis(reps, power, axis=1)
 
-    z = pow(_primitive_root(q), (q - 1) // e, q)
     zinv = pow(z, q - 2, q)
     zmat = np.array(
         [[pow(zinv, (l * s) % e, q) for s in range(e)] for l in range(e)], dtype=np.int64
@@ -600,6 +774,14 @@ def _cache_load(G: PermGroup, path: Path) -> Optional[CharTable]:
     return table
 
 
+def _held_table(G: PermGroup) -> Optional[CharTable]:
+    """G's table if this process holds it, on G or an equal-content group."""
+    table = G._char_table
+    if table is None:
+        table = _TABLE_MEMO.get(G.content_key)
+    return table
+
+
 def character_table(
     G: PermGroup,
     cache_dir: Union[str, Path, None] = None,
@@ -612,13 +794,11 @@ def character_table(
     """
     if prime_offset:
         return _compute_table(G, prime_offset)
-    if G._char_table is not None:
-        return G._char_table
-    memo_key = G.content_key
-    table = _TABLE_MEMO.get(memo_key)
+    table = _held_table(G)
     if table is not None:
         G._char_table = table
         return table
+    memo_key = G.content_key
     cache_path = None
     if cache_dir is not None:
         cache_path = Path(cache_dir) / f"{_cache_key(G)}.json"

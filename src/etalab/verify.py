@@ -279,7 +279,10 @@ def verify_ledger(groups=None, max_order=None, cache_dir=None) -> VerificationRe
     t0 = time.monotonic()
     report = VerificationReport(check="ledger")
     for gid, G in _selection(groups, max_order):
-        table = character_table(G, cache_dir=cache_dir)
+        # the chief-series tables bottom-up, each seeded from the one below;
+        # the last is G's
+        for N in G.chief_series():
+            table = character_table(N, cache_dir=cache_dir)
         records = []
         for idx, chi in enumerate(table):
             try:

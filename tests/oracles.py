@@ -54,6 +54,18 @@ def commutator_subgroup_elements(G: PermGroup) -> frozenset:
     return frozenset(closure)
 
 
+def class_matrix_elementwise(classes, i: int) -> list[list[int]]:
+    """Class multiplication matrix by one permutation product per member x
+    of C_i and representative z_k: [j][k] counts the x with x^-1 z_k in C_j."""
+    reps = classes.representatives
+    mat = [[0] * len(reps) for _ in reps]
+    for x in classes.members[i]:
+        xinv = x.inverse()
+        for k, z in enumerate(reps):
+            mat[classes.class_of(xinv * z)][k] += 1
+    return mat
+
+
 def _reduced(acc: list[int], e: int) -> list[int]:
     """A polynomial in zeta_e, one coefficient per power 0..e-1, reduced
     modulo the e-th cyclotomic polynomial."""

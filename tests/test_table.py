@@ -16,8 +16,11 @@ from etalab.charops import inner_product
 from etalab.constructions import dihedral, extraspecial_exp_p
 from etalab.cyclotomic import CycValue
 from etalab.errors import CharacterError, TableError
+from etalab.groupfile import format_group, parse_group
 from etalab.perm import Permutation, power_map
 from etalab.table import CharTable, character_table, class_matrix, class_mult_coefficients
+
+from oracles import class_matrix_elementwise
 
 # order-2 table is pinned exactly: principal row first, then the sign row
 C2_TABLE = [[1, 1], [1, -1]]
@@ -38,6 +41,11 @@ D8_TABLE = [
     [1, 1, -1, -1, 1],
     [2, -2, 0, 0, 0],
 ]
+
+
+def _fresh_copy(G):
+    # the same group with no chief series computed yet
+    return parse_group(format_group(G))
 
 
 def _int_matrix(table):
@@ -204,6 +212,28 @@ def test_class_matrix_identities(d8):
             assert mi[j][0] == (classes.sizes[i] if j == inv[i] else 0)
 
 
+def test_class_matrices_match_elementwise_oracle():
+    w22_series = {N.order: N for N in load_catalog_group("w22").chief_series()}
+    groups = [G for _, G in default_catalog(max_order=64)]
+    groups += [w22_series[128], w22_series[512]]
+    for G in groups:
+        classes = G.conjugacy_classes()
+        for i in range(len(classes)):
+            assert class_matrix(classes, i).tolist() == class_matrix_elementwise(classes, i), (
+                G.order,
+                i,
+            )
+
+
+def test_class_matrix_rejects_a_product_outside_the_group(d8):
+    # drop the identity from the sorted elements: every x^-1 x must miss it
+    classes = _fresh_copy(d8).conjugacy_classes()
+    dtype, keys, owner = table_mod._element_index(classes)
+    object.__setattr__(classes, "_element_index", (dtype, keys[1:], owner[1:]))
+    with pytest.raises(TableError, match=r"^internal class lookup failure: .*\(group order 8\)$"):
+        class_matrix(classes, 1)
+
+
 def test_class_mult_coefficients_symmetry(es27):
     # xy and yx are conjugate, so a_ijk = a_jik
     classes = es27.conjugacy_classes()
@@ -246,14 +276,87 @@ def test_eigensplit_skips_scalar_actions(monkeypatch):
         table_mod._compute_table(G)
 
 
+def test_eigensplit_splits_basis_rows_with_different_eigenvalues():
+    # each basis row is an eigenvector, but of its own eigenvalue: the action
+    # is diagonal, not scalar, so the space must split into its two lines
+    spaces = table_mod._split_spaces([np.eye(2, dtype=np.int64)], np.diag([1, 2]), 7)
+    assert [space.tolist() for space in spaces] == [[[1, 0]], [[0, 1]]]
+
+
 def test_eigensplit_failure_names_group_and_prime(d8, monkeypatch):
+    # a copy of d8 with no chief series computed has no predecessor table to
+    # seed from, so the eigensplit runs on every line
+    fresh = _fresh_copy(d8)
     monkeypatch.setattr(table_mod, "_poly_roots", lambda poly, q: [])
     with pytest.raises(TableError) as info:
-        table_mod._compute_table(d8)
+        table_mod._compute_table(fresh)
     message = str(info.value)
     assert message.startswith("internal eigensplit failure")
     assert "group order 8" in message and "q 13" in message
     assert "class matrix 1" in message
+
+
+def test_seeded_tables_equal_plain_dixon(monkeypatch):
+    # a fresh memo and fresh copies, so that every chief-series table is
+    # computed here, bottom-up, each seeded from the table below it
+    _fresh_memo(monkeypatch)
+    seeded_runs, splits = [], []
+    compute, split = table_mod._compute_table, table_mod._split_spaces
+
+    def counted_compute(G, prime_offset=0):
+        if not prime_offset:
+            seeded_runs.append(G)
+        return compute(G, prime_offset)
+
+    def counted_split(spaces, mat, q):
+        splits.append(mat.shape)
+        return split(spaces, mat, q)
+
+    monkeypatch.setattr(table_mod, "_compute_table", counted_compute)
+    monkeypatch.setattr(table_mod, "_split_spaces", counted_split)
+    for gid, G in default_catalog():
+        for N in _fresh_copy(G).chief_series():
+            seeded_runs.clear()
+            splits.clear()
+            seeded = character_table(N).to_json_dict()["irreducibles"]
+            if gid == "w22" and 32 <= N.order <= 512:
+                assert seeded_runs == [N] and not splits, N.order
+            plain = table_mod._compute_table(N, prime_offset=1)
+            assert seeded == plain.to_json_dict()["irreducibles"], (gid, N.order)
+
+
+def test_table_without_predecessor_computes_only_itself(monkeypatch):
+    _fresh_memo(monkeypatch)
+    G = _fresh_copy(load_catalog_group("c3wrc3"))
+    G.chief_series()  # links every member to the one below; no table is held
+    computed = []
+    compute = table_mod._compute_table
+
+    def counted_compute(H, prime_offset=0):
+        computed.append(H)
+        return compute(H, prime_offset)
+
+    monkeypatch.setattr(table_mod, "_compute_table", counted_compute)
+    table = character_table(G)
+    assert computed == [G]
+    assert table.to_json_dict() == character_table(load_catalog_group("c3wrc3")).to_json_dict()
+
+
+@pytest.mark.parametrize(
+    "action",
+    [
+        pytest.param(lambda N, g: (0,) * len(N.conjugacy_classes()), id="not-a-permutation"),
+        pytest.param(lambda N, g: tuple(range(len(N.conjugacy_classes()))), id="every-nu-invariant"),
+    ],
+)
+def test_seeding_failure_names_group_and_prime(d8, monkeypatch, action):
+    _fresh_memo(monkeypatch)
+    fresh = _fresh_copy(d8)
+    for N in fresh.chief_series()[:-1]:
+        character_table(N)
+    monkeypatch.setattr(table_mod, "_class_action", action)
+    with pytest.raises(TableError, match=r"^internal seeding failure: .*\(group order 8, q 13\)$"):
+        table_mod._compute_table(fresh)
 
 
 def _values_equal(a, b):

@@ -8,9 +8,11 @@ import pytest
 from etalab.catalog import default_catalog, load_catalog_group
 from etalab.cli import run_cli
 import etalab.cli as cli_mod
+import etalab.table as table_mod
 import etalab.verify as verify_mod
 from etalab.charops import inner_product
 from etalab.errors import GroupError, TableError
+from etalab.groupfile import format_group, parse_group
 from etalab.perm import Permutation, group_from_generators
 from etalab.table import character_table
 from etalab.verify import (
@@ -143,6 +145,25 @@ def test_ledger_pairs_once_per_step_and_character(monkeypatch):
     assert len(calls) <= steps + characters
 
 
+def test_ledger_seeds_every_chief_series_table(monkeypatch):
+    # fresh copies and a fresh memo, so that the sweep computes every table
+    monkeypatch.setattr(table_mod, "_TABLE_MEMO", {})
+    groups = [(gid, parse_group(format_group(G))) for gid, G in _small("d16", "c3wrc3")]
+    seeded = []
+    seed = table_mod._seed_spaces
+
+    def recorded_seed(G, *args):
+        spaces = seed(G, *args)
+        seeded.append((G.order, spaces is not None))
+        return spaces
+
+    monkeypatch.setattr(table_mod, "_seed_spaces", recorded_seed)
+    assert verify_ledger(groups=groups).passed
+    # each series table is computed once, bottom-up; all but the trivial
+    # group's are seeded from the one below
+    assert seeded == [(N.order, N.order > 1) for _, G in groups for N in G.chief_series()]
+
+
 def test_prop5_report():
     rep = verify_prop5(pairs=((2, 1), (3, 1)))
     etas = [res["records"][0]["eta"] for res in rep.results]
@@ -228,6 +249,23 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert run_cli(["build", "cyclic", "x"]) == 2
     assert run_cli(["build", "nosuchkind"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("cap", ["-5", "0", "1"])
+def test_cli_verify_rejects_a_cap_that_selects_no_group(capsys, cap):
+    # the smallest catalog group has order 2: an empty sweep would pass vacuously
+    assert run_cli(["verify", "theorem-a", "--max-order", cap]) == 2
+    captured = capsys.readouterr()
+    assert "overall" not in captured.out
+    assert f"--max-order {cap} selects no catalog group" in captured.err
+
+
+def test_cli_prop5_rejects_max_order(capsys):
+    # the prop5 witnesses are fixed (one has order 81): a cap cannot apply
+    assert run_cli(["verify", "prop5", "--max-order", "8"]) == 2
+    captured = capsys.readouterr()
+    assert "overall" not in captured.out
+    assert "--max-order does not apply to prop5" in captured.err
 
 
 def test_cli_computation_errors(tmp_path, capsys):
