@@ -5,9 +5,7 @@ G permutes N's classes, hence Irr(N) (`perm._class_action`).  A breadth-first
 search over G's generators gives nu's orbit and a transversal: |G_nu| is
 |G| / |orbit|, and G_nu itself is generated by the Schreier generators
 t_o g t_(o^g)^-1.  Class actions are kept on N, keyed by g, so each is
-computed once per (N, g) and freed with N.  The orbit lengths of all of
-N's table at once, with G's generators acting on table indices, are kept on
-N as well, keyed by G.
+computed once per (N, g) and freed with N.
 
 A chain tracks one irreducible chi of a p-group G down its chief series:
 nu_t = chi, and each nu_{i-1} is the first constituent (canonical table
@@ -18,15 +16,18 @@ index shrinks by p).  The ledger counts m_i = unstable indices so far,
 r_i = log_p of nu_i's orbit length, s_i = log_p nu_i(1), and asserts
 m_i = 2 s_i + r_i.
 
-Every chain question is read off the branching matrix
-B_i = [psi|N_(i-1), nu] of one step (`charops.branching_matrix`, kept on
-N_i's table) and the orbit lengths, by table index:
+Every chain question is read off the branching matrices
+B_i = [psi|N_(i-1), nu] of single steps (`charops.branching_matrix`, kept on
+N_i's table), by table index:
 - nu_(i-1) is the first nonzero entry of nu_i's row of B_i;
 - nu_i extends nu_(i-1) when that row is the unit vector at nu_(i-1);
 - Ind nu_(i-1) = nu_i (Frobenius reciprocity) when nu_(i-1)'s column of
   B_i is the unit vector at nu_i, so no character is induced;
-- |G_nu_i| is |G| divided by nu_i's orbit length.
-So the restriction pairing runs once per chief-series step, not per chain.
+- |G_nu_i| is |G| divided by nu_i's orbit length, which by Clifford's
+  theorem is the number of nonzero entries in chi's row of the restriction
+  to N_i, the product of the B_j above (`charops._restrictions_along`).
+So the restriction pairing runs once per chief-series step, not per chain,
+and no orbit is searched.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from itertools import accumulate
 import numpy as np
 
 from .chars import Character
-from .charops import branching_matrix, induce, restriction_multiplicities
+from .charops import _restrictions_along, branching_matrix, induce, restriction_multiplicities
 from .errors import ChainError, CharacterError, GroupError, TableError
 from .perm import PermGroup, Permutation, _class_action
 from .table import character_table
@@ -86,39 +87,6 @@ def _orbit(G: PermGroup, N: PermGroup, nu: Character) -> tuple[list, dict]:
                     new.append(image)
         frontier = new
     return actions, transversal
-
-
-def _orbit_sizes(G: PermGroup, N: PermGroup, cache_dir=None) -> tuple[int, ...]:
-    """Orbit length under G of each character in N's table, by table index.
-    Kept on N, keyed by G."""
-    sizes = N._orbit_sizes.get(G.content_key)
-    if sizes is not None:
-        return sizes
-    if not N.is_normal_in(G):
-        raise GroupError("not normal")
-    table = character_table(N, cache_dir=cache_dir)
-    # each generator's permutation of the table indices
-    try:
-        moves = [table._row_images(_class_action(N, g)) for g in G.generators]
-    except KeyError:
-        raise TableError(
-            "internal orbit failure: a conjugate character is not in the table"
-            f" (group order {G.order}, subgroup order {N.order})"
-        ) from None
-    sizes = [0] * len(table)
-    for start in range(len(table)):
-        if sizes[start]:
-            continue
-        orbit = {start}
-        frontier = {start}
-        while frontier:
-            frontier = {m[k] for k in frontier for m in moves} - orbit
-            orbit |= frontier
-        for k in orbit:
-            sizes[k] = len(orbit)
-    sizes = tuple(sizes)
-    N._orbit_sizes[G.content_key] = sizes
-    return sizes
 
 
 def stabilizer(G: PermGroup, N: PermGroup, nu: Character) -> PermGroup:
@@ -234,10 +202,17 @@ def classify_chain(chain: CharacterChain, cache_dir=None) -> ChainLedger:
         character_table(N, cache_dir=cache_dir).index_of(nu)
         for N, nu in zip(chain.series, chain.nus)
     ]
-    orders = [
-        G.order // _orbit_sizes(G, N, cache_dir=cache_dir)[k]
-        for N, k in zip(chain.series, idx)
-    ]
+    # Clifford: chi|N_i is a multiple of the sum over nu_i's G-orbit, so the
+    # orbit is the support of chi's row of the restriction to N_i
+    orders = []
+    for i, rows in enumerate(_restrictions_along(chain.series, cache_dir=cache_dir)):
+        row = rows[idx[-1]]
+        if not row[idx[i]]:
+            raise ChainError(
+                "chain character is not a constituent of chi's restriction"
+                f" (group order {G.order}, chain index {i})"
+            )
+        orders.append(G.order // np.count_nonzero(row))
     case = ["none"]
     for i in range(1, len(chain.series)):
         branching = branching_matrix(chain.series[i], chain.series[i - 1], cache_dir=cache_dir)

@@ -257,7 +257,6 @@ class PermGroup:
         self._content_key: Optional[str] = None
         self._char_table = None
         self._class_actions: dict = {}
-        self._orbit_sizes: dict = {}  # orbit lengths on the table, keyed by a group acting
         self._subgroup_of: set[str] = set()  # content keys of known supergroups
         self._normal_in: set[str] = set()  # content keys of groups known to normalize it
 

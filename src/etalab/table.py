@@ -20,7 +20,11 @@ a different admissible prime reproduces the table byte for byte.  A space on
 which a class matrix acts as a scalar is one eigenspace and is kept as it is:
 the eigenlines are unique, so the table does not depend on where splits
 happen.  Images under a class matrix are summed over its nonzeros only,
-for the rows of all unsplit spaces at once.
+for the rows of all unsplit spaces at once.  The class algebra is split
+semisimple over F_q, so each class matrix acts diagonalizably with its
+eigenvalues in F_q: they are read off as the roots of the annihilators of
+coordinate seeds, taken in turn until the eigenspaces of the roots found
+fill the space, and no minimal polynomial is formed.
 
 Seeding (after Schneider, "Dixon's character table algorithm revisited",
 J. Symbolic Comput. 9, 1990): when G = <N, g> is a chief-series member of
@@ -36,6 +40,8 @@ seed another.
 Class matrices and power maps are numpy gathers: products are formed as
 image arrays, in chunks of bounded size, and each is looked up by binary
 search among the group's sorted elements, read as big-endian byte rows.
+Each class matrix is built when the split asks for it and is not kept, so
+none outlives the table computation.
 
 No floating point anywhere.  numpy does the int64 modular linear algebra,
 where every product stays below 2^63 because q is kept under 2^21 and the
@@ -95,6 +101,8 @@ def _is_prime(n: int) -> bool:
 
 def _smallest_admissible_prime(order: int, e: int, offset: int = 0) -> int:
     """Smallest prime q = 1 mod e with q^2 > 4*order; offset skips ahead."""
+    if offset < 0:
+        raise TableError("prime_offset must be non-negative")
     q = e + 1
     while True:
         if q > 2 and _is_prime(q) and q * q > 4 * order:
@@ -201,37 +209,6 @@ def _nullspace(a: np.ndarray, q: int) -> np.ndarray:
     return basis
 
 
-def _poly_divmod_mod(num: np.ndarray, den: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
-    num = num.copy() % q
-    dd = len(den) - 1
-    lead_inv = pow(int(den[-1]), q - 2, q)
-    quo = np.zeros(max(len(num) - dd, 0), dtype=np.int64)
-    for k in range(len(quo) - 1, -1, -1):
-        c = num[k + dd] * lead_inv % q
-        if c:
-            quo[k] = c
-            num[k : k + dd + 1] = (num[k : k + dd + 1] - c * den) % q
-    rem = num[:dd]
-    nz = np.nonzero(rem)[0]
-    return quo, rem[: nz[-1] + 1] if len(nz) else rem[:0]
-
-
-def _poly_gcd_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    while len(b):
-        _, r = _poly_divmod_mod(a, b, q)
-        a, b = b, r
-    inv = pow(int(a[-1]), q - 2, q)
-    return a * inv % q
-
-
-def _poly_mul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    out = np.zeros(len(a) + len(b) - 1, dtype=np.int64)
-    for i, ai in enumerate(a):
-        if ai:
-            out[i : i + len(b)] = (out[i : i + len(b)] + int(ai) * b) % q
-    return out
-
-
 def _vector_annihilator(mat: np.ndarray, v: np.ndarray, q: int) -> np.ndarray:
     """Monic minimal polynomial (ascending coeffs) annihilating v under mat."""
     d = len(v)
@@ -259,23 +236,6 @@ def _vector_annihilator(mat: np.ndarray, v: np.ndarray, q: int) -> np.ndarray:
         combos.append(wc * inv % q)
         u = mat @ u % q
         power += 1
-
-
-def _minimal_polynomial(mat: np.ndarray, q: int) -> np.ndarray:
-    d = mat.shape[0]
-    mp = np.array([1], dtype=np.int64)
-    for seed in range(d):
-        if len(mp) - 1 == d:
-            break
-        v = np.zeros(d, dtype=np.int64)
-        v[seed] = 1
-        ann = _vector_annihilator(mat, v, q)
-        g = _poly_gcd_mod(mp, ann, q)
-        quo, rem = _poly_divmod_mod(ann, g, q)
-        if len(rem):
-            raise TableError("internal eigensplit failure: minimal polynomial")
-        mp = _poly_mul_mod(mp, quo, q)
-    return mp
 
 
 def _poly_roots(poly: np.ndarray, q: int) -> list[int]:
@@ -319,17 +279,23 @@ def _split_spaces(spaces: list[np.ndarray], mat: np.ndarray, q: int) -> list[np.
         act = image[:, (basis != 0).argmax(axis=1)].T.copy()
         if ((act.T @ basis - image) % q).any():
             raise TableError("internal eigensplit failure: space is not invariant")
-        total = 0
-        for lam in _poly_roots(_minimal_polynomial(act, q), q):
-            shifted = (act - lam * np.eye(d, dtype=np.int64)) % q
-            null = _nullspace(shifted, q)
-            if null.shape[0] == 0:
-                raise TableError("internal eigensplit failure: root without eigenvector")
-            # basis is in RREF, so (RREF of null) @ basis is in RREF too
-            refined.append(_rref(null, q)[0] @ basis % q)
-            total += null.shape[0]
-        if total != d:
+        # act is diagonalizable over F_q, so the roots of the coordinate
+        # seeds' annihilators are eigenvalues; seeds run until their
+        # eigenspaces fill the space
+        eye = np.eye(d, dtype=np.int64)
+        eigen: dict[int, np.ndarray] = {}
+        for seed in eye:
+            for lam in _poly_roots(_vector_annihilator(act, seed, q), q):
+                if lam not in eigen:
+                    eigen[lam] = _nullspace((act - lam * eye) % q, q)
+                    if not len(eigen[lam]):
+                        raise TableError("internal eigensplit failure: root without eigenvector")
+            if sum(map(len, eigen.values())) == d:
+                break
+        else:
             raise TableError("internal eigensplit failure: eigenspaces do not fill the space")
+        # basis is in RREF, so (RREF of null) @ basis is in RREF too
+        refined.extend(_rref(eigen[lam], q)[0] @ basis % q for lam in sorted(eigen))
     return refined
 
 
@@ -360,14 +326,6 @@ def _common_eigenbasis(
 
 # ---------------------------------------------------------------------------
 # class multiplication coefficients
-
-def _class_matrix_store(classes: ConjugacyClassSet) -> dict:
-    store = getattr(classes, "_class_matrices", None)
-    if store is None:
-        store = {}
-        object.__setattr__(classes, "_class_matrices", store)
-    return store
-
 
 def _as_keys(rows: np.ndarray) -> np.ndarray:
     """Rows (last axis) as one void key each.  Keys compare as their bytes:
@@ -411,24 +369,19 @@ def class_matrix(classes: ConjugacyClassSet, i: int) -> np.ndarray:
     y = x^-1 z_k for every member x of C_i and representative z_k, formed as
     image arrays in chunks of members, looked up among the group's sorted
     elements and counted by class."""
-    store = _class_matrix_store(classes)
-    mat = store.get(i)
-    if mat is None:
-        dtype = _element_index(classes)[0]
-        reps = np.array([z.images for z in classes.representatives], dtype=dtype)
-        r, n = reps.shape
-        members = classes.members[i]
-        step = max(1, _GATHER_ENTRIES // (r * n))
-        counts = np.zeros(r * r, dtype=np.int64)
-        for start in range(0, len(members), step):
-            inv = np.argsort(np.array([x.images for x in members[start : start + step]]), axis=1)
-            # (x^-1 z_k)[pt] = z_k[x^-1[pt]]: products apply the left factor first
-            products = reps[np.arange(r)[None, :, None], inv[:, None, :]]
-            owner = _classes_of_rows(classes, products)
-            counts += np.bincount((owner * r + np.arange(r)).ravel(), minlength=r * r)
-        mat = counts.reshape(r, r)
-        store[i] = mat
-    return mat
+    dtype = _element_index(classes)[0]
+    reps = np.array([z.images for z in classes.representatives], dtype=dtype)
+    r, n = reps.shape
+    members = classes.members[i]
+    step = max(1, _GATHER_ENTRIES // (r * n))
+    counts = np.zeros(r * r, dtype=np.int64)
+    for start in range(0, len(members), step):
+        inv = np.argsort(np.array([x.images for x in members[start : start + step]]), axis=1)
+        # (x^-1 z_k)[pt] = z_k[x^-1[pt]]: products apply the left factor first
+        products = reps[np.arange(r)[None, :, None], inv[:, None, :]]
+        owner = _classes_of_rows(classes, products)
+        counts += np.bincount((owner * r + np.arange(r)).ravel(), minlength=r * r)
+    return counts.reshape(r, r)
 
 
 def class_mult_coefficients(classes: ConjugacyClassSet, i: int, j: int) -> list[int]:
@@ -681,8 +634,7 @@ def _compute_table(G: PermGroup, prime_offset: int = 0) -> CharTable:
         spaces = [np.eye(r, dtype=np.int64)]
     omegas = _common_eigenbasis(lambda i: class_matrix(classes, i) % q, spaces, r, q, order)
 
-    sizes = classes.sizes
-    size_inv = [pow(s, q - 2, q) for s in sizes]
+    size_inv = np.array([pow(s, q - 2, q) for s in classes.sizes], dtype=np.int64)
 
     # power maps: class of rep_j^s for s < e, applying rep_j once more per step
     dtype = _element_index(classes)[0]
@@ -699,21 +651,19 @@ def _compute_table(G: PermGroup, prime_offset: int = 0) -> CharTable:
     )
     e_inv = pow(e, q - 2, q)
 
+    # sum_j w_j w_(j^-1) / |C_j| for each eigenvector w, which is |G| / chi(1)^2;
+    # every product is reduced mod q before the next, so int64 never overflows
+    s_acc = (omegas * omegas[:, inv_class] % q * size_inv % q).sum(axis=1) % q
     rows = []
     deg_sum = 0
     for n, w in enumerate(omegas):
         try:
-            s_acc = 0
-            for j in range(r):
-                s_acc = (s_acc + int(w[j]) * int(w[inv_class[j]]) % q * size_inv[j]) % q
-            d_sq = order % q * pow(s_acc, q - 2, q) % q
+            d_sq = order % q * pow(int(s_acc[n]), q - 2, q) % q
             d = _sqrt_mod(d_sq, q)
             d = min(d, q - d)
             if d == 0 or d * d > order:
                 raise TableError("internal lifting failure: bad degree")
-            chi_mod = np.array(
-                [d * int(w[j]) % q * size_inv[j] % q for j in range(r)], dtype=np.int64
-            )
+            chi_mod = d * w % q * size_inv % q
             mults = chi_mod[pclass] @ zmat.T % q * e_inv % q
             if (mults > d).any():
                 raise TableError("internal lifting failure: multiplicity out of range")

@@ -8,7 +8,7 @@ genuine cross-check rather than the same code run twice.
 from __future__ import annotations
 
 from etalab.cyclotomic import CycValue, _poly_divmod_monic, cyclotomic_polynomial
-from etalab.perm import PermGroup, Permutation
+from etalab.perm import PermGroup, Permutation, _class_action
 
 
 def conjugacy_partition(G: PermGroup) -> list[frozenset]:
@@ -144,3 +144,21 @@ def stabilizer_elements(G: PermGroup, N: PermGroup, nu) -> frozenset:
         if all(value(g * x * ginv) == value(x) for x in N.elements):
             kept.add(g)
     return frozenset(kept)
+
+
+def class_action_orbit_sizes(G: PermGroup, N: PermGroup, table) -> list[int]:
+    """Orbit length under G of each character in N's table, by table index:
+    a search over the permutations of the table's rows that G's generators
+    make by conjugating N's classes."""
+    moves = [table._row_images(_class_action(N, g)) for g in G.generators]
+    sizes = [0] * len(table)
+    for start in range(len(table)):
+        if sizes[start]:
+            continue
+        orbit = frontier = {start}
+        while frontier:
+            frontier = {m[k] for k in frontier for m in moves} - orbit
+            orbit = orbit | frontier
+        for k in orbit:
+            sizes[k] = len(orbit)
+    return sizes

@@ -17,7 +17,6 @@ from etalab.charops import (
     restrict,
     restriction_multiplicities,
 )
-import etalab.clifford as clifford_mod
 from etalab.clifford import (
     CharacterChain,
     all_chains,
@@ -27,12 +26,11 @@ from etalab.clifford import (
     conjugate_action,
     stabilizer,
 )
-from etalab.constructions import dihedral
 from etalab.errors import ChainError, CharacterError, GroupError, TableError
 from etalab.perm import chief_series
 from etalab.table import character_table
 
-from oracles import elementwise_inner, stabilizer_elements
+from oracles import class_action_orbit_sizes, elementwise_inner, stabilizer_elements
 
 # catalog groups small enough for the element-level stabilizer oracle
 ORACLE_GROUPS = [gid for gid, G in default_catalog() if G.order <= 32 or gid == "es27"]
@@ -109,6 +107,23 @@ def test_ledger_stabilizer_orders_match_oracle(gid):
             len(stabilizer_elements(G, N, nu)) for N, nu in zip(chain.series, chain.nus)
         ]
         assert list(ledger.stabilizer_orders) == expected, gid
+
+
+@pytest.mark.parametrize("gid", CATALOG_IDS)
+def test_ledger_stabilizer_orders_match_class_action_orbits(gid):
+    # the ledger reads orbit lengths off restriction rows; the oracle
+    # searches the orbits of G's generators on each member's table
+    G = load_catalog_group(gid)
+    series = chief_series(G)
+    tables = [character_table(N) for N in series]
+    sizes = [class_action_orbit_sizes(G, N, table) for N, table in zip(series, tables)]
+    for chi in tables[-1]:
+        chain = build_chain(G, chi)
+        expected = [
+            G.order // sizes[i][table.index_of(nu)]
+            for i, (table, nu) in enumerate(zip(tables, chain.nus))
+        ]
+        assert list(classify_chain(chain).stabilizer_orders) == expected, gid
 
 
 def test_classify_chain_rejects_broken_chain(d8, d8_table):
@@ -339,13 +354,3 @@ def test_all_chains_rejects_what_build_chain_rejects(d8, d8_table, q8):
             with pytest.raises(CharacterError, match=message):
                 enumerate_chains(d8, chi)
 
-
-def test_orbit_sizes_refuse_a_conjugate_outside_the_table(monkeypatch):
-    # every class sent to the identity class: a degree-2 row becomes the
-    # constant 2, which is no character of the table
-    G = dihedral(4)
-    monkeypatch.setattr(
-        clifford_mod, "_class_action", lambda N, g: (0,) * len(N.conjugacy_classes())
-    )
-    with pytest.raises(TableError, match="^internal orbit failure"):
-        clifford_mod._orbit_sizes(G, G)

@@ -4,6 +4,7 @@ identities, caching, and prime-choice independence."""
 import gc
 import hashlib
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import etalab.table as table_mod
 from etalab.catalog import default_catalog, load_catalog_group
 from etalab.chars import Character
 from etalab.charops import inner_product
-from etalab.constructions import dihedral, extraspecial_exp_p
+from etalab.constructions import cyclic, dihedral, extraspecial_exp_p
 from etalab.cyclotomic import CycValue
 from etalab.errors import CharacterError, TableError
 from etalab.groupfile import format_group, parse_group
@@ -263,15 +264,15 @@ def test_next_prime_gives_identical_table():
 
 def test_eigensplit_skips_scalar_actions(monkeypatch):
     # on a space where a class matrix acts as a scalar there is nothing to
-    # split, so no minimal polynomial may be computed there
-    original = table_mod._minimal_polynomial
+    # split, so no annihilator may be computed there
+    original = table_mod._vector_annihilator
 
-    def guarded(mat, q):
+    def guarded(mat, v, q):
         if np.array_equal(mat % q, mat[0, 0] % q * np.eye(mat.shape[0], dtype=np.int64)):
             raise AssertionError("minimal polynomial of a scalar action")
-        return original(mat, q)
+        return original(mat, v, q)
 
-    monkeypatch.setattr(table_mod, "_minimal_polynomial", guarded)
+    monkeypatch.setattr(table_mod, "_vector_annihilator", guarded)
     for _, G in default_catalog(max_order=64):
         table_mod._compute_table(G)
 
@@ -281,6 +282,31 @@ def test_eigensplit_splits_basis_rows_with_different_eigenvalues():
     # is diagonal, not scalar, so the space must split into its two lines
     spaces = table_mod._split_spaces([np.eye(2, dtype=np.int64)], np.diag([1, 2]), 7)
     assert [space.tolist() for space in spaces] == [[[1, 0]], [[0, 1]]]
+
+
+def test_eigensplit_takes_later_seeds_until_the_space_is_filled(monkeypatch):
+    # the first two coordinate seeds see only the eigenvalue 1, whose
+    # eigenspace is a plane; the third brings the eigenvalue 2
+    seeds = []
+    annihilator = table_mod._vector_annihilator
+
+    def counted(mat, v, q):
+        seeds.append(v.tolist())
+        return annihilator(mat, v, q)
+
+    monkeypatch.setattr(table_mod, "_vector_annihilator", counted)
+    spaces = table_mod._split_spaces([np.eye(3, dtype=np.int64)], np.diag([1, 1, 2]), 7)
+    assert [space.tolist() for space in spaces] == [[[1, 0, 0], [0, 1, 0]], [[0, 0, 1]]]
+    assert seeds == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+def test_eigensplit_rejects_a_non_diagonalizable_action():
+    # a Jordan block has the one eigenvalue 1, whose eigenspace is a line
+    jordan = np.array([[1, 1], [0, 1]], dtype=np.int64)
+    with pytest.raises(
+        TableError, match="^internal eigensplit failure: eigenspaces do not fill the space$"
+    ):
+        table_mod._split_spaces([np.eye(2, dtype=np.int64)], jordan, 7)
 
 
 def test_eigensplit_failure_names_group_and_prime(d8, monkeypatch):
@@ -323,6 +349,28 @@ def test_seeded_tables_equal_plain_dixon(monkeypatch):
                 assert seeded_runs == [N] and not splits, N.order
             plain = table_mod._compute_table(N, prime_offset=1)
             assert seeded == plain.to_json_dict()["irreducibles"], (gid, N.order)
+
+
+def test_class_matrices_do_not_outlive_the_table(monkeypatch):
+    _fresh_memo(monkeypatch)
+    refs = []
+    build = table_mod.class_matrix
+
+    def tracked(classes, i):
+        mat = build(classes, i)
+        refs.append(weakref.ref(mat))
+        return mat
+
+    monkeypatch.setattr(table_mod, "class_matrix", tracked)
+    table = character_table(_fresh_copy(load_catalog_group("w22")))
+    gc.collect()
+    assert len(table) and refs
+    assert all(ref() is None for ref in refs)
+
+
+def test_negative_prime_offset_is_refused():
+    with pytest.raises(TableError, match="^prime_offset must be non-negative$"):
+        character_table(cyclic(4), prime_offset=-1)
 
 
 def test_table_without_predecessor_computes_only_itself(monkeypatch):
