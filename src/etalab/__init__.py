@@ -31,7 +31,7 @@ from .perm import (
 )
 from .groupfile import format_group, load_group, parse_group, save_group
 from .chars import Character
-from .table import CharTable, character_table, class_mult_coefficients
+from .table import CharTable, character_table
 from .charops import (
     ConstituentDecomposition,
     center_of_character,
@@ -107,7 +107,6 @@ __all__ = [
     "Character",
     "CharTable",
     "character_table",
-    "class_mult_coefficients",
     "ConstituentDecomposition",
     "center_of_character",
     "decompose",

@@ -31,7 +31,6 @@ from .table import as_multiplicities, character_table
 __all__ = [
     "ConstituentDecomposition",
     "branching_matrix",
-    "conjugate_character",
     "decompose",
     "eta_count",
     "induce",
@@ -40,7 +39,6 @@ __all__ = [
     "kernel",
     "center_of_character",
     "lin",
-    "product",
     "restrict",
     "restriction_multiplicities",
 ]
@@ -70,27 +68,18 @@ class ConstituentDecomposition:
         return tuple(sorted(chi.degree for chi, _ in self.constituents))
 
 
-def product(a: Character, b: Character) -> Character:
-    """Pointwise product of class functions on one group."""
-    return a * b
-
-
-def conjugate_character(a: Character) -> Character:
-    return a.conjugate()
-
-
 def inner_product(a: Character, b: Character) -> int:
     """Exact [a, b]; requires a non-negative rational integer result."""
-    if not (a.group is b.group or a.group.same_elements(b.group)):
+    if not a.group.same_elements(b.group):
         raise CharacterError("characters on different groups")
     G = a.group
     raw = pairing(a.coeffs[None], G.conjugacy_classes().sizes, b.coeffs[None], G.exponent())
     return as_multiplicities(raw, G.order)[0][0]
 
 
-def decompose(theta: Character, cache_dir=None) -> ConstituentDecomposition:
+def decompose(theta: Character) -> ConstituentDecomposition:
     """Full decomposition of theta against the canonical table of its group."""
-    table = character_table(theta.group, cache_dir=cache_dir)
+    table = character_table(theta.group)
     key = theta.value_key()
     hit = table._decompositions.get(key)
     if hit is not None:
@@ -136,46 +125,46 @@ def restrict(a: Character, N: PermGroup) -> Character:
         raise CharacterError(f"restricted values do not lie in Z[zeta_{N.exponent()}]") from None
 
 
-def restriction_multiplicities(thetas, N: PermGroup, cache_dir=None) -> list[list[int]]:
+def restriction_multiplicities(thetas, N: PermGroup) -> list[list[int]]:
     """Rows [theta|_N, psi] over psi in N's canonical table, one per theta in
     a sequence of class functions of one group G containing N, read on N's
     classes through class fusion and paired at G's conductor."""
     if not thetas:
         return []
     G = thetas[0].group
-    if not all(t.group is G or t.group.same_elements(G) for t in thetas):
+    if not all(t.group.same_elements(G) for t in thetas):
         raise CharacterError("characters on different groups")
     _check_subgroup(N, G)
     fused = _fusion(N, G)
-    table = character_table(N, cache_dir=cache_dir)
+    table = character_table(N)
     return table._multiplicity_rows(np.stack([t.coeffs[fused] for t in thetas]), G.exponent())
 
 
-def branching_matrix(N: PermGroup, M: PermGroup, cache_dir=None) -> np.ndarray:
+def branching_matrix(N: PermGroup, M: PermGroup) -> np.ndarray:
     """The int64 matrix [psi|_M, nu] over psi in N's canonical table (rows)
     and nu in M's (columns), for a subgroup M of N.  It is kept on N's
     table, keyed by M's content key."""
-    table = character_table(N, cache_dir=cache_dir)
+    table = character_table(N)
     out = table._branching.get(M.content_key)
     if out is None:
-        rows = restriction_multiplicities(list(table), M, cache_dir=cache_dir)
+        rows = restriction_multiplicities(list(table), M)
         out = np.array(rows, dtype=np.int64)
         out.setflags(write=False)
         table._branching[M.content_key] = out
     return out
 
 
-def _restrictions_along(series, cache_dir=None) -> list[np.ndarray]:
+def _restrictions_along(series) -> list[np.ndarray]:
     """branching_matrix(series[-1], N) for each N in an increasing sequence
     of subgroups, built as products of the one-step matrices: restriction is
     transitive, so R_(i-1) = R_i @ B_i with R_t the identity."""
-    top = character_table(series[-1], cache_dir=cache_dir)
+    top = character_table(series[-1])
     out = [np.eye(len(top), dtype=np.int64)]
     for i in range(len(series) - 1, 0, -1):
         key = series[i - 1].content_key
         rows = top._branching.get(key)
         if rows is None:
-            rows = out[-1] @ branching_matrix(series[i], series[i - 1], cache_dir=cache_dir)
+            rows = out[-1] @ branching_matrix(series[i], series[i - 1])
             rows.setflags(write=False)
             top._branching[key] = rows
         out.append(rows)
@@ -221,17 +210,17 @@ def _subgroup_of_classes(G: PermGroup, kept) -> PermGroup:
     )
 
 
-def lin(G: PermGroup, cache_dir=None) -> list[Character]:
+def lin(G: PermGroup) -> list[Character]:
     """The linear characters, in canonical table order."""
-    table = character_table(G, cache_dir=cache_dir)
+    table = character_table(G)
     return [chi for chi in table if chi.degree == 1]
 
 
-def irr_mod(M: PermGroup, N: PermGroup, cache_dir=None) -> list[Character]:
+def irr_mod(M: PermGroup, N: PermGroup) -> list[Character]:
     """Irreducible characters of M whose kernel contains the normal subgroup N."""
     if not N.is_normal_in(M):
         raise GroupError("not normal")
-    table = character_table(M, cache_dir=cache_dir)
+    table = character_table(M)
     mcls = M.conjugacy_classes()
     gen_classes = sorted({mcls.class_of(g) for g in N.generators})
     # rows whose values on N's generator classes equal the degree value

@@ -29,10 +29,6 @@ from .perm import PermGroup, Permutation
 __all__ = ["Character"]
 
 
-def _same_group(a: PermGroup, b: PermGroup) -> bool:
-    return a is b or a.same_elements(b)
-
-
 @dataclass(frozen=True, eq=False, init=False)
 class Character:
     """A class function on a group, one exact value per conjugacy class."""
@@ -107,7 +103,7 @@ class Character:
 
     def __mul__(self, other):
         if isinstance(other, Character):
-            if not _same_group(self.group, other.group):
+            if not self.group.same_elements(other.group):
                 raise CharacterError("characters on different groups")
             return Character._of(
                 self.group, multiply(self.coeffs, other.coeffs, self.group.exponent())
@@ -126,7 +122,7 @@ class Character:
         """op on the two coefficient arrays, in int64 when a sum or difference fits."""
         if not isinstance(other, Character):
             return NotImplemented
-        if not _same_group(self.group, other.group):
+        if not self.group.same_elements(other.group):
             raise CharacterError("characters on different groups")
         x, y = _exact(_magnitude(self.coeffs) + _magnitude(other.coeffs), self.coeffs, other.coeffs)
         return Character._of(self.group, op(x, y))
@@ -140,7 +136,7 @@ class Character:
     def __eq__(self, other):
         if not isinstance(other, Character):
             return NotImplemented
-        if not _same_group(self.group, other.group):
+        if not self.group.same_elements(other.group):
             return False
         return bool(np.array_equal(self.coeffs, other.coeffs))
 

@@ -101,21 +101,19 @@ def stabilizer(G: PermGroup, N: PermGroup, nu: Character) -> PermGroup:
     return G.subgroup(sorted(gens))
 
 
-def clifford_correspondent(
-    chi: Character, N: PermGroup, nu: Character, cache_dir=None
-) -> Character:
+def clifford_correspondent(chi: Character, N: PermGroup, nu: Character) -> Character:
     """The unique irreducible of the stabilizer lying over nu that induces
     back to chi."""
     G = chi.group
     # [theta|_N, nu] is theta's restriction row over Irr(N) dotted with nu's
-    over_nu = character_table(N, cache_dir=cache_dir).multiplicities(nu)
-    if not np.dot(restriction_multiplicities([chi], N, cache_dir=cache_dir)[0], over_nu):
+    over_nu = character_table(N).multiplicities(nu)
+    if not np.dot(restriction_multiplicities([chi], N)[0], over_nu):
         raise CharacterError("not a constituent")
     stab = stabilizer(G, N, nu)
     if stab.same_elements(G):
         return chi
-    table = character_table(stab, cache_dir=cache_dir)
-    rows = restriction_multiplicities(list(table), N, cache_dir=cache_dir)
+    table = character_table(stab)
+    rows = restriction_multiplicities(list(table), N)
     matches = [t for t, row in zip(table, rows) if np.dot(row, over_nu) and induce(t, G) == chi]
     if len(matches) != 1:
         raise ChainError("internal Clifford failure")
@@ -155,30 +153,30 @@ class ChainLedger:
         return tuple(i for i, flag in enumerate(self.stable) if not flag)
 
 
-def _irreducible_index(G: PermGroup, chi: Character, cache_dir=None) -> int:
+def _irreducible_index(G: PermGroup, chi: Character) -> int:
     """chi's index in G's table, once G is a p-group and chi an irreducible
     character of G."""
     if not G.p_group_info().is_p_group:
         raise GroupError("not a p-group")
-    if not (chi.group is G or chi.group.same_elements(G)):
+    if not chi.group.same_elements(G):
         raise CharacterError("characters on different groups")
     # Irr(G) is the table: a class function outside it is not irreducible
     try:
-        return character_table(G, cache_dir=cache_dir).index_of(chi)
+        return character_table(G).index_of(chi)
     except TableError:
         raise CharacterError("not irreducible") from None
 
 
-def build_chain(G: PermGroup, chi: Character, cache_dir=None) -> CharacterChain:
+def build_chain(G: PermGroup, chi: Character) -> CharacterChain:
     """Canonical chain under chi: first-constituent descent along the chief
     series."""
-    k = _irreducible_index(G, chi, cache_dir=cache_dir)
+    k = _irreducible_index(G, chi)
     series = G.chief_series()
     idx = [k] * len(series)
     for i in range(len(series) - 1, 0, -1):
-        row = branching_matrix(series[i], series[i - 1], cache_dir=cache_dir)[idx[i]]
+        row = branching_matrix(series[i], series[i - 1])[idx[i]]
         idx[i - 1] = int(np.flatnonzero(row)[0])
-    nus = [character_table(N, cache_dir=cache_dir)[j] for N, j in zip(series[:-1], idx)]
+    nus = [character_table(N)[j] for N, j in zip(series[:-1], idx)]
     return CharacterChain(group=G, chi=chi, series=tuple(series), nus=(*nus, chi))
 
 
@@ -192,20 +190,17 @@ def _plog(p: int, n: int) -> int:
     return k
 
 
-def classify_chain(chain: CharacterChain, cache_dir=None) -> ChainLedger:
+def classify_chain(chain: CharacterChain) -> ChainLedger:
     """Stable/extension/induced labels plus the (m, r, s) ledger, with the
     identity m_i = 2 s_i + r_i checked at every index."""
     G = chain.group
     info = G.p_group_info()
     p = info.p if info.p > 1 else 2
-    idx = [
-        character_table(N, cache_dir=cache_dir).index_of(nu)
-        for N, nu in zip(chain.series, chain.nus)
-    ]
+    idx = [character_table(N).index_of(nu) for N, nu in zip(chain.series, chain.nus)]
     # Clifford: chi|N_i is a multiple of the sum over nu_i's G-orbit, so the
     # orbit is the support of chi's row of the restriction to N_i
     orders = []
-    for i, rows in enumerate(_restrictions_along(chain.series, cache_dir=cache_dir)):
+    for i, rows in enumerate(_restrictions_along(chain.series)):
         row = rows[idx[-1]]
         if not row[idx[i]]:
             raise ChainError(
@@ -215,7 +210,7 @@ def classify_chain(chain: CharacterChain, cache_dir=None) -> ChainLedger:
         orders.append(G.order // np.count_nonzero(row))
     case = ["none"]
     for i in range(1, len(chain.series)):
-        branching = branching_matrix(chain.series[i], chain.series[i - 1], cache_dir=cache_dir)
+        branching = branching_matrix(chain.series[i], chain.series[i - 1])
         here, below = idx[i], idx[i - 1]
         # nu_i restricts to nu_(i-1) alone
         extends = branching[here, below] == 1 and branching[here].sum() == 1
@@ -257,7 +252,7 @@ def classify_chain(chain: CharacterChain, cache_dir=None) -> ChainLedger:
     )
 
 
-def all_chains(G: PermGroup, chi: Character, cache_dir=None) -> list[CharacterChain]:
+def all_chains(G: PermGroup, chi: Character) -> list[CharacterChain]:
     """Every constituent chain under chi, not just the canonical one.
     Supported for groups of order at most ALL_CHAINS_CAP."""
     if G.order > ALL_CHAINS_CAP:
@@ -266,11 +261,11 @@ def all_chains(G: PermGroup, chi: Character, cache_dir=None) -> list[CharacterCh
         )
     series = G.chief_series()
     # partial chains as table indices, bottom first
-    partials = [[_irreducible_index(G, chi, cache_dir=cache_dir)]]
+    partials = [[_irreducible_index(G, chi)]]
     for i in range(len(series) - 1, 0, -1):
-        branching = branching_matrix(series[i], series[i - 1], cache_dir=cache_dir)
+        branching = branching_matrix(series[i], series[i - 1])
         partials = [[j] + c for c in partials for j in np.flatnonzero(branching[c[0]]).tolist()]
-    tables = [character_table(N, cache_dir=cache_dir) for N in series[:-1]]
+    tables = [character_table(N) for N in series[:-1]]
     return [
         CharacterChain(
             group=G,

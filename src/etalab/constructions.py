@@ -194,7 +194,7 @@ class WitnessPair:
     n: int
 
 
-def prop5_witness(p: int, n: int, cache_dir=None) -> WitnessPair:
+def prop5_witness(p: int, n: int) -> WitnessPair:
     """Recursive witness build: a cyclic base with a non-real linear
     character, then n rounds of wreathing by C_p, inducing the previous
     character from the first block of the base subgroup each time."""
@@ -206,7 +206,7 @@ def prop5_witness(p: int, n: int, cache_dir=None) -> WitnessPair:
         # a 2-group needs a value of order 4 to separate chi from its
         # conjugate, so p = 2 starts at C4 instead of C2
         A = cyclic(p) if p % 2 else cyclic(4)
-        table = character_table(A, cache_dir=cache_dir)
+        table = character_table(A)
         alpha = None
         for chi in table:
             if not (chi == chi.conjugate()):
@@ -215,7 +215,7 @@ def prop5_witness(p: int, n: int, cache_dir=None) -> WitnessPair:
         if alpha is None:
             raise ConstructionError("witness construction failure")
         return WitnessPair(group=A, chi=alpha, p=p, n=0)
-    prev = prop5_witness(p, n - 1, cache_dir=cache_dir)
+    prev = prop5_witness(p, n - 1)
     A, alpha = prev.group, prev.chi
     G, H = wreath_cp(A, p)
     # theta0 is alpha on the first block; H = A^p has A's exponent

@@ -306,7 +306,9 @@ class PermGroup:
         return True
 
     def same_elements(self, other: "PermGroup") -> bool:
-        return self.degree == other.degree and self.element_set == other.element_set
+        return self is other or (
+            self.degree == other.degree and self.element_set == other.element_set
+        )
 
     @property
     def content_key(self) -> str:

@@ -71,7 +71,6 @@ from .perm import ConjugacyClassSet, PermGroup, _class_action
 __all__ = [
     "CharTable",
     "character_table",
-    "class_mult_coefficients",
     "class_matrix",
 ]
 
@@ -384,11 +383,6 @@ def class_matrix(classes: ConjugacyClassSet, i: int) -> np.ndarray:
     return counts.reshape(r, r)
 
 
-def class_mult_coefficients(classes: ConjugacyClassSet, i: int, j: int) -> list[int]:
-    """Structure constants a_{ijk} over k, in canonical class order."""
-    return [int(v) for v in class_matrix(classes, i)[j]]
-
-
 def as_multiplicities(raw: np.ndarray, order: int) -> list:
     """A pairing result (int64 or object) divided by |G|, as nested lists of
     non-negative integers: every coefficient past the first must vanish."""
@@ -417,9 +411,10 @@ class CharTable:
         object.__setattr__(
             self, "irreducibles", tuple(Character._of(self.group, row) for row in self.cube)
         )
-        # a character's value_key() is its row of coefficient tuples
-        keys = (tuple(map(tuple, row)) for row in self.cube.tolist())
-        object.__setattr__(self, "_index", {key: i for i, key in enumerate(keys)})
+        # the rows as byte keys, sorted, with their table indices
+        keys = _as_keys(self.cube.reshape(len(self.cube), -1))
+        order = np.argsort(keys)
+        object.__setattr__(self, "_sorted_keys", (keys[order], order))
         # the cube at each conductor _multiplicity_rows has paired at
         object.__setattr__(self, "_lifted", {self.e: self.cube})
         # charops.decompose keeps its results here, keyed by value_key()
@@ -441,36 +436,42 @@ class CharTable:
     def degrees(self) -> tuple[int, ...]:
         return tuple(self.cube[:, 0, 0].tolist())
 
+    def _rows_index(self, rows: np.ndarray) -> list[int]:
+        """The table index of each int64 row of a (m, classes, phi(e))
+        stack; TableError if one is not in the table."""
+        keys, order = self._sorted_keys
+        found = _as_keys(rows.reshape(len(rows), -1))
+        pos = np.minimum(np.searchsorted(keys, found), len(keys) - 1)
+        if (keys[pos] != found).any():
+            raise TableError("character not in table")
+        return order[pos].tolist()
+
     @property
     def principal_index(self) -> int:
-        one = (1,) + (0,) * (self.cube.shape[2] - 1)
+        one = np.zeros((1, *self.cube.shape[1:]), dtype=np.int64)
+        one[..., 0] = 1
         try:
-            return self._index[(one,) * self.cube.shape[1]]
-        except KeyError:
+            return self._rows_index(one)[0]
+        except TableError:
             raise TableError("principal character missing from table") from None
 
     def _row_images(self, act) -> list[int]:
         """The table index of each row with its classes permuted by act
-        (class k read at class act[k]); KeyError if one is not in the table."""
-        keys = _as_keys(self.cube.reshape(len(self.cube), -1))
-        order = np.argsort(keys)
-        moved = _as_keys(self.cube[:, list(act)].reshape(len(self.cube), -1))
-        pos = np.minimum(np.searchsorted(keys[order], moved), len(keys) - 1)
-        if (keys[order[pos]] != moved).any():
-            raise KeyError("row not in table")
-        return order[pos].tolist()
+        (class k read at class act[k]); TableError if one is not in the table."""
+        return self._rows_index(self.cube[:, list(act)])
 
     def index_of(self, chi: Character) -> int:
-        if not (chi.group is self.group or chi.group.same_elements(self.group)):
+        if not chi.group.same_elements(self.group):
             raise TableError("character not in table")
         try:
-            return self._index[chi.value_key()]
-        except KeyError:
+            coeffs = chi.coeffs.astype(np.int64, copy=False)
+        except OverflowError:  # a coefficient past int64 is in no row
             raise TableError("character not in table") from None
+        return self._rows_index(coeffs[None])[0]
 
     def multiplicities(self, theta: Character) -> list[int]:
         """[theta, chi_i] for every table entry, as exact integers."""
-        if not (theta.group is self.group or theta.group.same_elements(self.group)):
+        if not theta.group.same_elements(self.group):
             raise CharacterError("characters on different groups")
         return self._multiplicity_rows(theta.coeffs[None], self.e)[0]
 
@@ -574,7 +575,7 @@ def _seed_spaces(
         raise TableError("internal seeding failure: g^p lies outside N")
     try:
         image = below._row_images(_class_action(below.group, g))
-    except KeyError:
+    except TableError:
         raise TableError("internal seeding failure: a conjugate character is not in N's table") from None
     if sorted(image) != list(range(len(image))):
         raise TableError("internal seeding failure: g does not permute N's table")

@@ -1,7 +1,8 @@
 """Verification sweeps for the product-constituent bounds.
 
-Each sweep walks (catalog) groups, checks its statement character by
-character with exact arithmetic, and collects per-record results into a
+Each sweep walks (catalog) groups and checks its statement character by
+character with exact arithmetic.  A sweep only yields each group's records;
+one driver (`_sweep`) times it and collects the records into a
 VerificationReport.  A failing record always carries enough serialized
 context (group file text, character indices, decomposition) to reproduce the
 violation in isolation; in the ledger sweep an error raised for one
@@ -18,6 +19,9 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from functools import wraps
+
+import numpy as np
 
 from .catalog import default_catalog
 from .chars import Character
@@ -91,6 +95,41 @@ def _selection(groups, max_order=None):
     return out
 
 
+def _sweep(check: str):
+    """Make a generator of (gid, group, records, extra) per group into a
+    sweep returning the VerificationReport, with the generator's work timed."""
+
+    def driver(per_group):
+        @wraps(per_group)
+        def sweep(*args, **kwargs) -> VerificationReport:
+            t0 = time.monotonic()
+            report = VerificationReport(check=check)
+            for gid, G, records, extra in per_group(*args, **kwargs):
+                report.add_group_result(gid, G, records, extra)
+            report.elapsed_ms = int((time.monotonic() - t0) * 1000)
+            return report
+
+        return sweep
+
+    return driver
+
+
+def _judged(rec: dict, ok: bool, counterexample) -> dict:
+    """rec with its "pass" flag and, when ok is false, the payload that
+    counterexample() builds."""
+    rec["pass"] = ok
+    if not ok:
+        rec["counterexample"] = counterexample()
+    return rec
+
+
+def _bound(G: PermGroup, chi: Character) -> tuple[int, int]:
+    """(n, 2n(p-1)+1) with chi(1) = p^n; the trivial group has p = 1, n = 0."""
+    p = G.p_group_info().p
+    n = _plog(p, chi.degree)
+    return n, 2 * n * (p - 1) + 1
+
+
 def _counterexample(G: PermGroup, table, dec, **indices) -> dict:
     payload = {
         "group_file": format_group(G),
@@ -100,18 +139,15 @@ def _counterexample(G: PermGroup, table, dec, **indices) -> dict:
     return payload
 
 
-def verify_theorem_a(groups=None, max_order=None, cache_dir=None) -> VerificationReport:
+@_sweep("theorem-a")
+def verify_theorem_a(groups=None, max_order=None):
     """eta(chi, conj chi) >= 2n(p-1)+1 with n = log_p chi(1), per irreducible."""
-    t0 = time.monotonic()
-    report = VerificationReport(check="theorem-a")
     for gid, G in _selection(groups, max_order):
-        p = G.p_group_info().p
-        table = character_table(G, cache_dir=cache_dir)
+        table = character_table(G)
         records = []
         for idx, chi in enumerate(table):
-            n = _plog(p, chi.degree) if G.order > 1 else 0
+            n, bound = _bound(G, chi)
             dec = decompose(chi * chi.conjugate())
-            bound = 2 * n * (p - 1) + 1 if G.order > 1 else 1
             ok = dec.eta >= bound
             rec = {
                 "chi": idx,
@@ -119,46 +155,34 @@ def verify_theorem_a(groups=None, max_order=None, cache_dir=None) -> Verificatio
                 "n": n,
                 "eta": dec.eta,
                 "bound": bound,
-                "pass": ok,
             }
-            if not ok:
-                rec["counterexample"] = _counterexample(G, table, dec, chi=idx)
-            records.append(rec)
-        report.add_group_result(gid, G, records)
-    report.elapsed_ms = int((time.monotonic() - t0) * 1000)
-    return report
+            records.append(_judged(rec, ok, lambda: _counterexample(G, table, dec, chi=idx)))
+        yield gid, G, records, None
 
 
-def verify_theorem_b(groups=None, max_order=None, cache_dir=None) -> VerificationReport:
+@_sweep("theorem-b")
+def verify_theorem_b(groups=None, max_order=None):
     """Degree trichotomy: linear chi gives eta 1; degree-p chi gives eta in
     {2p-1, p^2} with multiplicity-one constituents in the exact degree
     pattern; higher degrees give eta >= 4p-3."""
-    t0 = time.monotonic()
-    report = VerificationReport(check="theorem-b")
     for gid, G in _selection(groups, max_order):
         p = G.p_group_info().p
-        table = character_table(G, cache_dir=cache_dir)
+        table = character_table(G)
         records = []
         observed_degree_p = []
         for idx, chi in enumerate(table):
             deg = chi.degree
             dec = decompose(chi * chi.conjugate())
-            mults = [m for _, m in dec.constituents]
-            pattern = dec.degree_pattern()
             if deg == 1:
                 ok = dec.eta == 1
                 case = "linear"
             elif deg == p:
                 observed_degree_p.append(dec.eta)
-                shape_small = (
-                    dec.eta == 2 * p - 1
-                    and pattern == tuple([1] * p + [p] * (p - 1))
-                )
-                shape_big = dec.eta == p * p and pattern == tuple([1] * (p * p))
-                ok = (
-                    dec.eta in (2 * p - 1, p * p)
-                    and all(m == 1 for m in mults)
-                    and (shape_small or shape_big)
+                # the pattern has one entry per constituent, so it fixes eta
+                # at 2p-1 or p^2
+                ok = all(m == 1 for _, m in dec.constituents) and dec.degree_pattern() in (
+                    (1,) * p + (p,) * (p - 1),
+                    (1,) * (p * p),
                 )
                 case = "degree-p"
             else:
@@ -169,60 +193,34 @@ def verify_theorem_b(groups=None, max_order=None, cache_dir=None) -> Verificatio
                 "degree": deg,
                 "case": case,
                 "eta": dec.eta,
-                "pass": ok,
             }
-            if not ok:
-                rec["counterexample"] = _counterexample(G, table, dec, chi=idx)
-            records.append(rec)
-        report.add_group_result(
-            gid, G, records, extra={"eta_values_degree_p": sorted(set(observed_degree_p))}
-        )
-    report.elapsed_ms = int((time.monotonic() - t0) * 1000)
-    return report
+            records.append(_judged(rec, ok, lambda: _counterexample(G, table, dec, chi=idx)))
+        yield gid, G, records, {"eta_values_degree_p": sorted(set(observed_degree_p))}
 
 
-def verify_corollary_a(groups=None, max_order=64, cache_dir=None) -> VerificationReport:
+@_sweep("corollary-a")
+def verify_corollary_a(groups=None, max_order=64):
     """Over all ordered pairs (chi, psi): whenever chi*psi has a linear
     constituent, eta(chi, psi) >= 2n(p-1)+1 with n = log_p chi(1)."""
-    t0 = time.monotonic()
-    report = VerificationReport(check="corollary-a")
     for gid, G in _selection(groups, max_order):
-        p = G.p_group_info().p
-        table = character_table(G, cache_dir=cache_dir)
+        table = character_table(G)
         records = []
         for i, chi in enumerate(table):
-            n = _plog(p, chi.degree) if G.order > 1 else 0
+            bound = _bound(G, chi)[1]
             for j, psi in enumerate(table):
                 dec = decompose(chi * psi)
-                has_linear = any(c.degree == 1 for c, _ in dec.constituents)
-                if has_linear:
-                    bound = 2 * n * (p - 1) + 1 if G.order > 1 else 1
-                    ok = dec.eta >= bound
-                    rec = {
-                        "chi": i,
-                        "psi": j,
-                        "qualifies": True,
-                        "eta": dec.eta,
-                        "bound": bound,
-                        "pass": ok,
-                    }
-                    if not ok:
-                        rec["counterexample"] = _counterexample(G, table, dec, chi=i, psi=j)
-                else:
-                    rec = {
-                        "chi": i,
-                        "psi": j,
-                        "qualifies": False,
-                        "eta": dec.eta,
-                        "pass": True,
-                    }
-                records.append(rec)
-        report.add_group_result(gid, G, records)
-    report.elapsed_ms = int((time.monotonic() - t0) * 1000)
-    return report
+                qualifies = any(c.degree == 1 for c, _ in dec.constituents)
+                rec = {"chi": i, "psi": j, "qualifies": qualifies, "eta": dec.eta}
+                if qualifies:
+                    rec["bound"] = bound
+                ok = not qualifies or dec.eta >= bound
+                records.append(
+                    _judged(rec, ok, lambda: _counterexample(G, table, dec, chi=i, psi=j))
+                )
+        yield gid, G, records, None
 
 
-def _chain_extras(G: PermGroup, chi: Character, chain, ledger, cache_dir=None):
+def _chain_extras(G: PermGroup, chi: Character, chain, ledger):
     """Constituent bookkeeping behind the counting argument: per unstable
     index, every one-step character delta must be covered by a constituent
     of chi*conj(chi) restricting to exactly theta(1)*delta, and the
@@ -232,106 +230,76 @@ def _chain_extras(G: PermGroup, chi: Character, chain, ledger, cache_dir=None):
     matrix of G over N_i, and the one-step characters of N_i / N_(i-1) are
     the k whose restriction to N_(i-1) is deg_k times the principal
     character."""
-    dec = decompose(chi * chi.conjugate())
-    xi = dec.characters()
-    table = character_table(G, cache_dir=cache_dir)
-    xi_idx = [table.index_of(theta) for theta in xi]
-    restricted = _restrictions_along(chain.series, cache_dir=cache_dir)
-    p = G.p_group_info().p
-    attach: dict[int, set] = {}
-    coverage_ok = True
+    table = character_table(G)
+    xi_idx = [table.index_of(theta) for theta in decompose(chi * chi.conjugate()).characters()]
+    xi_degrees = table.cube[xi_idx, 0, :1]  # the constituents' degrees, as a column
+    restricted = _restrictions_along(chain.series)
+    covered, attached = [], []
     for i in ledger.unstable_indices:
         if i == 0:
             continue
-        N_i = chain.series[i]
-        tab_i = character_table(N_i, cache_dir=cache_dir)
-        principal = character_table(chain.series[i - 1], cache_dir=cache_dir).principal_index
-        branching = branching_matrix(N_i, chain.series[i - 1], cache_dir=cache_dir)
-        step_idx = [k for k, deg in enumerate(tab_i.degrees) if branching[k, principal] == deg]
-        nonprincipal_idx = [k for k in step_idx if k != tab_i.principal_index]
+        tab_i = character_table(chain.series[i])
+        principal = character_table(chain.series[i - 1]).principal_index
+        branching = branching_matrix(chain.series[i], chain.series[i - 1])
+        step = np.flatnonzero(branching[:, principal] == tab_i.degrees)
         mult_rows = restricted[i][xi_idx]
         # one-step characters are linear, so restricting to theta(1)*delta
         # is the same as the delta-entry soaking up the whole degree
-        for k in step_idx:
-            if not any(
-                row[k] == theta.degree for theta, row in zip(xi, mult_rows)
-            ):
-                coverage_ok = False
-        attach[i] = {
-            t_idx
-            for t_idx, row in enumerate(mult_rows)
-            if any(row[k] for k in nonprincipal_idx)
-        }
-    disjoint_ok = True
-    keys = sorted(attach)
-    for a in range(len(keys)):
-        for b in range(a + 1, len(keys)):
-            if attach[keys[a]] & attach[keys[b]]:
-                disjoint_ok = False
-    sizes_ok = all(len(attach[i]) >= p - 1 for i in keys)
-    return coverage_ok, disjoint_ok, sizes_ok
+        covered.append(bool((mult_rows[:, step] == xi_degrees).any(axis=0).all()))
+        nonprincipal = step[step != tab_i.principal_index]
+        attached.append(set(np.flatnonzero(mult_rows[:, nonprincipal].any(axis=1)).tolist()))
+    disjoint_ok = sum(map(len, attached)) == len(set().union(*attached))
+    sizes_ok = all(len(a) >= G.p_group_info().p - 1 for a in attached)
+    return all(covered), disjoint_ok, sizes_ok
 
 
-def verify_ledger(groups=None, max_order=None, cache_dir=None) -> VerificationReport:
+@_sweep("ledger")
+def verify_ledger(groups=None, max_order=None):
     """Chain ledger identity m_i = 2 s_i + r_i at every index, the
     extension/induced dichotomy at unstable indices, and the disjointness
     of per-index constituent sets used by the counting argument."""
-    t0 = time.monotonic()
-    report = VerificationReport(check="ledger")
     for gid, G in _selection(groups, max_order):
         # the chief-series tables bottom-up, each seeded from the one below;
         # the last is G's
         for N in G.chief_series():
-            table = character_table(N, cache_dir=cache_dir)
+            table = character_table(N)
         records = []
         for idx, chi in enumerate(table):
             try:
-                chain = build_chain(G, chi, cache_dir=cache_dir)
-                ledger = classify_chain(chain, cache_dir=cache_dir)
-                coverage_ok, disjoint_ok, sizes_ok = _chain_extras(
-                    G, chi, chain, ledger, cache_dir=cache_dir
-                )
+                chain = build_chain(G, chi)
+                ledger = classify_chain(chain)
+                coverage_ok, disjoint_ok, sizes_ok = _chain_extras(G, chi, chain, ledger)
             except EtalabError as exc:
-                records.append(
-                    {
-                        "chi": idx,
-                        "degree": chi.degree,
-                        "pass": False,
-                        "error": str(exc),
-                        "counterexample": {"group_file": format_group(G), "chi": idx},
-                    }
+                # "pass" keeps its place ahead of "error" when it is set again
+                ok = False
+                rec = {"chi": idx, "degree": chi.degree, "pass": ok, "error": str(exc)}
+            else:
+                identity_ok = all(
+                    m == 2 * s + r for m, r, s in zip(ledger.m, ledger.r, ledger.s)
                 )
-                continue
-            identity_ok = all(
-                m == 2 * s + r for m, r, s in zip(ledger.m, ledger.r, ledger.s)
+                ok = identity_ok and coverage_ok and disjoint_ok and sizes_ok
+                rec = {
+                    "chi": idx,
+                    "degree": chi.degree,
+                    "m": list(ledger.m),
+                    "r": list(ledger.r),
+                    "s": list(ledger.s),
+                    "cases": list(ledger.case),
+                    "coverage": coverage_ok,
+                    "disjoint": disjoint_ok,
+                }
+            records.append(
+                _judged(rec, ok, lambda: {"group_file": format_group(G), "chi": idx})
             )
-            ok = identity_ok and coverage_ok and disjoint_ok and sizes_ok
-            rec = {
-                "chi": idx,
-                "degree": chi.degree,
-                "m": list(ledger.m),
-                "r": list(ledger.r),
-                "s": list(ledger.s),
-                "cases": list(ledger.case),
-                "coverage": coverage_ok,
-                "disjoint": disjoint_ok,
-                "pass": ok,
-            }
-            if not ok:
-                rec["counterexample"] = {"group_file": format_group(G), "chi": idx}
-            records.append(rec)
-        report.add_group_result(gid, G, records)
-    report.elapsed_ms = int((time.monotonic() - t0) * 1000)
-    return report
+        yield gid, G, records, None
 
 
-def verify_prop5(pairs=DEFAULT_PROP5_PAIRS, cache_dir=None) -> VerificationReport:
+@_sweep("prop5")
+def verify_prop5(pairs=DEFAULT_PROP5_PAIRS):
     """Witness equalities: chi(1) = p^n, chi differs from its conjugate, and
     eta(chi, conj chi) = 2n(p-1)+1 exactly."""
-    t0 = time.monotonic()
-    report = VerificationReport(check="prop5")
     for p, n in pairs:
-        witness = prop5_witness(p, n, cache_dir=cache_dir)
+        witness = prop5_witness(p, n)
         G = witness.group
         chi = witness.chi
         dec = decompose(chi * chi.conjugate())
@@ -345,11 +313,6 @@ def verify_prop5(pairs=DEFAULT_PROP5_PAIRS, cache_dir=None) -> VerificationRepor
             "eta": dec.eta,
             "expected": expected,
             "chi_differs_from_conjugate": not_real,
-            "pass": ok,
         }
-        if not ok:
-            table = character_table(G, cache_dir=cache_dir)
-            rec["counterexample"] = _counterexample(G, table, dec)
-        report.add_group_result(f"witness-{p}-{n}", G, [rec])
-    report.elapsed_ms = int((time.monotonic() - t0) * 1000)
-    return report
+        rec = _judged(rec, ok, lambda: _counterexample(G, character_table(G), dec))
+        yield f"witness-{p}-{n}", G, [rec], None

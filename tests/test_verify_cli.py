@@ -96,10 +96,10 @@ def test_ledger_records_an_error_in_the_constituent_bookkeeping(monkeypatch, cap
     # sweep goes on to the others
     extras = verify_mod._chain_extras
 
-    def failing_on_degree_two(G, chi, chain, ledger, cache_dir=None):
+    def failing_on_degree_two(G, chi, chain, ledger):
         if chi.degree == 2:
             raise TableError("injected bookkeeping failure")
-        return extras(G, chi, chain, ledger, cache_dir=cache_dir)
+        return extras(G, chi, chain, ledger)
 
     monkeypatch.setattr(verify_mod, "_chain_extras", failing_on_degree_two)
     rep = verify_ledger(groups=_small("d8"))
