@@ -7,9 +7,10 @@ verification sweeps ask for the same products repeatedly.  Restriction
 multiplicities [theta|_N, psi] are paired at the parent's conductor, with N's
 table lifted up to it, so no value is rebased down; only the public
 `restrict` takes values down to N's conductor, through the `down` kernel.
-The restriction of a whole table to a subgroup is its branching matrix,
-kept on the table; along a chain of subgroups the restrictions of the top
-table are products of the one-step matrices, with no further pairing.
+A whole table restricted to a normal subgroup of prime index is its
+branching matrix, kept on the table and, by Clifford's theorem, looked up
+among orbit sums with no pairing; along a chief series the restrictions of
+the top table are products of the one-step matrices.
 Induction is one integer matmul: a class-fusion matrix, weighted by class
 sizes and centralizer orders, times the subgroup character's coefficients
 lifted to the parent's conductor, then an exact division by the subgroup
@@ -24,8 +25,9 @@ import numpy as np
 
 from .chars import Character
 from .cyclotomic import conjugate, down, lift, linear_map, multiply, pairing
-from .errors import CharacterError, CyclotomicError, GroupError
+from .errors import CharacterError, CyclotomicError, GroupError, TableError
 from .perm import PermGroup
+from .table import _as_keys, _is_prime, _key_positions, _orbit_heads
 from .table import as_multiplicities, character_table
 
 __all__ = [
@@ -56,12 +58,6 @@ class ConstituentDecomposition:
 
     def characters(self) -> tuple[Character, ...]:
         return tuple(chi for chi, _ in self.constituents)
-
-    def multiplicity_of(self, chi: Character) -> int:
-        for other, mult in self.constituents:
-            if other == chi:
-                return mult
-        return 0
 
     def degree_pattern(self) -> tuple[int, ...]:
         """Sorted degrees of the constituents, one entry per distinct character."""
@@ -135,29 +131,46 @@ def restriction_multiplicities(thetas, N: PermGroup) -> list[list[int]]:
     if not all(t.group.same_elements(G) for t in thetas):
         raise CharacterError("characters on different groups")
     _check_subgroup(N, G)
-    fused = _fusion(N, G)
-    table = character_table(N)
-    return table._multiplicity_rows(np.stack([t.coeffs[fused] for t in thetas]), G.exponent())
+    rows = np.stack([t.coeffs for t in thetas])[:, _fusion(N, G)]
+    return character_table(N)._multiplicity_rows(rows, G.exponent())
 
 
 def branching_matrix(N: PermGroup, M: PermGroup) -> np.ndarray:
     """The int64 matrix [psi|_M, nu] over psi in N's canonical table (rows)
-    and nu in M's (columns), for a subgroup M of N.  It is kept on N's
-    table, keyed by M's content key."""
+    and nu in M's (columns), for a normal subgroup M of prime index p, kept
+    on N's table, keyed by M's content key.  Clifford: for g in N outside M,
+    psi|_M is one g-invariant nu or one g-orbit's sum, so psi's row marks the
+    orbit whose sum is psi on M's classes; Irr(M) is a basis, so a match proves it."""
+    p = N.order // M.order
+    if not (M.is_normal_in(N) and _is_prime(p)):
+        raise GroupError("not a normal subgroup of prime index")
     table = character_table(N)
     out = table._branching.get(M.content_key)
     if out is None:
-        rows = restriction_multiplicities(list(table), M)
-        out = np.array(rows, dtype=np.int64)
+        below = character_table(M)
+        g = next(x for x in N.generators if x not in M)
+        try:
+            heads, owner = np.unique(_orbit_heads(below, g, p), return_inverse=True)
+            sums = np.zeros((len(heads), *below.cube.shape[1:]), dtype=np.int64)
+            np.add.at(sums, owner, below.cube)
+            keys = _as_keys(lift(sums, below.e, table.e).reshape(len(sums), -1))
+            order = np.argsort(keys)
+            restricted = table.cube[:, _fusion(M, N)].reshape(len(table), -1)
+            pos = _key_positions(keys[order], restricted, "a restriction is no orbit sum")
+        except TableError as exc:
+            raise TableError(
+                f"internal branching failure: {exc} (group order {N.order}, index {p})"
+            ) from None
+        out = (owner == order[pos][:, None]).astype(np.int64)
         out.setflags(write=False)
         table._branching[M.content_key] = out
     return out
 
 
 def _restrictions_along(series) -> list[np.ndarray]:
-    """branching_matrix(series[-1], N) for each N in an increasing sequence
-    of subgroups, built as products of the one-step matrices: restriction is
-    transitive, so R_(i-1) = R_i @ B_i with R_t the identity."""
+    """[psi|_N, nu] over series[-1]'s table for each N of a chief series, kept
+    on that table: restriction is transitive, so R_(i-1) = R_i @ B_i with
+    B_i = branching_matrix(N_i, N_(i-1)) and R_t the identity."""
     top = character_table(series[-1])
     out = [np.eye(len(top), dtype=np.int64)]
     for i in range(len(series) - 1, 0, -1):

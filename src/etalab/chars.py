@@ -89,9 +89,6 @@ class Character:
             raise CharacterError("character degree is not a rational integer")
         return int(self.coeffs[0, 0])
 
-    def value_on_class(self, i: int) -> CycValue:
-        return self.values[i]
-
     def value(self, g: Permutation) -> CycValue:
         return self.values[self.group.conjugacy_classes().class_of(g)]
 

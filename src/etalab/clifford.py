@@ -18,7 +18,7 @@ m_i = 2 s_i + r_i.
 
 Every chain question is read off the branching matrices
 B_i = [psi|N_(i-1), nu] of single steps (`charops.branching_matrix`, kept on
-N_i's table), by table index:
+N_i's table, rows looked up among orbit sums), by table index:
 - nu_(i-1) is the first nonzero entry of nu_i's row of B_i;
 - nu_i extends nu_(i-1) when that row is the unit vector at nu_(i-1);
 - Ind nu_(i-1) = nu_i (Frobenius reciprocity) when nu_(i-1)'s column of
@@ -26,8 +26,8 @@ N_i's table), by table index:
 - |G_nu_i| is |G| divided by nu_i's orbit length, which by Clifford's
   theorem is the number of nonzero entries in chi's row of the restriction
   to N_i, the product of the B_j above (`charops._restrictions_along`).
-So the restriction pairing runs once per chief-series step, not per chain,
-and no orbit is searched.
+So the chains restrict no character by pairing, and no orbit of G on
+Irr(N_i) is searched.
 """
 
 from __future__ import annotations

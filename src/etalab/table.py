@@ -10,8 +10,8 @@ square root and exact values are lifted through power maps into Z[zeta_e].
 
 A table is stored as its (characters, classes, phi(e)) int64 coefficient
 cube; its Characters, JSON form, cache entry and pairings are read off it.
-What callers derive from it (the cube lifted to other conductors,
-decompositions, branching matrices to subgroups) is kept on the table.
+What callers derive from it (decompositions, branching matrices to
+subgroups) is kept on the table.
 
 Splitting is deterministic: class matrices are consumed in canonical class
 order, eigenvalues of each restriction in increasing residue order, and the
@@ -66,7 +66,7 @@ import numpy as np
 from .chars import Character
 from .cyclotomic import lift, pairing, power_basis_matrix, reduced_degree
 from .errors import CharacterError, EtalabError, TableError
-from .perm import ConjugacyClassSet, PermGroup, _class_action
+from .perm import ConjugacyClassSet, PermGroup, Permutation, _class_action
 
 __all__ = [
     "CharTable",
@@ -333,6 +333,16 @@ def _as_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.shape[-1] * rows.itemsize)))[..., 0]
 
 
+def _key_positions(keys: np.ndarray, rows: np.ndarray, missing: str) -> np.ndarray:
+    """Each row's (last axis) position among sorted keys; TableError(missing)
+    if one is not there."""
+    found = _as_keys(rows)
+    pos = np.minimum(np.searchsorted(keys, found), len(keys) - 1)
+    if (keys[pos] != found).any():
+        raise TableError(missing)
+    return pos
+
+
 def _element_index(classes: ConjugacyClassSet) -> tuple[np.dtype, np.ndarray, np.ndarray]:
     """(dtype, keys, classes): the group's sorted elements as keys of image
     rows in dtype, and the class of each.  Kept on the class set."""
@@ -351,13 +361,8 @@ def _classes_of_rows(classes: ConjugacyClassSet, rows: np.ndarray) -> np.ndarray
     """The class of each image row (last axis) of an array in the element
     index's dtype; a row that is no group element raises TableError."""
     _, keys, owner = _element_index(classes)
-    found = _as_keys(rows)
-    pos = np.minimum(np.searchsorted(keys, found), len(keys) - 1)
-    if (keys[pos] != found).any():
-        raise TableError(
-            f"internal class lookup failure: a product is not in the group"
-            f" (group order {classes.group.order})"
-        )
+    missing = "internal class lookup failure: a product is not in the group"
+    pos = _key_positions(keys, rows, f"{missing} (group order {classes.group.order})")
     return owner[pos]
 
 
@@ -415,8 +420,6 @@ class CharTable:
         keys = _as_keys(self.cube.reshape(len(self.cube), -1))
         order = np.argsort(keys)
         object.__setattr__(self, "_sorted_keys", (keys[order], order))
-        # the cube at each conductor _multiplicity_rows has paired at
-        object.__setattr__(self, "_lifted", {self.e: self.cube})
         # charops.decompose keeps its results here, keyed by value_key()
         object.__setattr__(self, "_decompositions", {})
         # charops.branching_matrix keeps its results here, keyed by the
@@ -440,10 +443,7 @@ class CharTable:
         """The table index of each int64 row of a (m, classes, phi(e))
         stack; TableError if one is not in the table."""
         keys, order = self._sorted_keys
-        found = _as_keys(rows.reshape(len(rows), -1))
-        pos = np.minimum(np.searchsorted(keys, found), len(keys) - 1)
-        if (keys[pos] != found).any():
-            raise TableError("character not in table")
+        pos = _key_positions(keys, rows.reshape(len(rows), -1), "character not in table")
         return order[pos].tolist()
 
     @property
@@ -479,14 +479,9 @@ class CharTable:
         """[row, chi_i] for a (m, classes, phi(e)) stack of class functions
         on this table's classes at a conductor e that self.e divides.
 
-        The pairing runs at e, so nothing is rebased down: the cube is
-        lifted, once per conductor.
+        The pairing runs at e, so nothing is rebased down: the cube is lifted.
         """
-        cube = self._lifted.get(e)
-        if cube is None:
-            cube = lift(self.cube, self.e, e)
-            self._lifted[e] = cube
-        raw = pairing(rows, self.classes.sizes, cube, e)
+        raw = pairing(rows, self.classes.sizes, lift(self.cube, self.e, e), e)
         return as_multiplicities(raw, self.group.order)
 
     def verify_orthogonality(self) -> None:
@@ -533,6 +528,25 @@ def _canonical_order(cube: np.ndarray) -> np.ndarray:
     return np.lexsort(np.vstack([-flat.T[::-1], cube[:, 0, 0]]))
 
 
+def _orbit_heads(table: CharTable, g: Permutation, p: int) -> np.ndarray:
+    """The first row of each row's orbit under g, which normalizes the table's
+    group N; TableError unless g permutes N's table in orbits of length 1 or p."""
+    try:
+        image = np.array(table._row_images(_class_action(table.group, g)))
+    except TableError:
+        raise TableError("a conjugate character is not in N's table") from None
+    rows = first = point = np.arange(len(image))
+    if (np.sort(image) != rows).any():
+        raise TableError("g does not permute N's table")
+    for _ in range(p - 1):
+        point = image[point]
+        first = np.minimum(first, point)
+    # g^p fixes every row exactly when every orbit length divides p
+    if (image[point] != rows).any():
+        raise TableError("an orbit of length neither 1 nor p")
+    return first
+
+
 def _seed_spaces(
     G: PermGroup, classes: ConjugacyClassSet, inv_class: list[int], q: int, z: int
 ) -> Optional[list[np.ndarray]]:
@@ -574,27 +588,18 @@ def _seed_spaces(
     if gp not in N.element_set:
         raise TableError("internal seeding failure: g^p lies outside N")
     try:
-        image = below._row_images(_class_action(below.group, g))
-    except TableError:
-        raise TableError("internal seeding failure: a conjugate character is not in N's table") from None
-    if sorted(image) != list(range(len(image))):
-        raise TableError("internal seeding failure: g does not permute N's table")
+        first = _orbit_heads(below, g, p)
+    except TableError as exc:
+        raise TableError(f"internal seeding failure: {exc}") from None
     zpow = [pow(z, s, q) for s in range(e)]
     degrees, known = [], []
-    seen = set()
-    for a, deg in enumerate(below.degrees):
-        if a in seen:
-            continue
-        orbit = [a]
-        while image[orbit[-1]] != a:
-            orbit.append(image[orbit[-1]])
-        seen.update(orbit)
+    for a in np.flatnonzero(first == np.arange(len(first))).tolist():
+        orbit = np.flatnonzero(first == a)
+        deg = int(below.cube[a, 0, 0])
         if len(orbit) == p:
             # Ind nu vanishes off N and is the orbit sum on N
             degrees.append(p * deg)
             known.append(np.where(coset == 0, vals[orbit][:, fused].sum(axis=0) % q, 0))
-        elif len(orbit) != 1:
-            raise TableError("internal seeding failure: an orbit of length neither 1 nor p")
         elif deg == 1:
             target = vals[a, ncls.class_of(gp)]
             roots = [s for s in range(e) if zpow[s * p % e] == target]

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+import etalab.table as table_mod
 from etalab.catalog import default_catalog, load_catalog_group
 from etalab.chars import Character
 from etalab.charops import (
@@ -26,9 +27,12 @@ from etalab.clifford import (
     conjugate_action,
     stabilizer,
 )
+from etalab.constructions import extraspecial_exp_p
 from etalab.errors import ChainError, CharacterError, GroupError, TableError
+from etalab.groupfile import format_group, parse_group
 from etalab.perm import chief_series
-from etalab.table import character_table
+from etalab.table import CharTable, character_table
+from etalab.verify import verify_ledger
 
 from oracles import class_action_orbit_sizes, elementwise_inner, stabilizer_elements
 
@@ -300,6 +304,38 @@ def test_branching_matrices_match_elementwise_oracle(gid):
             for psi in character_table(N)
         ]
         assert branching_matrix(N, M).tolist() == expected, gid
+
+
+@pytest.mark.parametrize("p, n", [(5, 1), (7, 1), (3, 2)])
+def test_branching_by_lookup_beyond_the_catalog(p, n):
+    # g-orbits of length 5 and 7 occur in no catalog group; the pairing is the oracle
+    G = extraspecial_exp_p(p, n)
+    series = chief_series(G)
+    for N, M in zip(series[1:], series):
+        expected = restriction_multiplicities(list(character_table(N)), M)
+        assert branching_matrix(N, M).tolist() == expected, (p, n, N.order)
+    assert verify_ledger(groups=[(f"es{p}-{n}", G)]).passed
+
+
+def test_branching_lookup_rejects_a_corrupted_subgroup_table(d8, monkeypatch):
+    # fresh copies and a fresh memo, so that no branching matrix is held yet
+    monkeypatch.setattr(table_mod, "_TABLE_MEMO", {})
+    G = parse_group(format_group(d8))
+    M = chief_series(G)[-2]
+    good = character_table(M)
+    character_table(G)
+    cube = good.cube.copy()
+    cube[0] *= -1
+    M._char_table = CharTable(group=M, classes=good.classes, cube=cube, e=good.e, q=good.q)
+    with pytest.raises(TableError, match=r"^internal branching failure: .*\(group order 8, index 2\)$"):
+        branching_matrix(G, M)
+
+
+def test_branching_matrix_needs_a_normal_subgroup_of_prime_index(d8):
+    series = chief_series(d8)
+    assert d8.order // series[1].order == 4
+    with pytest.raises(GroupError, match="not a normal subgroup of prime index"):
+        branching_matrix(d8, series[1])
 
 
 @pytest.mark.parametrize("gid", CATALOG_IDS)

@@ -112,6 +112,29 @@ def test_ledger_records_an_error_in_the_constituent_bookkeeping(monkeypatch, cap
     assert "injected bookkeeping failure" in capsys.readouterr().out
 
 
+def test_cold_ledger_restricts_no_table_by_pairing(monkeypatch):
+    # fresh catalog groups and a fresh memo, so that every branching matrix is built
+    import sys
+
+    import etalab.catalog as catalog_mod
+    from etalab import charops
+
+    monkeypatch.setattr(catalog_mod, "_GROUP_MEMO", {})
+    monkeypatch.setattr(table_mod, "_TABLE_MEMO", {})
+    pairing_restriction = charops.restriction_multiplicities
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return pairing_restriction(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("etalab") and getattr(mod, "restriction_multiplicities", None) is pairing_restriction:
+            monkeypatch.setattr(mod, "restriction_multiplicities", counted)
+    assert verify_ledger(max_order=64).passed
+    assert calls == []
+
+
 def test_ledger_pairs_once_per_step_and_character(monkeypatch):
     # one branching matrix per chief-series step, and per character only
     # the decomposition of chi * conj(chi); warm tables make it fewer
