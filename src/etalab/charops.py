@@ -2,11 +2,11 @@
 induction, kernels, and the related subgroup-character bookkeeping.
 
 Decomposition runs against the canonical table of the character's group and
-is kept on that table, keyed by the class function's values, since the
-verification sweeps ask for the same products repeatedly.  Restriction
-multiplicities [theta|_N, psi] are paired at the parent's conductor, with N's
-table lifted up to it, so no value is rebased down; only the public
-`restrict` takes values down to N's conductor, through the `down` kernel.
+is kept on that table, keyed by the class function's values; products of
+table rows are decomposed in blocks, one pairing of their factors each.
+Restriction multiplicities [theta|_N, psi] are paired at the parent's
+conductor, with N's table lifted up to it, so no value is rebased down; only
+the public `restrict` takes values down to N's conductor (the `down` kernel).
 A whole table restricted to a normal subgroup of prime index is its
 branching matrix, kept on the table and, by Clifford's theorem, looked up
 among orbit sums with no pairing; along a chief series the restrictions of
@@ -24,10 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chars import Character
-from .cyclotomic import conjugate, down, lift, linear_map, multiply, pairing
+from .cyclotomic import _is_prime, conjugate, down, lift, linear_map, multiply, pairing
 from .errors import CharacterError, CyclotomicError, GroupError, TableError
 from .perm import PermGroup
-from .table import _as_keys, _is_prime, _key_positions, _orbit_heads
+from .table import _as_keys, _key_positions, _orbit_heads
 from .table import as_multiplicities, character_table
 
 __all__ = [
@@ -73,20 +73,39 @@ def inner_product(a: Character, b: Character) -> int:
     return as_multiplicities(raw, G.order)[0][0]
 
 
+def _decomposition(table, mults: list[int], degree: int) -> ConstituentDecomposition:
+    """theta's decomposition against table from its multiplicities mults;
+    CharacterError unless the constituents' degrees sum to theta(1) = degree."""
+    out = ConstituentDecomposition(tuple((table[i], m) for i, m in enumerate(mults) if m))
+    if sum(m * d for m, d in zip(mults, table.degrees)) != degree:
+        raise CharacterError("inner product not integral")
+    return out
+
+
 def decompose(theta: Character) -> ConstituentDecomposition:
     """Full decomposition of theta against the canonical table of its group."""
     table = character_table(theta.group)
-    key = theta.value_key()
-    hit = table._decompositions.get(key)
-    if hit is not None:
-        return hit
-    mults = table.multiplicities(theta)
-    out = ConstituentDecomposition(
-        tuple((table[i], m) for i, m in enumerate(mults) if m)
-    )
-    if sum(m * chi.degree for chi, m in out.constituents) != theta.degree:
-        raise CharacterError("inner product not integral")
-    table._decompositions[key] = out
+    memo, key = table._decompositions, theta.value_key()
+    if key not in memo:
+        memo[key] = _decomposition(table, table.multiplicities(theta), theta.degree)
+    return memo[key]
+
+
+def _product_decompositions(table, a: np.ndarray, b: np.ndarray) -> list[ConstituentDecomposition]:
+    """The decompositions of the pointwise products a[i] * b[i] of two (m,
+    classes, phi(e)) coefficient stacks on table's classes, as decompose
+    finds them, from one pairing that takes each product as its factors."""
+    mults = table._multiplicity_rows((a, b), table.e)
+    return [_decomposition(table, m, d) for m, d in zip(mults, (a[:, 0, 0] * b[:, 0, 0]).tolist())]
+
+
+def _norm_decompositions(table) -> list[ConstituentDecomposition]:
+    """The decomposition of chi * conj(chi) for each chi of table, in table
+    order, from one pairing; kept on the table."""
+    out = table._decompositions.get("norms")
+    if out is None:
+        out = _product_decompositions(table, table.cube, conjugate(table.cube, table.e))
+        table._decompositions["norms"] = out
     return out
 
 
@@ -148,7 +167,9 @@ def branching_matrix(N: PermGroup, M: PermGroup) -> np.ndarray:
     out = table._branching.get(M.content_key)
     if out is None:
         below = character_table(M)
-        g = next(x for x in N.generators if x not in M)
+        # the series link's g, when it links N to M, has M's class action held
+        link = N._series_link or (M, None)
+        g = link[1] if link[0].same_elements(M) else next(x for x in N.generators if x not in M)
         try:
             heads, owner = np.unique(_orbit_heads(below, g, p), return_inverse=True)
             sums = np.zeros((len(heads), *below.cube.shape[1:]), dtype=np.int64)

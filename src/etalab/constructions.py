@@ -15,9 +15,10 @@ from typing import Callable, Hashable, Sequence
 
 from .chars import Character
 from .charops import induce, inner_product
+from .cyclotomic import _is_prime
 from .errors import ConstructionError, GroupError
 from .perm import DEFAULT_ORDER_CAP, PermGroup, Permutation, group_from_generators
-from .table import _is_prime, character_table
+from .table import character_table
 
 __all__ = [
     "WitnessPair",

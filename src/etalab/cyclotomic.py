@@ -8,12 +8,15 @@ vectors are equal.
 
 One set of array kernels does all the ring arithmetic on (..., phi) stacks of
 such vectors: `multiply`, `conjugate`, `lift` (to a multiple of the
-conductor), `down` (to a divisor) and `pairing`, each an integer matmul
-against a small cached table read off the powers of zeta_e.  They run in
-int64 when a bound computed from the inputs keeps every partial sum below
-2^63, and on Python integers (dtype=object) otherwise.  CycValue, the scalar
-type, calls the same kernels on a single row.  There is no floating point and
-no precision loss anywhere.
+conductor) and `down` (to a divisor), each an integer matmul against a small
+cached table read off the powers of zeta_e.  They run in int64 when a bound
+computed from the inputs keeps every partial sum below 2^63, and on Python
+integers (dtype=object) otherwise.  CycValue, the scalar type, calls the
+same kernels on a single row.  The pairing sum_k w_k x(k) conj(y(k))
+evaluates instead: mod word-size primes q = 1 mod e, cached per conductor, it
+reads both sides at the phi conjugate embeddings of zeta_e, where products
+are pointwise, and combines the primes by the Chinese remainder theorem.
+There is no floating point and no precision loss anywhere.
 
 Conductors mix by rebasing to the least common multiple.  Rebasing up is the
 `lift` kernel; rebasing down is the `down` kernel, which reads the values at
@@ -26,7 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from itertools import count
+from math import gcd, isqrt, lcm, prod
 
 import numpy as np
 
@@ -112,13 +116,6 @@ def power_basis_matrix(e: int) -> np.ndarray:
         out[k] -= out[k - 1, -1] * poly
     out.setflags(write=False)
     return out
-
-
-@lru_cache(maxsize=None)
-def pairing_tensor(e: int) -> np.ndarray:
-    """(phi, phi, phi) int64 tensor with basis_a * conj(basis_b) = sum_c P[a,b,c] basis_c."""
-    j = np.arange(reduced_degree(e))
-    return power_basis_matrix(e)[(j[:, None] - j) % e]
 
 
 @lru_cache(maxsize=None)
@@ -218,26 +215,111 @@ def down(x: np.ndarray, e: int, f: int) -> np.ndarray:
     return out
 
 
-def pairing(x: np.ndarray, weights, y: np.ndarray, e: int) -> np.ndarray:
+# ---------------------------------------------------------------------------
+# small number theory, shared with the table computation
+
+def _is_prime(n: int) -> bool:
+    if n < 3 or n % 2 == 0:
+        return n == 2
+    return all(n % d for d in range(3, isqrt(n) + 1, 2))
+
+
+def _prime_factors(n: int) -> list[int]:
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
+def _primitive_root(q: int) -> int:
+    factors = _prime_factors(q - 1)
+    return next(h for h in count(2) if all(pow(h, (q - 1) // f, q) != 1 for f in factors))
+
+
+# ---------------------------------------------------------------------------
+# the pairing, by evaluation at the conjugate embeddings mod word-size primes
+
+@lru_cache(maxsize=None)
+def _embedding(e: int, width: int, i: int) -> tuple[int, np.ndarray, np.ndarray, list[int]]:
+    """(q, vand, interp, neg) for the i-th largest prime q = 1 mod e with
+    q^2 * 2^width < 2^62: vand[j, t] = a_t^j over the roots a_t of the
+    cyclotomic polynomial mod q evaluates the power basis at the embeddings
+    zeta_e -> a_t, interp inverts it, and embedding neg[t] is t's conjugate."""
+    q = _embedding(e, width, i - 1)[0] - e if i else isqrt((1 << (62 - width)) - 1)
+    q -= (q - 1) % e
+    while not _is_prime(q):
+        q -= e
+    z = pow(_primitive_root(q), (q - 1) // e, q)
+    roots = [pow(z, u, q) for u in range(e) if gcd(u, e) == 1]
+    vand = np.array([[pow(a, j, q) for a in roots] for j in range(len(roots))], dtype=np.int64)
+    interp = []
+    for a in roots:
+        # the cyclotomic polynomial over x - a, by synthetic division, over its value at a
+        quotient = [1]
+        for c in cyclotomic_polynomial(e)[-2:0:-1]:
+            quotient.insert(0, (c + a * quotient[0]) % q)
+        scale = pow(sum(c * pow(a, j, q) for j, c in enumerate(quotient)), -1, q)
+        interp.append([c * scale % q for c in quotient])
+    neg = [roots.index(pow(a, -1, q)) for a in roots]
+    return q, vand, np.array(interp, dtype=np.int64), neg
+
+
+def _values(x: np.ndarray, q: int, vand: np.ndarray) -> np.ndarray:
+    """The (m, K, phi) stack x mod q at the embeddings of vand's columns, as
+    (phi, m, K): one contiguous matrix per embedding, for the fast matmul."""
+    m, k, phi = x.shape
+    # reduced first only when the evaluation's sums could pass int64
+    if x.dtype != np.int64 or phi * _magnitude(x) * q >= 1 << 63:
+        x = (x % q).astype(np.int64)
+    out = (vand.T @ x.reshape(m * k, phi).T).reshape(phi, m, k)
+    out %= q
+    return out
+
+
+def pairing(x, weights, y: np.ndarray, e: int) -> np.ndarray:
     """(m, n, phi) coefficients of sum_k w_k x_i(k) conj(y_j(k)) in Z[zeta_e].
 
     x and y are (m, K, phi) and (n, K, phi) coefficient stacks, weights K
-    integers.  The sum runs as one int64 matmul per output coefficient when a
-    bound computed from the inputs keeps every partial sum below 2^63, and
-    through the same code on Python integers (dtype=object) otherwise.
+    integers; x may be a sequence of such stacks, standing for their
+    pointwise product.  Mod each prime, one int64 matmul per embedding forms
+    the sums (conj(y) at a is y at 1 / a).  Primes are added until their
+    product exceeds twice a bound on the result, which is int64 while that
+    product fits and Python integers (dtype=object) otherwise.
     """
-    m, k, phi = x.shape
-    n = y.shape[0]
-    w = np.asarray(weights)
-    pt = pairing_tensor(e)
-    bound = k * phi * phi * _magnitude(w) * _magnitude(x) * _magnitude(y) * _magnitude(pt)
-    x, w, pt, y = _exact(bound, x, w, pt, y)
-    wx = x * w[:, None]
-    flat_y = y.reshape(n, k * phi).T
-    out = np.empty((m, n, phi), dtype=x.dtype)
-    for c in range(phi):
-        out[:, :, c] = (wx @ pt[:, :, c]).reshape(m, k * phi) @ flat_y
-    return out
+    factors = [x] if isinstance(x, np.ndarray) else list(x)
+    k, phi = y.shape[1:]
+    w = [int(v) for v in weights]
+    # the sum is one polynomial in zeta_e of degree below e, reduced once, of L1 norm
+    # at most sum_k |w_k| prod L1(x(k)) L1(y(k)) over each class's largest L1 norms
+    stacks = _exact(phi * max(map(_magnitude, (*factors, y))), *factors, y)
+    norms = [(np.abs(a) @ np.ones(phi, a.dtype)).max(axis=0, initial=0).tolist() for a in stacks]
+    bound = sum(abs(wk) * prod(ns) for wk, *ns in zip(w, *norms))
+    bound *= int(np.abs(power_basis_matrix(e)).sum(axis=1).max())
+    # one bucket of primes serves every sum of up to 256 terms
+    width = max(8, (max(k, phi) - 1).bit_length())
+    out, modulus = None, 1
+    for i in count():
+        q, vand, interp, neg = _embedding(e, width, i)
+        acc = np.array([wk % q for wk in w], dtype=np.int64)
+        for f in factors:
+            acc = _values(f, q, vand) * acc % q
+        # the sums at each embedding, then their coefficients mod q
+        acc = np.matmul(acc, _values(y, q, vand[:, neg]).transpose(0, 2, 1)) % q
+        acc = acc.transpose(1, 2, 0) @ interp % q
+        if i:
+            # Garner: the next mixed-radix digit in int64, added on in int64
+            # while the product of the primes fits
+            digit = (acc - out % q) * pow(modulus, -1, q) % q
+            dtype = np.int64 if modulus * q < 1 << 63 else object
+            acc = out.astype(dtype) + digit.astype(dtype) * modulus
+        out, modulus = acc, modulus * q
+        if modulus > 2 * bound:
+            out[out > modulus // 2] -= modulus
+            return out
 
 
 @dataclass(frozen=True, eq=False)

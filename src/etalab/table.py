@@ -45,10 +45,10 @@ none outlives the table computation.
 
 No floating point anywhere.  numpy does the int64 modular linear algebra,
 where every product stays below 2^63 because q is kept under 2^21 and the
-element cap bounds matrix sizes; the sparse images keep that bound.  It also
-runs the exact pairing behind multiplicities and orthogonality
-(cyclotomic.pairing), which moves to Python integers whenever its overflow
-bound could be exceeded.
+element cap bounds matrix sizes; the sparse images keep that bound.  The
+exact pairing behind multiplicities and orthogonality (cyclotomic.pairing)
+works mod primes of its own, at the conjugate embeddings of zeta_e, and is
+exact by the Chinese remainder theorem.
 """
 
 from __future__ import annotations
@@ -64,7 +64,8 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .chars import Character
-from .cyclotomic import lift, pairing, power_basis_matrix, reduced_degree
+from .cyclotomic import _is_prime, _primitive_root, lift, pairing, power_basis_matrix
+from .cyclotomic import reduced_degree
 from .errors import CharacterError, EtalabError, TableError
 from .perm import ConjugacyClassSet, PermGroup, Permutation, _class_action
 
@@ -83,20 +84,7 @@ _TABLE_MEMO: "weakref.WeakValueDictionary[str, CharTable]" = weakref.WeakValueDi
 
 
 # ---------------------------------------------------------------------------
-# small number theory over F_q
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
+# small number theory over F_q (primality and primitive roots: cyclotomic)
 
 def _smallest_admissible_prime(order: int, e: int, offset: int = 0) -> int:
     """Smallest prime q = 1 mod e with q^2 > 4*order; offset skips ahead."""
@@ -111,29 +99,6 @@ def _smallest_admissible_prime(order: int, e: int, offset: int = 0) -> int:
                 return q
             offset -= 1
         q += e
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _primitive_root(q: int) -> int:
-    factors = _prime_factors(q - 1)
-    h = 2
-    while True:
-        if all(pow(h, (q - 1) // f, q) != 1 for f in factors):
-            return h
-        h += 1
 
 
 def _sqrt_mod(a: int, q: int) -> int:
@@ -420,7 +385,8 @@ class CharTable:
         keys = _as_keys(self.cube.reshape(len(self.cube), -1))
         order = np.argsort(keys)
         object.__setattr__(self, "_sorted_keys", (keys[order], order))
-        # charops.decompose keeps its results here, keyed by value_key()
+        # charops.decompose keeps its results here, keyed by value_key(), and
+        # charops._norm_decompositions the table's list under "norms"
         object.__setattr__(self, "_decompositions", {})
         # charops.branching_matrix keeps its results here, keyed by the
         # subgroup's content_key
@@ -475,9 +441,10 @@ class CharTable:
             raise CharacterError("characters on different groups")
         return self._multiplicity_rows(theta.coeffs[None], self.e)[0]
 
-    def _multiplicity_rows(self, rows: np.ndarray, e: int) -> list[list[int]]:
-        """[row, chi_i] for a (m, classes, phi(e)) stack of class functions
-        on this table's classes at a conductor e that self.e divides.
+    def _multiplicity_rows(self, rows, e: int) -> list[list[int]]:
+        """[row, chi_i] for a (m, classes, phi(e)) stack of class functions, or
+        a sequence of such stacks standing for their pointwise products, on
+        this table's classes at a conductor e that self.e divides.
 
         The pairing runs at e, so nothing is rebased down: the cube is lifted.
         """
@@ -486,22 +453,17 @@ class CharTable:
 
     def verify_orthogonality(self) -> None:
         """Exact row and column orthogonality; raises TableError on failure."""
-        order = self.group.order
-        sizes = self.classes.sizes
-        cube = self.cube
-        gram = pairing(cube, sizes, cube, self.e)
-        expect = np.zeros(gram.shape, dtype=np.int64)
-        for i in range(len(cube)):
-            expect[i, i, 0] = order
-        if (gram != expect).any():
-            raise TableError("row orthogonality violated")
-        by_class = cube.transpose(1, 0, 2)
-        cols = pairing(by_class, [1] * len(cube), by_class, self.e)
-        expect = np.zeros(cols.shape, dtype=np.int64)
-        for k, size in enumerate(sizes):
-            expect[k, k, 0] = order // size
-        if (cols != expect).any():
-            raise TableError("column orthogonality violated")
+        order, sizes = self.group.order, self.classes.sizes
+        by_class = self.cube.transpose(1, 0, 2)
+        for relation, x, weights, diagonal in (
+            ("row", self.cube, sizes, [order] * len(self)),
+            ("column", by_class, [1] * len(self), [order // size for size in sizes]),
+        ):
+            gram = pairing(x, weights, x, self.e)
+            expect = np.zeros(gram.shape, dtype=np.int64)
+            expect[range(len(x)), range(len(x)), 0] = diagonal
+            if (gram != expect).any():
+                raise TableError(f"{relation} orthogonality violated")
 
     def to_json_dict(self) -> dict:
         return {

@@ -7,7 +7,9 @@ VerificationReport.  A failing record always carries enough serialized
 context (group file text, character indices, decomposition) to reproduce the
 violation in isolation; in the ledger sweep an error raised for one
 character becomes that character's failing record.  Reports are
-deterministic apart from elapsed_ms.
+deterministic apart from elapsed_ms.  Theorems A and B, corollary A and the
+ledger form no product of characters: one pairing of the factors decomposes
+a table's chi * conj(chi), or one chi's chi * psi, with decompose's checks.
 
 The ledger sweep restricts no character on its own: chains, their labels
 and the constituent bookkeeping read rows and columns of the branching
@@ -25,7 +27,8 @@ import numpy as np
 
 from .catalog import default_catalog
 from .chars import Character
-from .charops import _restrictions_along, branching_matrix, decompose
+from .charops import _norm_decompositions, _product_decompositions, _restrictions_along
+from .charops import branching_matrix, decompose
 from .clifford import _plog, build_chain, classify_chain
 from .constructions import prop5_witness
 from .errors import EtalabError, GroupError
@@ -145,9 +148,8 @@ def verify_theorem_a(groups=None, max_order=None):
     for gid, G in _selection(groups, max_order):
         table = character_table(G)
         records = []
-        for idx, chi in enumerate(table):
+        for idx, (chi, dec) in enumerate(zip(table, _norm_decompositions(table))):
             n, bound = _bound(G, chi)
-            dec = decompose(chi * chi.conjugate())
             ok = dec.eta >= bound
             rec = {
                 "chi": idx,
@@ -170,9 +172,8 @@ def verify_theorem_b(groups=None, max_order=None):
         table = character_table(G)
         records = []
         observed_degree_p = []
-        for idx, chi in enumerate(table):
+        for idx, (chi, dec) in enumerate(zip(table, _norm_decompositions(table))):
             deg = chi.degree
-            dec = decompose(chi * chi.conjugate())
             if deg == 1:
                 ok = dec.eta == 1
                 case = "linear"
@@ -207,8 +208,9 @@ def verify_corollary_a(groups=None, max_order=64):
         records = []
         for i, chi in enumerate(table):
             bound = _bound(G, chi)[1]
-            for j, psi in enumerate(table):
-                dec = decompose(chi * psi)
+            # chi * psi for every psi, one pairing per chi
+            rows = table.cube[[i] * len(table)]
+            for j, dec in enumerate(_product_decompositions(table, rows, table.cube)):
                 qualifies = any(c.degree == 1 for c, _ in dec.constituents)
                 rec = {"chi": i, "psi": j, "qualifies": qualifies, "eta": dec.eta}
                 if qualifies:
@@ -231,7 +233,8 @@ def _chain_extras(G: PermGroup, chi: Character, chain, ledger):
     the k whose restriction to N_(i-1) is deg_k times the principal
     character."""
     table = character_table(G)
-    xi_idx = [table.index_of(theta) for theta in decompose(chi * chi.conjugate()).characters()]
+    norm = _norm_decompositions(table)[table.index_of(chi)]
+    xi_idx = [table.index_of(theta) for theta in norm.characters()]
     xi_degrees = table.cube[xi_idx, 0, :1]  # the constituents' degrees, as a column
     restricted = _restrictions_along(chain.series)
     covered, attached = [], []

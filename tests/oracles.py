@@ -7,7 +7,17 @@ genuine cross-check rather than the same code run twice.
 
 from __future__ import annotations
 
-from etalab.cyclotomic import CycValue, _poly_divmod_monic, cyclotomic_polynomial
+import numpy as np
+
+from etalab.cyclotomic import (
+    CycValue,
+    _exact,
+    _magnitude,
+    _poly_divmod_monic,
+    cyclotomic_polynomial,
+    power_basis_matrix,
+    reduced_degree,
+)
 from etalab.perm import PermGroup, Permutation, _class_action
 
 
@@ -76,6 +86,26 @@ def _exact_quotient(coeffs: list[int], n: int, what: str) -> list[int]:
     if any(c % n for c in coeffs):
         raise AssertionError(f"{what} not divisible by {n}: {coeffs}")
     return [c // n for c in coeffs]
+
+
+def power_basis_pairing(x, weights, y, e: int) -> np.ndarray:
+    """(m, n, phi) coefficients of sum_k w_k x_i(k) conj(y_j(k)) over the
+    power basis: one matmul per output coefficient against the tensor P with
+    basis_a * conj(basis_b) = sum_c P[a, b, c] basis_c, in int64 when a bound
+    on every partial sum fits and on Python integers otherwise."""
+    m, k, phi = x.shape
+    n = y.shape[0]
+    w = np.asarray(weights)
+    j = np.arange(reduced_degree(e))
+    pt = power_basis_matrix(e)[(j[:, None] - j) % e]
+    bound = k * phi * phi * _magnitude(w) * _magnitude(x) * _magnitude(y) * _magnitude(pt)
+    x, w, pt, y = _exact(bound, x, w, pt, y)
+    wx = x * w[:, None]
+    flat_y = y.reshape(n, k * phi).T
+    out = np.empty((m, n, phi), dtype=x.dtype)
+    for c in range(phi):
+        out[:, :, c] = (wx @ pt[:, :, c]).reshape(m, k * phi) @ flat_y
+    return out
 
 
 def elementwise_inner(table, a, b) -> int:

@@ -8,6 +8,8 @@ import pytest
 from etalab.catalog import load_catalog_group
 from etalab.chars import Character
 from etalab.charops import (
+    _norm_decompositions,
+    _product_decompositions,
     center_of_character,
     decompose,
     eta_count,
@@ -19,9 +21,9 @@ from etalab.charops import (
     restrict,
     restriction_multiplicities,
 )
-from etalab.catalog import catalog_ids
+from etalab.catalog import catalog_ids, default_catalog
 from etalab.constructions import cyclic, dihedral, prop5_witness
-from etalab.cyclotomic import CycValue
+from etalab.cyclotomic import CycValue, conjugate
 from etalab.errors import CharacterError, GroupError
 from etalab.perm import chief_series
 from etalab.table import character_table
@@ -295,3 +297,36 @@ def test_irr_mod_rejects_non_normal():
     H = G.subgroup([refl])
     with pytest.raises(GroupError):
         irr_mod(G, H)
+
+
+@pytest.mark.parametrize("gid", catalog_ids())
+def test_batched_norm_decompositions_match_decompose(gid):
+    table = character_table(load_catalog_group(gid))
+    batched = _product_decompositions(table, table.cube, conjugate(table.cube, table.e))
+    assert batched == [decompose(chi * chi.conjugate()) for chi in table]
+    assert _norm_decompositions(table) == batched
+
+
+def test_batched_product_decompositions_match_decompose_on_every_ordered_pair():
+    # corollary A's products: chi * psi over every ordered pair, order <= 64
+    for _, G in default_catalog():
+        if G.order > 64:
+            continue
+        table = character_table(G)
+        for i, chi in enumerate(table):
+            batched = _product_decompositions(table, table.cube[[i] * len(table)], table.cube)
+            assert batched == [decompose(chi * psi) for psi in table], (G.order, i)
+
+
+def test_batched_decompositions_keep_the_degree_check(d8_table, monkeypatch):
+    # multiplicities that pass as_multiplicities but miss theta(1) raise as
+    # decompose does
+    import etalab.table as table_mod
+
+    real = table_mod.as_multiplicities
+    monkeypatch.setattr(
+        table_mod, "as_multiplicities", lambda raw, order: [[m + 1 for m in row] for row in real(raw, order)]
+    )
+    cube = d8_table.cube
+    with pytest.raises(CharacterError, match="^inner product not integral$"):
+        _product_decompositions(d8_table, cube, conjugate(cube, d8_table.e))

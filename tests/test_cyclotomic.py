@@ -1,5 +1,5 @@
 """Cyclotomic integer arithmetic: polynomial tables, ring axioms,
-conjugation, conductor changes."""
+conjugation, conductor changes, the pairing against its power-basis oracle."""
 
 from fractions import Fraction
 
@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from etalab import cyclotomic
+from etalab.catalog import catalog_ids, load_catalog_group
 from etalab.cyclotomic import (
     CycValue,
     _down_map,
@@ -19,9 +21,13 @@ from etalab.cyclotomic import (
     euler_phi,
     lift,
     multiply,
+    pairing,
     reduced_degree,
 )
 from etalab.errors import CyclotomicError
+from etalab.table import character_table
+
+from oracles import power_basis_pairing
 
 # classical coefficient lists, smallest conductors
 KNOWN_PHI = {
@@ -227,3 +233,83 @@ def test_kernels_match_polynomial_remainders(data):
         poly[::k] = a
         want.append(_reduce(poly, k * e))
     assert lift(as_coeffs(x), e, k * e).tolist() == want
+
+
+def _primes_used(monkeypatch) -> list:
+    """(index, q) for each evaluation prime the pairing takes; finding the
+    i-th prime of a bucket also asks for the one before it."""
+    embedding = cyclotomic._embedding
+    taken = []
+
+    def counted(e, width, i):
+        out = embedding(e, width, i)
+        taken.append((i, out[0]))
+        return out
+
+    monkeypatch.setattr(cyclotomic, "_embedding", counted)
+    return taken
+
+
+@pytest.mark.parametrize("gid", catalog_ids())
+def test_pairing_matches_power_basis_oracle_on_catalog_tables(gid, monkeypatch):
+    # both orthogonality relations, with one evaluation prime each
+    table = character_table(load_catalog_group(gid))
+    by_class = table.cube.transpose(1, 0, 2)
+    taken = _primes_used(monkeypatch)
+    for x, weights in ((table.cube, table.classes.sizes), (by_class, [1] * len(table))):
+        want = power_basis_pairing(x, weights, x, table.e)
+        got = pairing(x, weights, x, table.e)
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+    assert [i for i, _ in taken] == [0, 0]
+
+
+@seed(20261)
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_pairing_matches_power_basis_oracle_on_drawn_stacks(data):
+    # products of up to three factors against the oracle on the multiplied
+    # stack; scales up to 2**64 need three or more primes and Python integers
+    e = data.draw(st.sampled_from([1, 2, 3, 4, 5, 8, 9, 12, 16, 25, 27]))
+    phi = reduced_degree(e)
+    m, n, k = (data.draw(st.integers(0 if i < 2 else 1, 4)) for i in range(3))
+    scale = data.draw(st.sampled_from([1, 2**20, 2**40, 2**64]))
+    coeff = st.integers(-9, 9).map(lambda c: c * scale)
+
+    def stack(rows):
+        return as_coeffs(data.draw(st.lists(
+            st.lists(st.lists(coeff, min_size=phi, max_size=phi), min_size=k, max_size=k),
+            min_size=rows, max_size=rows,
+        ))).reshape(rows, k, phi)
+
+    factors = [stack(m) for _ in range(data.draw(st.integers(1, 3)))]
+    y = stack(n)
+    weights = data.draw(st.lists(st.integers(-50, 50), min_size=k, max_size=k))
+    product = factors[0]
+    for f in factors[1:]:
+        product = multiply(product, f, e)
+    got = pairing(factors, weights, y, e)
+    assert got.shape == (m, n, phi)
+    assert got.tolist() == power_basis_pairing(product, weights, y, e).tolist()
+    if len(factors) == 1:
+        assert pairing(factors[0], weights, y, e).tolist() == got.tolist()
+
+
+@pytest.mark.parametrize(
+    "scale, primes, dtype", [(1, 1, np.int64), (2**18, 2, np.int64), (2**30, 3, object)]
+)
+@pytest.mark.parametrize("e", [1, 2, 9, 25])
+def test_pairing_adds_primes_until_the_bound_is_covered(e, scale, primes, dtype, monkeypatch):
+    # coefficients +-scale: the bound is about scale**2 times 2**4 to 2**15,
+    # and each prime is just below 2**27
+    rng = np.random.default_rng(e)
+    phi = reduced_degree(e)
+    x = rng.choice([-scale, scale], size=(3, 4, phi))
+    y = rng.choice([-scale, scale], size=(2, 4, phi))
+    weights = [1, 3, 5, 7]
+    taken = _primes_used(monkeypatch)
+    got = pairing(x, weights, y, e)
+    assert sorted({i for i, _ in taken}) == list(range(primes))
+    assert all(q % e == 1 % e and q * q * 2**8 < 2**62 for _, q in taken)
+    assert got.dtype == dtype
+    assert got.tolist() == power_basis_pairing(x, weights, y, e).tolist()

@@ -168,6 +168,107 @@ def test_ledger_pairs_once_per_step_and_character(monkeypatch):
     assert len(calls) <= steps + characters
 
 
+def _patch_everywhere(monkeypatch, name, replacement, original):
+    """Rebind name in every etalab module that imported original."""
+    import sys
+
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("etalab") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, replacement)
+
+
+def test_sweeps_neither_multiply_nor_decompose_characters(monkeypatch):
+    # theorems A and B, corollary A and the ledger decompose each table's
+    # products in batched pairings that take the factors
+    from etalab import charops
+    from etalab.chars import Character
+
+    calls = []
+    decompose, multiply = charops.decompose, Character.__mul__
+
+    def counted_decompose(*args):
+        calls.append("decompose")
+        return decompose(*args)
+
+    def counted_multiply(*args):
+        calls.append("__mul__")
+        return multiply(*args)
+
+    _patch_everywhere(monkeypatch, "decompose", counted_decompose, decompose)
+    monkeypatch.setattr(Character, "__mul__", counted_multiply)
+    assert verify_theorem_a().passed
+    assert verify_theorem_b().passed
+    assert verify_corollary_a().passed
+    assert verify_ledger(max_order=64).passed
+    assert calls == []
+
+
+def test_sweep_records_on_the_groups_of_order_one_and_two():
+    # conductors 1 and 2, where phi = 1 and the evaluation is at one embedding
+    from etalab.constructions import cyclic
+
+    groups = [("c1", cyclic(1)), ("c2", cyclic(2))]
+    linear = {"degree": 1, "eta": 1}
+    a = {**linear, "n": 0, "bound": 1, "pass": True}
+    assert [g["records"] for g in verify_theorem_a(groups=groups).results] == [
+        [{"chi": 0, **a}],
+        [{"chi": 0, **a}, {"chi": 1, **a}],
+    ]
+    b = {**linear, "case": "linear", "pass": True}
+    report = verify_theorem_b(groups=groups)
+    assert [g["records"] for g in report.results] == [
+        [{"chi": 0, **b}],
+        [{"chi": 0, **b}, {"chi": 1, **b}],
+    ]
+    assert [g["eta_values_degree_p"] for g in report.results] == [[], []]
+    pairs = [[(0, 0)], [(0, 0), (0, 1), (1, 0), (1, 1)]]
+    assert [g["records"] for g in verify_corollary_a(groups=groups).results] == [
+        [{"chi": i, "psi": j, "qualifies": True, "eta": 1, "bound": 1, "pass": True} for i, j in group]
+        for group in pairs
+    ]
+    ledger = [
+        {"m": [0] * t, "r": [0] * t, "s": [0] * t, "cases": ["none"] * t,
+         "coverage": True, "disjoint": True, "pass": True}
+        for t in (1, 2)
+    ]
+    report = verify_ledger(groups=groups)
+    assert [g["records"] for g in report.results] == [
+        [{"chi": 0, "degree": 1, **ledger[0]}],
+        [{"chi": 0, "degree": 1, **ledger[1]}, {"chi": 1, "degree": 1, **ledger[1]}],
+    ]
+    assert [(g["order"], g["p"]) for g in report.results] == [(1, 1), (2, 2)]
+
+
+def test_cold_branching_lookup_computes_no_class_action(monkeypatch):
+    # d8 and d16 are the catalog groups whose first generator outside the
+    # series member below differs from the element that seeded their table;
+    # the lookup must use the seeding element's held class action
+    import etalab.catalog as catalog_mod
+    from etalab import charops
+
+    monkeypatch.setattr(catalog_mod, "_GROUP_MEMO", {})
+    monkeypatch.setattr(table_mod, "_TABLE_MEMO", {})
+    inside, computed = [], []
+    lookup, action = charops.branching_matrix, table_mod._class_action
+
+    def branching(N, M):
+        inside.append(N.order)
+        try:
+            return lookup(N, M)
+        finally:
+            inside.pop()
+
+    def counted(N, g):
+        if inside and g.images not in N._class_actions:
+            computed.append(N.order)
+        return action(N, g)
+
+    _patch_everywhere(monkeypatch, "branching_matrix", branching, lookup)
+    monkeypatch.setattr(table_mod, "_class_action", counted)
+    assert verify_ledger(groups=_small("d8", "d16")).passed
+    assert computed == []
+
+
 def test_ledger_seeds_every_chief_series_table(monkeypatch):
     # fresh copies and a fresh memo, so that the sweep computes every table
     monkeypatch.setattr(table_mod, "_TABLE_MEMO", {})
