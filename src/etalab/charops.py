@@ -168,8 +168,9 @@ def branching_matrix(N: PermGroup, M: PermGroup) -> np.ndarray:
     if out is None:
         below = character_table(M)
         # the series link's g, when it links N to M, has M's class action held
-        link = N._series_link or (M, None)
-        g = link[1] if link[0].same_elements(M) else next(x for x in N.generators if x not in M)
+        link = N._series_link
+        linked = link is not None and link[0].same_elements(M)
+        g = link[1] if linked else next(x for x in N.generators if x not in M)
         try:
             heads, owner = np.unique(_orbit_heads(below, g, p), return_inverse=True)
             sums = np.zeros((len(heads), *below.cube.shape[1:]), dtype=np.int64)

@@ -219,25 +219,39 @@ def down(x: np.ndarray, e: int, f: int) -> np.ndarray:
 # small number theory, shared with the table computation
 
 def _is_prime(n: int) -> bool:
-    if n < 3 or n % 2 == 0:
+    if n < 2:
+        return False
+    if n % 2 == 0:
         return n == 2
-    return all(n % d for d in range(3, isqrt(n) + 1, 2))
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
 
 
 def _prime_factors(n: int) -> list[int]:
-    out, d = [], 2
+    out = []
+    d = 2
     while d * d <= n:
         if n % d == 0:
             out.append(d)
             while n % d == 0:
                 n //= d
         d += 1
-    return out + [n] if n > 1 else out
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def _primitive_root(q: int) -> int:
     factors = _prime_factors(q - 1)
-    return next(h for h in count(2) if all(pow(h, (q - 1) // f, q) != 1 for f in factors))
+    h = 2
+    while True:
+        if all(pow(h, (q - 1) // f, q) != 1 for f in factors):
+            return h
+        h += 1
 
 
 # ---------------------------------------------------------------------------

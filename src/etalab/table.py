@@ -453,17 +453,22 @@ class CharTable:
 
     def verify_orthogonality(self) -> None:
         """Exact row and column orthogonality; raises TableError on failure."""
-        order, sizes = self.group.order, self.classes.sizes
-        by_class = self.cube.transpose(1, 0, 2)
-        for relation, x, weights, diagonal in (
-            ("row", self.cube, sizes, [order] * len(self)),
-            ("column", by_class, [1] * len(self), [order // size for size in sizes]),
-        ):
-            gram = pairing(x, weights, x, self.e)
-            expect = np.zeros(gram.shape, dtype=np.int64)
-            expect[range(len(x)), range(len(x)), 0] = diagonal
-            if (gram != expect).any():
-                raise TableError(f"{relation} orthogonality violated")
+        order = self.group.order
+        sizes = self.classes.sizes
+        cube = self.cube
+        gram = pairing(cube, sizes, cube, self.e)
+        expect = np.zeros(gram.shape, dtype=np.int64)
+        for i in range(len(cube)):
+            expect[i, i, 0] = order
+        if (gram != expect).any():
+            raise TableError("row orthogonality violated")
+        by_class = cube.transpose(1, 0, 2)
+        cols = pairing(by_class, [1] * len(cube), by_class, self.e)
+        expect = np.zeros(cols.shape, dtype=np.int64)
+        for k, size in enumerate(sizes):
+            expect[k, k, 0] = order // size
+        if (cols != expect).any():
+            raise TableError("column orthogonality violated")
 
     def to_json_dict(self) -> dict:
         return {

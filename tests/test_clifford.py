@@ -27,7 +27,7 @@ from etalab.clifford import (
     conjugate_action,
     stabilizer,
 )
-from etalab.constructions import extraspecial_exp_p
+from etalab.constructions import dihedral, extraspecial_exp_p
 from etalab.errors import ChainError, CharacterError, GroupError, TableError
 from etalab.groupfile import format_group, parse_group
 from etalab.perm import chief_series
@@ -315,6 +315,26 @@ def test_branching_by_lookup_beyond_the_catalog(p, n):
         expected = restriction_multiplicities(list(character_table(N)), M)
         assert branching_matrix(N, M).tolist() == expected, (p, n, N.order)
     assert verify_ledger(groups=[(f"es{p}-{n}", G)]).passed
+
+
+def test_branching_matrix_with_and_without_a_series_link(monkeypatch):
+    # a fresh memo, so that every matrix is built; a fresh D8 has no series
+    # link until its chief series is computed, and that link names one of
+    # its three index-2 subgroups only
+    monkeypatch.setattr(table_mod, "_TABLE_MEMO", {})
+    G = dihedral(4)
+    r, s = G.generators
+    halves = [G.subgroup([r]), G.subgroup([r * r, s]), G.subgroup([r * r, r * s])]
+    assert G._series_link is None
+    for computed_series in (False, True):
+        if computed_series:
+            chief_series(G)
+            assert G._series_link is not None
+            for M in halves:
+                character_table(G)._branching.pop(M.content_key)
+        for M in halves:
+            expected = restriction_multiplicities(list(character_table(G)), M)
+            assert branching_matrix(G, M).tolist() == expected
 
 
 def test_branching_lookup_rejects_a_corrupted_subgroup_table(d8, monkeypatch):
