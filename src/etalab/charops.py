@@ -26,8 +26,8 @@ import numpy as np
 from .chars import Character
 from .cyclotomic import _is_prime, conjugate, down, lift, linear_map, multiply, pairing
 from .errors import CharacterError, CyclotomicError, GroupError, TableError
-from .perm import PermGroup
-from .table import _as_keys, _key_positions, _orbit_heads
+from .perm import PermGroup, _as_keys
+from .table import _key_positions, _orbit_heads
 from .table import as_multiplicities, character_table
 
 __all__ = [

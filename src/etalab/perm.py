@@ -9,20 +9,29 @@ Products and inverses are valid by construction and skip validation (the
 trusted `_from_images`); the public constructor validates its images.
 
 Groups are enumerated by breadth-first closure of the generators, capped at
-2^21 elements.  Subgroups carry a reference to the ambient group they were cut
-from; they share its degree and are otherwise ordinary groups.  A group keeps
-the content keys of the groups it was found to lie in, or be normal in.
-Each member of a chief series, the top group included, records the member
-below it and the element that generates it over that one; character tables
-are seeded from that link.
+2^21 elements.  A group holds its sorted elements as byte keys, one per image
+row, which sort as the elements do; products formed as image arrays are
+looked up among them by binary search.  Conjugacy classes come from such
+gathers: conjugation by each generator is one gather of all image rows and
+one search, an index map of the elements, and the classes are the orbits of
+these maps, found by min-label propagation.
+
+Subgroups carry a reference to the ambient group they were cut from; they
+share its degree and are otherwise ordinary groups.  A group keeps the
+content keys of the groups it was found to lie in, or be normal in.  Each
+member of a chief series, the top group included, records the member below
+it and the element that generates it over that one; character tables are
+seeded from that link.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import lcm
 from typing import Iterable, NamedTuple, Optional
+
+import numpy as np
 
 from .errors import GroupError, PermutationError
 
@@ -184,13 +193,15 @@ class ConjugacyClassSet:
 
     Ordering: class size ascending, ties broken by the lexicographically
     smallest member; the representative of a class is that smallest member.
-    Class 0 is always the class of the identity.
+    Class 0 is always the class of the identity.  element_class holds the
+    class of each of the group's sorted elements.
     """
 
     group: "PermGroup"
     representatives: tuple[Permutation, ...]
     sizes: tuple[int, ...]
     members: tuple[tuple[Permutation, ...], ...]
+    element_class: np.ndarray = field(compare=False, repr=False)
 
     def __post_init__(self):
         index = {}
@@ -248,6 +259,7 @@ class PermGroup:
             if not _elements <= parent.element_set:
                 raise GroupError("not a subgroup")
         self._classes: Optional[ConjugacyClassSet] = None
+        self._element_keys: Optional[tuple[np.dtype, np.ndarray]] = None
         self._exponent: Optional[int] = None
         self._pinfo: Optional[PGroupInfo] = None
         self._series = None
@@ -321,6 +333,16 @@ class PermGroup:
             self._content_key = h.hexdigest()
         return self._content_key
 
+    def element_keys(self) -> tuple[np.dtype, np.ndarray]:
+        """(dtype, keys): the smallest unsigned big-endian dtype that holds a
+        point, and the sorted elements' image rows in it, one key each."""
+        if self._element_keys is None:
+            n = self.degree
+            dtype = np.dtype(">u1" if n <= 1 << 8 else ">u2" if n <= 1 << 16 else ">u4")
+            rows = np.array([x.images for x in self.elements], dtype=dtype)
+            self._element_keys = (dtype, _as_keys(rows))
+        return self._element_keys
+
     def conjugacy_classes(self) -> ConjugacyClassSet:
         if self._classes is None:
             self._classes = _compute_classes(self)
@@ -373,34 +395,56 @@ def group_from_generators(
     return PermGroup(degree, generators, order_cap=order_cap)
 
 
+def _as_keys(rows: np.ndarray) -> np.ndarray:
+    """Rows (last axis) as one void key each.  Keys compare as their bytes:
+    for image rows of an unsigned big-endian dtype, as the image tuples."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.shape[-1] * rows.itemsize)))[..., 0]
+
+
 def _compute_classes(G: PermGroup) -> ConjugacyClassSet:
-    gens = G.generators
-    gen_invs = [g.inverse() for g in gens]
-    assigned: set[tuple[int, ...]] = set()
-    classes: list[list[Permutation]] = []
-    for x in G.elements:
-        if x.images in assigned:
-            continue
-        orbit = {x}
-        frontier = [x]
-        while frontier:
-            new = []
-            for y in frontier:
-                for g, gi in zip(gens, gen_invs):
-                    z = gi * y * g
-                    if z not in orbit:
-                        orbit.add(z)
-                        new.append(z)
-            frontier = new
-        members = sorted(orbit)
-        classes.append(members)
-        assigned.update(m.images for m in members)
-    classes.sort(key=lambda mem: (len(mem), mem[0].images))
+    dtype, keys = G.element_keys()
+    n = len(keys)
+    rows = keys.view(dtype).reshape(n, G.degree)
+    # conjugation by each generator g as a map of element indices:
+    # (g^-1 x g)[pt] = g[x[g^-1[pt]]], products applying the left factor first
+    maps = []
+    for g in G.generators:
+        conj = _as_keys(np.array(g.images, dtype=dtype)[rows[:, np.argsort(g.images)]])
+        pos = np.minimum(np.searchsorted(keys, conj), n - 1)
+        if (keys[pos] != conj).any():
+            raise GroupError("internal class failure: a conjugate is not in the group")
+        maps.append(pos)
+    # each label falls to a smaller index of its orbit, through the maps and
+    # by jumping to its own label's label, until no map lowers one: then
+    # labels are constant on orbits, each its orbit's smallest index
+    label = np.arange(n)
+    while True:
+        new = label
+        for pos in maps:
+            new = np.minimum(new, new[pos])
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    heads, orbit = np.unique(label, return_inverse=True)
+    sizes = np.bincount(orbit)
+    # classes by (size, smallest member): elements are sorted, so by index
+    order = np.lexsort((heads, sizes))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    element_class = rank[orbit]
+    element_class.setflags(write=False)
+    sizes = sizes[order].tolist()
+    flat = [G.elements[i] for i in np.argsort(element_class, kind="stable").tolist()]
+    ends = np.cumsum(sizes).tolist()
+    members = tuple(tuple(flat[end - size : end]) for size, end in zip(sizes, ends))
     return ConjugacyClassSet(
         group=G,
-        representatives=tuple(mem[0] for mem in classes),
-        sizes=tuple(len(mem) for mem in classes),
-        members=tuple(tuple(mem) for mem in classes),
+        representatives=tuple(mem[0] for mem in members),
+        sizes=tuple(sizes),
+        members=members,
+        element_class=element_class,
     )
 
 

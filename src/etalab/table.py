@@ -14,12 +14,16 @@ What callers derive from it (decompositions, branching matrices to
 subgroups) is kept on the table.
 
 Splitting is deterministic: class matrices are consumed in canonical class
-order, eigenvalues of each restriction in increasing residue order, and the
-finished table is sorted by (degree, coefficient vectors).  Recomputing with
-a different admissible prime reproduces the table byte for byte.  A space on
-which a class matrix acts as a scalar is one eigenspace and is kept as it is:
-the eigenlines are unique, so the table does not depend on where splits
-happen.  Images under a class matrix are summed over its nonzeros only,
+order (size ascending, then smallest member; perm), eigenvalues of each
+restriction in increasing residue order, and the finished table is sorted
+by (degree, coefficient vectors).  Recomputing with a different admissible
+prime reproduces the table byte for byte.  A space on which a class matrix
+acts as a scalar is one eigenspace and is kept as it is: the eigenlines are
+unique, so the table does not depend on where splits happen.  Nor on the
+matrices never built: for z central K_(z C_j) = K_z K_j, so class z C_j,
+with z's class and class j both earlier, is skipped; the translates z x_j
+are looked up once a class matrix is first needed, one central z at a
+time.  Images under a class matrix are summed over its nonzeros only,
 for the rows of all unsplit spaces at once.  The class algebra is split
 semisimple over F_q, so each class matrix acts diagonalizably with its
 eigenvalues in F_q: they are read off as the roots of the annihilators of
@@ -32,16 +36,18 @@ index p over N and N's table is already held, the characters of G known
 from it are written down mod q: the p extensions of each g-invariant linear
 character and one induced character per g-orbit of size p.  Their lines
 come directly, and class matrices split only the common kernel of their
-functionals.  Lifting and sorting are unchanged, so a seeded table equals
+functionals, spanned by the rows of the projection that orthogonality gives
+onto it.  Lifting and sorting are unchanged, so a seeded table equals
 the plain one byte for byte; a group with no held predecessor, and every
 prime_offset rerun, takes the plain path, and no table is built only to
 seed another.
 
 Class matrices and power maps are numpy gathers: products are formed as
 image arrays, in chunks of bounded size, and each is looked up by binary
-search among the group's sorted elements, read as big-endian byte rows.
-Each class matrix is built when the split asks for it and is not kept, so
-none outlives the table computation.
+search among the group's element keys, which perm owns (its sorted
+elements as big-endian byte rows); the class set gives each element's
+class.  Each class matrix is built when the split asks for it and is not
+kept, so none outlives the table computation.
 
 No floating point anywhere.  numpy does the int64 modular linear algebra,
 where every product stays below 2^63 because q is kept under 2^21 and the
@@ -59,7 +65,7 @@ import os
 import weakref
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -67,7 +73,7 @@ from .chars import Character
 from .cyclotomic import _is_prime, _primitive_root, lift, pairing, power_basis_matrix
 from .cyclotomic import reduced_degree
 from .errors import CharacterError, EtalabError, TableError
-from .perm import ConjugacyClassSet, PermGroup, Permutation, _class_action
+from .perm import ConjugacyClassSet, PermGroup, Permutation, _as_keys, _class_action
 
 __all__ = [
     "CharTable",
@@ -263,20 +269,39 @@ def _split_spaces(spaces: list[np.ndarray], mat: np.ndarray, q: int) -> list[np.
     return refined
 
 
-def _common_eigenbasis(
-    get_matrix: Callable[[int], np.ndarray], spaces: list[np.ndarray], r: int, q: int, order: int
-) -> np.ndarray:
+def _central_translates(classes: ConjugacyClassSet) -> Iterator[np.ndarray]:
+    """For each central class in turn, the class of z x_j for every class j,
+    z its element and x_j j's representative: (z x_j)[pt] = x_j[z[pt]]."""
+    dtype = classes.group.element_keys()[0]
+    reps = np.array([x.images for x in classes.representatives], dtype=dtype)
+    for z in classes.representatives[: classes.sizes.count(1)]:
+        yield _classes_of_rows(classes, reps[:, list(z.images)])
+
+
+def _common_eigenbasis(classes: ConjugacyClassSet, spaces: list[np.ndarray], q: int) -> np.ndarray:
     """Rows of the returned (r, r) array span the r common eigenlines.
 
     spaces are invariant subspaces (rows in RREF) whose direct sum is F_q^r;
-    only those of dimension above one are split."""
+    only those of dimension above one are split, by class matrices in class
+    order.  For z central K_(z C_j) = K_z K_j, so a class z C_j whose central
+    class and class j both come before it acts as a scalar on every space
+    the classes before it leave, and its matrix is not built."""
+    r = len(classes)
+    order = classes.group.order
+    # the central classes come first; step i marks the translates of class i - 1
+    translates = _central_translates(classes)
+    redundant = np.zeros(r, dtype=bool)
     # eigenspace dimensions always sum to r, so r spaces means r lines
     i = 0
     try:
         for i in range(1, r):
             if len(spaces) == r:
                 break
-            spaces = _split_spaces(spaces, get_matrix(i), q)
+            image = next(translates, None)
+            if image is not None:
+                redundant[image[image > np.maximum(np.arange(r), i - 1)]] = True
+            if not redundant[i]:
+                spaces = _split_spaces(spaces, class_matrix(classes, i) % q, q)
         if len(spaces) < r:
             raise TableError("internal eigensplit failure: class matrices leave a space unsplit")
         out = np.vstack(spaces)
@@ -291,13 +316,6 @@ def _common_eigenbasis(
 # ---------------------------------------------------------------------------
 # class multiplication coefficients
 
-def _as_keys(rows: np.ndarray) -> np.ndarray:
-    """Rows (last axis) as one void key each.  Keys compare as their bytes:
-    for image rows of an unsigned big-endian dtype, as the image tuples."""
-    rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.shape[-1] * rows.itemsize)))[..., 0]
-
-
 def _key_positions(keys: np.ndarray, rows: np.ndarray, missing: str) -> np.ndarray:
     """Each row's (last axis) position among sorted keys; TableError(missing)
     if one is not there."""
@@ -308,27 +326,13 @@ def _key_positions(keys: np.ndarray, rows: np.ndarray, missing: str) -> np.ndarr
     return pos
 
 
-def _element_index(classes: ConjugacyClassSet) -> tuple[np.dtype, np.ndarray, np.ndarray]:
-    """(dtype, keys, classes): the group's sorted elements as keys of image
-    rows in dtype, and the class of each.  Kept on the class set."""
-    index = getattr(classes, "_element_index", None)
-    if index is None:
-        G = classes.group
-        dtype = np.dtype(">u1" if G.degree <= 1 << 8 else ">u2" if G.degree <= 1 << 16 else ">u4")
-        keys = _as_keys(np.array([x.images for x in G.elements], dtype=dtype))
-        owner = np.array([classes.class_of(x) for x in G.elements], dtype=np.int64)
-        index = (dtype, keys, owner)
-        object.__setattr__(classes, "_element_index", index)
-    return index
-
-
 def _classes_of_rows(classes: ConjugacyClassSet, rows: np.ndarray) -> np.ndarray:
-    """The class of each image row (last axis) of an array in the element
-    index's dtype; a row that is no group element raises TableError."""
-    _, keys, owner = _element_index(classes)
+    """The class of each image row (last axis) of an array in the dtype of
+    the group's element keys; a row that is no group element raises TableError."""
+    G = classes.group
     missing = "internal class lookup failure: a product is not in the group"
-    pos = _key_positions(keys, rows, f"{missing} (group order {classes.group.order})")
-    return owner[pos]
+    pos = _key_positions(G.element_keys()[1], rows, f"{missing} (group order {G.order})")
+    return classes.element_class[pos]
 
 
 def class_matrix(classes: ConjugacyClassSet, i: int) -> np.ndarray:
@@ -338,7 +342,7 @@ def class_matrix(classes: ConjugacyClassSet, i: int) -> np.ndarray:
     y = x^-1 z_k for every member x of C_i and representative z_k, formed as
     image arrays in chunks of members, looked up among the group's sorted
     elements and counted by class."""
-    dtype = _element_index(classes)[0]
+    dtype = classes.group.element_keys()[0]
     reps = np.array([z.images for z in classes.representatives], dtype=dtype)
     r, n = reps.shape
     members = classes.members[i]
@@ -558,7 +562,7 @@ def _seed_spaces(
         first = _orbit_heads(below, g, p)
     except TableError as exc:
         raise TableError(f"internal seeding failure: {exc}") from None
-    zpow = [pow(z, s, q) for s in range(e)]
+    zpow = np.array([pow(z, s, q) for s in range(e)], dtype=np.int64)
     degrees, known = [], []
     for a in np.flatnonzero(first == np.arange(len(first))).tolist():
         orbit = np.flatnonzero(first == a)
@@ -574,7 +578,7 @@ def _seed_spaces(
                 raise TableError("internal seeding failure: nu(g^p) has no p-th roots in <z>")
             for s in roots:
                 degrees.append(1)
-                known.append(vals[a, fused] * np.array([zpow[s * j % e] for j in coset]) % q)
+                known.append(vals[a, fused] * zpow[s * coset % e] % q)
     known = np.array(known, dtype=np.int64)
     sizes = np.array(classes.sizes, dtype=np.int64) % q
     deg_inv = np.array([pow(d, q - 2, q) for d in degrees], dtype=np.int64)
@@ -584,8 +588,14 @@ def _seed_spaces(
     expect = np.diag(G.order % q * deg_inv % q)
     if (functionals @ lines.T % q != expect).any():
         raise TableError("internal seeding failure: known characters are not orthogonal")
-    rest, _ = _rref(_nullspace(functionals, q), q)
-    return [line[None] for line in lines] + ([rest] if len(rest) else [])
+    spaces = [line[None] for line in lines]
+    if len(lines) < len(sizes):
+        # so F L^T = D, D invertible, and the rows of I - F^T D^-1 L span ker F:
+        # F kills each, and it is idempotent of rank r - k.  D^-1 L = known sizes / |G|
+        scaled = known * sizes % q * pow(G.order, q - 2, q) % q
+        rest, _ = _rref(np.eye(len(sizes), dtype=np.int64) - functionals.T @ scaled % q, q)
+        spaces.append(rest)
+    return spaces
 
 
 def _compute_table(G: PermGroup, prime_offset: int = 0) -> CharTable:
@@ -605,12 +615,12 @@ def _compute_table(G: PermGroup, prime_offset: int = 0) -> CharTable:
             raise TableError(f"{exc} (group order {order}, q {q})") from None
     if spaces is None:
         spaces = [np.eye(r, dtype=np.int64)]
-    omegas = _common_eigenbasis(lambda i: class_matrix(classes, i) % q, spaces, r, q, order)
+    omegas = _common_eigenbasis(classes, spaces, q)
 
     size_inv = np.array([pow(s, q - 2, q) for s in classes.sizes], dtype=np.int64)
 
     # power maps: class of rep_j^s for s < e, applying rep_j once more per step
-    dtype = _element_index(classes)[0]
+    dtype = G.element_keys()[0]
     reps = np.array([rep.images for rep in classes.representatives], dtype=np.intp)
     power = np.broadcast_to(np.arange(G.degree), reps.shape)
     pclass = np.empty((r, e), dtype=np.int64)

@@ -43,6 +43,36 @@ KNOWN_PHI = {
 }
 
 
+# the least strong pseudoprimes to the first 1, 2, ..., 7 prime bases, factored
+STRONG_PSEUDOPRIMES = {
+    2047: (23, 89),
+    1373653: (829, 1657),
+    25326001: (2251, 11251),
+    3215031751: (151, 751, 28351),
+    2152302898747: (6763, 10627, 29947),
+    3474749660383: (1303, 16927, 157543),
+    341550071728321: (10670053, 32010157),
+}
+
+
+def test_is_prime_matches_a_sieve():
+    n = 10**6
+    sieve = np.ones(n, dtype=bool)
+    sieve[:2] = False
+    for d in range(2, 1001):
+        if sieve[d]:
+            sieve[d * d :: d] = False
+    assert [cyclotomic._is_prime(k) for k in range(n)] == sieve.tolist()
+
+
+@pytest.mark.parametrize("n", sorted(STRONG_PSEUDOPRIMES))
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    factors = STRONG_PSEUDOPRIMES[n]
+    assert np.prod(factors, dtype=object) == n
+    assert all(cyclotomic._is_prime(f) for f in factors)
+    assert not cyclotomic._is_prime(n)
+
+
 def test_euler_phi_values():
     assert [euler_phi(n) for n in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
 

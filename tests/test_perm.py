@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from etalab.catalog import default_catalog
 from etalab.constructions import cyclic, dihedral, direct_product, extraspecial_exp_p, quaternion
 from etalab.errors import GroupError, PermutationError
 from etalab.perm import (
@@ -83,7 +84,9 @@ def test_identity_is_first_element():
 
 
 def test_class_partition_matches_brute_force():
-    for G in (dihedral(4), quaternion(), cyclic(8), extraspecial_exp_p(3)):
+    groups = [dihedral(4), quaternion(), cyclic(8), extraspecial_exp_p(3)]
+    groups += [N for _, G in default_catalog() for N in G.chief_series() if N.order <= 256]
+    for G in groups:
         classes = G.conjugacy_classes()
         brute = {frozenset(p) for p in conjugacy_partition(G)}
         mine = {frozenset(members) for members in classes.members}
@@ -91,6 +94,15 @@ def test_class_partition_matches_brute_force():
         assert sum(classes.sizes) == G.order
         assert classes.sizes[0] == 1
         assert classes.representatives[0] == Permutation.identity(G.degree)
+        # canonical order: sizes ascending, ties by the smallest member, which
+        # is the representative
+        assert list(classes.sizes) == [len(members) for members in classes.members]
+        assert list(classes.representatives) == [min(members) for members in classes.members]
+        keys = [(len(members), min(members)) for members in classes.members]
+        assert keys == sorted(keys)
+        # the class of each sorted element
+        owner = [classes.class_of(x) for x in G.elements]
+        assert classes.element_class.tolist() == owner
 
 
 def test_class_sizes_divide_group_order():

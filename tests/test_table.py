@@ -229,8 +229,9 @@ def test_class_matrices_match_elementwise_oracle():
 def test_class_matrix_rejects_a_product_outside_the_group(d8):
     # drop the identity from the sorted elements: every x^-1 x must miss it
     classes = _fresh_copy(d8).conjugacy_classes()
-    dtype, keys, owner = table_mod._element_index(classes)
-    object.__setattr__(classes, "_element_index", (dtype, keys[1:], owner[1:]))
+    G = classes.group
+    dtype, keys = G.element_keys()
+    G._element_keys = (dtype, keys[1:])
     with pytest.raises(TableError, match=r"^internal class lookup failure: .*\(group order 8\)$"):
         class_matrix(classes, 1)
 
@@ -348,6 +349,44 @@ def test_seeded_tables_equal_plain_dixon(monkeypatch):
                 assert seeded_runs == [N] and not splits, N.order
             plain = table_mod._compute_table(N, prime_offset=1)
             assert seeded == plain.to_json_dict()["irreducibles"], (gid, N.order)
+
+
+def _central_translate_classes(classes):
+    """Classes z C_j, z central, whose central class and class j are both
+    earlier, by one product per central element and class."""
+    out = set()
+    for c, z in enumerate(classes.representatives[: classes.sizes.count(1)]):
+        for j, x in enumerate(classes.representatives):
+            i = classes.class_of(z * x)
+            if c < i and j < i:
+                out.add(i)
+    return out
+
+
+def test_eigensplit_builds_no_central_translate(monkeypatch):
+    # K_(z C_j) = K_z K_j for z central: such a class splits nothing the
+    # classes before it have not, so its matrix is never built
+    _fresh_memo(monkeypatch)
+    w22 = load_catalog_group("w22")
+    plain = _fresh_copy(w22)  # no chief series, so no seeding
+    seeded = _fresh_copy(w22).chief_series()
+    member = next(N for N in seeded if N.order == 1024)
+    for N in seeded[: seeded.index(member)]:
+        character_table(N)
+    requested = []
+    build = table_mod.class_matrix
+
+    def tracked(classes, i):
+        requested.append(i)
+        return build(classes, i)
+
+    monkeypatch.setattr(table_mod, "class_matrix", tracked)
+    for G in (plain, member):
+        requested.clear()
+        character_table(G)
+        skipped = _central_translate_classes(G.conjugacy_classes())
+        assert requested and min(skipped) < max(requested), G.order
+        assert not skipped & set(requested), G.order
 
 
 def test_class_matrices_do_not_outlive_the_table(monkeypatch):
