@@ -93,9 +93,14 @@ def decompose(theta: Character) -> ConstituentDecomposition:
 
 def _product_decompositions(table, a: np.ndarray, b: np.ndarray) -> list[ConstituentDecomposition]:
     """The decompositions of the pointwise products a[i] * b[i] of two (m,
-    classes, phi(e)) coefficient stacks on table's classes, as decompose
-    finds them, from one pairing that takes each product as its factors."""
-    mults = table._multiplicity_rows((a, b), table.e)
+    classes, phi(e)) coefficient stacks on table's classes (a stack of one
+    row broadcasts), as decompose finds them, from one pairing that takes
+    each product as its factors.
+
+    Every row of a and b must be a row of table or a row's conjugate: when
+    the table passes its _rational_pairings check, the multiplicities are
+    then rational integers, and the pairing reads them at one embedding."""
+    mults = table._multiplicity_rows((a, b), table.e, of_rows=True)
     return [_decomposition(table, m, d) for m, d in zip(mults, (a[:, 0, 0] * b[:, 0, 0]).tolist())]
 
 

@@ -7,16 +7,19 @@ values with the same conductor are equal exactly when their coefficient
 vectors are equal.
 
 One set of array kernels does all the ring arithmetic on (..., phi) stacks of
-such vectors: `multiply`, `conjugate`, `lift` (to a multiple of the
-conductor) and `down` (to a divisor), each an integer matmul against a small
-cached table read off the powers of zeta_e.  They run in int64 when a bound
-computed from the inputs keeps every partial sum below 2^63, and on Python
-integers (dtype=object) otherwise.  CycValue, the scalar type, calls the
-same kernels on a single row.  The pairing sum_k w_k x(k) conj(y(k))
-evaluates instead: mod word-size primes q = 1 mod e, cached per conductor, it
-reads both sides at the phi conjugate embeddings of zeta_e, where products
-are pointwise, and combines the primes by the Chinese remainder theorem.
-There is no floating point and no precision loss anywhere.
+such vectors: `multiply`, `galois` (zeta_e -> zeta_e^u; `conjugate` is
+u = -1), `lift` (to a multiple of the conductor) and `down` (to a divisor),
+each an integer matmul against a small cached table read off the powers of
+zeta_e.  They run in int64 when a bound computed from the inputs keeps every
+partial sum below 2^63, and on Python integers (dtype=object) otherwise.
+CycValue, the scalar type, calls the same kernels on a single row.  The
+pairing sum_k w_k x(k) conj(y(k)) evaluates instead: mod word-size primes
+q = 1 mod e, cached per conductor, it reads both sides at the phi conjugate
+embeddings of zeta_e, where products are pointwise, and combines the primes
+by the Chinese remainder theorem.  When the caller knows every sum to be a
+rational integer (tables check this: table.CharTable._rational_pairings),
+one embedding gives it, and the pairing reads only that one.  There is no
+floating point and no precision loss anywhere.
 
 Conductors mix by rebasing to the least common multiple.  Rebasing up is the
 `lift` kernel; rebasing down is the `down` kernel, which reads the values at
@@ -160,10 +163,32 @@ def multiply(x: np.ndarray, y: np.ndarray, e: int) -> np.ndarray:
     return outer.reshape(*outer.shape[:-2], phi * phi) @ t.reshape(phi * phi, phi)
 
 
+def galois(x: np.ndarray, e: int, u: int) -> np.ndarray:
+    """Images of a (..., phi) stack of conductor-e values under the
+    automorphism zeta_e -> zeta_e^u, u a unit mod e."""
+    phi = x.shape[-1]
+    return linear_map(x, power_basis_matrix(e)[np.arange(phi) * u % e])
+
+
 def conjugate(x: np.ndarray, e: int) -> np.ndarray:
     """Complex conjugates of a (..., phi) stack of conductor-e values."""
-    phi = x.shape[-1]
-    return linear_map(x, power_basis_matrix(e)[-np.arange(phi) % e])
+    return galois(x, e, -1)
+
+
+@lru_cache(maxsize=None)
+def unit_generators(e: int) -> tuple[int, ...]:
+    """Units mod e that generate (Z/e)^x: each unit, smallest first, that
+    the ones before it do not generate."""
+    span, gens = {1 % e}, []
+    for u in range(2, e):
+        if gcd(u, e) == 1 and u not in span:
+            gens.append(u)
+            while True:
+                more = span | {s * u % e for s in span}
+                if more == span:
+                    break
+                span = more
+    return tuple(gens)
 
 
 def lift(x: np.ndarray, e: int, f: int) -> np.ndarray:
@@ -310,25 +335,32 @@ def _embedding(e: int, width: int, i: int) -> tuple[int, np.ndarray, np.ndarray,
 
 def _values(x: np.ndarray, q: int, vand: np.ndarray) -> np.ndarray:
     """The (m, K, phi) stack x mod q at the embeddings of vand's columns, as
-    (phi, m, K): one contiguous matrix per embedding, for the fast matmul."""
+    (embeddings, m, K): one contiguous matrix per embedding, for the fast matmul."""
     m, k, phi = x.shape
     # reduced first only when the evaluation's sums could pass int64
     if x.dtype != np.int64 or phi * _magnitude(x) * q >= 1 << 63:
         x = (x % q).astype(np.int64)
-    out = (vand.T @ x.reshape(m * k, phi).T).reshape(phi, m, k)
+    out = (vand.T @ x.reshape(m * k, phi).T).reshape(vand.shape[1], m, k)
     out %= q
     return out
 
 
-def pairing(x, weights, y: np.ndarray, e: int) -> np.ndarray:
+def pairing(x, weights, y: np.ndarray, e: int, rational: bool = False) -> np.ndarray:
     """(m, n, phi) coefficients of sum_k w_k x_i(k) conj(y_j(k)) in Z[zeta_e].
 
     x and y are (m, K, phi) and (n, K, phi) coefficient stacks, weights K
     integers; x may be a sequence of such stacks, standing for their
-    pointwise product.  Mod each prime, one int64 matmul per embedding forms
-    the sums (conj(y) at a is y at 1 / a).  Primes are added until their
-    product exceeds twice a bound on the result, which is int64 while that
-    product fits and Python integers (dtype=object) otherwise.
+    pointwise product, whose row counts broadcast to m.  Mod each prime, one
+    int64 matmul per embedding forms the sums (conj(y) at a is y at 1 / a);
+    an operand that is both a factor and y is evaluated once.  Primes are
+    added until their product exceeds twice a bound on the result, which is
+    int64 while that product fits and Python integers (dtype=object)
+    otherwise.
+
+    rational is the caller's promise that every sum is a rational integer.
+    A rational integer is its own value at any embedding, so each prime then
+    takes one matmul, at one embedding, and nothing is interpolated; the
+    result is the same, with every coefficient past the first zero.
     """
     factors = [x] if isinstance(x, np.ndarray) else list(x)
     k, phi = y.shape[1:]
@@ -341,15 +373,24 @@ def pairing(x, weights, y: np.ndarray, e: int) -> np.ndarray:
     bound *= int(np.abs(power_basis_matrix(e)).sum(axis=1).max())
     # one bucket of primes serves every sum of up to 256 terms
     width = max(8, (max(k, phi) - 1).bit_length())
+    at = [0] if rational else list(range(phi))
     out, modulus = None, 1
     for i in count():
         q, vand, interp, neg = _embedding(e, width, i)
+        # the factors are read at the embeddings at, y at their conjugates;
+        # every operand is evaluated once, at both
+        cols = sorted({*at, *(neg[t] for t in at)})
+        read, read_conj = [cols.index(t) for t in at], [cols.index(neg[t]) for t in at]
+        values = {}
+        for a in (*factors, y):
+            if id(a) not in values:
+                values[id(a)] = _values(a, q, vand[:, cols])
         acc = np.array([wk % q for wk in w], dtype=np.int64)
         for f in factors:
-            acc = _values(f, q, vand) * acc % q
+            acc = values[id(f)][read] * acc % q
         # the sums at each embedding, then their coefficients mod q
-        acc = np.matmul(acc, _values(y, q, vand[:, neg]).transpose(0, 2, 1)) % q
-        acc = acc.transpose(1, 2, 0) @ interp % q
+        acc = np.matmul(acc, values[id(y)][read_conj].transpose(0, 2, 1)) % q
+        acc = acc[0] if rational else acc.transpose(1, 2, 0) @ interp % q
         if i:
             # Garner: the next mixed-radix digit in int64, added on in int64
             # while the product of the primes fits
@@ -359,6 +400,10 @@ def pairing(x, weights, y: np.ndarray, e: int) -> np.ndarray:
         out, modulus = acc, modulus * q
         if modulus > 2 * bound:
             out[out > modulus // 2] -= modulus
+            if rational:
+                coeffs = np.zeros((*out.shape, phi), dtype=out.dtype)
+                coeffs[..., 0] = out
+                out = coeffs
             return out
 
 

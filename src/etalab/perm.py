@@ -8,13 +8,18 @@ ordering, chief series steps, transversal scans.
 Products and inverses are valid by construction and skip validation (the
 trusted `_from_images`); the public constructor validates its images.
 
-Groups are enumerated by breadth-first closure of the generators, capped at
-2^21 elements.  A group holds its sorted elements as byte keys, one per image
-row, which sort as the elements do; products formed as image arrays are
-looked up among them by binary search.  Conjugacy classes come from such
-gathers: conjugation by each generator is one gather of all image rows and
-one search, an index map of the elements, and the classes are the orbits of
-these maps, found by min-label propagation.
+Groups are enumerated by breadth-first closure of the generators over image
+rows, capped at 2^21 elements: each round is one gather per generator, and
+np.unique and a binary search drop the products already known.  A group
+stores its sorted elements as byte keys, one per image row, which sort as the
+elements do; Permutation objects are made from them only on first use, and a
+group made from its elements keeps those.  Products formed as image arrays
+are looked up among the keys by binary search, and so are subgroup and
+equality tests; the exponent and the content key are read off the rows, all
+at once.  Conjugacy classes come from such gathers: conjugation by each
+generator is one gather of all image rows and one search, an index map of
+the elements, and the classes are the orbits of these maps, found by
+min-label propagation.
 
 Subgroups carry a reference to the ambient group they were cut from; they
 share its degree and are otherwise ordinary groups.  A group keeps the
@@ -49,7 +54,6 @@ __all__ = [
     "conjugacy_classes",
     "group_from_generators",
     "is_p_group",
-    "power_map",
 ]
 
 
@@ -162,22 +166,39 @@ class Permutation:
         return f"Permutation({self.images!r})"
 
 
-def _close_generators(degree: int, gens: tuple[Permutation, ...], cap: int) -> set[Permutation]:
-    ident = Permutation.identity(degree)
-    elems = {ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                if y not in elems:
-                    if len(elems) >= cap:
-                        raise GroupError("group too large")
-                    elems.add(y)
-                    new.append(y)
-        frontier = new
-    return elems
+def _point_dtype(degree: int) -> np.dtype:
+    """The smallest unsigned big-endian dtype that holds a point."""
+    return np.dtype(">u1" if degree <= 1 << 8 else ">u2" if degree <= 1 << 16 else ">u4")
+
+
+def _locate(keys: np.ndarray, found: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each of found's keys' position among the sorted keys, and whether it
+    is there."""
+    pos = np.minimum(np.searchsorted(keys, found), len(keys) - 1)
+    return pos, keys[pos] == found
+
+
+def _close_generators(
+    degree: int, gens: tuple[Permutation, ...], cap: int
+) -> tuple[np.dtype, np.ndarray]:
+    """(dtype, keys) as PermGroup.element_keys gives them, for the group gens
+    generate, by breadth-first closure over image rows: each round
+    multiplies the rows found in the round before by every generator in one
+    gather, (x g)[pt] = g[x[pt]], and keeps the distinct products not yet
+    known; GroupError once the group has more than cap elements."""
+    dtype = _point_dtype(degree)
+    images = np.array([g.images for g in gens], dtype=dtype).reshape(len(gens), degree)
+    frontier = np.arange(degree, dtype=dtype)[None]
+    keys = _as_keys(frontier)
+    while len(frontier):
+        products = images[:, frontier].reshape(-1, degree)
+        found, first = np.unique(_as_keys(products), return_index=True)
+        fresh = ~_locate(keys, found)[1]
+        if len(keys) + np.count_nonzero(fresh) > cap:
+            raise GroupError("group too large")
+        keys = np.insert(keys, np.searchsorted(keys, found[fresh]), found[fresh])
+        frontier = products[first[fresh]]
+    return dtype, keys
 
 
 class PGroupInfo(NamedTuple):
@@ -248,18 +269,24 @@ class PermGroup:
         self.degree = degree
         self.generators = gens
         self.parent = parent
+        # the sorted element keys (see element_keys) are the group's one
+        # stored form; elements and element_set are read off them on first
+        # use, unless the group was made from its elements
+        self._elements: Optional[tuple[Permutation, ...]] = None
+        self._element_set: Optional[frozenset] = None
+        self._element_keys: Optional[tuple[np.dtype, np.ndarray]] = None
         if _elements is None:
-            _elements = frozenset(_close_generators(degree, gens, order_cap))
-        self.element_set = _elements
-        self.elements = tuple(sorted(_elements))
-        self.order = len(_elements)
+            self._element_keys = _close_generators(degree, gens, order_cap)
+            self.order = len(self._element_keys[1])
+        else:
+            self._element_set = frozenset(_elements)
+            self.order = len(self._element_set)
         if parent is not None:
             if parent.degree != degree:
                 raise GroupError("not a subgroup")
-            if not _elements <= parent.element_set:
+            if not _locate(parent.element_keys()[1], self.element_keys()[1])[1].all():
                 raise GroupError("not a subgroup")
         self._classes: Optional[ConjugacyClassSet] = None
-        self._element_keys: Optional[tuple[np.dtype, np.ndarray]] = None
         self._exponent: Optional[int] = None
         self._pinfo: Optional[PGroupInfo] = None
         self._series = None
@@ -271,6 +298,24 @@ class PermGroup:
         self._class_actions: dict = {}
         self._subgroup_of: set[str] = set()  # content keys of known supergroups
         self._normal_in: set[str] = set()  # content keys of groups known to normalize it
+
+    @property
+    def elements(self) -> tuple[Permutation, ...]:
+        """The elements in sorted order, the order of their image tuples."""
+        if self._elements is None:
+            if self._element_set is not None:
+                self._elements = tuple(sorted(self._element_set))
+            else:
+                dtype, keys = self._element_keys
+                rows = keys.view(dtype).reshape(self.order, self.degree).tolist()
+                self._elements = tuple(Permutation._from_images(tuple(row)) for row in rows)
+        return self._elements
+
+    @property
+    def element_set(self) -> frozenset:
+        if self._element_set is None:
+            self._element_set = frozenset(self.elements)
+        return self._element_set
 
     @property
     def identity(self) -> Permutation:
@@ -301,7 +346,9 @@ class PermGroup:
 
     def is_subgroup_of(self, other: "PermGroup") -> bool:
         if other.content_key not in self._subgroup_of:
-            if self.degree != other.degree or not self.element_set <= other.element_set:
+            if self.degree != other.degree:
+                return False
+            if not _locate(other.element_keys()[1], self.element_keys()[1])[1].all():
                 return False
             self._subgroup_of.add(other.content_key)
         return True
@@ -319,17 +366,20 @@ class PermGroup:
 
     def same_elements(self, other: "PermGroup") -> bool:
         return self is other or (
-            self.degree == other.degree and self.element_set == other.element_set
+            self.degree == other.degree
+            and self.order == other.order
+            and bool((self.element_keys()[1] == other.element_keys()[1]).all())
         )
 
     @property
     def content_key(self) -> str:
+        """sha256 of the degree, then of every image of every sorted element,
+        each as 4 big-endian bytes."""
         if self._content_key is None:
+            dtype, keys = self.element_keys()
             h = hashlib.sha256()
             h.update(self.degree.to_bytes(4, "big"))
-            for x in self.elements:
-                for i in x.images:
-                    h.update(i.to_bytes(4, "big"))
+            h.update(keys.view(dtype).astype(">u4").tobytes())
             self._content_key = h.hexdigest()
         return self._content_key
 
@@ -337,8 +387,7 @@ class PermGroup:
         """(dtype, keys): the smallest unsigned big-endian dtype that holds a
         point, and the sorted elements' image rows in it, one key each."""
         if self._element_keys is None:
-            n = self.degree
-            dtype = np.dtype(">u1" if n <= 1 << 8 else ">u2" if n <= 1 << 16 else ">u4")
+            dtype = _point_dtype(self.degree)
             rows = np.array([x.images for x in self.elements], dtype=dtype)
             self._element_keys = (dtype, _as_keys(rows))
         return self._element_keys
@@ -360,10 +409,24 @@ class PermGroup:
         return self.subgroup_from_elements(elems)
 
     def exponent(self) -> int:
+        """The lcm of the element orders, which is the lcm of the lengths of
+        their cycles: step s of the powers of all elements at once finds the
+        points back at themselves for the first time, whose cycles have
+        length s, and no cycle is longer than the degree."""
         if self._exponent is None:
-            out = 1
-            for x in self.elements:
-                out = lcm(out, x.order())
+            dtype, keys = self.element_keys()
+            rows = keys.view(dtype).reshape(self.order, self.degree).astype(dtype.newbyteorder("="))
+            points = np.arange(self.degree)
+            seen = np.zeros(rows.shape, dtype=bool)
+            power, out = rows, 1
+            for s in range(1, self.degree + 1):
+                back = (power == points) & ~seen
+                if back.any():
+                    out = lcm(out, s)
+                    seen |= back
+                    if seen.all():
+                        break
+                power = np.take_along_axis(rows, power, axis=1)
             self._exponent = out
         return self._exponent
 
@@ -411,8 +474,8 @@ def _compute_classes(G: PermGroup) -> ConjugacyClassSet:
     maps = []
     for g in G.generators:
         conj = _as_keys(np.array(g.images, dtype=dtype)[rows[:, np.argsort(g.images)]])
-        pos = np.minimum(np.searchsorted(keys, conj), n - 1)
-        if (keys[pos] != conj).any():
+        pos, there = _locate(keys, conj)
+        if not there.all():
             raise GroupError("internal class failure: a conjugate is not in the group")
         maps.append(pos)
     # each label falls to a smaller index of its orbit, through the maps and
@@ -436,7 +499,8 @@ def _compute_classes(G: PermGroup) -> ConjugacyClassSet:
     element_class = rank[orbit]
     element_class.setflags(write=False)
     sizes = sizes[order].tolist()
-    flat = [G.elements[i] for i in np.argsort(element_class, kind="stable").tolist()]
+    elements = G.elements
+    flat = [elements[i] for i in np.argsort(element_class, kind="stable").tolist()]
     ends = np.cumsum(sizes).tolist()
     members = tuple(tuple(flat[end - size : end]) for size, end in zip(sizes, ends))
     return ConjugacyClassSet(
@@ -518,7 +582,3 @@ def _class_action(N: PermGroup, g: Permutation) -> tuple[int, ...]:
         N._class_actions[g.images] = act
     return act
 
-
-def power_map(G: PermGroup, classes: ConjugacyClassSet, j: int) -> list[int]:
-    """Class index of rep^j for each class, in canonical class order."""
-    return [classes.class_of(rep ** j) for rep in classes.representatives]

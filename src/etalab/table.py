@@ -45,16 +45,19 @@ seed another.
 Class matrices and power maps are numpy gathers: products are formed as
 image arrays, in chunks of bounded size, and each is looked up by binary
 search among the group's element keys, which perm owns (its sorted
-elements as big-endian byte rows); the class set gives each element's
-class.  Each class matrix is built when the split asks for it and is not
-kept, so none outlives the table computation.
+elements as big-endian byte rows, the group's stored form); the class set
+gives each element's class.  Each class matrix is built when the split asks
+for it and is not kept, so none outlives the table computation.
 
 No floating point anywhere.  numpy does the int64 modular linear algebra,
 where every product stays below 2^63 because q is kept under 2^21 and the
 element cap bounds matrix sizes; the sparse images keep that bound.  The
 exact pairing behind multiplicities and orthogonality (cyclotomic.pairing)
 works mod primes of its own, at the conjugate embeddings of zeta_e, and is
-exact by the Chinese remainder theorem.
+exact by the Chinese remainder theorem.  A table whose rows the Galois
+group permutes as the power maps permute its classes (_rational_pairings,
+an exact check kept on the table) has rational-integer norms, products of
+rows and orthogonality sums; those pairings read one embedding only.
 """
 
 from __future__ import annotations
@@ -64,16 +67,17 @@ import json
 import os
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Optional, Union
 
 import numpy as np
 
 from .chars import Character
-from .cyclotomic import _is_prime, _primitive_root, lift, pairing, power_basis_matrix
-from .cyclotomic import reduced_degree
+from .cyclotomic import _is_prime, _primitive_root, galois, lift, pairing, power_basis_matrix
+from .cyclotomic import reduced_degree, unit_generators
 from .errors import CharacterError, EtalabError, TableError
-from .perm import ConjugacyClassSet, PermGroup, Permutation, _as_keys, _class_action
+from .perm import ConjugacyClassSet, PermGroup, Permutation, _as_keys, _class_action, _locate
 
 __all__ = [
     "CharTable",
@@ -148,20 +152,25 @@ def _rref(a: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
     rows, cols = a.shape
     r = c = 0
     pivots = []
-    while r < rows:
-        # the next pivot column is the first with a nonzero below row r
-        nonzero = np.flatnonzero(a[r:, c:].any(axis=0))
-        if not len(nonzero):
-            break
-        c += int(nonzero[0])
-        piv = r + int(np.flatnonzero(a[r:, c])[0])
+    while r < rows and c < cols:
+        # the next pivot column is c when it has a nonzero below row r, else
+        # the first later column that has one
+        below = np.flatnonzero(a[r:, c])
+        if not len(below):
+            nonzero = np.flatnonzero(a[r:, c:].any(axis=0))
+            if not len(nonzero):
+                break
+            c += int(nonzero[0])
+            below = np.flatnonzero(a[r:, c])
+        piv = r + int(below[0])
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
-        # row r is zero left of c, so only columns c.. change
+        # row r is zero left of c, so only columns c.. change, and only in
+        # the rows with a nonzero in column c
         a[r, c:] = a[r, c:] * pow(int(a[r, c]), q - 2, q) % q
-        col = a[:, c].copy()
-        col[r] = 0
-        a[:, c:] = (a[:, c:] - np.outer(col, a[r, c:])) % q
+        hit = np.flatnonzero(a[:, c])
+        hit = hit[hit != r]
+        a[hit, c:] = (a[hit, c:] - np.outer(a[hit, c], a[r, c:])) % q
         pivots.append(c)
         r += 1
         c += 1
@@ -319,9 +328,8 @@ def _common_eigenbasis(classes: ConjugacyClassSet, spaces: list[np.ndarray], q: 
 def _key_positions(keys: np.ndarray, rows: np.ndarray, missing: str) -> np.ndarray:
     """Each row's (last axis) position among sorted keys; TableError(missing)
     if one is not there."""
-    found = _as_keys(rows)
-    pos = np.minimum(np.searchsorted(keys, found), len(keys) - 1)
-    if (keys[pos] != found).any():
+    pos, there = _locate(keys, _as_keys(rows))
+    if not there.all():
         raise TableError(missing)
     return pos
 
@@ -355,6 +363,20 @@ def class_matrix(classes: ConjugacyClassSet, i: int) -> np.ndarray:
         owner = _classes_of_rows(classes, products)
         counts += np.bincount((owner * r + np.arange(r)).ravel(), minlength=r * r)
     return counts.reshape(r, r)
+
+
+def _power_classes(classes: ConjugacyClassSet, n: int) -> np.ndarray:
+    """(r, n) array: the class of rep_j^s for each class j and each s < n,
+    applying each representative once more per step, one gather for all."""
+    G = classes.group
+    dtype = G.element_keys()[0]
+    reps = np.array([rep.images for rep in classes.representatives], dtype=np.intp)
+    power = np.broadcast_to(np.arange(G.degree), reps.shape)
+    out = np.empty((len(reps), n), dtype=np.int64)
+    for s in range(n):
+        out[:, s] = _classes_of_rows(classes, power.astype(dtype))
+        power = np.take_along_axis(reps, power, axis=1)
+    return out
 
 
 def as_multiplicities(raw: np.ndarray, order: int) -> list:
@@ -445,29 +467,71 @@ class CharTable:
             raise CharacterError("characters on different groups")
         return self._multiplicity_rows(theta.coeffs[None], self.e)[0]
 
-    def _multiplicity_rows(self, rows, e: int) -> list[list[int]]:
+    def _multiplicity_rows(self, rows, e: int, of_rows: bool = False) -> list[list[int]]:
         """[row, chi_i] for a (m, classes, phi(e)) stack of class functions, or
         a sequence of such stacks standing for their pointwise products, on
         this table's classes at a conductor e that self.e divides.
 
         The pairing runs at e, so nothing is rebased down: the cube is lifted.
+        of_rows says that every row given is a row of this table or a row's
+        conjugate, at e = self.e; the multiplicities are then rational
+        integers when the table passes its _rational_pairings check, and the
+        pairing reads them at one embedding.
         """
-        raw = pairing(rows, self.classes.sizes, lift(self.cube, self.e, e), e)
+        rational = of_rows and self._rational_pairings
+        raw = pairing(rows, self.classes.sizes, lift(self.cube, self.e, e), e, rational)
         return as_multiplicities(raw, self.group.order)
 
+    @cached_property
+    def _rational_pairings(self) -> bool:
+        """Whether the Galois action on the rows matches the power maps, so
+        that every pairing of products of rows and their conjugates, and
+        every column sum sum_i chi_i(k) conj(chi_i(l)), is a rational integer.
+
+        For each u of a generating set of (Z/e)^x, with P_u the class map
+        k -> class of x_k^u and sigma_u the automorphism zeta_e -> zeta_e^u:
+        (a) P_u permutes the classes and keeps their sizes; (b) sigma_u(cube)
+        equals cube[:, P_u] exactly; (c) the rows of cube[:, P_u] are the
+        table's rows, each once.  By (a) and (b), sigma_u fixes
+        sum_k |C_k| prod f(k) conj(y(k)) for rows or conjugate rows f and y;
+        by (b) and (c) it permutes the rows, which fixes each column sum.
+        Fixed by every sigma_u, such a sum is rational; it is an algebraic
+        integer, so a rational integer."""
+        sizes = np.array(self.classes.sizes)
+        r = len(sizes)
+        gens = unit_generators(self.e)
+        power = _power_classes(self.classes, max(gens, default=0) + 1)
+        for u in gens:
+            act = power[:, u]
+            if (np.sort(act) != np.arange(r)).any() or (sizes[act] != sizes).any():
+                return False
+            image = self.cube[:, act]
+            if not np.array_equal(galois(self.cube, self.e, u), image):
+                return False
+            try:
+                rows = self._rows_index(image)
+            except TableError:
+                return False
+            if sorted(rows) != list(range(len(rows))):
+                return False
+        return True
+
     def verify_orthogonality(self) -> None:
-        """Exact row and column orthogonality; raises TableError on failure."""
+        """Exact row and column orthogonality; raises TableError on failure.
+        Both relations are rational integers when the table passes its
+        _rational_pairings check, and are then paired at one embedding."""
         order = self.group.order
         sizes = self.classes.sizes
         cube = self.cube
-        gram = pairing(cube, sizes, cube, self.e)
+        rational = self._rational_pairings
+        gram = pairing(cube, sizes, cube, self.e, rational)
         expect = np.zeros(gram.shape, dtype=np.int64)
         for i in range(len(cube)):
             expect[i, i, 0] = order
         if (gram != expect).any():
             raise TableError("row orthogonality violated")
         by_class = cube.transpose(1, 0, 2)
-        cols = pairing(by_class, [1] * len(cube), by_class, self.e)
+        cols = pairing(by_class, [1] * len(cube), by_class, self.e, rational)
         expect = np.zeros(cols.shape, dtype=np.int64)
         for k, size in enumerate(sizes):
             expect[k, k, 0] = order // size
@@ -619,15 +683,7 @@ def _compute_table(G: PermGroup, prime_offset: int = 0) -> CharTable:
 
     size_inv = np.array([pow(s, q - 2, q) for s in classes.sizes], dtype=np.int64)
 
-    # power maps: class of rep_j^s for s < e, applying rep_j once more per step
-    dtype = G.element_keys()[0]
-    reps = np.array([rep.images for rep in classes.representatives], dtype=np.intp)
-    power = np.broadcast_to(np.arange(G.degree), reps.shape)
-    pclass = np.empty((r, e), dtype=np.int64)
-    for s in range(e):
-        pclass[:, s] = _classes_of_rows(classes, power.astype(dtype))
-        power = np.take_along_axis(reps, power, axis=1)
-
+    pclass = _power_classes(classes, e)
     zinv = pow(z, q - 2, q)
     zmat = np.array(
         [[pow(zinv, (l * s) % e, q) for s in range(e)] for l in range(e)], dtype=np.int64

@@ -209,8 +209,8 @@ def verify_corollary_a(groups=None, max_order=64):
         for i, chi in enumerate(table):
             bound = _bound(G, chi)[1]
             # chi * psi for every psi, one pairing per chi
-            rows = table.cube[[i] * len(table)]
-            for j, dec in enumerate(_product_decompositions(table, rows, table.cube)):
+            row = table.cube[i : i + 1]
+            for j, dec in enumerate(_product_decompositions(table, row, table.cube)):
                 qualifies = any(c.degree == 1 for c, _ in dec.constituents)
                 rec = {"chi": i, "psi": j, "qualifies": qualifies, "eta": dec.eta}
                 if qualifies:

@@ -7,6 +7,9 @@ genuine cross-check rather than the same code run twice.
 
 from __future__ import annotations
 
+import hashlib
+from math import lcm
+
 import numpy as np
 
 from etalab.cyclotomic import (
@@ -18,7 +21,71 @@ from etalab.cyclotomic import (
     power_basis_matrix,
     reduced_degree,
 )
+from etalab.errors import GroupError
 from etalab.perm import PermGroup, Permutation, _class_action
+
+
+def closure_elementwise(degree: int, gens, cap: int) -> set:
+    """The group gens generate, by breadth-first closure one permutation
+    product at a time; GroupError once it has more than cap elements."""
+    ident = Permutation.identity(degree)
+    elems = {ident}
+    frontier = [ident]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = x * g
+                if y not in elems:
+                    if len(elems) >= cap:
+                        raise GroupError("group too large")
+                    elems.add(y)
+                    new.append(y)
+        frontier = new
+    return elems
+
+
+def exponent_elementwise(G: PermGroup) -> int:
+    """lcm of the element orders, each from the element's own cycles."""
+    out = 1
+    for x in G.elements:
+        out = lcm(out, x.order())
+    return out
+
+
+def content_key_elementwise(G: PermGroup) -> str:
+    """sha256 of the degree and of every image of every sorted element, one
+    4-byte big-endian update at a time."""
+    h = hashlib.sha256()
+    h.update(G.degree.to_bytes(4, "big"))
+    for x in sorted(G.element_set):
+        for i in x.images:
+            h.update(i.to_bytes(4, "big"))
+    return h.hexdigest()
+
+
+def rref_dense(a: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form over F_q, clearing the pivot column in every
+    row; returns (nonzero rows, pivot columns)."""
+    a = a % q
+    rows, cols = a.shape
+    r = 0
+    pivots = []
+    for c in range(cols):
+        if r == rows:
+            break
+        below = np.flatnonzero(a[r:, c])
+        if not len(below):
+            continue
+        piv = r + int(below[0])
+        a[[r, piv]] = a[[piv, r]]
+        a[r] = a[r] * pow(int(a[r, c]), q - 2, q) % q
+        col = a[:, c].copy()
+        col[r] = 0
+        a = (a - np.outer(col, a[r])) % q
+        pivots.append(c)
+        r += 1
+    return a[:r], pivots
 
 
 def conjugacy_partition(G: PermGroup) -> list[frozenset]:
@@ -74,6 +141,12 @@ def class_matrix_elementwise(classes, i: int) -> list[list[int]]:
         for k, z in enumerate(reps):
             mat[classes.class_of(xinv * z)][k] += 1
     return mat
+
+
+def power_map(G: PermGroup, classes, j: int) -> list[int]:
+    """Class index of rep^j for each class, in canonical class order, by one
+    permutation power per representative."""
+    return [classes.class_of(rep ** j) for rep in classes.representatives]
 
 
 def _reduced(acc: list[int], e: int) -> list[int]:

@@ -2,6 +2,7 @@
 conjugation, conductor changes, the pairing against its power-basis oracle."""
 
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from etalab.cyclotomic import (
     multiply,
     pairing,
     reduced_degree,
+    unit_generators,
 )
 from etalab.errors import CyclotomicError
 from etalab.table import character_table
@@ -343,3 +345,36 @@ def test_pairing_adds_primes_until_the_bound_is_covered(e, scale, primes, dtype,
     assert all(q % e == 1 % e and q * q * 2**8 < 2**62 for _, q in taken)
     assert got.dtype == dtype
     assert got.tolist() == power_basis_pairing(x, weights, y, e).tolist()
+
+
+def test_unit_generators_generate_every_unit_group():
+    for e in range(1, 301):
+        units = {u for u in range(e) if gcd(u, e) == 1}
+        gens = unit_generators(e)
+        assert set(gens) <= units, e
+        span = {1 % e}
+        while True:
+            more = span | {s * u % e for s in span for u in gens}
+            if more == span:
+                break
+            span = more
+        assert span == units, e
+
+
+@pytest.mark.parametrize("rational", [False, True])
+def test_an_operand_in_both_roles_is_evaluated_once(rational, monkeypatch):
+    # the norms block: cube is a factor and y, conj(cube) a factor only
+    table = character_table(load_catalog_group("c25"))
+    cube, e = table.cube, table.e
+    values, evaluated = cyclotomic._values, []
+
+    def counted(x, q, vand):
+        evaluated.append(vand.shape[1])
+        return values(x, q, vand)
+
+    taken = _primes_used(monkeypatch)
+    monkeypatch.setattr(cyclotomic, "_values", counted)
+    pairing((cube, conjugate(cube, e)), table.classes.sizes, cube, e, rational)
+    primes = len({i for i, _ in taken})
+    # one embedding and its conjugate, or all phi(25) = 20
+    assert evaluated == [2 if rational else 20] * (2 * primes)

@@ -4,8 +4,15 @@ import random
 
 import pytest
 
-from etalab.catalog import default_catalog
-from etalab.constructions import cyclic, dihedral, direct_product, extraspecial_exp_p, quaternion
+from etalab.catalog import catalog_ids, default_catalog, load_catalog_group
+from etalab.constructions import (
+    cyclic,
+    dihedral,
+    direct_product,
+    extraspecial_exp_p,
+    quaternion,
+    wreath_cp,
+)
 from etalab.errors import GroupError, PermutationError
 from etalab.perm import (
     Permutation,
@@ -13,7 +20,13 @@ from etalab.perm import (
     group_from_generators,
 )
 
-from oracles import brute_center, conjugacy_partition
+from oracles import (
+    brute_center,
+    closure_elementwise,
+    conjugacy_partition,
+    content_key_elementwise,
+    exponent_elementwise,
+)
 
 
 def test_composition_applies_left_factor_first():
@@ -76,6 +89,36 @@ def test_closure_of_s3():
     ])
     assert G.order == 6
     assert not G.p_group_info().is_p_group
+
+
+BEYOND_THE_CATALOG = {
+    "c9wrc3": lambda: wreath_cp(cyclic(9), 3)[0],
+    "es7-1": lambda: extraspecial_exp_p(7, 1),
+}
+
+
+@pytest.mark.parametrize("gid", catalog_ids() + list(BEYOND_THE_CATALOG))
+def test_array_closure_exponent_and_content_key_match_elementwise_oracles(gid):
+    # a group enumerated from generators stores only its sorted keys; the
+    # chief series members, made from their elements, keep those
+    in_catalog = gid not in BEYOND_THE_CATALOG
+    G = load_catalog_group(gid) if in_catalog else BEYOND_THE_CATALOG[gid]()
+    fresh = group_from_generators(G.degree, G.generators)
+    assert fresh.elements == tuple(sorted(closure_elementwise(G.degree, G.generators, G.order)))
+    assert fresh.element_set == frozenset(fresh.elements)
+    for N in [fresh] + (G.chief_series() if in_catalog else []):
+        assert N.exponent() == exponent_elementwise(N), (gid, N.order)
+        assert N.content_key == content_key_elementwise(N), (gid, N.order)
+
+
+@pytest.mark.parametrize("gid", ["d8", "es27", "c3wrc3", "w22"])
+def test_order_cap_is_the_largest_order_allowed(gid):
+    G = load_catalog_group(gid)
+    with pytest.raises(GroupError, match="^group too large$"):
+        group_from_generators(G.degree, G.generators, order_cap=G.order - 1)
+    with pytest.raises(GroupError, match="^group too large$"):
+        closure_elementwise(G.degree, G.generators, G.order - 1)
+    assert group_from_generators(G.degree, G.generators, order_cap=G.order).order == G.order
 
 
 def test_identity_is_first_element():

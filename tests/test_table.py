@@ -11,17 +11,17 @@ import numpy as np
 import pytest
 
 import etalab.table as table_mod
-from etalab.catalog import default_catalog, load_catalog_group
+from etalab.catalog import catalog_ids, default_catalog, load_catalog_group
 from etalab.chars import Character
-from etalab.charops import inner_product
+from etalab.charops import _norm_decompositions, inner_product
 from etalab.constructions import cyclic, dihedral, extraspecial_exp_p
-from etalab.cyclotomic import CycValue
+from etalab.cyclotomic import CycValue, conjugate, multiply, pairing
 from etalab.errors import CharacterError, TableError
 from etalab.groupfile import format_group, parse_group
-from etalab.perm import Permutation, power_map
+from etalab.perm import Permutation
 from etalab.table import CharTable, character_table, class_matrix
 
-from oracles import class_matrix_elementwise
+from oracles import class_matrix_elementwise, power_map, rref_dense
 
 # order-2 table is pinned exactly: principal row first, then the sign row
 C2_TABLE = [[1, 1], [1, -1]]
@@ -349,6 +349,7 @@ def test_seeded_tables_equal_plain_dixon(monkeypatch):
                 assert seeded_runs == [N] and not splits, N.order
             plain = table_mod._compute_table(N, prime_offset=1)
             assert seeded == plain.to_json_dict()["irreducibles"], (gid, N.order)
+            _assert_one_embedding_is_the_full_path(plain, (gid, N.order, "prime_offset=1"))
 
 
 def _central_translate_classes(classes):
@@ -614,3 +615,96 @@ def test_table_json_shape(d8_table):
     assert len(blob["irreducibles"]) == 5
     assert blob["classes"]["sizes"] == [1, 1, 2, 2, 2]
     assert len(blob["classes"]["reps"]) == 5
+
+
+@pytest.mark.parametrize("gid", catalog_ids())
+def test_power_classes_match_the_power_map_oracle(gid):
+    G = load_catalog_group(gid)
+    classes = G.conjugacy_classes()
+    e = G.exponent()
+    got = table_mod._power_classes(classes, e + 1)
+    for j in range(e + 1):
+        assert got[:, j].tolist() == power_map(G, classes, j), (gid, j)
+
+
+def test_rref_matches_the_dense_oracle():
+    # rank-deficient products of random factors, zero rows and columns
+    # included, over a small prime and one near the table moduli
+    rng = np.random.default_rng(17)
+    for q in (7, 1_048_573):
+        for rows, cols, rank in [(1, 1, 0), (5, 5, 5), (6, 9, 3), (9, 4, 2), (8, 8, 1), (12, 30, 7)]:
+            for _ in range(6):
+                a = rng.integers(0, q, (rows, rank)) @ rng.integers(0, q, (rank, cols)) % q
+                a[:, rng.integers(0, cols, 2)] = 0
+                got, pivots = table_mod._rref(a.copy(), q)
+                want, want_pivots = rref_dense(a, q)
+                assert pivots == want_pivots and got.tolist() == want.tolist(), (q, rows, cols)
+
+
+EXTRASPECIAL = {"es5-1": (5, 1), "es7-1": (7, 1), "es3-2": (3, 2)}
+
+
+def _one_embedding_blocks(table):
+    """The pairings the one-embedding mode serves, as (x, weights, y): the
+    norms block, one corollary-A block and both orthogonality grams."""
+    cube, e, sizes = table.cube, table.e, table.classes.sizes
+    by_class = cube.transpose(1, 0, 2)
+    return [
+        ((cube, conjugate(cube, e)), sizes, cube),
+        ((cube[-1:], cube), sizes, cube),
+        (cube, sizes, cube),
+        (by_class, [1] * len(cube), by_class),
+    ]
+
+
+def _assert_one_embedding_is_the_full_path(table, label):
+    assert table._rational_pairings, label
+    blocks = _one_embedding_blocks(table)
+    full = [pairing(x, weights, y, table.e) for x, weights, y in blocks]
+    for (x, weights, y), want in zip(blocks, full):
+        got = pairing(x, weights, y, table.e, True)
+        assert got.dtype == want.dtype and np.array_equal(got, want), label
+    # the corollary-A block broadcasts its one row as the repeated row did
+    r = len(table)
+    rows = (table.cube[[r - 1] * r], table.cube)
+    assert np.array_equal(pairing(rows, table.classes.sizes, table.cube, table.e), full[1]), label
+
+
+@pytest.mark.parametrize("gid", catalog_ids() + list(EXTRASPECIAL))
+def test_one_embedding_pairings_equal_the_full_path(gid):
+    # every seeded chief-series member; test_seeded_tables_equal_plain_dixon
+    # checks the same at prime_offset=1
+    G = extraspecial_exp_p(*EXTRASPECIAL[gid]) if gid in EXTRASPECIAL else load_catalog_group(gid)
+    for N in G.chief_series():
+        _assert_one_embedding_is_the_full_path(character_table(N), (gid, N.order))
+
+
+@pytest.mark.parametrize("gid", ["d8", "es27", "c25"])
+def test_a_row_times_a_root_of_unity_keeps_the_full_path(gid, monkeypatch):
+    table = character_table(load_catalog_group(gid))
+    e, one = table.e, table.principal_index
+    t = len(table) - 1
+    assert t != one
+    cube = table.cube.copy()
+    cube[t] = multiply(cube[t], np.array(CycValue.root_of_unity(e).coeffs), e)
+    twisted = CharTable(group=table.group, classes=table.classes, cube=cube, e=e, q=table.q)
+    modes = []
+    real = table_mod.pairing
+
+    def spy(x, weights, y, e, rational=False):
+        modes.append(rational)
+        return real(x, weights, y, e, rational)
+
+    monkeypatch.setattr(table_mod, "pairing", spy)
+    table.verify_orthogonality()
+    assert table._rational_pairings and modes == [True, True]
+    modes.clear()
+    assert not twisted._rational_pairings
+    # a row times a root of unity keeps both orthogonality relations
+    twisted.verify_orthogonality()
+    try:
+        _norm_decompositions(twisted)
+    except CharacterError:
+        pass  # chi * conj(chi) may pair with the twisted row to a non-integer
+    assert twisted.multiplicities(twisted[one]) == [int(i == one) for i in range(len(twisted))]
+    assert len(modes) == 4 and not any(modes)
