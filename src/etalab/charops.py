@@ -26,7 +26,7 @@ import numpy as np
 from .chars import Character
 from .cyclotomic import _is_prime, conjugate, down, lift, linear_map, multiply, pairing
 from .errors import CharacterError, CyclotomicError, GroupError, TableError
-from .perm import PermGroup, _as_keys
+from .perm import PermGroup, _as_keys, _classes_of_rows, _rows_of
 from .table import _key_positions, _orbit_heads
 from .table import as_multiplicities, character_table
 
@@ -73,13 +73,16 @@ def inner_product(a: Character, b: Character) -> int:
     return as_multiplicities(raw, G.order)[0][0]
 
 
-def _decomposition(table, mults: list[int], degree: int) -> ConstituentDecomposition:
-    """theta's decomposition against table from its multiplicities mults;
-    CharacterError unless the constituents' degrees sum to theta(1) = degree."""
-    out = ConstituentDecomposition(tuple((table[i], m) for i, m in enumerate(mults) if m))
-    if sum(m * d for m, d in zip(mults, table.degrees)) != degree:
+def _decompositions(table, mults: list[list[int]], degrees) -> list[ConstituentDecomposition]:
+    """The decompositions against table of class functions theta from their
+    rows of multiplicities; CharacterError unless each row's constituents'
+    degrees sum to its theta(1), given in degrees."""
+    if (linear_map(np.array(mults, dtype=object), table.cube[:, :1, 0])[:, 0] != degrees).any():
         raise CharacterError("inner product not integral")
-    return out
+    return [
+        ConstituentDecomposition(tuple((table[i], m) for i, m in enumerate(row) if m))
+        for row in mults
+    ]
 
 
 def decompose(theta: Character) -> ConstituentDecomposition:
@@ -87,7 +90,7 @@ def decompose(theta: Character) -> ConstituentDecomposition:
     table = character_table(theta.group)
     memo, key = table._decompositions, theta.value_key()
     if key not in memo:
-        memo[key] = _decomposition(table, table.multiplicities(theta), theta.degree)
+        memo[key] = _decompositions(table, [table.multiplicities(theta)], [theta.degree])[0]
     return memo[key]
 
 
@@ -101,7 +104,7 @@ def _product_decompositions(table, a: np.ndarray, b: np.ndarray) -> list[Constit
     the table passes its _rational_pairings check, the multiplicities are
     then rational integers, and the pairing reads them at one embedding."""
     mults = table._multiplicity_rows((a, b), table.e, of_rows=True)
-    return [_decomposition(table, m, d) for m, d in zip(mults, (a[:, 0, 0] * b[:, 0, 0]).tolist())]
+    return _decompositions(table, mults, a[:, 0, 0] * b[:, 0, 0])
 
 
 def _norm_decompositions(table) -> list[ConstituentDecomposition]:
@@ -129,8 +132,8 @@ def _check_subgroup(H: PermGroup, G: PermGroup) -> None:
 
 def _fusion(N: PermGroup, G: PermGroup) -> list[int]:
     """The class of G holding each class of N, in N's class order."""
-    gcls = G.conjugacy_classes()
-    return [gcls.class_of(rep) for rep in N.conjugacy_classes().representatives]
+    reps = _rows_of(N.conjugacy_classes().representatives, N.degree)
+    return _classes_of_rows(G.conjugacy_classes(), reps).tolist()
 
 
 def restrict(a: Character, N: PermGroup) -> Character:
@@ -197,14 +200,18 @@ def branching_matrix(N: PermGroup, M: PermGroup) -> np.ndarray:
 def _restrictions_along(series) -> list[np.ndarray]:
     """[psi|_N, nu] over series[-1]'s table for each N of a chief series, kept
     on that table: restriction is transitive, so R_(i-1) = R_i @ B_i with
-    B_i = branching_matrix(N_i, N_(i-1)) and R_t the identity."""
+    B_i = branching_matrix(N_i, N_(i-1)) and R_t the identity, which is kept
+    there too, under the top group's own content key."""
     top = character_table(series[-1])
-    out = [np.eye(len(top), dtype=np.int64)]
-    for i in range(len(series) - 1, 0, -1):
-        key = series[i - 1].content_key
+    out = []
+    for i in range(len(series) - 1, -1, -1):
+        key = series[i].content_key
         rows = top._branching.get(key)
         if rows is None:
-            rows = out[-1] @ branching_matrix(series[i], series[i - 1])
+            if out:
+                rows = out[-1] @ branching_matrix(series[i + 1], series[i])
+            else:
+                rows = np.eye(len(top), dtype=np.int64)
             rows.setflags(write=False)
             top._branching[key] = rows
         out.append(rows)
@@ -244,10 +251,8 @@ def center_of_character(a: Character) -> PermGroup:
 
 def _subgroup_of_classes(G: PermGroup, kept) -> PermGroup:
     """The subgroup made of the classes k of G with kept[k] true."""
-    members = G.conjugacy_classes().members
-    return G.subgroup_from_elements(
-        frozenset(x for k, keep in enumerate(kept) if keep for x in members[k])
-    )
+    keep = np.asarray(kept)[G.conjugacy_classes().element_class]
+    return G._subgroup_of_keys(G.element_keys()[1][keep])
 
 
 def lin(G: PermGroup) -> list[Character]:
@@ -261,8 +266,8 @@ def irr_mod(M: PermGroup, N: PermGroup) -> list[Character]:
     if not N.is_normal_in(M):
         raise GroupError("not normal")
     table = character_table(M)
-    mcls = M.conjugacy_classes()
-    gen_classes = sorted({mcls.class_of(g) for g in N.generators})
+    gens = _rows_of(N.generators, N.degree)
+    gen_classes = np.unique(_classes_of_rows(M.conjugacy_classes(), gens))
     # rows whose values on N's generator classes equal the degree value
     keep = (table.cube[:, gen_classes] == table.cube[:, :1]).all(axis=(1, 2))
     return [chi for chi, kept in zip(table, keep) if kept]

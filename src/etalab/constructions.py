@@ -17,7 +17,8 @@ from .chars import Character
 from .charops import induce, inner_product
 from .cyclotomic import _is_prime
 from .errors import ConstructionError, GroupError
-from .perm import DEFAULT_ORDER_CAP, PermGroup, Permutation, group_from_generators
+from .perm import DEFAULT_ORDER_CAP, PermGroup, Permutation, _classes_of_rows, _rows_of
+from .perm import group_from_generators
 from .table import character_table
 
 __all__ = [
@@ -219,12 +220,10 @@ def prop5_witness(p: int, n: int) -> WitnessPair:
     prev = prop5_witness(p, n - 1)
     A, alpha = prev.group, prev.chi
     G, H = wreath_cp(A, p)
-    # theta0 is alpha on the first block; H = A^p has A's exponent
-    d = A.degree
-    acls = A.conjugacy_classes()
-    block0 = [
-        acls.class_of(Permutation(rep.images[:d])) for rep in H.conjugacy_classes().representatives
-    ]
+    # theta0 is alpha on the first block, read at each class representative's
+    # first d images; H = A^p has A's exponent
+    reps = _rows_of(H.conjugacy_classes().representatives, H.degree)
+    block0 = _classes_of_rows(A.conjugacy_classes(), reps[:, : A.degree])
     theta0 = Character._of(H, alpha.coeffs[block0])
     chi = induce(theta0, G)
     if (

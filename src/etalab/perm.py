@@ -8,18 +8,20 @@ ordering, chief series steps, transversal scans.
 Products and inverses are valid by construction and skip validation (the
 trusted `_from_images`); the public constructor validates its images.
 
-Groups are enumerated by breadth-first closure of the generators over image
-rows, capped at 2^21 elements: each round is one gather per generator, and
-np.unique and a binary search drop the products already known.  A group
-stores its sorted elements as byte keys, one per image row, which sort as the
-elements do; Permutation objects are made from them only on first use, and a
-group made from its elements keeps those.  Products formed as image arrays
-are looked up among the keys by binary search, and so are subgroup and
-equality tests; the exponent and the content key are read off the rows, all
-at once.  Conjugacy classes come from such gathers: conjugation by each
-generator is one gather of all image rows and one search, an index map of
-the elements, and the classes are the orbits of these maps, found by
-min-label propagation.
+A group has one stored form: its sorted elements as byte keys, one per image
+row, which sort as the elements do.  It is enumerated by breadth-first
+closure of the generators over image rows, capped at 2^21 elements (each
+round is one gather per generator; np.unique and a binary search drop the
+products already known), or cut from a larger group as a mask over that
+group's keys.  Permutation objects are made for generators and class
+representatives, and for the public views (elements, element_set, class
+members) only when asked for.  Inside the package the product x y of image
+rows, x applied first, is the gather y[x], and one key search finds a row's
+position among a group's keys and so its class (`_locate_rows`,
+`_classes_of_rows`): membership, normality, centers, chief series and class
+actions all go through it.  Conjugacy classes are the orbits of the index
+maps that conjugation by each generator makes, found by min-label
+propagation.
 
 Subgroups carry a reference to the ambient group they were cut from; they
 share its degree and are otherwise ordinary groups.  A group keeps the
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import lcm
 from typing import Iterable, NamedTuple, Optional
 
@@ -178,6 +181,44 @@ def _locate(keys: np.ndarray, found: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return pos, keys[pos] == found
 
 
+def _locate_rows(G: "PermGroup", rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each image row's (last axis) position among G's sorted element keys,
+    as G holds them when called, and whether it is there; a row of another
+    length is nowhere."""
+    dtype, keys = G.element_keys()
+    if rows.shape[-1] != G.degree:
+        return np.zeros(rows.shape[:-1], dtype=np.intp), np.zeros(rows.shape[:-1], dtype=bool)
+    return _locate(keys, _as_keys(rows.astype(dtype, copy=False)))
+
+
+def _classes_of_rows(classes: "ConjugacyClassSet", rows: np.ndarray, missing=None) -> np.ndarray:
+    """The class of each image row (last axis), found by its position among
+    the group's sorted element keys; raises missing, by default
+    GroupError("element not in group"), if one is no element."""
+    pos, there = _locate_rows(classes.group, rows)
+    if not there.all():
+        raise missing or GroupError("element not in group")
+    return classes.element_class[pos]
+
+
+def _rows_of(perms: tuple[Permutation, ...], degree: int) -> np.ndarray:
+    """The image rows of permutations of one degree, as intp."""
+    return np.array([x.images for x in perms], dtype=np.intp).reshape(len(perms), degree)
+
+
+def _checked(degree: int, perms: Iterable[Permutation]) -> tuple[Permutation, ...]:
+    """perms as a tuple; PermutationError unless each is one of the degree."""
+    perms = tuple(perms)
+    for g in perms:
+        if not isinstance(g, Permutation):
+            raise PermutationError(f"invalid permutation: {g!r}")
+        if g.degree != degree:
+            raise PermutationError(
+                f"invalid permutation: degree {g.degree} generator in degree {degree} group"
+            )
+    return perms
+
+
 def _close_generators(
     degree: int, gens: tuple[Permutation, ...], cap: int
 ) -> tuple[np.dtype, np.ndarray]:
@@ -221,24 +262,21 @@ class ConjugacyClassSet:
     group: "PermGroup"
     representatives: tuple[Permutation, ...]
     sizes: tuple[int, ...]
-    members: tuple[tuple[Permutation, ...], ...]
     element_class: np.ndarray = field(compare=False, repr=False)
-
-    def __post_init__(self):
-        index = {}
-        for i, mem in enumerate(self.members):
-            for x in mem:
-                index[x.images] = i
-        object.__setattr__(self, "_index", index)
 
     def __len__(self) -> int:
         return len(self.sizes)
 
+    @cached_property
+    def members(self) -> tuple[tuple[Permutation, ...], ...]:
+        """The members of each class, in sorted order."""
+        elements = self.group.elements
+        flat = [elements[i] for i in np.argsort(self.element_class, kind="stable").tolist()]
+        ends = np.cumsum(self.sizes).tolist()
+        return tuple(tuple(flat[end - size : end]) for size, end in zip(self.sizes, ends))
+
     def class_of(self, x: Permutation) -> int:
-        try:
-            return self._index[x.images]
-        except KeyError:
-            raise GroupError("element not in group") from None
+        return int(_classes_of_rows(self, np.array([x.images]))[0])
 
     def centralizer_order(self, i: int) -> int:
         return self.group.order // self.sizes[i]
@@ -254,38 +292,23 @@ class PermGroup:
         *,
         parent: Optional["PermGroup"] = None,
         order_cap: int = DEFAULT_ORDER_CAP,
-        _elements: Optional[frozenset] = None,
+        _keys: Optional[np.ndarray] = None,
     ):
         if degree < 1:
             raise GroupError(f"degree must be positive, got {degree}")
-        gens = tuple(generators)
-        for g in gens:
-            if not isinstance(g, Permutation):
-                raise PermutationError(f"invalid permutation: {g!r}")
-            if g.degree != degree:
-                raise PermutationError(
-                    f"invalid permutation: degree {g.degree} generator in degree {degree} group"
-                )
+        gens = _checked(degree, generators)
         self.degree = degree
         self.generators = gens
         self.parent = parent
         # the sorted element keys (see element_keys) are the group's one
-        # stored form; elements and element_set are read off them on first
-        # use, unless the group was made from its elements
-        self._elements: Optional[tuple[Permutation, ...]] = None
-        self._element_set: Optional[frozenset] = None
-        self._element_keys: Optional[tuple[np.dtype, np.ndarray]] = None
-        if _elements is None:
+        # stored form, closed from the generators or given as _keys by the
+        # group it is cut from; elements are read off them on first use
+        if _keys is None:
             self._element_keys = _close_generators(degree, gens, order_cap)
-            self.order = len(self._element_keys[1])
         else:
-            self._element_set = frozenset(_elements)
-            self.order = len(self._element_set)
-        if parent is not None:
-            if parent.degree != degree:
-                raise GroupError("not a subgroup")
-            if not _locate(parent.element_keys()[1], self.element_keys()[1])[1].all():
-                raise GroupError("not a subgroup")
+            self._element_keys = (_point_dtype(degree), _keys)
+        self.order = len(self._element_keys[1])
+        self._elements: Optional[tuple[Permutation, ...]] = None
         self._classes: Optional[ConjugacyClassSet] = None
         self._exponent: Optional[int] = None
         self._pinfo: Optional[PGroupInfo] = None
@@ -298,31 +321,27 @@ class PermGroup:
         self._class_actions: dict = {}
         self._subgroup_of: set[str] = set()  # content keys of known supergroups
         self._normal_in: set[str] = set()  # content keys of groups known to normalize it
+        if parent is not None and not self.is_subgroup_of(parent):
+            raise GroupError("not a subgroup")
 
     @property
     def elements(self) -> tuple[Permutation, ...]:
         """The elements in sorted order, the order of their image tuples."""
         if self._elements is None:
-            if self._element_set is not None:
-                self._elements = tuple(sorted(self._element_set))
-            else:
-                dtype, keys = self._element_keys
-                rows = keys.view(dtype).reshape(self.order, self.degree).tolist()
-                self._elements = tuple(Permutation._from_images(tuple(row)) for row in rows)
+            rows = self._rows().tolist()
+            self._elements = tuple(Permutation._from_images(tuple(row)) for row in rows)
         return self._elements
 
     @property
     def element_set(self) -> frozenset:
-        if self._element_set is None:
-            self._element_set = frozenset(self.elements)
-        return self._element_set
+        return frozenset(self.elements)
 
     @property
     def identity(self) -> Permutation:
         return Permutation.identity(self.degree)
 
     def __contains__(self, x: Permutation) -> bool:
-        return x in self.element_set
+        return isinstance(x, Permutation) and bool(_locate_rows(self, np.array([x.images]))[1][0])
 
     def __iter__(self):
         return iter(self.elements)
@@ -336,10 +355,20 @@ class PermGroup:
     def subgroup_from_elements(
         self, elements: Iterable[Permutation], generators: Optional[Iterable[Permutation]] = None
     ) -> "PermGroup":
-        elems = frozenset(elements)
+        elems = _checked(self.degree, elements)
+        rows = np.array([x.images for x in elems], dtype=self.element_keys()[0])
+        keys = np.unique(_as_keys(rows.reshape(len(elems), self.degree)))
+        return self._subgroup_of_keys(keys, generators)
+
+    def _subgroup_of_keys(self, keys: np.ndarray, generators=None) -> "PermGroup":
+        """The subgroup whose sorted element keys are keys, generated by
+        default by all its non-identity elements, in order."""
         if generators is None:
-            generators = tuple(x for x in sorted(elems) if not x.is_identity())
-        return PermGroup(self.degree, generators, parent=self, _elements=elems)
+            dtype = self.element_keys()[0]
+            rows = keys[keys != _as_keys(np.arange(self.degree, dtype=dtype))].view(dtype)
+            rows = rows.reshape(-1, self.degree).tolist()
+            generators = [Permutation._from_images(tuple(row)) for row in rows]
+        return PermGroup(self.degree, generators, parent=self, _keys=keys)
 
     def subgroup(self, generators: Iterable[Permutation], order_cap: int = DEFAULT_ORDER_CAP) -> "PermGroup":
         return PermGroup(self.degree, generators, parent=self, order_cap=order_cap)
@@ -355,11 +384,13 @@ class PermGroup:
 
     def is_normal_in(self, other: "PermGroup") -> bool:
         if other.content_key not in self._normal_in:
-            if not self.is_subgroup_of(other) or any(
-                g.inverse() * s * g not in self.element_set
-                for g in other.generators
-                for s in self.generators
-            ):
+            if not self.is_subgroup_of(other):
+                return False
+            # (g^-1 s g)[pt] = g[s[g^-1[pt]]], g of other's generators on axis 1
+            gens = _rows_of(other.generators, self.degree)
+            at = np.arange(len(gens))[:, None]
+            conj = gens[at, _rows_of(self.generators, self.degree)[:, np.argsort(gens, axis=1)]]
+            if not _locate_rows(self, conj)[1].all():
                 return False
             self._normal_in.add(other.content_key)
         return True
@@ -376,37 +407,41 @@ class PermGroup:
         """sha256 of the degree, then of every image of every sorted element,
         each as 4 big-endian bytes."""
         if self._content_key is None:
-            dtype, keys = self.element_keys()
             h = hashlib.sha256()
             h.update(self.degree.to_bytes(4, "big"))
-            h.update(keys.view(dtype).astype(">u4").tobytes())
+            h.update(self._rows().astype(">u4").tobytes())
             self._content_key = h.hexdigest()
         return self._content_key
 
     def element_keys(self) -> tuple[np.dtype, np.ndarray]:
         """(dtype, keys): the smallest unsigned big-endian dtype that holds a
         point, and the sorted elements' image rows in it, one key each."""
-        if self._element_keys is None:
-            dtype = _point_dtype(self.degree)
-            rows = np.array([x.images for x in self.elements], dtype=dtype)
-            self._element_keys = (dtype, _as_keys(rows))
         return self._element_keys
+
+    def _rows(self) -> np.ndarray:
+        """The sorted elements' image rows, in the dtype of their keys."""
+        dtype, keys = self.element_keys()
+        return keys.view(dtype).reshape(len(keys), self.degree)
 
     def conjugacy_classes(self) -> ConjugacyClassSet:
         if self._classes is None:
             self._classes = _compute_classes(self)
         return self._classes
 
+    def _centralizing(self, perms: tuple[Permutation, ...]) -> "PermGroup":
+        """The subgroup of the elements x that commute with each g of perms:
+        x g = g x, that is g[x[pt]] = x[g[pt]] at every point."""
+        rows, g = self._rows(), _rows_of(perms, self.degree)
+        keep = (g[:, rows].swapaxes(0, 1) == rows[:, g]).all(axis=(1, 2))
+        return self._subgroup_of_keys(self.element_keys()[1][keep])
+
     def center(self) -> "PermGroup":
-        gens = self.generators
-        elems = frozenset(x for x in self.elements if all(x * g == g * x for g in gens))
-        return self.subgroup_from_elements(elems)
+        return self._centralizing(self.generators)
 
     def centralizer(self, g: Permutation) -> "PermGroup":
-        if g not in self.element_set:
+        if g not in self:
             raise GroupError("element not in group")
-        elems = frozenset(x for x in self.elements if x * g == g * x)
-        return self.subgroup_from_elements(elems)
+        return self._centralizing((g,))
 
     def exponent(self) -> int:
         """The lcm of the element orders, which is the lcm of the lengths of
@@ -414,8 +449,8 @@ class PermGroup:
         points back at themselves for the first time, whose cycles have
         length s, and no cycle is longer than the degree."""
         if self._exponent is None:
-            dtype, keys = self.element_keys()
-            rows = keys.view(dtype).reshape(self.order, self.degree).astype(dtype.newbyteorder("="))
+            rows = self._rows()
+            rows = rows.astype(rows.dtype.newbyteorder("="))
             points = np.arange(self.degree)
             seen = np.zeros(rows.shape, dtype=bool)
             power, out = rows, 1
@@ -466,15 +501,14 @@ def _as_keys(rows: np.ndarray) -> np.ndarray:
 
 
 def _compute_classes(G: PermGroup) -> ConjugacyClassSet:
-    dtype, keys = G.element_keys()
-    n = len(keys)
-    rows = keys.view(dtype).reshape(n, G.degree)
+    rows = G._rows()
+    n = len(rows)
     # conjugation by each generator g as a map of element indices:
     # (g^-1 x g)[pt] = g[x[g^-1[pt]]], products applying the left factor first
     maps = []
     for g in G.generators:
-        conj = _as_keys(np.array(g.images, dtype=dtype)[rows[:, np.argsort(g.images)]])
-        pos, there = _locate(keys, conj)
+        conj = np.array(g.images, dtype=rows.dtype)[rows[:, np.argsort(g.images)]]
+        pos, there = _locate_rows(G, conj)
         if not there.all():
             raise GroupError("internal class failure: a conjugate is not in the group")
         maps.append(pos)
@@ -498,16 +532,11 @@ def _compute_classes(G: PermGroup) -> ConjugacyClassSet:
     rank[order] = np.arange(len(order))
     element_class = rank[orbit]
     element_class.setflags(write=False)
-    sizes = sizes[order].tolist()
-    elements = G.elements
-    flat = [elements[i] for i in np.argsort(element_class, kind="stable").tolist()]
-    ends = np.cumsum(sizes).tolist()
-    members = tuple(tuple(flat[end - size : end]) for size, end in zip(sizes, ends))
+    reps = rows[heads[order]].tolist()
     return ConjugacyClassSet(
         group=G,
-        representatives=tuple(mem[0] for mem in members),
-        sizes=tuple(sizes),
-        members=members,
+        representatives=tuple(Permutation._from_images(tuple(row)) for row in reps),
+        sizes=tuple(sizes[order].tolist()),
         element_class=element_class,
     )
 
@@ -529,41 +558,46 @@ def is_p_group(G: PermGroup) -> PGroupInfo:
 
 
 def _chief_series(G: PermGroup) -> list[PermGroup]:
+    """Each member is the one below and the first element g outside it, in
+    sorted order, that has g^p and every commutator g^-1 x^-1 g x with a
+    generator x in it; members are masks over G's sorted elements."""
     info = G.p_group_info()
     if not info.is_p_group:
         raise GroupError("not a p-group")
     if G.order == 1:
         return [G]
     p = info.p
-    ident = G.identity
-    cur_set = frozenset([ident])
-    cur = G.subgroup_from_elements(cur_set, generators=())
-    series = [cur]
-    gens = G.generators
-    while len(cur_set) < G.order:
-        chosen = None
-        for g in G.elements:
-            if g in cur_set:
-                continue
-            if g ** p not in cur_set:
-                continue
-            ginv = g.inverse()
-            if all(ginv * x.inverse() * g * x in cur_set for x in gens):
-                chosen = g
-                break
-        if chosen is None:
+    keys = G.element_keys()[1]
+    rows = G._rows().astype(np.intp)
+    # every element's p-th power by p - 1 gathers, and its commutators:
+    # (g^-1 x^-1 g x)[pt] = x[g[x^-1[g^-1[pt]]]]
+    power = rows
+    for _ in range(p - 1):
+        power = np.take_along_axis(rows, power, axis=1)
+    inv = np.argsort(rows, axis=1)
+    gens = _rows_of(G.generators, G.degree)
+    comms = [x[np.take_along_axis(rows, np.argsort(x)[inv], axis=1)] for x in gens]
+    needed = _locate_rows(G, np.stack([power, *comms]))[0]
+    cur = np.zeros(G.order, dtype=bool)
+    cur[0] = True  # the identity, the smallest element
+    member = G._subgroup_of_keys(keys[cur], generators=())
+    series = [member]
+    while not cur.all():
+        fits = ~cur & cur[needed].all(axis=0)
+        if not fits.any():
             raise GroupError("chief series construction failed")
-        new_set = set(cur_set)
-        pw = chosen
+        c = int(np.argmax(fits))
+        # the cosets chosen^j N for 0 < j < p: (chosen^j n)[pt] = n[chosen^j[pt]]
+        below, pw = rows[cur], rows[c]
         for _ in range(p - 1):
-            new_set.update(pw * n for n in cur_set)
-            pw = pw * chosen
-        cur_set = frozenset(new_set)
-        cur = G.subgroup_from_elements(cur_set, generators=cur.generators + (chosen,))
-        cur._series_link = (series[-1], chosen)
-        series.append(cur)
+            cur[_locate_rows(G, below[:, pw])[0]] = True
+            pw = rows[c][pw]
+        chosen = Permutation._from_images(tuple(rows[c].tolist()))
+        member = G._subgroup_of_keys(keys[cur], generators=member.generators + (chosen,))
+        member._series_link = (series[-1], chosen)
+        series.append(member)
     if G._series_link is None:
-        G._series_link = cur._series_link
+        G._series_link = member._series_link
     series[-1] = G
     return series
 
@@ -577,8 +611,10 @@ def _class_action(N: PermGroup, g: Permutation) -> tuple[int, ...]:
     act = N._class_actions.get(g.images)
     if act is None:
         ncls = N.conjugacy_classes()
-        ginv = g.inverse()
-        act = tuple(ncls.class_of(g * x * ginv) for x in ncls.representatives)
+        images = np.array(g.images)
+        # (g x g^-1)[pt] = g^-1[x[g[pt]]]
+        conj = np.argsort(images)[_rows_of(ncls.representatives, N.degree)[:, images]]
+        act = tuple(_classes_of_rows(ncls, conj).tolist())
         N._class_actions[g.images] = act
     return act
 

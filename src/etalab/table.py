@@ -42,12 +42,11 @@ the plain one byte for byte; a group with no held predecessor, and every
 prime_offset rerun, takes the plain path, and no table is built only to
 seed another.
 
-Class matrices and power maps are numpy gathers: products are formed as
-image arrays, in chunks of bounded size, and each is looked up by binary
-search among the group's element keys, which perm owns (its sorted
-elements as big-endian byte rows, the group's stored form); the class set
-gives each element's class.  Each class matrix is built when the split asks
-for it and is not kept, so none outlives the table computation.
+Class matrices, power maps and the seeding's coset decomposition are numpy
+gathers over image rows, class i's members read off the group's element
+keys; each product, formed in chunks of bounded size, is found by perm's one
+key search among those keys, which gives its class.  Each class matrix is
+built when the split asks for it and is not kept.
 
 No floating point anywhere.  numpy does the int64 modular linear algebra,
 where every product stays below 2^63 because q is kept under 2^21 and the
@@ -77,7 +76,8 @@ from .chars import Character
 from .cyclotomic import _is_prime, _primitive_root, galois, lift, pairing, power_basis_matrix
 from .cyclotomic import reduced_degree, unit_generators
 from .errors import CharacterError, EtalabError, TableError
-from .perm import ConjugacyClassSet, PermGroup, Permutation, _as_keys, _class_action, _locate
+from .perm import ConjugacyClassSet, PermGroup, Permutation, _as_keys, _class_action
+from .perm import _classes_of_rows, _locate, _locate_rows, _rows_of
 
 __all__ = [
     "CharTable",
@@ -281,10 +281,9 @@ def _split_spaces(spaces: list[np.ndarray], mat: np.ndarray, q: int) -> list[np.
 def _central_translates(classes: ConjugacyClassSet) -> Iterator[np.ndarray]:
     """For each central class in turn, the class of z x_j for every class j,
     z its element and x_j j's representative: (z x_j)[pt] = x_j[z[pt]]."""
-    dtype = classes.group.element_keys()[0]
-    reps = np.array([x.images for x in classes.representatives], dtype=dtype)
-    for z in classes.representatives[: classes.sizes.count(1)]:
-        yield _classes_of_rows(classes, reps[:, list(z.images)])
+    reps = _rows_of(classes.representatives, classes.group.degree)
+    for z in reps[: classes.sizes.count(1)]:
+        yield _classes_of_rows(classes, reps[:, z], _lookup_failure(classes.group))
 
 
 def _common_eigenbasis(classes: ConjugacyClassSet, spaces: list[np.ndarray], q: int) -> np.ndarray:
@@ -334,13 +333,10 @@ def _key_positions(keys: np.ndarray, rows: np.ndarray, missing: str) -> np.ndarr
     return pos
 
 
-def _classes_of_rows(classes: ConjugacyClassSet, rows: np.ndarray) -> np.ndarray:
-    """The class of each image row (last axis) of an array in the dtype of
-    the group's element keys; a row that is no group element raises TableError."""
-    G = classes.group
-    missing = "internal class lookup failure: a product is not in the group"
-    pos = _key_positions(G.element_keys()[1], rows, f"{missing} (group order {G.order})")
-    return classes.element_class[pos]
+def _lookup_failure(G: PermGroup) -> TableError:
+    return TableError(
+        f"internal class lookup failure: a product is not in the group (group order {G.order})"
+    )
 
 
 def class_matrix(classes: ConjugacyClassSet, i: int) -> np.ndarray:
@@ -350,17 +346,17 @@ def class_matrix(classes: ConjugacyClassSet, i: int) -> np.ndarray:
     y = x^-1 z_k for every member x of C_i and representative z_k, formed as
     image arrays in chunks of members, looked up among the group's sorted
     elements and counted by class."""
-    dtype = classes.group.element_keys()[0]
-    reps = np.array([z.images for z in classes.representatives], dtype=dtype)
+    G = classes.group
+    reps = _rows_of(classes.representatives, G.degree)
     r, n = reps.shape
-    members = classes.members[i]
+    members = np.flatnonzero(classes.element_class == i)
     step = max(1, _GATHER_ENTRIES // (r * n))
     counts = np.zeros(r * r, dtype=np.int64)
     for start in range(0, len(members), step):
-        inv = np.argsort(np.array([x.images for x in members[start : start + step]]), axis=1)
+        inv = np.argsort(G._rows()[members[start : start + step]], axis=1)
         # (x^-1 z_k)[pt] = z_k[x^-1[pt]]: products apply the left factor first
         products = reps[np.arange(r)[None, :, None], inv[:, None, :]]
-        owner = _classes_of_rows(classes, products)
+        owner = _classes_of_rows(classes, products, _lookup_failure(G))
         counts += np.bincount((owner * r + np.arange(r)).ravel(), minlength=r * r)
     return counts.reshape(r, r)
 
@@ -369,12 +365,11 @@ def _power_classes(classes: ConjugacyClassSet, n: int) -> np.ndarray:
     """(r, n) array: the class of rep_j^s for each class j and each s < n,
     applying each representative once more per step, one gather for all."""
     G = classes.group
-    dtype = G.element_keys()[0]
-    reps = np.array([rep.images for rep in classes.representatives], dtype=np.intp)
+    reps = _rows_of(classes.representatives, G.degree)
     power = np.broadcast_to(np.arange(G.degree), reps.shape)
     out = np.empty((len(reps), n), dtype=np.int64)
     for s in range(n):
-        out[:, s] = _classes_of_rows(classes, power.astype(dtype))
+        out[:, s] = _classes_of_rows(classes, power, _lookup_failure(G))
         power = np.take_along_axis(reps, power, axis=1)
     return out
 
@@ -606,21 +601,23 @@ def _seed_spaces(
     zf = pow(z, e // below.e, q)
     powers = np.array([pow(zf, j, q) for j in range(below.cube.shape[2])], dtype=np.int64)
     vals = below.cube % q @ powers % q
-    # class representative x_k of G as n g^j with n in N: j and n's class
-    ginv = g.inverse()
-    coset, fused = [], []
-    for x in classes.representatives:
-        for j in range(p):
-            if x in N.element_set:
-                break
-            x = x * ginv
-        else:
-            raise TableError("internal seeding failure: a class lies outside <N, g>")
-        coset.append(j)
-        fused.append(ncls.class_of(x))
-    coset = np.array(coset)
-    gp = g ** p
-    if gp not in N.element_set:
+    # class representative x_k of G as n g^j with n in N: j and n's class,
+    # from x_k g^-j for every j < p, (x g^-1)[pt] = g^-1[x[pt]]
+    images = np.array(g.images)
+    shifted = [_rows_of(classes.representatives, G.degree)]
+    for _ in range(p - 1):
+        shifted.append(np.argsort(images)[shifted[-1]])
+    pos, there = _locate_rows(N, np.stack(shifted))
+    if not there.any(axis=0).all():
+        raise TableError("internal seeding failure: a class lies outside <N, g>")
+    coset = there.argmax(axis=0)
+    fused = ncls.element_class[pos[coset, np.arange(len(coset))]]
+    # g^p by p - 1 gathers: (g^(s+1))[pt] = g[g^s[pt]]
+    gp = images
+    for _ in range(p - 1):
+        gp = images[gp]
+    gp_at, there = _locate_rows(N, gp)
+    if not there:
         raise TableError("internal seeding failure: g^p lies outside N")
     try:
         first = _orbit_heads(below, g, p)
@@ -636,7 +633,7 @@ def _seed_spaces(
             degrees.append(p * deg)
             known.append(np.where(coset == 0, vals[orbit][:, fused].sum(axis=0) % q, 0))
         elif deg == 1:
-            target = vals[a, ncls.class_of(gp)]
+            target = vals[a, ncls.element_class[gp_at]]
             roots = [s for s in range(e) if zpow[s * p % e] == target]
             if len(roots) != p:
                 raise TableError("internal seeding failure: nu(g^p) has no p-th roots in <z>")
@@ -669,7 +666,9 @@ def _compute_table(G: PermGroup, prime_offset: int = 0) -> CharTable:
     order = G.order
     q = _smallest_admissible_prime(order, e, prime_offset)
     z = pow(_primitive_root(q), (q - 1) // e, q)
-    inv_class = [classes.class_of(rep.inverse()) for rep in classes.representatives]
+    # x^(e-1) is x^-1
+    pclass = _power_classes(classes, e)
+    inv_class = pclass[:, e - 1].tolist()
 
     spaces = None
     if not prime_offset:
@@ -683,7 +682,6 @@ def _compute_table(G: PermGroup, prime_offset: int = 0) -> CharTable:
 
     size_inv = np.array([pow(s, q - 2, q) for s in classes.sizes], dtype=np.int64)
 
-    pclass = _power_classes(classes, e)
     zinv = pow(z, q - 2, q)
     zmat = np.array(
         [[pow(zinv, (l * s) % e, q) for s in range(e)] for l in range(e)], dtype=np.int64

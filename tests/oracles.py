@@ -64,6 +64,49 @@ def content_key_elementwise(G: PermGroup) -> str:
     return h.hexdigest()
 
 
+def chief_series_elementwise(G: PermGroup) -> list[PermGroup]:
+    """The chief series by Permutation products, one element at a time: each
+    member is the one below and the first element, in sorted order, outside
+    it whose p-th power and commutators with the generators lie in it."""
+    info = G.p_group_info()
+    if not info.is_p_group:
+        raise GroupError("not a p-group")
+    if G.order == 1:
+        return [G]
+    p = info.p
+    ident = G.identity
+    cur_set = frozenset([ident])
+    cur = G.subgroup_from_elements(cur_set, generators=())
+    series = [cur]
+    gens = G.generators
+    while len(cur_set) < G.order:
+        chosen = None
+        for g in G.elements:
+            if g in cur_set:
+                continue
+            if g ** p not in cur_set:
+                continue
+            ginv = g.inverse()
+            if all(ginv * x.inverse() * g * x in cur_set for x in gens):
+                chosen = g
+                break
+        if chosen is None:
+            raise GroupError("chief series construction failed")
+        new_set = set(cur_set)
+        pw = chosen
+        for _ in range(p - 1):
+            new_set.update(pw * n for n in cur_set)
+            pw = pw * chosen
+        cur_set = frozenset(new_set)
+        cur = G.subgroup_from_elements(cur_set, generators=cur.generators + (chosen,))
+        cur._series_link = (series[-1], chosen)
+        series.append(cur)
+    if G._series_link is None:
+        G._series_link = cur._series_link
+    series[-1] = G
+    return series
+
+
 def rref_dense(a: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over F_q, clearing the pivot column in every
     row; returns (nonzero rows, pivot columns)."""
@@ -131,22 +174,29 @@ def commutator_subgroup_elements(G: PermGroup) -> frozenset:
     return frozenset(closure)
 
 
+def class_index(classes) -> dict:
+    """The class of each element, read off the class members into a dict."""
+    return {x: k for k, members in enumerate(classes.members) for x in members}
+
+
 def class_matrix_elementwise(classes, i: int) -> list[list[int]]:
     """Class multiplication matrix by one permutation product per member x
     of C_i and representative z_k: [j][k] counts the x with x^-1 z_k in C_j."""
     reps = classes.representatives
+    owner = class_index(classes)
     mat = [[0] * len(reps) for _ in reps]
     for x in classes.members[i]:
         xinv = x.inverse()
         for k, z in enumerate(reps):
-            mat[classes.class_of(xinv * z)][k] += 1
+            mat[owner[xinv * z]][k] += 1
     return mat
 
 
 def power_map(G: PermGroup, classes, j: int) -> list[int]:
     """Class index of rep^j for each class, in canonical class order, by one
     permutation power per representative."""
-    return [classes.class_of(rep ** j) for rep in classes.representatives]
+    owner = class_index(classes)
+    return [owner[rep ** j] for rep in classes.representatives]
 
 
 def _reduced(acc: list[int], e: int) -> list[int]:
@@ -190,9 +240,10 @@ def elementwise_inner(table, a, b) -> int:
     e = table.e
     classes = table.classes
     a_rows, b_rows = a.coeffs.tolist(), b.coeffs.tolist()
+    owner = class_index(classes)
     acc = [0] * e
     for g in G.elements:
-        k = classes.class_of(g)
+        k = owner[g]
         for i, x in enumerate(a_rows[k]):
             if x:
                 for j, y in enumerate(b_rows[k]):
@@ -219,15 +270,15 @@ def induced_values_elementwise(table_G, nu, N, G) -> list[CycValue]:
     reduced once per class."""
     e = table_G.e
     k = e // N.exponent()
-    n_classes = N.conjugacy_classes()
+    n_owner = class_index(N.conjugacy_classes())
     nu_rows = nu.coeffs.tolist()
     vals = []
     for rep in table_G.classes.representatives:
         acc = [0] * e
         for x in G.elements:
             y = x * rep * x.inverse()
-            if y in N.element_set:
-                for j, c in enumerate(nu_rows[n_classes.class_of(y)]):
+            if y in n_owner:
+                for j, c in enumerate(nu_rows[n_owner[y]]):
                     acc[j * k] += c
         vals.append(CycValue(e, _exact_quotient(_reduced(acc, e), N.order, "induction sum")))
     return vals
@@ -236,10 +287,10 @@ def induced_values_elementwise(table_G, nu, N, G) -> list[CycValue]:
 def stabilizer_elements(G: PermGroup, N: PermGroup, nu) -> frozenset:
     """G_nu element by element: g is kept when nu(g x g^-1) = nu(x) for every
     x in N, not just for class representatives."""
-    classes = N.conjugacy_classes()
+    owner = class_index(N.conjugacy_classes())
 
     def value(x):
-        return nu.values[classes.class_of(x)]
+        return nu.values[owner[x]]
 
     kept = set()
     for g in G.elements:

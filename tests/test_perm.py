@@ -22,6 +22,7 @@ from etalab.perm import (
 
 from oracles import (
     brute_center,
+    chief_series_elementwise,
     closure_elementwise,
     conjugacy_partition,
     content_key_elementwise,
@@ -99,8 +100,8 @@ BEYOND_THE_CATALOG = {
 
 @pytest.mark.parametrize("gid", catalog_ids() + list(BEYOND_THE_CATALOG))
 def test_array_closure_exponent_and_content_key_match_elementwise_oracles(gid):
-    # a group enumerated from generators stores only its sorted keys; the
-    # chief series members, made from their elements, keep those
+    # a group stores only its sorted element keys, whether enumerated from
+    # generators or, like the chief series members, cut from a larger group
     in_catalog = gid not in BEYOND_THE_CATALOG
     G = load_catalog_group(gid) if in_catalog else BEYOND_THE_CATALOG[gid]()
     fresh = group_from_generators(G.degree, G.generators)
@@ -188,6 +189,24 @@ def test_chief_series_structure():
             assert series[i].is_normal_in(G)
 
 
+@pytest.mark.parametrize("gid", catalog_ids() + list(BEYOND_THE_CATALOG))
+def test_chief_series_matches_elementwise_oracle(gid):
+    # two fresh copies, so that neither series sees the other's links
+    G = load_catalog_group(gid) if gid not in BEYOND_THE_CATALOG else BEYOND_THE_CATALOG[gid]()
+    mine = group_from_generators(G.degree, G.generators).chief_series()
+    oracle = chief_series_elementwise(group_from_generators(G.degree, G.generators))
+    assert len(mine) == len(oracle), gid
+    for i, (N, M) in enumerate(zip(mine, oracle)):
+        assert N.element_keys()[1].tobytes() == M.element_keys()[1].tobytes(), (gid, i)
+        assert N.generators == M.generators, (gid, i)
+        if i == 0:
+            assert N._series_link is None and M._series_link is None, gid
+        else:
+            (below, g), (oracle_below, oracle_g) = N._series_link, M._series_link
+            assert below is mine[i - 1] and oracle_below is oracle[i - 1], (gid, i)
+            assert below.same_elements(oracle_below) and g == oracle_g, (gid, i)
+
+
 def test_chief_series_is_deterministic():
     a = [N.elements for N in chief_series(dihedral(4))]
     b = [N.elements for N in chief_series(dihedral(4))]
@@ -208,6 +227,13 @@ def test_subgroup_membership_errors():
     with pytest.raises(GroupError):
         G.conjugacy_classes().class_of(Permutation.from_cycles(4, [(0, 1, 2)]))
     assert not H.is_subgroup_of(G)
+    # a permutation of another degree is in no group of this one
+    other = Permutation.from_cycles(3, [(0, 1, 2)])
+    assert other not in G
+    with pytest.raises(GroupError, match="^element not in group$"):
+        G.conjugacy_classes().class_of(other)
+    with pytest.raises(GroupError, match="^element not in group$"):
+        G.centralizer(other)
 
 
 def test_exponent_values():

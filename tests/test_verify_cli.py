@@ -135,6 +135,32 @@ def test_cold_ledger_restricts_no_table_by_pairing(monkeypatch):
     assert calls == []
 
 
+def test_cold_ledger_does_no_permutation_arithmetic(monkeypatch):
+    # fresh catalog groups and a fresh memo, so that every chief series,
+    # class set and table is built: all of it runs on gathers over the
+    # groups' element keys, with no Permutation product, inverse or power,
+    # and no chief-series member reads its elements off its keys
+    import etalab.catalog as catalog_mod
+
+    monkeypatch.setattr(catalog_mod, "_GROUP_MEMO", {})
+    monkeypatch.setattr(table_mod, "_TABLE_MEMO", {})
+    calls = []
+    for name in ("__mul__", "inverse", "__pow__"):
+        method = getattr(Permutation, name)
+
+        def counted(*args, _name=name, _method=method, **kwargs):
+            calls.append(_name)
+            return _method(*args, **kwargs)
+
+        monkeypatch.setattr(Permutation, name, counted)
+    assert verify_ledger(max_order=64).passed
+    assert calls == []
+    groups = [G for G in catalog_mod._GROUP_MEMO.values() if G.order <= 64]
+    assert groups
+    for G in groups:
+        assert all(N._elements is None for N in G.chief_series()), G.order
+
+
 def test_ledger_pairs_once_per_step_and_character(monkeypatch):
     # one branching matrix per chief-series step, and per character only
     # the decomposition of chi * conj(chi); warm tables make it fewer
