@@ -103,18 +103,30 @@ def _product_decompositions(table, a: np.ndarray, b: np.ndarray) -> list[Constit
     Every row of a and b must be a row of table or a row's conjugate: when
     the table passes its _rational_pairings check, the multiplicities are
     then rational integers, and the pairing reads them at one embedding."""
-    mults = table._multiplicity_rows((a, b), table.e, of_rows=True)
+    mults = table._multiplicity_rows((a, b), table.e, table._rational_pairings)
     return _decompositions(table, mults, a[:, 0, 0] * b[:, 0, 0])
 
 
 def _norm_decompositions(table) -> list[ConstituentDecomposition]:
     """The decomposition of chi * conj(chi) for each chi of table, in table
-    order, from one pairing; kept on the table."""
+    order, from one pairing; kept on the table with their multiplicity rows,
+    which _norm_multiplicities reads."""
     out = table._decompositions.get("norms")
     if out is None:
-        out = _product_decompositions(table, table.cube, conjugate(table.cube, table.e))
+        cube = table.cube
+        conj = conjugate(cube, table.e)
+        mults = table._multiplicity_rows((cube, conj), table.e, table._rational_pairings)
+        out = _decompositions(table, mults, cube[:, 0, 0] * cube[:, 0, 0])
         table._decompositions["norms"] = out
+        table._decompositions["norm rows"] = mults
     return out
+
+
+def _norm_multiplicities(table) -> np.ndarray:
+    """The (r, r) int64 array of [chi_i * conj(chi_i), chi_j] at [i, j],
+    checked as _norm_decompositions checks them."""
+    _norm_decompositions(table)
+    return np.array(table._decompositions["norm rows"], dtype=np.int64)
 
 
 def eta_count(chi: Character, psi: Character = None) -> int:

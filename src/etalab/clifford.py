@@ -2,10 +2,12 @@
 Clifford correspondents, and constituent chains along a chief series.
 
 G permutes N's classes, hence Irr(N) (`perm._class_action`).  A breadth-first
-search over G's generators gives nu's orbit and a transversal: |G_nu| is
-|G| / |orbit|, and G_nu itself is generated by the Schreier generators
-t_o g t_(o^g)^-1.  Class actions are kept on N, keyed by g, so each is
-computed once per (N, g) and freed with N.
+search over G's generators gives nu's orbit and a transversal, kept as
+image rows: |G_nu| is |G| / |orbit|, and G_nu itself is generated by the
+Schreier generators t_o g t_(o^g)^-1, formed for all o and g at once as
+gathers over those rows, so no Permutation product is taken.  Class actions
+are kept on N, keyed by g, so each is computed once per (N, g) and freed
+with N.
 
 A chain tracks one irreducible chi of a p-group G down its chief series:
 nu_t = chi, and each nu_{i-1} is the first constituent (canonical table
@@ -27,20 +29,23 @@ N_i's table, rows looked up among orbit sums), by table index:
   theorem is the number of nonzero entries in chi's row of the restriction
   to N_i, the product of the B_j above (`charops._restrictions_along`).
 So the chains restrict no character by pairing, and no orbit of G on
-Irr(N_i) is searched.
+Irr(N_i) is searched.  Chains are handled as the columns of (t+1, width)
+index arrays: `_descend` finds the canonical ones under any set of
+characters of G, and `_classify` labels and checks any set of chains, each
+read of B_i or R_i one gather for all of them.  The ledger sweep runs both
+on all of Irr(G) at once; `build_chain` and `classify_chain` run them on
+one chain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
-
 import numpy as np
 
 from .chars import Character
 from .charops import _restrictions_along, branching_matrix, induce, restriction_multiplicities
 from .errors import ChainError, CharacterError, GroupError, TableError
-from .perm import PermGroup, Permutation, _class_action
+from .perm import PermGroup, Permutation, _class_action, _rows_of
 from .table import character_table
 
 __all__ = [
@@ -67,38 +72,44 @@ def conjugate_action(nu: Character, g: Permutation, G: PermGroup) -> Character:
     return Character._of(N, nu.coeffs[list(_class_action(N, g))])
 
 
-def _orbit(G: PermGroup, N: PermGroup, nu: Character) -> tuple[list, dict]:
-    """Breadth-first orbit of nu under G's generators: each generator's class
-    action, and a transversal taking nu to every orbit point (a value key)."""
+def _orbit(G: PermGroup, N: PermGroup, nu: Character) -> tuple[np.ndarray, np.ndarray]:
+    """Breadth-first orbit of nu under G's generators, as (transversal,
+    image): transversal[o] is the image row of an element taking nu to the
+    o-th orbit point found, and image[o, j] the position of that point's
+    image under generator j."""
     if not N.is_normal_in(G):
         raise GroupError("not normal")
+    gens = _rows_of(G.generators, G.degree)
     actions = [_class_action(N, g) for g in G.generators]
-    start = nu.value_key()
-    transversal = {start: G.identity}
-    frontier = [start]
-    while frontier:
-        new = []
-        for point in frontier:
-            t = transversal[point]
-            for g, act in zip(G.generators, actions):
-                image = tuple(point[k] for k in act)
-                if image not in transversal:
-                    transversal[image] = t * g
-                    new.append(image)
-        frontier = new
-    return actions, transversal
+    points = [nu.value_key()]
+    found = {points[0]: 0}
+    transversal = [np.arange(G.degree)]
+    image = []
+    for o, point in enumerate(points):  # grows as points are found
+        image.append([])
+        for row, act in zip(gens, actions):
+            moved = tuple(point[k] for k in act)
+            if moved not in found:
+                found[moved] = len(points)
+                points.append(moved)
+                # (t g)[pt] = g[t[pt]]
+                transversal.append(row[transversal[o]])
+            image[o].append(found[moved])
+    return np.array(transversal), np.array(image, dtype=np.intp).reshape(len(points), len(gens))
 
 
 def stabilizer(G: PermGroup, N: PermGroup, nu: Character) -> PermGroup:
-    """G_nu, the subgroup fixing nu under conjugation; always contains N."""
-    actions, transversal = _orbit(G, N, nu)
-    gens = set()
-    for point, t in transversal.items():
-        for g, act in zip(G.generators, actions):
-            s = t * g * transversal[tuple(point[k] for k in act)].inverse()
-            if not s.is_identity():
-                gens.add(s)
-    return G.subgroup(sorted(gens))
+    """G_nu, the subgroup fixing nu under conjugation; always contains N.
+    It is generated by the Schreier generators t_o g t_(o^g)^-1, formed for
+    every orbit point o and generator g at once as gathers over image rows."""
+    transversal, image = _orbit(G, N, nu)
+    gens = _rows_of(G.generators, G.degree)
+    # (t_o g)[pt] = g[t_o[pt]], then (t_o g t_u^-1)[pt] = t_u^-1[(t_o g)[pt]]
+    moved = gens[np.arange(len(gens))[None, :, None], transversal[:, None, :]]
+    schreier = np.take_along_axis(np.argsort(transversal, axis=1)[image], moved, axis=2)
+    schreier = np.unique(schreier.reshape(-1, G.degree), axis=0)
+    schreier = schreier[(schreier != np.arange(G.degree)).any(axis=1)]
+    return G.subgroup([Permutation._from_images(tuple(row)) for row in schreier.tolist()])
 
 
 def clifford_correspondent(chi: Character, N: PermGroup, nu: Character) -> Character:
@@ -153,6 +164,9 @@ class ChainLedger:
         return tuple(i for i, flag in enumerate(self.stable) if not flag)
 
 
+_CASES = ("none", "extension", "induced")
+
+
 def _irreducible_index(G: PermGroup, chi: Character) -> int:
     """chi's index in G's table, once G is a p-group and chi an irreducible
     character of G."""
@@ -167,17 +181,38 @@ def _irreducible_index(G: PermGroup, chi: Character) -> int:
         raise CharacterError("not irreducible") from None
 
 
+def _descend(series, top) -> np.ndarray:
+    """The canonical chains under the characters of series[-1]'s table at
+    the indices top, as the columns of a (t+1, len(top)) index array: each
+    nu_(i-1) is the first nonzero of nu_i's row of B_i."""
+    index = np.empty((len(series), len(top)), dtype=np.intp)
+    index[-1] = top
+    for i in range(len(series) - 1, 0, -1):
+        index[i - 1] = (branching_matrix(series[i], series[i - 1]) != 0).argmax(axis=1)[index[i]]
+    return index
+
+
 def build_chain(G: PermGroup, chi: Character) -> CharacterChain:
     """Canonical chain under chi: first-constituent descent along the chief
-    series."""
+    series, read off the branching matrices for chi's index alone."""
     k = _irreducible_index(G, chi)
     series = G.chief_series()
-    idx = [k] * len(series)
-    for i in range(len(series) - 1, 0, -1):
-        row = branching_matrix(series[i], series[i - 1])[idx[i]]
-        idx[i - 1] = int(np.flatnonzero(row)[0])
+    idx = _descend(series, [k])[:-1, 0].tolist()
     nus = [character_table(N)[j] for N, j in zip(series[:-1], idx)]
     return CharacterChain(group=G, chi=chi, series=tuple(series), nus=(*nus, chi))
+
+
+def _plogs(p: int, n) -> tuple[np.ndarray, np.ndarray]:
+    """log_p of each entry of n, and what is left of each once its factors p
+    are divided out: 1 exactly where the entry is a power of p."""
+    rest = np.array(n, dtype=np.int64)
+    k = np.zeros(rest.shape, dtype=np.int64)
+    while True:
+        more = (rest > 1) & (rest % p == 0)
+        if not more.any():
+            return k, rest
+        rest[more] //= p
+        k[more] += 1
 
 
 def _plog(p: int, n: int) -> int:
@@ -190,66 +225,84 @@ def _plog(p: int, n: int) -> int:
     return k
 
 
-def classify_chain(chain: CharacterChain) -> ChainLedger:
-    """Stable/extension/induced labels plus the (m, r, s) ledger, with the
-    identity m_i = 2 s_i + r_i checked at every index."""
-    G = chain.group
+def _classify(G: PermGroup, series, index: np.ndarray) -> tuple[np.ndarray, list]:
+    """The chains in the columns of index (as _descend gives them) under
+    characters of G, labelled and checked as classify_chain does, all at
+    once: the (t+1, width) mask of their unstable indices, and per column
+    its ChainLedger or the message of its first failing check."""
     info = G.p_group_info()
     p = info.p if info.p > 1 else 2
-    idx = [character_table(N).index_of(nu) for N, nu in zip(chain.series, chain.nus)]
+    top = index[-1]
+    restricted = _restrictions_along(series)
     # Clifford: chi|N_i is a multiple of the sum over nu_i's G-orbit, so the
     # orbit is the support of chi's row of the restriction to N_i
-    orders = []
-    for i, rows in enumerate(_restrictions_along(chain.series)):
-        row = rows[idx[-1]]
-        if not row[idx[i]]:
-            raise ChainError(
-                "chain character is not a constituent of chi's restriction"
-                f" (group order {G.order}, chain index {i})"
-            )
-        orders.append(G.order // np.count_nonzero(row))
-    case = ["none"]
-    for i in range(1, len(chain.series)):
-        branching = branching_matrix(chain.series[i], chain.series[i - 1])
-        here, below = idx[i], idx[i - 1]
+    inside = np.stack([rows[top, index[i]] != 0 for i, rows in enumerate(restricted)])
+    orbit = np.stack([np.count_nonzero(rows, axis=1)[top] for rows in restricted])
+    orders = G.order // np.maximum(orbit, 1)
+    degrees = np.stack([character_table(N).cube[index[i], 0, 0] for i, N in enumerate(series)])
+    case = np.zeros(index.shape, dtype=np.intp)
+    misfit = np.zeros(index.shape, dtype=bool)
+    for i in range(1, len(series)):
+        branching = branching_matrix(series[i], series[i - 1])
+        here, below = index[i], index[i - 1]
+        entry = branching[here, below]
         # nu_i restricts to nu_(i-1) alone
-        extends = branching[here, below] == 1 and branching[here].sum() == 1
+        extends = (entry == 1) & (branching.sum(axis=1)[here] == 1)
         # if nu_i extends nu_(i-1), G_nu_i <= G_nu_(i-1): equal orders mean equal groups
-        if extends and orders[i - 1] == orders[i]:
-            case.append("none")
-        elif extends and orders[i - 1] == p * orders[i]:
-            case.append("extension")
-        elif (
-            not extends
-            and chain.nus[i].degree == p * chain.nus[i - 1].degree
-            and orders[i] == p * orders[i - 1]
+        stays = extends & (orders[i - 1] == orders[i])
+        extension = extends & (orders[i - 1] == p * orders[i])
+        induced = (
+            ~extends
+            & (degrees[i] == p * degrees[i - 1])
+            & (orders[i] == p * orders[i - 1])
             # Frobenius reciprocity: Ind nu_(i-1) = nu_i alone
-            and branching[here, below] == 1
-            and branching[:, below].sum() == 1
-        ):
-            case.append("induced")
-        else:
-            raise ChainError(
-                "unstable chain step is neither an extension step nor an induced step"
-                f" (group order {G.order}, chain index {i})"
-            )
-    stable = tuple(label == "none" for label in case)
-    m = tuple(accumulate(0 if flag else 1 for flag in stable))
-    r = tuple(_plog(p, G.order // order) for order in orders)
-    s = tuple(_plog(p, nu.degree) for nu in chain.nus)
-    for i, (mi, si, ri) in enumerate(zip(m, s, r)):
-        if mi != 2 * si + ri:
-            raise ChainError(
-                f"ledger identity m = 2s + r violated (group order {G.order}, chain index {i})"
-            )
-    return ChainLedger(
-        stable=stable,
-        case=tuple(case),
-        m=m,
-        r=r,
-        s=s,
-        stabilizer_orders=tuple(orders),
+            & (entry == 1)
+            & (branching.sum(axis=0)[below] == 1)
+        )
+        case[i] = np.select([extension, induced], [1, 2], 0)
+        misfit[i] = ~(stays | extension | induced)
+    m = np.cumsum(case != 0, axis=0)
+    r, r_rest = _plogs(p, G.order // orders)
+    s, s_rest = _plogs(p, degrees)
+    where = f" (group order {G.order}, chain index {{}})"
+    neither = "unstable chain step is neither an extension step nor an induced step"
+    checks = (
+        (~inside, "chain character is not a constituent of chi's restriction" + where, None),
+        (misfit, neither + where, None),
+        (r_rest != 1, "{} is not a power of " + str(p), r_rest),
+        (s_rest != 1, "{} is not a power of " + str(p), s_rest),
+        (m != 2 * s + r, "ledger identity m = 2s + r violated" + where, None),
     )
+    # each failing column keeps the first check it fails, at its first index
+    out = [None] * index.shape[1]
+    for bad, message, rest in checks:
+        for c in np.flatnonzero(bad.any(axis=0)).tolist():
+            if out[c] is None:
+                i = int(bad[:, c].argmax())
+                out[c] = message.format(i if rest is None else rest[i, c])
+    columns = zip(case.T.tolist(), m.T.tolist(), r.T.tolist(), s.T.tolist(), orders.T.tolist())
+    for c, (labels, mc, rc, sc, oc) in enumerate(columns):
+        if out[c] is None:
+            out[c] = ChainLedger(
+                stable=tuple(k == 0 for k in labels),
+                case=tuple(_CASES[k] for k in labels),
+                m=tuple(mc),
+                r=tuple(rc),
+                s=tuple(sc),
+                stabilizer_orders=tuple(oc),
+            )
+    return case != 0, out
+
+
+def classify_chain(chain: CharacterChain) -> ChainLedger:
+    """Stable/extension/induced labels plus the (m, r, s) ledger, with the
+    identity m_i = 2 s_i + r_i checked at every index: the chain's column
+    of _classify."""
+    index = [[character_table(N).index_of(nu)] for N, nu in zip(chain.series, chain.nus)]
+    ledger = _classify(chain.group, chain.series, np.array(index, dtype=np.intp))[1][0]
+    if isinstance(ledger, str):
+        raise ChainError(ledger)
+    return ledger
 
 
 def all_chains(G: PermGroup, chi: Character) -> list[CharacterChain]:

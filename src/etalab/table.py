@@ -7,6 +7,9 @@ one-dimensional eigenspaces over a finite field F_q, q = 1 mod exp(G) and
 q > 2*sqrt(|G|).  Each common eigenvector, normalized at the identity class,
 is a vector of central character values; degrees come back from a modular
 square root and exact values are lifted through power maps into Z[zeta_e].
+Lifting runs on blocks of eigenvectors of bounded size, with one product by
+the power-map matrix and one by the power basis per block; the first
+eigenvector, in order, that fails a check is the one reported.
 
 A table is stored as its (characters, classes, phi(e)) int64 coefficient
 cube; its Characters, JSON form, cache entry and pairings are read off it.
@@ -37,10 +40,14 @@ from it are written down mod q: the p extensions of each g-invariant linear
 character and one induced character per g-orbit of size p.  Their lines
 come directly, and class matrices split only the common kernel of their
 functionals, spanned by the rows of the projection that orthogonality gives
-onto it.  Lifting and sorting are unchanged, so a seeded table equals
-the plain one byte for byte; a group with no held predecessor, and every
-prime_offset rerun, takes the plain path, and no table is built only to
-seed another.
+onto it.  That orthogonality is checked mod q first, grouped by coset of
+N: the known characters are their distinct base rows on N times roots of
+unity per coset, so one small product per coset replaces the product over
+all known characters and all classes.  g's orbits on N's table are kept on
+that table and serve the branching matrix of the same link.  Lifting and
+sorting are unchanged, so a seeded table equals the plain one byte for
+byte; a group with no held predecessor, and every prime_offset rerun, takes
+the plain path, and no table is built only to seed another.
 
 Class matrices, power maps and the seeding's coset decomposition are numpy
 gathers over image rows, class i's members read off the group's element
@@ -88,6 +95,8 @@ __all__ = [
 _Q_SCAN_LIMIT = 1 << 21
 # bound on the permutation entries one class-matrix gather holds at a time
 _GATHER_ENTRIES = 1 << 20
+# bound on the multiplicity entries one lifting block holds at a time
+_LIFT_ENTRIES = 1 << 16
 
 # tables shared across equal-content group objects while one of them lives
 _TABLE_MEMO: "weakref.WeakValueDictionary[str, CharTable]" = weakref.WeakValueDictionary()
@@ -407,11 +416,14 @@ class CharTable:
         order = np.argsort(keys)
         object.__setattr__(self, "_sorted_keys", (keys[order], order))
         # charops.decompose keeps its results here, keyed by value_key(), and
-        # charops._norm_decompositions the table's list under "norms"
+        # charops._norm_decompositions the table's list under "norms" and
+        # its multiplicity rows under "norm rows"
         object.__setattr__(self, "_decompositions", {})
         # charops.branching_matrix keeps its results here, keyed by the
         # subgroup's content_key
         object.__setattr__(self, "_branching", {})
+        # _orbit_heads keeps its results here, keyed by (g's images, p)
+        object.__setattr__(self, "_orbits", {})
 
     def __len__(self) -> int:
         return len(self.irreducibles)
@@ -457,41 +469,52 @@ class CharTable:
         return self._rows_index(coeffs[None])[0]
 
     def multiplicities(self, theta: Character) -> list[int]:
-        """[theta, chi_i] for every table entry, as exact integers."""
+        """[theta, chi_i] for every table entry, as exact integers.  They are
+        rational when the table passes its _rational_pairings check and
+        sigma_u(theta) = theta o P_u for each of its unit generators u, and
+        are then paired at one embedding."""
         if not theta.group.same_elements(self.group):
             raise CharacterError("characters on different groups")
-        return self._multiplicity_rows(theta.coeffs[None], self.e)[0]
+        actions = self._galois_actions
+        rational = actions is not None and all(
+            np.array_equal(galois(theta.coeffs, self.e, u), theta.coeffs[act]) for u, act in actions
+        )
+        return self._multiplicity_rows(theta.coeffs[None], self.e, rational)[0]
 
-    def _multiplicity_rows(self, rows, e: int, of_rows: bool = False) -> list[list[int]]:
+    def _multiplicity_rows(self, rows, e: int, rational: bool = False) -> list[list[int]]:
         """[row, chi_i] for a (m, classes, phi(e)) stack of class functions, or
         a sequence of such stacks standing for their pointwise products, on
         this table's classes at a conductor e that self.e divides.
 
         The pairing runs at e, so nothing is rebased down: the cube is lifted.
-        of_rows says that every row given is a row of this table or a row's
-        conjugate, at e = self.e; the multiplicities are then rational
-        integers when the table passes its _rational_pairings check, and the
-        pairing reads them at one embedding.
+        rational is the caller's proof that every multiplicity is a rational
+        integer; the pairing then reads them at one embedding.
         """
-        rational = of_rows and self._rational_pairings
         raw = pairing(rows, self.classes.sizes, lift(self.cube, self.e, e), e, rational)
         return as_multiplicities(raw, self.group.order)
 
-    @cached_property
+    @property
     def _rational_pairings(self) -> bool:
         """Whether the Galois action on the rows matches the power maps, so
         that every pairing of products of rows and their conjugates, and
         every column sum sum_i chi_i(k) conj(chi_i(l)), is a rational integer.
+        See _galois_actions."""
+        return self._galois_actions is not None
 
-        For each u of a generating set of (Z/e)^x, with P_u the class map
-        k -> class of x_k^u and sigma_u the automorphism zeta_e -> zeta_e^u:
-        (a) P_u permutes the classes and keeps their sizes; (b) sigma_u(cube)
-        equals cube[:, P_u] exactly; (c) the rows of cube[:, P_u] are the
-        table's rows, each once.  By (a) and (b), sigma_u fixes
-        sum_k |C_k| prod f(k) conj(y(k)) for rows or conjugate rows f and y;
-        by (b) and (c) it permutes the rows, which fixes each column sum.
-        Fixed by every sigma_u, such a sum is rational; it is an algebraic
-        integer, so a rational integer."""
+    @cached_property
+    def _galois_actions(self) -> Optional[tuple[tuple[int, np.ndarray], ...]]:
+        """(u, P_u) for each u of a generating set of (Z/e)^x, with P_u the
+        class map k -> class of x_k^u, when the table passes the checks below;
+        None when it fails one.
+
+        With sigma_u the automorphism zeta_e -> zeta_e^u: (a) P_u permutes the
+        classes and keeps their sizes; (b) sigma_u(cube) equals cube[:, P_u]
+        exactly; (c) the rows of cube[:, P_u] are the table's rows, each once.
+        By (a) and (b), sigma_u fixes sum_k |C_k| prod f(k) conj(y(k)) for rows
+        or conjugate rows f and y, and for y a row and f any class function
+        with sigma_u(f) = f o P_u; by (b) and (c) it permutes the rows, which
+        fixes each column sum.  Fixed by every sigma_u, such a sum is
+        rational; it is an algebraic integer, so a rational integer."""
         sizes = np.array(self.classes.sizes)
         r = len(sizes)
         gens = unit_generators(self.e)
@@ -499,17 +522,17 @@ class CharTable:
         for u in gens:
             act = power[:, u]
             if (np.sort(act) != np.arange(r)).any() or (sizes[act] != sizes).any():
-                return False
+                return None
             image = self.cube[:, act]
             if not np.array_equal(galois(self.cube, self.e, u), image):
-                return False
+                return None
             try:
                 rows = self._rows_index(image)
             except TableError:
-                return False
+                return None
             if sorted(rows) != list(range(len(rows))):
-                return False
-        return True
+                return None
+        return tuple((u, power[:, u]) for u in gens)
 
     def verify_orthogonality(self) -> None:
         """Exact row and column orthogonality; raises TableError on failure.
@@ -560,7 +583,13 @@ def _canonical_order(cube: np.ndarray) -> np.ndarray:
 
 def _orbit_heads(table: CharTable, g: Permutation, p: int) -> np.ndarray:
     """The first row of each row's orbit under g, which normalizes the table's
-    group N; TableError unless g permutes N's table in orbits of length 1 or p."""
+    group N; TableError unless g permutes N's table in orbits of length 1 or p.
+    Kept on the table, keyed by g's images and p: the seeding of <N, g> and
+    the branching matrix of <N, g> over N read the same orbits."""
+    key = (g.images, p)
+    first = table._orbits.get(key)
+    if first is not None:
+        return first
     try:
         image = np.array(table._row_images(_class_action(table.group, g)))
     except TableError:
@@ -574,11 +603,13 @@ def _orbit_heads(table: CharTable, g: Permutation, p: int) -> np.ndarray:
     # g^p fixes every row exactly when every orbit length divides p
     if (image[point] != rows).any():
         raise TableError("an orbit of length neither 1 nor p")
+    first.setflags(write=False)
+    table._orbits[key] = first
     return first
 
 
 def _seed_spaces(
-    G: PermGroup, classes: ConjugacyClassSet, inv_class: list[int], q: int, z: int
+    G: PermGroup, classes: ConjugacyClassSet, inv_class: np.ndarray, q: int, z: int
 ) -> Optional[list[np.ndarray]]:
     """The eigenlines of the characters of G = <N, g> known from N's table,
     each as a one-row space, then the space the other lines span; None
@@ -588,7 +619,15 @@ def _seed_spaces(
     lambda(n g^j) = nu(n) c^j, c^p = nu(g^p), of each g-invariant linear nu,
     and Ind nu, the sum of nu's orbit on N, for each g-orbit of size p.  A
     known psi's line is |C_k| psi(x_k) / psi(1); the other lines span the
-    common kernel of v -> sum_k v_k psi(x_k^-1)."""
+    common kernel of v -> sum_k v_k psi(x_k^-1).
+
+    Each known psi is a base row b (nu, or nu's orbit sum, on G's classes)
+    times a coefficient a_j on coset N g^j: c^j for an extension, 1 on N
+    and 0 off it for Ind nu.  Orthogonality, F L^T = D with F the
+    functionals and L the lines, is checked grouped by coset: x_k in
+    N g^j has x_k^-1 in N g^-j, so with M_j = b[:, inv(C_j)] diag(|C_k|)
+    b[:, C_j]^T over the distinct base rows, (F L^T)[psi, psi'] is
+    sum_j a_(-j) a'_j M_j[b, b'] / psi'(1)."""
     link = G._series_link
     below = None if link is None else _held_table(link[0])
     if below is None:
@@ -623,38 +662,47 @@ def _seed_spaces(
         first = _orbit_heads(below, g, p)
     except TableError as exc:
         raise TableError(f"internal seeding failure: {exc}") from None
+    # the orbit sums, one per head: nu itself for an orbit of one
+    heads, owner, length = np.unique(first, return_inverse=True, return_counts=True)
+    sums = np.zeros((len(heads), vals.shape[1]), dtype=np.int64)
+    np.add.at(sums, owner, vals)
+    deg = below.cube[heads, 0, 0]
+    induced = np.flatnonzero(length == p)
+    linear = np.flatnonzero((length == 1) & (deg == 1))
+    # the p-th roots c = z^s of nu(g^p), for each invariant linear nu
     zpow = np.array([pow(z, s, q) for s in range(e)], dtype=np.int64)
-    degrees, known = [], []
-    for a in np.flatnonzero(first == np.arange(len(first))).tolist():
-        orbit = np.flatnonzero(first == a)
-        deg = int(below.cube[a, 0, 0])
-        if len(orbit) == p:
-            # Ind nu vanishes off N and is the orbit sum on N
-            degrees.append(p * deg)
-            known.append(np.where(coset == 0, vals[orbit][:, fused].sum(axis=0) % q, 0))
-        elif deg == 1:
-            target = vals[a, ncls.element_class[gp_at]]
-            roots = [s for s in range(e) if zpow[s * p % e] == target]
-            if len(roots) != p:
-                raise TableError("internal seeding failure: nu(g^p) has no p-th roots in <z>")
-            for s in roots:
-                degrees.append(1)
-                known.append(vals[a, fused] * zpow[s * coset % e] % q)
-    known = np.array(known, dtype=np.int64)
+    target = sums[linear, ncls.element_class[gp_at]] % q
+    is_root = zpow[np.arange(e) * p % e] == target[:, None]
+    if (is_root.sum(axis=1) != p).any():
+        raise TableError("internal seeding failure: nu(g^p) has no p-th roots in <z>")
+    ext, root = np.nonzero(is_root)
+    # the known characters in head order, then root order: base row, a_j, degree
+    kept = np.concatenate([induced, linear])
+    base = sums[kept][:, fused] % q
+    which = np.concatenate([np.arange(len(induced)), len(induced) + ext])
+    order = np.argsort(kept[which], kind="stable")
+    which = which[order]
+    on_n = np.eye(1, p, dtype=np.int64).repeat(len(induced), axis=0)
+    coef = np.concatenate([on_n, zpow[np.outer(root, np.arange(p)) % e]])[order]
+    degrees = np.concatenate([p * deg[induced], np.ones(len(ext), dtype=np.int64)])[order]
     sizes = np.array(classes.sizes, dtype=np.int64) % q
-    deg_inv = np.array([pow(d, q - 2, q) for d in degrees], dtype=np.int64)
-    lines = known * sizes % q * deg_inv[:, None] % q
-    functionals = known[:, inv_class]
+    deg_inv = np.array([pow(int(d), q - 2, q) for d in degrees], dtype=np.int64)
+    gram = np.zeros((len(which), len(which)), dtype=np.int64)
+    for j in range(p):
+        cls = np.flatnonzero(coset == j)
+        m_j = base[:, inv_class[cls]] * sizes[cls] % q @ base[:, cls].T % q
+        pairs = coef[:, (p - j) % p, None] * coef[None, :, j] % q
+        gram = (gram + pairs * m_j[which][:, which]) % q
     # orthogonality mod q: psi's functional is |G| / psi(1) on its own line, 0 on the others
-    expect = np.diag(G.order % q * deg_inv % q)
-    if (functionals @ lines.T % q != expect).any():
+    if (gram * deg_inv % q != np.diag(G.order % q * deg_inv % q)).any():
         raise TableError("internal seeding failure: known characters are not orthogonal")
-    spaces = [line[None] for line in lines]
-    if len(lines) < len(sizes):
+    known = base[which] * coef[:, coset] % q
+    spaces = [line[None] for line in known * sizes % q * deg_inv[:, None] % q]
+    if len(known) < len(sizes):
         # so F L^T = D, D invertible, and the rows of I - F^T D^-1 L span ker F:
         # F kills each, and it is idempotent of rank r - k.  D^-1 L = known sizes / |G|
         scaled = known * sizes % q * pow(G.order, q - 2, q) % q
-        rest, _ = _rref(np.eye(len(sizes), dtype=np.int64) - functionals.T @ scaled % q, q)
+        rest, _ = _rref(np.eye(len(sizes), dtype=np.int64) - known[:, inv_class].T @ scaled % q, q)
         spaces.append(rest)
     return spaces
 
@@ -668,7 +716,7 @@ def _compute_table(G: PermGroup, prime_offset: int = 0) -> CharTable:
     z = pow(_primitive_root(q), (q - 1) // e, q)
     # x^(e-1) is x^-1
     pclass = _power_classes(classes, e)
-    inv_class = pclass[:, e - 1].tolist()
+    inv_class = pclass[:, e - 1]
 
     spaces = None
     if not prime_offset:
@@ -687,33 +735,49 @@ def _compute_table(G: PermGroup, prime_offset: int = 0) -> CharTable:
         [[pow(zinv, (l * s) % e, q) for s in range(e)] for l in range(e)], dtype=np.int64
     )
     e_inv = pow(e, q - 2, q)
+    basis = power_basis_matrix(e)
 
     # sum_j w_j w_(j^-1) / |C_j| for each eigenvector w, which is |G| / chi(1)^2;
     # every product is reduced mod q before the next, so int64 never overflows
     s_acc = (omegas * omegas[:, inv_class] % q * size_inv % q).sum(axis=1) % q
-    rows = []
+    cube = np.empty((r, r, basis.shape[1]), dtype=np.int64)
     deg_sum = 0
-    for n, w in enumerate(omegas):
-        try:
-            d_sq = order % q * pow(int(s_acc[n]), q - 2, q) % q
-            d = _sqrt_mod(d_sq, q)
-            d = min(d, q - d)
-            if d == 0 or d * d > order:
-                raise TableError("internal lifting failure: bad degree")
-            chi_mod = d * w % q * size_inv % q
-            mults = chi_mod[pclass] @ zmat.T % q * e_inv % q
-            if (mults > d).any():
-                raise TableError("internal lifting failure: multiplicity out of range")
-            if (mults.sum(axis=1) != d).any():
-                raise TableError("internal lifting failure: multiplicities do not sum to degree")
-        except TableError as exc:
-            raise TableError(f"{exc} (group order {order}, q {q}, eigenvector {n})") from None
-        deg_sum += d * d
-        rows.append(mults @ power_basis_matrix(e))
+    step = max(1, _LIFT_ENTRIES // (r * e))
+    # a block of eigenvectors at a time; the first eigenvector, in order, that
+    # fails a check is reported with that check's message
+    for start in range(0, r, step):
+        stop, failure = min(start + step, r), None
+        degrees = []
+        for n in range(start, stop):
+            try:
+                d = _sqrt_mod(order % q * pow(int(s_acc[n]), q - 2, q) % q, q)
+                d = min(d, q - d)
+                if d == 0 or d * d > order:
+                    raise TableError("internal lifting failure: bad degree")
+            except TableError as exc:
+                stop, failure = n, str(exc)
+                break
+            degrees.append(d)
+        d = np.array(degrees, dtype=np.int64)
+        chi_mod = d[:, None] * omegas[start:stop] % q * size_inv % q
+        mults = chi_mod[:, pclass] @ zmat.T
+        mults %= q
+        mults *= e_inv
+        mults %= q
+        over = (mults > d[:, None, None]).any(axis=(1, 2))
+        short = (mults.sum(axis=2) != d[:, None]).any(axis=1)
+        if (over | short).any():
+            n = int(np.argmax(over | short))
+            stop, failure = start + n, "internal lifting failure: " + (
+                "multiplicity out of range" if over[n] else "multiplicities do not sum to degree"
+            )
+        if failure is not None:
+            raise TableError(f"{failure} (group order {order}, q {q}, eigenvector {stop})")
+        deg_sum += int(d @ d)
+        cube[start:stop] = mults @ basis
     if deg_sum != order:
         raise TableError(f"internal lifting failure: degree sum mismatch (group order {order}, q {q})")
 
-    cube = np.stack(rows)
     return CharTable(group=G, classes=classes, cube=cube[_canonical_order(cube)], e=e, q=q)
 
 

@@ -1,19 +1,23 @@
 """Verification sweeps for the product-constituent bounds.
 
-Each sweep walks (catalog) groups and checks its statement character by
+Each sweep walks (catalog) groups and checks its statement for every
 character with exact arithmetic.  A sweep only yields each group's records;
 one driver (`_sweep`) times it and collects the records into a
 VerificationReport.  A failing record always carries enough serialized
 context (group file text, character indices, decomposition) to reproduce the
 violation in isolation; in the ledger sweep an error raised for one
-character becomes that character's failing record.  Reports are
-deterministic apart from elapsed_ms.  Theorems A and B, corollary A and the
-ledger form no product of characters: one pairing of the factors decomposes
-a table's chi * conj(chi), or one chi's chi * psi, with decompose's checks.
+character, or for its whole group, becomes the failing record of each
+character it concerns.  Reports are deterministic apart from elapsed_ms.
+Theorems A and B, corollary A and the ledger form no product of characters:
+one pairing of the factors decomposes a table's chi * conj(chi), or one
+chi's chi * psi, with decompose's checks.
 
-The ledger sweep restricts no character on its own: chains, their labels
-and the constituent bookkeeping read rows and columns of the branching
-matrices along G's chief series, which are kept on the subgroups' tables.
+The ledger sweep restricts no character on its own and builds each group's
+ledger once, not once per character: the canonical chains, their labels
+and (m, r, s), and the constituent bookkeeping are arrays over all of
+Irr(G), read off the branching matrices along G's chief series (kept on the
+subgroups' tables), their products and the multiplicities of every
+chi * conj(chi); each character's record is read off those arrays.
 """
 
 from __future__ import annotations
@@ -27,11 +31,11 @@ import numpy as np
 
 from .catalog import default_catalog
 from .chars import Character
-from .charops import _norm_decompositions, _product_decompositions, _restrictions_along
-from .charops import branching_matrix, decompose
-from .clifford import _plog, build_chain, classify_chain
+from .charops import _norm_decompositions, _norm_multiplicities, _product_decompositions
+from .charops import _restrictions_along, branching_matrix, decompose
+from .clifford import _classify, _descend, _plog
 from .constructions import prop5_witness
-from .errors import EtalabError, GroupError
+from .errors import ChainError, EtalabError, GroupError
 from .groupfile import format_group
 from .perm import PermGroup
 from .table import character_table
@@ -222,70 +226,107 @@ def verify_corollary_a(groups=None, max_order=64):
         yield gid, G, records, None
 
 
-def _chain_extras(G: PermGroup, chi: Character, chain, ledger):
-    """Constituent bookkeeping behind the counting argument: per unstable
-    index, every one-step character delta must be covered by a constituent
-    of chi*conj(chi) restricting to exactly theta(1)*delta, and the
-    constituent sets attached to distinct unstable indices must not overlap.
+def _bookkeeping(G: PermGroup, series, unstable: np.ndarray) -> np.ndarray:
+    """The constituent bookkeeping behind the counting argument, for every
+    chi of G at once: a (3, r) boolean array of the coverage, disjointness
+    and size flags, with unstable the (t+1, r) mask of the unstable indices
+    of the canonical chains.
 
-    The constituents' restrictions to N_i are their rows of the branching
-    matrix of G over N_i, and the one-step characters of N_i / N_(i-1) are
-    the k whose restriction to N_(i-1) is deg_k times the principal
-    character."""
+    Per unstable index i of chi's chain, every one-step character delta of
+    N_i / N_(i-1) must be covered by a constituent xi of chi*conj(chi)
+    restricting to exactly xi(1)*delta; the constituents attached to i
+    (restricting onto a non-principal one-step character) must number at
+    least p - 1, and the sets attached to distinct unstable indices must
+    not overlap.  A one-step character is a row of B_i whose restriction to
+    N_(i-1) is its degree times the principal character; the constituents'
+    restrictions to N_i are their rows of R_i, so each flag is a boolean
+    product of chi's constituent support with R_i over those columns."""
     table = character_table(G)
-    norm = _norm_decompositions(table)[table.index_of(chi)]
-    xi_idx = [table.index_of(theta) for theta in norm.characters()]
-    xi_degrees = table.cube[xi_idx, 0, :1]  # the constituents' degrees, as a column
-    restricted = _restrictions_along(chain.series)
-    covered, attached = [], []
-    for i in ledger.unstable_indices:
-        tab_i = character_table(chain.series[i])
-        principal = character_table(chain.series[i - 1]).principal_index
-        branching = branching_matrix(chain.series[i], chain.series[i - 1])
-        step = np.flatnonzero(branching[:, principal] == tab_i.degrees)
-        mult_rows = restricted[i][xi_idx]
-        # one-step characters are linear, so restricting to theta(1)*delta
-        # is the same as the delta-entry soaking up the whole degree
-        covered.append(bool((mult_rows[:, step] == xi_degrees).any(axis=0).all()))
-        nonprincipal = step[step != tab_i.principal_index]
-        attached.append(set(np.flatnonzero(mult_rows[:, nonprincipal].any(axis=1)).tolist()))
-    disjoint_ok = sum(map(len, attached)) == len(set().union(*attached))
-    sizes_ok = all(len(a) >= G.p_group_info().p - 1 for a in attached)
-    return all(covered), disjoint_ok, sizes_ok
+    support = (_norm_multiplicities(table) != 0).astype(np.int64)
+    degrees = table.cube[:, 0, 0]
+    restricted = _restrictions_along(series)
+    covered = np.ones(unstable.shape, dtype=bool)
+    attached = np.zeros(unstable.shape, dtype=np.int64)
+    for i in range(1, len(series)):
+        tab_i = character_table(series[i])
+        principal = character_table(series[i - 1]).principal_index
+        step = branching_matrix(series[i], series[i - 1])[:, principal] == tab_i.cube[:, 0, 0]
+        # one-step characters are linear, so restricting to xi(1)*delta is the
+        # same as the delta-entry soaking up the whole degree
+        covered[i] = (support @ (restricted[i][:, step] == degrees[:, None])).all(axis=1)
+        step[tab_i.principal_index] = False
+        attached[i] = restricted[i][:, step].any(axis=1)
+    # a constituent attached to two unstable indices of chi's chain
+    shared = (unstable.T.astype(np.int64) @ attached >= 2) & (support != 0)
+    sizes = support @ attached.T >= G.p_group_info().p - 1
+    return np.stack(
+        [(covered | ~unstable).all(axis=0), ~shared.any(axis=1), (sizes.T | ~unstable).all(axis=0)]
+    )
+
+
+def _ledger_arrays(G: PermGroup) -> tuple[list, np.ndarray]:
+    """The ledger of every chi of G, from G's chief series: per chi, in
+    table order, its canonical chain's ChainLedger or the message of the
+    error it fails with, and the bookkeeping flags of _bookkeeping.  An
+    error of the whole group is every chi's; the bookkeeping's is that of
+    every chi whose chain passes."""
+    series = G.chief_series()
+    r = len(character_table(G))
+    try:
+        unstable, ledgers = _classify(G, series, _descend(series, np.arange(r)))
+    except EtalabError as exc:
+        return [str(exc)] * r, None
+    try:
+        return ledgers, _bookkeeping(G, series, unstable)
+    except EtalabError as exc:
+        return [x if isinstance(x, str) else str(exc) for x in ledgers], None
+
+
+def _ledger_record(G: PermGroup, chi: Character, k: int, ledger) -> tuple[dict, bool]:
+    """chi's ledger record and its verdict, read off the group's ledger
+    arrays at chi's table index k; the ChainError of its error."""
+    ledgers, flags = ledger
+    chain = ledgers[k]
+    if isinstance(chain, str):
+        raise ChainError(chain)
+    coverage, disjoint, sizes = flags[:, k].tolist()
+    rec = {
+        "chi": k,
+        "degree": chi.degree,
+        "m": list(chain.m),
+        "r": list(chain.r),
+        "s": list(chain.s),
+        "cases": list(chain.case),
+        "coverage": coverage,
+        "disjoint": disjoint,
+    }
+    return rec, coverage and disjoint and sizes
 
 
 @_sweep("ledger")
 def verify_ledger(groups=None, max_order=None):
     """Chain ledger identity m_i = 2 s_i + r_i at every index, the
     extension/induced dichotomy at unstable indices, and the disjointness
-    of per-index constituent sets used by the counting argument."""
+    of per-index constituent sets used by the counting argument.
+
+    Each group's ledger is built once, as arrays over all of Irr(G)
+    (_ledger_arrays); each chi's record is read off them (_ledger_record).
+    An error raised for one chi, or for the whole group, becomes the
+    failing record of each chi it concerns."""
     for gid, G in _selection(groups, max_order):
         # the chief-series tables bottom-up, each seeded from the one below;
         # the last is G's
         for N in G.chief_series():
             table = character_table(N)
+        ledger = _ledger_arrays(G)
         records = []
         for idx, chi in enumerate(table):
             try:
-                chain = build_chain(G, chi)
-                ledger = classify_chain(chain)
-                coverage_ok, disjoint_ok, sizes_ok = _chain_extras(G, chi, chain, ledger)
+                rec, ok = _ledger_record(G, chi, idx, ledger)
             except EtalabError as exc:
                 # "pass" keeps its place ahead of "error" when it is set again
                 ok = False
                 rec = {"chi": idx, "degree": chi.degree, "pass": ok, "error": str(exc)}
-            else:
-                ok = coverage_ok and disjoint_ok and sizes_ok
-                rec = {
-                    "chi": idx,
-                    "degree": chi.degree,
-                    "m": list(ledger.m),
-                    "r": list(ledger.r),
-                    "s": list(ledger.s),
-                    "cases": list(ledger.case),
-                    "coverage": coverage_ok,
-                    "disjoint": disjoint_ok,
-                }
             records.append(
                 _judged(rec, ok, lambda: {"group_file": format_group(G), "chi": idx})
             )

@@ -8,10 +8,13 @@ genuine cross-check rather than the same code run twice.
 from __future__ import annotations
 
 import hashlib
+from itertools import accumulate
 from math import lcm
 
 import numpy as np
 
+from etalab.charops import _norm_decompositions, _restrictions_along, branching_matrix
+from etalab.clifford import CharacterChain, ChainLedger, _irreducible_index
 from etalab.cyclotomic import (
     CycValue,
     _exact,
@@ -21,8 +24,9 @@ from etalab.cyclotomic import (
     power_basis_matrix,
     reduced_degree,
 )
-from etalab.errors import GroupError
+from etalab.errors import ChainError, EtalabError, GroupError
 from etalab.perm import PermGroup, Permutation, _class_action
+from etalab.table import character_table
 
 
 def closure_elementwise(degree: int, gens, cap: int) -> set:
@@ -316,3 +320,153 @@ def class_action_orbit_sizes(G: PermGroup, N: PermGroup, table) -> list[int]:
         for k in orbit:
             sizes[k] = len(orbit)
     return sizes
+
+
+# ---------------------------------------------------------------------------
+# the chain ledger one character at a time: build_chain, classify_chain and
+# the constituent bookkeeping as the package ran them per character, before
+# the ledger was read off whole-table arrays
+
+
+def build_chain_per_character(G: PermGroup, chi) -> CharacterChain:
+    """Canonical chain under chi: first-constituent descent along the chief
+    series."""
+    k = _irreducible_index(G, chi)
+    series = G.chief_series()
+    idx = [k] * len(series)
+    for i in range(len(series) - 1, 0, -1):
+        row = branching_matrix(series[i], series[i - 1])[idx[i]]
+        idx[i - 1] = int(np.flatnonzero(row)[0])
+    nus = [character_table(N)[j] for N, j in zip(series[:-1], idx)]
+    return CharacterChain(group=G, chi=chi, series=tuple(series), nus=(*nus, chi))
+
+
+def _plog_per_character(p: int, n: int) -> int:
+    k = 0
+    while n > 1 and n % p == 0:
+        n //= p
+        k += 1
+    if n != 1:
+        raise ChainError(f"{n} is not a power of {p}")
+    return k
+
+
+def classify_chain_per_character(chain: CharacterChain) -> ChainLedger:
+    """Stable/extension/induced labels plus the (m, r, s) ledger, with the
+    identity m_i = 2 s_i + r_i checked at every index."""
+    G = chain.group
+    info = G.p_group_info()
+    p = info.p if info.p > 1 else 2
+    idx = [character_table(N).index_of(nu) for N, nu in zip(chain.series, chain.nus)]
+    # Clifford: chi|N_i is a multiple of the sum over nu_i's G-orbit, so the
+    # orbit is the support of chi's row of the restriction to N_i
+    orders = []
+    for i, rows in enumerate(_restrictions_along(chain.series)):
+        row = rows[idx[-1]]
+        if not row[idx[i]]:
+            raise ChainError(
+                "chain character is not a constituent of chi's restriction"
+                f" (group order {G.order}, chain index {i})"
+            )
+        orders.append(G.order // np.count_nonzero(row))
+    case = ["none"]
+    for i in range(1, len(chain.series)):
+        branching = branching_matrix(chain.series[i], chain.series[i - 1])
+        here, below = idx[i], idx[i - 1]
+        # nu_i restricts to nu_(i-1) alone
+        extends = branching[here, below] == 1 and branching[here].sum() == 1
+        # if nu_i extends nu_(i-1), G_nu_i <= G_nu_(i-1): equal orders mean equal groups
+        if extends and orders[i - 1] == orders[i]:
+            case.append("none")
+        elif extends and orders[i - 1] == p * orders[i]:
+            case.append("extension")
+        elif (
+            not extends
+            and chain.nus[i].degree == p * chain.nus[i - 1].degree
+            and orders[i] == p * orders[i - 1]
+            # Frobenius reciprocity: Ind nu_(i-1) = nu_i alone
+            and branching[here, below] == 1
+            and branching[:, below].sum() == 1
+        ):
+            case.append("induced")
+        else:
+            raise ChainError(
+                "unstable chain step is neither an extension step nor an induced step"
+                f" (group order {G.order}, chain index {i})"
+            )
+    stable = tuple(label == "none" for label in case)
+    m = tuple(accumulate(0 if flag else 1 for flag in stable))
+    r = tuple(_plog_per_character(p, G.order // order) for order in orders)
+    s = tuple(_plog_per_character(p, nu.degree) for nu in chain.nus)
+    for i, (mi, si, ri) in enumerate(zip(m, s, r)):
+        if mi != 2 * si + ri:
+            raise ChainError(
+                f"ledger identity m = 2s + r violated (group order {G.order}, chain index {i})"
+            )
+    return ChainLedger(
+        stable=stable,
+        case=tuple(case),
+        m=m,
+        r=r,
+        s=s,
+        stabilizer_orders=tuple(orders),
+    )
+
+
+def chain_extras_per_character(G: PermGroup, chi, chain, ledger):
+    """Constituent bookkeeping behind the counting argument: per unstable
+    index, every one-step character delta must be covered by a constituent
+    of chi*conj(chi) restricting to exactly theta(1)*delta, and the
+    constituent sets attached to distinct unstable indices must not overlap.
+
+    The constituents' restrictions to N_i are their rows of the branching
+    matrix of G over N_i, and the one-step characters of N_i / N_(i-1) are
+    the k whose restriction to N_(i-1) is deg_k times the principal
+    character."""
+    table = character_table(G)
+    norm = _norm_decompositions(table)[table.index_of(chi)]
+    xi_idx = [table.index_of(theta) for theta in norm.characters()]
+    xi_degrees = table.cube[xi_idx, 0, :1]  # the constituents' degrees, as a column
+    restricted = _restrictions_along(chain.series)
+    covered, attached = [], []
+    for i in ledger.unstable_indices:
+        tab_i = character_table(chain.series[i])
+        principal = character_table(chain.series[i - 1]).principal_index
+        branching = branching_matrix(chain.series[i], chain.series[i - 1])
+        step = np.flatnonzero(branching[:, principal] == tab_i.degrees)
+        mult_rows = restricted[i][xi_idx]
+        # one-step characters are linear, so restricting to theta(1)*delta
+        # is the same as the delta-entry soaking up the whole degree
+        covered.append(bool((mult_rows[:, step] == xi_degrees).any(axis=0).all()))
+        nonprincipal = step[step != tab_i.principal_index]
+        attached.append(set(np.flatnonzero(mult_rows[:, nonprincipal].any(axis=1)).tolist()))
+    disjoint_ok = sum(map(len, attached)) == len(set().union(*attached))
+    sizes_ok = all(len(a) >= G.p_group_info().p - 1 for a in attached)
+    return all(covered), disjoint_ok, sizes_ok
+
+
+def ledger_records_per_character(G: PermGroup) -> list[dict]:
+    """G's ledger records as verify_ledger wrote them one character at a
+    time, counterexamples left out."""
+    records = []
+    for idx, chi in enumerate(character_table(G)):
+        try:
+            chain = build_chain_per_character(G, chi)
+            ledger = classify_chain_per_character(chain)
+            coverage_ok, disjoint_ok, sizes_ok = chain_extras_per_character(G, chi, chain, ledger)
+        except EtalabError as exc:
+            rec = {"chi": idx, "degree": chi.degree, "pass": False, "error": str(exc)}
+        else:
+            rec = {
+                "chi": idx,
+                "degree": chi.degree,
+                "m": list(ledger.m),
+                "r": list(ledger.r),
+                "s": list(ledger.s),
+                "cases": list(ledger.case),
+                "coverage": coverage_ok,
+                "disjoint": disjoint_ok,
+                "pass": coverage_ok and disjoint_ok and sizes_ok,
+            }
+        records.append(rec)
+    return records

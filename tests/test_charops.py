@@ -3,6 +3,7 @@ restriction, constituent decompositions, frozen eta values."""
 
 import random
 
+import numpy as np
 import pytest
 
 from etalab.catalog import load_catalog_group
@@ -330,3 +331,67 @@ def test_batched_decompositions_keep_the_degree_check(d8_table, monkeypatch):
     cube = d8_table.cube
     with pytest.raises(CharacterError, match="^inner product not integral$"):
         _product_decompositions(d8_table, cube, conjugate(cube, d8_table.e))
+
+
+def _full_path_multiplicities(table, theta):
+    import etalab.table as table_mod
+    from etalab.cyclotomic import pairing
+
+    raw = pairing(theta.coeffs[None], table.classes.sizes, table.cube, table.e)
+    return table_mod.as_multiplicities(raw, table.group.order)[0]
+
+
+def _pairing_modes(monkeypatch):
+    """The rational flag of every pairing the table module makes from now on."""
+    import etalab.table as table_mod
+
+    modes = []
+    real = table_mod.pairing
+
+    def spy(x, weights, y, e, rational=False):
+        modes.append(rational)
+        return real(x, weights, y, e, rational)
+
+    monkeypatch.setattr(table_mod, "pairing", spy)
+    return modes
+
+
+def test_single_row_multiplicities_of_products_take_one_embedding(monkeypatch):
+    # chi * psi over every ordered pair (conj chi among the psi), order <= 64:
+    # the one-embedding multiplicities equal the full path's
+    modes = _pairing_modes(monkeypatch)
+    for _, G in default_catalog():
+        if G.order > 64:
+            continue
+        table = character_table(G)
+        assert table._rational_pairings, G.order
+        for chi in table:
+            for psi in table:
+                theta = chi * psi
+                modes.clear()
+                assert table.multiplicities(theta) == _full_path_multiplicities(table, theta)
+                assert modes == [True], G.order
+
+
+def test_prop5_decompositions_take_one_embedding(monkeypatch):
+    import etalab.table as table_mod
+
+    monkeypatch.setattr(table_mod, "_TABLE_MEMO", {})
+    modes = _pairing_modes(monkeypatch)
+    from etalab.verify import verify_prop5
+
+    assert verify_prop5().passed
+    assert modes and all(modes)
+
+
+def test_a_class_function_off_the_galois_action_keeps_the_full_path(d8_table, monkeypatch):
+    # i times the principal character: sigma_3 sends it to -i times it, while
+    # P_3 fixes every class of d8
+    i = np.array(CycValue.root_of_unity(d8_table.e).coeffs)
+    theta = Character._of(d8_table.group, np.tile(i, (len(d8_table.classes), 1)))
+    modes = _pairing_modes(monkeypatch)
+    with pytest.raises(CharacterError, match="^inner product not integral$"):
+        d8_table.multiplicities(theta)
+    assert modes == [False]
+    with pytest.raises(CharacterError, match="^inner product not integral$"):
+        _full_path_multiplicities(d8_table, theta)

@@ -27,14 +27,21 @@ from etalab.clifford import (
     conjugate_action,
     stabilizer,
 )
-from etalab.constructions import dihedral, extraspecial_exp_p
-from etalab.errors import ChainError, CharacterError, GroupError, TableError
+from etalab.constructions import cyclic, dihedral, extraspecial_exp_p, wreath_cp
+from etalab.errors import ChainError, CharacterError, EtalabError, GroupError, TableError
 from etalab.groupfile import format_group, parse_group
-from etalab.perm import chief_series
+from etalab.perm import Permutation, chief_series
 from etalab.table import CharTable, character_table
 from etalab.verify import verify_ledger
 
-from oracles import class_action_orbit_sizes, elementwise_inner, stabilizer_elements
+from oracles import (
+    build_chain_per_character,
+    class_action_orbit_sizes,
+    classify_chain_per_character,
+    elementwise_inner,
+    ledger_records_per_character,
+    stabilizer_elements,
+)
 
 # catalog groups small enough for the element-level stabilizer oracle
 ORACLE_GROUPS = [gid for gid, G in default_catalog() if G.order <= 32 or gid == "es27"]
@@ -99,6 +106,30 @@ def test_stabilizer_matches_elementwise_oracle(gid):
         for nu in character_table(N):
             expected = G.subgroup_from_elements(stabilizer_elements(G, N, nu))
             assert stabilizer(G, N, nu).same_elements(expected), gid
+
+
+def test_stabilizer_does_no_permutation_arithmetic(monkeypatch):
+    # transversals and Schreier generators are gathers over image rows;
+    # Permutation objects are made only for the generators handed on
+    G = load_catalog_group("w22")
+    N = chief_series(G)[3]
+    nus = list(character_table(N))
+    calls = []
+    for name in ("__mul__", "inverse", "__pow__"):
+        method = getattr(Permutation, name)
+
+        def counted(*args, _name=name, _method=method, **kwargs):
+            calls.append(_name)
+            return _method(*args, **kwargs)
+
+        monkeypatch.setattr(Permutation, name, counted)
+    stabilizers = [stabilizer(G, N, nu) for nu in nus]
+    assert calls == []
+    monkeypatch.undo()
+    assert any(stab.order < G.order for stab in stabilizers)
+    for nu, stab in zip(nus, stabilizers):
+        assert stab.same_elements(G.subgroup_from_elements(stabilizer_elements(G, N, nu)))
+        assert list(stab.generators) == sorted(stab.generators)
 
 
 @pytest.mark.parametrize("gid", ORACLE_GROUPS)
@@ -351,6 +382,26 @@ def test_branching_lookup_rejects_a_corrupted_subgroup_table(d8, monkeypatch):
         branching_matrix(G, M)
 
 
+def test_a_branching_failure_is_every_characters_ledger_record(d8, monkeypatch):
+    # the same corrupted subgroup table: the group's ledger cannot be built,
+    # and each chi's record carries the error, as the per-character code gave it
+    monkeypatch.setattr(table_mod, "_TABLE_MEMO", {})
+    G = parse_group(format_group(d8))
+    M = chief_series(G)[-2]
+    good = character_table(M)
+    character_table(G)
+    cube = good.cube.copy()
+    cube[0] *= -1
+    M._char_table = CharTable(group=M, classes=good.classes, cube=cube, e=good.e, q=good.q)
+    records = verify_ledger(groups=[("d8", G)]).results[0]["records"]
+    error = "internal branching failure: a restriction is no orbit sum (group order 8, index 2)"
+    assert len(records) == 5
+    for rec in records:
+        assert rec.pop("counterexample")["chi"] == rec["chi"]
+        assert rec["error"] == error
+    assert records == ledger_records_per_character(G)
+
+
 def test_branching_matrix_needs_a_normal_subgroup_of_prime_index(d8):
     series = chief_series(d8)
     assert d8.order // series[1].order == 4
@@ -410,3 +461,61 @@ def test_all_chains_rejects_what_build_chain_rejects(d8, d8_table, q8):
             with pytest.raises(CharacterError, match=message):
                 enumerate_chains(d8, chi)
 
+
+ES_GROUPS = {"es7-1": (7, 1), "es3-2": (3, 2)}
+
+
+def _assert_ledger_matches_the_per_character_oracle(G, label):
+    # every record of the per-table ledger, and every canonical chain and
+    # its ledger, as the per-character code found them
+    records = verify_ledger(groups=[(label, G)]).results[0]["records"]
+    for rec in records:
+        rec.pop("counterexample", None)
+    assert records == ledger_records_per_character(G), label
+    for chi in character_table(G):
+        chain = build_chain(G, chi)
+        expected = build_chain_per_character(G, chi)
+        assert chain.series == expected.series, label
+        assert all(a == b for a, b in zip(chain.nus, expected.nus)), label
+        assert classify_chain(chain) == classify_chain_per_character(expected), label
+
+
+@pytest.mark.parametrize("gid", CATALOG_IDS + list(ES_GROUPS))
+def test_ledger_matches_the_per_character_oracle(gid):
+    G = extraspecial_exp_p(*ES_GROUPS[gid]) if gid in ES_GROUPS else load_catalog_group(gid)
+    _assert_ledger_matches_the_per_character_oracle(G, gid)
+
+
+@pytest.mark.slow
+def test_ledger_matches_the_per_character_oracle_at_order_2187():
+    _assert_ledger_matches_the_per_character_oracle(wreath_cp(cyclic(9), 3)[0], "c9wrc3")
+
+
+def _outcome(classify, chain):
+    try:
+        return classify(chain)
+    except EtalabError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("gid", ["d8", "q16", "c4wrc2", "es27", "c3wrc3"])
+def test_classify_chain_matches_the_oracle_on_altered_chains(gid):
+    # every chain with one member swapped for another character of its
+    # subgroup, and every branch of all_chains: the same ledger, or the
+    # same first failing check with the same message
+    G = load_catalog_group(gid)
+    failures = 0
+    for chi in character_table(G):
+        canonical = build_chain(G, chi)
+        chains = all_chains(G, chi) if G.order <= 64 else [canonical]
+        for i in range(len(canonical.series) - 1):
+            for nu in character_table(canonical.series[i]):
+                nus = list(canonical.nus)
+                nus[i] = nu
+                altered = CharacterChain(group=G, chi=chi, series=canonical.series, nus=tuple(nus))
+                chains.append(altered)
+        for chain in chains:
+            got = _outcome(classify_chain, chain)
+            assert got == _outcome(classify_chain_per_character, chain), gid
+            failures += isinstance(got, tuple)
+    assert failures

@@ -709,3 +709,90 @@ def test_a_row_times_a_root_of_unity_keeps_the_full_path(gid, monkeypatch):
         pass  # chi * conj(chi) may pair with the twisted row to a non-integer
     assert twisted.multiplicities(twisted[one]) == [int(i == one) for i in range(len(twisted))]
     assert len(modes) == 4 and not any(modes)
+
+
+# eigenvector rows lambda * (class sizes) mod q that fail one lifting check
+# each: the degree comes out as 0 for lambda = 0, and as 2 for lambda = +-1/2,
+# with every character value -1 (multiplicity q - 1 > 2) or 1 (sum 1 != 2)
+LIFTING_FAULTS = {
+    "bad degree": lambda q: 0,
+    "multiplicity out of range": lambda q: q - pow(2, q - 2, q),
+    "multiplicities do not sum to degree": lambda q: pow(2, q - 2, q),
+}
+
+
+# lifting blocks of the default size (all 14 eigenvectors), of 2 and of 1
+BLOCKS, BLOCK_IDS = [None, 224, 1], ["one-block", "two-per-block", "one-per-block"]
+
+
+def _lift_with_faults(monkeypatch, faults, block_entries):
+    """The TableError of a plain c4wrc2 build (r = 14, e = 8, q = 17) with
+    eigenvector n replaced by the row of faults[n], lifted in blocks of
+    block_entries entries."""
+    G = _fresh_copy(load_catalog_group("c4wrc2"))
+    real = table_mod._common_eigenbasis
+
+    def faulty(classes, spaces, q):
+        out = real(classes, spaces, q).copy()
+        for n, message in faults.items():
+            out[n] = LIFTING_FAULTS[message](q) * np.array(classes.sizes) % q
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(table_mod, "_common_eigenbasis", faulty)
+        if block_entries is not None:
+            patch.setattr(table_mod, "_LIFT_ENTRIES", block_entries)
+        with pytest.raises(TableError) as info:
+            table_mod._compute_table(G)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("block_entries", BLOCKS, ids=BLOCK_IDS)
+@pytest.mark.parametrize("message", list(LIFTING_FAULTS))
+def test_lifting_failures_name_the_check_and_the_eigenvector(monkeypatch, message, block_entries):
+    for n in (0, 5, 13):
+        got = _lift_with_faults(monkeypatch, {n: message}, block_entries)
+        assert got == f"internal lifting failure: {message} (group order 32, q 17, eigenvector {n})"
+
+
+@pytest.mark.parametrize("block_entries", BLOCKS, ids=BLOCK_IDS)
+def test_lifting_reports_the_first_failing_eigenvector(monkeypatch, block_entries):
+    # a later eigenvector's degree failure does not mask an earlier one's
+    # multiplicities, in one block or across blocks
+    bad_degree, over, short = LIFTING_FAULTS
+    cases = [
+        ({4: bad_degree, 5: over}, 4, bad_degree),
+        ({5: bad_degree, 4: short}, 4, short),
+        ({9: over, 3: bad_degree}, 3, bad_degree),
+        ({8: short, 7: over}, 7, over),
+    ]
+    for faults, n, message in cases:
+        got = _lift_with_faults(monkeypatch, faults, block_entries)
+        assert got == f"internal lifting failure: {message} (group order 32, q 17, eigenvector {n})"
+
+
+def test_a_corrupted_known_line_fails_the_coset_grouped_check(d8, monkeypatch):
+    # d8 over its Klein four subgroup N: g swaps N's classes 1 and 2, so the
+    # last linear character of N stays g-invariant with its sign flipped on
+    # class 3, and its two extensions are known lines that are no characters
+    _fresh_memo(monkeypatch)
+    fresh = _fresh_copy(d8)
+    for N in fresh.chief_series()[:-1]:
+        character_table(N)
+    N, g = fresh._series_link
+    below = character_table(N)
+    assert table_mod._class_action(N, g) == (0, 2, 1, 3)
+    cube = below.cube.copy()
+    assert cube[3, :, 0].tolist() == [1, -1, -1, 1]
+    cube[3, 3] = -cube[3, 3]
+    corrupted = CharTable(group=N, classes=below.classes, cube=cube, e=below.e, q=below.q)
+    held = table_mod._held_table
+    monkeypatch.setattr(table_mod, "_held_table", lambda H: corrupted if H is N else held(H))
+    message = (
+        r"^internal seeding failure: known characters are not orthogonal \(group order 8, q 13\)$"
+    )
+    with pytest.raises(TableError, match=message):
+        table_mod._compute_table(fresh)
+    # the same link with N's own table seeds the right table
+    monkeypatch.setattr(table_mod, "_held_table", held)
+    assert table_mod._compute_table(fresh).to_json_dict() == character_table(d8).to_json_dict()

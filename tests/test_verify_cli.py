@@ -94,14 +94,14 @@ def test_ledger_never_rebases_down(monkeypatch):
 def test_ledger_records_an_error_in_the_constituent_bookkeeping(monkeypatch, capsys):
     # a failure in one chi's bookkeeping is that chi's failing record; the
     # sweep goes on to the others
-    extras = verify_mod._chain_extras
+    extras = verify_mod._ledger_record
 
     def failing_on_degree_two(G, chi, chain, ledger):
         if chi.degree == 2:
             raise TableError("injected bookkeeping failure")
         return extras(G, chi, chain, ledger)
 
-    monkeypatch.setattr(verify_mod, "_chain_extras", failing_on_degree_two)
+    monkeypatch.setattr(verify_mod, "_ledger_record", failing_on_degree_two)
     rep = verify_ledger(groups=_small("d8"))
     assert not rep.passed
     records = rep.results[0]["records"]
@@ -133,6 +133,25 @@ def test_cold_ledger_restricts_no_table_by_pairing(monkeypatch):
             monkeypatch.setattr(mod, "restriction_multiplicities", counted)
     assert verify_ledger(max_order=64).passed
     assert calls == []
+
+
+def test_cold_ledger_finds_the_orbits_of_each_series_link_once(monkeypatch):
+    # the seeding of <N, g> and the branching matrix of <N, g> over N read
+    # the same orbits of g on N's table: 55 links, each searched once
+    import etalab.catalog as catalog_mod
+
+    monkeypatch.setattr(catalog_mod, "_GROUP_MEMO", {})
+    monkeypatch.setattr(table_mod, "_TABLE_MEMO", {})
+    searched = []
+    row_images = table_mod.CharTable._row_images
+
+    def counted(self, act):
+        searched.append(self)
+        return row_images(self, act)
+
+    monkeypatch.setattr(table_mod.CharTable, "_row_images", counted)
+    assert verify_ledger().passed
+    assert len(searched) == 55
 
 
 def test_cold_ledger_does_no_permutation_arithmetic(monkeypatch):
