@@ -23,15 +23,22 @@ by (degree, coefficient vectors).  Recomputing with a different admissible
 prime reproduces the table byte for byte.  A space on which a class matrix
 acts as a scalar is one eigenspace and is kept as it is: the eigenlines are
 unique, so the table does not depend on where splits happen.  Nor on the
-matrices never built: for z central K_(z C_j) = K_z K_j, so class z C_j,
-with z's class and class j both earlier, is skipped; the translates z x_j
-are looked up once a class matrix is first needed, one central z at a
-time.  Images under a class matrix are summed over its nonzeros only,
-for the rows of all unsplit spaces at once.  The class algebra is split
-semisimple over F_q, so each class matrix acts diagonalizably with its
-eigenvalues in F_q: they are read off as the roots of the annihilators of
-coordinate seeds, taken in turn until the eigenspaces of the roots found
-fill the space, and no minimal polynomial is formed.
+matrices never built.  For z central K_z K_j = K_(z C_j), so the eigenlines
+with central character lam, a linear character of the center Z, span the
+space of v with v_(z C_j) = lam(z) v_j; the plain path starts from these
+blocks, written down in RREF, and builds only the matrix of the first class
+of each Z-orbit of classes (an abelian group builds none).  The seeded path
+skips class z C_j when z's class and class j both come earlier; its
+translates z x_j are looked up once a class matrix is first needed, one
+central z at a time.  Images under a class matrix are summed over its
+nonzeros only, for the rows of all unsplit spaces at once.  The class
+algebra is split semisimple over F_q, so each class matrix A acts
+diagonalizably with its eigenvalues in F_q: they are the roots of the
+annihilators of coordinate seeds, taken in turn until P(A) = 0 for P the
+product of x - lam over the roots found, which proves them all.  Each
+eigenspace is then the image of the Lagrange idempotent
+P(A) / ((A - lam) P'(lam)), a line one of its columns; no minimal polynomial
+or nullspace is formed.
 
 Seeding (after Schneider, "Dixon's character table algorithm revisited",
 J. Symbolic Comput. 9, 1990): when G = <N, g> is a chief-series member of
@@ -120,6 +127,11 @@ def _smallest_admissible_prime(order: int, e: int, offset: int = 0) -> int:
         q += e
 
 
+def _root_of_unity(q: int, e: int) -> int:
+    """The primitive e-th root of unity mod q that zeta_e is read as."""
+    return pow(_primitive_root(q), (q - 1) // e, q)
+
+
 def _sqrt_mod(a: int, q: int) -> int:
     """Tonelli-Shanks; raises if a is not a square mod the odd prime q."""
     a %= q
@@ -186,17 +198,6 @@ def _rref(a: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
     return a[:r], pivots
 
 
-def _nullspace(a: np.ndarray, q: int) -> np.ndarray:
-    """Rows spanning the right nullspace of a over F_q."""
-    ech, pivots = _rref(a, q)
-    cols = a.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = -ech[:, free].T % q
-    return basis
-
-
 def _vector_annihilator(mat: np.ndarray, v: np.ndarray, q: int) -> np.ndarray:
     """Monic minimal polynomial (ascending coeffs) annihilating v under mat."""
     d = len(v)
@@ -234,6 +235,68 @@ def _poly_roots(poly: np.ndarray, q: int) -> list[int]:
     return [int(x) for x in np.nonzero(acc == 0)[0]]
 
 
+def _eigenspaces(act: np.ndarray, q: int) -> list[np.ndarray]:
+    """The eigenspaces of act, diagonalizable over F_q, as coordinate rows
+    in RREF, in increasing eigenvalue order.
+
+    Each root of a coordinate seed's annihilator is an eigenvalue.  Seeds
+    run until P(act) = 0 for P the product of x - lam over the roots found,
+    which proves them every eigenvalue and act diagonalizable; P(act) is
+    read off act's powers.  The Lagrange idempotent E_lam = L_lam(act),
+    L_lam = P / ((x - lam) P'(lam)), then projects onto lam's eigenspace
+    along the others, with rank its trace.  E_lam is nonzero on the seed j
+    that gave the root lam, so a line is column j of E_lam; a larger
+    eigenspace is E_lam's column space in RREF, as many pivots as its
+    rank."""
+    d = len(act)
+    eye = np.eye(d, dtype=np.int64)
+    roots: list[int] = []
+    found: list[int] = []
+    # P's coefficients, ascending, and act^t for t <= len(roots)
+    poly = np.ones(1, dtype=np.int64)
+    powers = [eye]
+    for j in range(d):
+        annihilator = _vector_annihilator(act, eye[j], q)
+        new = [lam for lam in _poly_roots(annihilator, q) if lam not in roots]
+        if not new:
+            continue
+        for lam in new:
+            poly = (np.append(0, poly) - lam * np.append(poly, 0)) % q
+            powers.append(act @ powers[-1] % q)
+        roots += new
+        found += [j] * len(new)
+        if not (sum(c * power for c, power in zip(poly.tolist(), powers)) % q).any():
+            break
+    else:
+        raise TableError("internal eigensplit failure: eigenspaces do not fill the space")
+    k = len(roots)
+    order = np.argsort(roots)
+    lams, found = np.array(roots)[order], np.array(found)[order]
+    # P / (x - lam) for every lam at once by synthetic division, ascending,
+    # and its value at lam
+    quot = np.zeros((k, k), dtype=np.int64)
+    quot[:, k - 1] = 1
+    for t in range(k - 1, 0, -1):
+        quot[:, t - 1] = (poly[t] + lams * quot[:, t]) % q
+    at = np.zeros(k, dtype=np.int64)
+    for t in range(k - 1, -1, -1):
+        at = (at * lams + quot[:, t]) % q
+    lagrange = quot * np.array([pow(int(v), q - 2, q) for v in at])[:, None] % q
+    stack = np.stack(powers[:k])
+    ranks = lagrange @ (np.trace(stack, axis1=1, axis2=2) % q) % q
+    spaces = []
+    for n in range(k):
+        if ranks[n] == 1:
+            line = lagrange[n] @ stack[:, :, found[n]] % q
+            space = line[None] * pow(int(line[(line != 0).argmax()]), q - 2, q) % q
+        else:
+            space = _rref(np.tensordot(lagrange[n], stack, axes=1).T % q, q)[0]
+        if not space.any():
+            raise TableError("internal eigensplit failure: root without eigenvector")
+        spaces.append(space)
+    return spaces
+
+
 def _split_spaces(spaces: list[np.ndarray], mat: np.ndarray, q: int) -> list[np.ndarray]:
     """Refine each space (rows in RREF) into the eigenspaces of mat on it."""
     # images = basis @ mat.T over mat's nonzeros, for the rows of all spaces
@@ -267,23 +330,8 @@ def _split_spaces(spaces: list[np.ndarray], mat: np.ndarray, q: int) -> list[np.
         act = image[:, (basis != 0).argmax(axis=1)].T.copy()
         if ((act.T @ basis - image) % q).any():
             raise TableError("internal eigensplit failure: space is not invariant")
-        # act is diagonalizable over F_q, so the roots of the coordinate
-        # seeds' annihilators are eigenvalues; seeds run until their
-        # eigenspaces fill the space
-        eye = np.eye(d, dtype=np.int64)
-        eigen: dict[int, np.ndarray] = {}
-        for seed in eye:
-            for lam in _poly_roots(_vector_annihilator(act, seed, q), q):
-                if lam not in eigen:
-                    eigen[lam] = _nullspace((act - lam * eye) % q, q)
-                    if not len(eigen[lam]):
-                        raise TableError("internal eigensplit failure: root without eigenvector")
-            if sum(map(len, eigen.values())) == d:
-                break
-        else:
-            raise TableError("internal eigensplit failure: eigenspaces do not fill the space")
-        # basis is in RREF, so (RREF of null) @ basis is in RREF too
-        refined.extend(_rref(eigen[lam], q)[0] @ basis % q for lam in sorted(eigen))
+        # basis is in RREF, so (RREF of coordinates) @ basis is in RREF too
+        refined.extend(space @ basis % q for space in _eigenspaces(act, q))
     return refined
 
 
@@ -295,23 +343,87 @@ def _central_translates(classes: ConjugacyClassSet) -> Iterator[np.ndarray]:
         yield _classes_of_rows(classes, reps[:, z], _lookup_failure(classes.group))
 
 
-def _common_eigenbasis(classes: ConjugacyClassSet, spaces: list[np.ndarray], q: int) -> np.ndarray:
+def _center_blocks(classes: ConjugacyClassSet, q: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """The eigenspaces of all central class matrices at once, one per linear
+    character lam of the center Z, with rows in RREF; and each class's head,
+    the first class of its Z-orbit.
+
+    K_z K_j = K_(z C_j) for z central, so an eigenline v with central
+    character lam has v_(z C_j) = lam(z) v_j.  lam's space has one row per
+    Z-orbit of classes on whose stabilizer lam is trivial, lam(z) at class
+    z C_h for h the orbit's head: the rows' supports are disjoint and each
+    starts with 1 at its head.  Irr(Z) is built one central element at a
+    time, as the seeding extends nu: with s the least power of g in the
+    subgroup H so far, lam(h g^j) = lam(h) c^j for c each s-th root of
+    lam(g^s); translation by g^j h is a gather of g's translates."""
+    G = classes.group
+    r, c = len(classes), classes.sizes.count(1)
+    e = G.exponent()
+    z = _root_of_unity(q, e)
+    zpow = np.array([pow(z, s, q) for s in range(e)], dtype=np.int64)
+    reps = _rows_of(classes.representatives, G.degree)
+    # H's members as translates (row m: the class of m x_j), their positions
+    # by central class, and the characters' values on them
+    trans = np.arange(r)[None]
+    where = np.full(c, -1)
+    where[0] = 0
+    vals = np.ones((1, 1), dtype=np.int64)
+    for g in range(1, c):
+        if where[g] >= 0:
+            continue
+        shift = _classes_of_rows(classes, reps[:, reps[g]], _lookup_failure(G))
+        powers = [np.arange(r)]
+        while where[shift[powers[-1]][0]] < 0:
+            powers.append(shift[powers[-1]])
+        s = len(powers)
+        target = vals[:, where[shift[powers[-1]][0]]]
+        is_root = zpow[np.arange(e) * s % e] == target[:, None]
+        if (is_root.sum(axis=1) != s).any():
+            raise TableError("internal eigensplit failure: lam(g^s) has no s-th roots in <z>")
+        ext, root = np.nonzero(is_root)
+        trans = np.stack(powers)[:, trans].reshape(-1, r)
+        where[trans[:, 0]] = np.arange(len(trans))
+        coef = zpow[np.outer(root, np.arange(s)) % e]
+        vals = (coef[:, :, None] * vals[ext][:, None, :] % q).reshape(len(ext), -1)
+    head = trans.min(axis=0)
+    heads = np.flatnonzero(head == np.arange(r))
+    # lam is trivial on h's stabilizer when no member fixing h has lam != 1
+    moved = (vals != 1).astype(np.int64) @ (trans[:, heads] == heads).astype(np.int64)
+    which, orbit = np.nonzero(moved == 0)
+    rows = np.zeros((len(which), r), dtype=np.int64)
+    rows[np.arange(len(which))[:, None], trans[:, heads[orbit]].T] = vals[which]
+    counts = np.bincount(which, minlength=len(vals))
+    return np.split(rows, np.cumsum(counts)[:-1]), head
+
+
+def _common_eigenbasis(
+    classes: ConjugacyClassSet, spaces: Optional[list[np.ndarray]], q: int
+) -> np.ndarray:
     """Rows of the returned (r, r) array span the r common eigenlines.
 
-    spaces are invariant subspaces (rows in RREF) whose direct sum is F_q^r;
-    only those of dimension above one are split, by class matrices in class
-    order.  For z central K_(z C_j) = K_z K_j, so a class z C_j whose central
-    class and class j both come before it acts as a scalar on every space
-    the classes before it leave, and its matrix is not built."""
+    spaces are invariant subspaces (rows in RREF) whose direct sum is F_q^r,
+    or None to start from the center's blocks; only those of dimension above
+    one are split, by class matrices in class order.  For z central
+    K_(z C_j) = K_z K_j, so class z C_j acts as a scalar on every space the
+    classes before it leave when class j comes before it and K_z acts as a
+    scalar too: on the center's blocks, for every class but the first of its
+    Z-orbit; on other spaces, when z's class also comes before it.  Such a
+    class's matrix is not built."""
     r = len(classes)
     order = classes.group.order
-    # the central classes come first; step i marks the translates of class i - 1
-    translates = _central_translates(classes)
-    redundant = np.zeros(r, dtype=bool)
-    # eigenspace dimensions always sum to r, so r spaces means r lines
-    i = 0
+    step = "center"
     try:
+        if spaces is None:
+            spaces, head = _center_blocks(classes, q)
+            redundant = head != np.arange(r)
+            translates = iter(())
+        else:
+            # the central classes come first; step i marks the translates of class i - 1
+            redundant = np.zeros(r, dtype=bool)
+            translates = _central_translates(classes)
+        # eigenspace dimensions always sum to r, so r spaces means r lines
         for i in range(1, r):
+            step = f"class matrix {i}"
             if len(spaces) == r:
                 break
             image = next(translates, None)
@@ -325,9 +437,10 @@ def _common_eigenbasis(classes: ConjugacyClassSet, spaces: list[np.ndarray], q: 
         if not out[:, 0].all():
             raise TableError("internal eigensplit failure: eigenvector vanishes at the identity")
     except TableError as exc:
-        raise TableError(f"{exc} (group order {order}, q {q}, class matrix {i})") from None
-    scale = np.array([pow(int(row[0]), q - 2, q) for row in out], dtype=np.int64)
-    return out * scale[:, None] % q
+        raise TableError(f"{exc} (group order {order}, q {q}, {step})") from None
+    out *= np.array([pow(int(row[0]), q - 2, q) for row in out], dtype=np.int64)[:, None]
+    out %= q
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -713,7 +826,7 @@ def _compute_table(G: PermGroup, prime_offset: int = 0) -> CharTable:
     e = G.exponent()
     order = G.order
     q = _smallest_admissible_prime(order, e, prime_offset)
-    z = pow(_primitive_root(q), (q - 1) // e, q)
+    z = _root_of_unity(q, e)
     # x^(e-1) is x^-1
     pclass = _power_classes(classes, e)
     inv_class = pclass[:, e - 1]
@@ -724,8 +837,6 @@ def _compute_table(G: PermGroup, prime_offset: int = 0) -> CharTable:
             spaces = _seed_spaces(G, classes, inv_class, q, z)
         except TableError as exc:
             raise TableError(f"{exc} (group order {order}, q {q})") from None
-    if spaces is None:
-        spaces = [np.eye(r, dtype=np.int64)]
     omegas = _common_eigenbasis(classes, spaces, q)
 
     size_inv = np.array([pow(s, q - 2, q) for s in classes.sizes], dtype=np.int64)

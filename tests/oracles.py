@@ -26,7 +26,7 @@ from etalab.cyclotomic import (
 )
 from etalab.errors import ChainError, EtalabError, GroupError
 from etalab.perm import PermGroup, Permutation, _class_action
-from etalab.table import character_table
+from etalab.table import _poly_roots, _vector_annihilator, character_table
 
 
 def closure_elementwise(degree: int, gens, cap: int) -> set:
@@ -133,6 +133,52 @@ def rref_dense(a: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
         pivots.append(c)
         r += 1
     return a[:r], pivots
+
+
+def nullspace(a: np.ndarray, q: int) -> np.ndarray:
+    """Rows spanning the right nullspace of a over F_q, read off its RREF."""
+    ech, pivots = rref_dense(a, q)
+    cols = a.shape[1]
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = -ech[:, free].T % q
+    return basis
+
+
+def split_spaces_by_nullspaces(
+    spaces: list[np.ndarray], mat: np.ndarray, q: int
+) -> list[np.ndarray]:
+    """Each space (rows in RREF) refined into mat's eigenspaces on it, in
+    increasing eigenvalue order, by dense products and nullspaces: a space on
+    which mat acts as a scalar is kept, else the eigenvalues are the roots of
+    the coordinate seeds' annihilators, each eigenspace the nullspace of
+    act - lam, and seeds run until the eigenspaces' dimensions sum to the
+    space's."""
+    refined = []
+    for basis in spaces:
+        d = len(basis)
+        if d == 1:
+            refined.append(basis)
+            continue
+        image = basis @ mat.T % q
+        act = image[:, (basis != 0).argmax(axis=1)].T
+        assert not ((act.T @ basis - image) % q).any(), "space is not invariant"
+        eye = np.eye(d, dtype=np.int64)
+        if (act == act[0, 0] * eye).all():
+            refined.append(basis)
+            continue
+        eigen: dict[int, np.ndarray] = {}
+        for seed in eye:
+            for lam in _poly_roots(_vector_annihilator(act, seed, q), q):
+                if lam not in eigen:
+                    eigen[lam] = nullspace((act - lam * eye) % q, q)
+            if sum(map(len, eigen.values())) == d:
+                break
+        else:
+            raise AssertionError("eigenspaces do not fill the space")
+        refined.extend(rref_dense(eigen[lam], q)[0] @ basis % q for lam in sorted(eigen))
+    return refined
 
 
 def conjugacy_partition(G: PermGroup) -> list[frozenset]:

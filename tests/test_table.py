@@ -14,14 +14,15 @@ import etalab.table as table_mod
 from etalab.catalog import catalog_ids, default_catalog, load_catalog_group
 from etalab.chars import Character
 from etalab.charops import _norm_decompositions, inner_product
-from etalab.constructions import cyclic, dihedral, extraspecial_exp_p
+from etalab.constructions import cyclic, dihedral, extraspecial_exp_p, prop5_witness
 from etalab.cyclotomic import CycValue, conjugate, multiply, pairing
 from etalab.errors import CharacterError, TableError
 from etalab.groupfile import format_group, parse_group
 from etalab.perm import Permutation
 from etalab.table import CharTable, character_table, class_matrix
 
-from oracles import class_matrix_elementwise, power_map, rref_dense
+from oracles import class_index, class_matrix_elementwise, power_map, rref_dense
+from oracles import split_spaces_by_nullspaces
 
 # order-2 table is pinned exactly: principal row first, then the sign row
 C2_TABLE = [[1, 1], [1, -1]]
@@ -320,7 +321,178 @@ def test_eigensplit_failure_names_group_and_prime(d8, monkeypatch):
     message = str(info.value)
     assert message.startswith("internal eigensplit failure")
     assert "group order 8" in message and "q 13" in message
-    assert "class matrix 1" in message
+    assert "class matrix 2" in message
+
+
+def _eigensplit_failure(G, monkeypatch, **patches):
+    """The TableError message of a plain build of G with table_mod's
+    attributes patched as given."""
+    with monkeypatch.context() as patch:
+        for name, value in patches.items():
+            patch.setattr(table_mod, name, value)
+        with pytest.raises(TableError) as info:
+            table_mod._compute_table(_fresh_copy(G))
+    return str(info.value)
+
+
+def test_eigensplit_rejects_a_root_without_eigenvector(d8, monkeypatch):
+    # 0 is no eigenvalue of class matrix 2 on d8's blocks, so its Lagrange
+    # idempotent vanishes once the true roots are all found
+    roots = table_mod._poly_roots
+
+    def with_a_non_root(poly, q):
+        found = roots(poly, q)
+        return found + [next(x for x in range(q) if x not in found)]
+
+    message = _eigensplit_failure(d8, monkeypatch, _poly_roots=with_a_non_root)
+    assert message == (
+        "internal eigensplit failure: root without eigenvector"
+        " (group order 8, q 13, class matrix 2)"
+    )
+
+
+def test_eigensplit_rejects_a_space_that_is_not_invariant(d8, monkeypatch):
+    # one more factorization counted at the identity breaks the invariance of
+    # the block spanned by the identity and central classes
+    build = table_mod.class_matrix
+
+    def corrupted(classes, i):
+        mat = build(classes, i)
+        mat[0, 0] += 1
+        return mat
+
+    message = _eigensplit_failure(d8, monkeypatch, class_matrix=corrupted)
+    assert message == (
+        "internal eigensplit failure: space is not invariant"
+        " (group order 8, q 13, class matrix 2)"
+    )
+
+
+def test_eigensplit_rejects_an_action_without_roots(monkeypatch):
+    # x^2 + 1 has no root in F_7, the field of c3's table: on one unsplit
+    # space the rotation of the first two coordinates leaves a plane unfilled
+    rotation = np.array([[0, 6, 0], [1, 0, 0], [0, 0, 1]], dtype=np.int64)
+    message = _eigensplit_failure(
+        load_catalog_group("c3"),
+        monkeypatch,
+        _center_blocks=lambda classes, q: ([np.eye(3, dtype=np.int64)], np.arange(3)),
+        class_matrix=lambda classes, i: rotation,
+    )
+    assert message == (
+        "internal eigensplit failure: eigenspaces do not fill the space"
+        " (group order 3, q 7, class matrix 1)"
+    )
+
+
+def test_center_failure_names_group_and_prime(d8, monkeypatch):
+    # read as zeta_4, 1 gives every lam(g^2) four square roots in <z>, not two
+    message = _eigensplit_failure(d8, monkeypatch, _primitive_root=lambda q: 1)
+    assert message == (
+        "internal eigensplit failure: lam(g^s) has no s-th roots in <z>"
+        " (group order 8, q 13, center)"
+    )
+
+
+def _random_diagonalizable(rng, r, q):
+    """P D P^-1 over F_q with r columns of P as eigenvectors, and D's
+    eigenvalues drawn, with repeats, from a few nonzero residues."""
+    while True:
+        p = rng.integers(0, q, (r, r))
+        ech, pivots = rref_dense(np.hstack([p, np.eye(r, dtype=np.int64)]), q)
+        if pivots[:r] == list(range(r)):
+            break
+    values = rng.choice(rng.integers(1, q, 4), r)
+    return p, p * values % q @ ech[:, r:] % q
+
+
+def test_split_spaces_matches_the_nullspace_oracle_on_random_actions():
+    # the whole space, and a partition of P's eigenvector columns into
+    # invariant subspaces, some of them lines
+    rng = np.random.default_rng(20)
+    for q, sizes in [(7, (2, 3, 5, 8, 12)), (97, (2, 3, 5, 8, 12)), (1_048_573, (3, 8))]:
+        for r in sizes:
+            for _ in range(4):
+                p, mat = _random_diagonalizable(rng, r, q)
+                cuts = np.sort(rng.choice(np.arange(1, r), rng.integers(0, r - 1), replace=False))
+                parts = np.split(rng.permutation(r), cuts)
+                invariant = [rref_dense(p[:, cols].T, q)[0] for cols in parts]
+                for spaces in ([np.eye(r, dtype=np.int64)], invariant):
+                    got = table_mod._split_spaces(spaces, mat, q)
+                    want = split_spaces_by_nullspaces(spaces, mat, q)
+                    assert [x.tolist() for x in got] == [x.tolist() for x in want], (q, r)
+
+
+def test_split_spaces_matches_the_nullspace_oracle_on_catalog_tables(monkeypatch):
+    splits = []
+    split = table_mod._split_spaces
+
+    def checked(spaces, mat, q):
+        got = split(spaces, mat, q)
+        want = split_spaces_by_nullspaces(spaces, mat, q)
+        assert [x.tolist() for x in got] == [x.tolist() for x in want], q
+        splits.append(len(got) - len(spaces))
+        return got
+
+    monkeypatch.setattr(table_mod, "_split_spaces", checked)
+    for _, G in default_catalog():
+        table_mod._compute_table(G, prime_offset=1)
+    assert splits and sum(splits) > 0
+
+
+def test_center_blocks_match_the_oracle_split_by_central_class_matrices():
+    # the joint eigenspaces of the central class matrices, split one at a
+    # time, skipping K_z for z in the group the earlier z generate (a
+    # product of their matrices); each class's head is the first class of
+    # its orbit under Z
+    groups = {}
+    for _, G in default_catalog():
+        for N in G.chief_series():
+            groups.setdefault(N.content_key, N)
+    for N in groups.values():
+        classes = N.conjugacy_classes()
+        r, c = len(classes), classes.sizes.count(1)
+        q = table_mod._smallest_admissible_prime(N.order, N.exponent())
+        blocks, head = table_mod._center_blocks(classes, q)
+        center = classes.representatives[:c]
+        spanned = {center[0]}
+        spaces = [np.eye(r, dtype=np.int64)]
+        for i, z in enumerate(center):
+            if z not in spanned:
+                spaces = split_spaces_by_nullspaces(spaces, class_matrix(classes, i), q)
+                spanned = {x * z**j for x in spanned for j in range(z.order())}
+        assert sorted(x.tolist() for x in blocks) == sorted(x.tolist() for x in spaces), N.order
+        owner = class_index(classes)
+        heads = [min(owner[z * x] for z in center) for x in classes.representatives]
+        assert head.tolist() == heads, N.order
+
+
+def test_abelian_plain_tables_build_no_class_matrix(monkeypatch):
+    # every class is central, so the center's blocks are the r lines
+    built = []
+    build = table_mod.class_matrix
+
+    def counted(classes, i):
+        built.append(i)
+        return build(classes, i)
+
+    monkeypatch.setattr(table_mod, "class_matrix", counted)
+    abelian = [G for _, G in default_catalog() if len(G.conjugacy_classes()) == G.order]
+    assert len(abelian) == 10
+    for G in abelian:
+        table_mod._compute_table(G, prime_offset=1)
+    assert built == []
+
+
+@pytest.mark.slow
+def test_prop5_witness_plain_table_equals_seeded():
+    # order 15625, 649 classes: the plain table starts from five blocks of
+    # 125 to 149 dimensions; the seeded one comes up the chief series
+    G = prop5_witness(5, 1).group
+    for N in G.chief_series():
+        seeded = character_table(N)
+    plain = table_mod._compute_table(G, prime_offset=1)
+    assert seeded.group is G
+    assert plain.to_json_dict()["irreducibles"] == seeded.to_json_dict()["irreducibles"]
 
 
 def test_seeded_tables_equal_plain_dixon(monkeypatch):
