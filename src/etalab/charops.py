@@ -7,10 +7,10 @@ table rows are decomposed in blocks, one pairing of their factors each.
 Restriction multiplicities [theta|_N, psi] are paired at the parent's
 conductor, with N's table lifted up to it, so no value is rebased down; only
 the public `restrict` takes values down to N's conductor (the `down` kernel).
-A whole table restricted to a normal subgroup of prime index is its
-branching matrix, kept on the table and, by Clifford's theorem, looked up
-among orbit sums with no pairing; along a chief series the restrictions of
-the top table are products of the one-step matrices.
+A whole table restricted to a normal subgroup of prime index is, by
+Clifford's theorem, one orbit head per row, looked up among orbit sums with
+no pairing and kept on the table; along a chief series the top table's
+restrictions add up columns by those heads.
 Induction is one integer matmul: a class-fusion matrix, weighted by class
 sizes and centralizer orders, times the subgroup character's coefficients
 lifted to the parent's conductor, then an exact division by the subgroup
@@ -174,12 +174,12 @@ def restriction_multiplicities(thetas, N: PermGroup) -> list[list[int]]:
     return character_table(N)._multiplicity_rows(rows, G.exponent())
 
 
-def branching_matrix(N: PermGroup, M: PermGroup) -> np.ndarray:
-    """The int64 matrix [psi|_M, nu] over psi in N's canonical table (rows)
-    and nu in M's (columns), for a normal subgroup M of prime index p, kept
-    on N's table, keyed by M's content key.  Clifford: for g in N outside M,
-    psi|_M is one g-invariant nu or one g-orbit's sum, so psi's row marks the
-    orbit whose sum is psi on M's classes; Irr(M) is a basis, so a match proves it."""
+def _branching(N: PermGroup, M: PermGroup) -> tuple[np.ndarray, np.ndarray]:
+    """N's table restricted to a normal M of prime index p, kept on it under
+    M's content key as (head, first): first[nu] is the first row of nu's
+    g-orbit, g in N outside M, and head[psi] that of the orbit whose sum is
+    psi|_M, so [psi|_M, nu] = (head[psi] == first[nu]).  Clifford: psi|_M is
+    one such sum, found among them all; Irr(M) is a basis, so a match proves it."""
     p = N.order // M.order
     if not (M.is_normal_in(N) and _is_prime(p)):
         raise GroupError("not a normal subgroup of prime index")
@@ -192,7 +192,8 @@ def branching_matrix(N: PermGroup, M: PermGroup) -> np.ndarray:
         linked = link is not None and link[0].same_elements(M)
         g = link[1] if linked else next(x for x in N.generators if x not in M)
         try:
-            heads, owner = np.unique(_orbit_heads(below, g, p), return_inverse=True)
+            first = _orbit_heads(below, g, p)
+            heads, owner = np.unique(first, return_inverse=True)
             sums = np.zeros((len(heads), *below.cube.shape[1:]), dtype=np.int64)
             np.add.at(sums, owner, below.cube)
             keys = _as_keys(lift(sums, below.e, table.e).reshape(len(sums), -1))
@@ -203,30 +204,30 @@ def branching_matrix(N: PermGroup, M: PermGroup) -> np.ndarray:
             raise TableError(
                 f"internal branching failure: {exc} (group order {N.order}, index {p})"
             ) from None
-        out = (owner == order[pos][:, None]).astype(np.int64)
-        out.setflags(write=False)
-        table._branching[M.content_key] = out
+        head = heads[order[pos]]
+        head.setflags(write=False)
+        out = table._branching[M.content_key] = (head, first)
     return out
 
 
-def _restrictions_along(series) -> list[np.ndarray]:
-    """[psi|_N, nu] over series[-1]'s table for each N of a chief series, kept
-    on that table: restriction is transitive, so R_(i-1) = R_i @ B_i with
-    B_i = branching_matrix(N_i, N_(i-1)) and R_t the identity, which is kept
-    there too, under the top group's own content key."""
-    top = character_table(series[-1])
-    out = []
-    for i in range(len(series) - 1, -1, -1):
-        key = series[i].content_key
-        rows = top._branching.get(key)
-        if rows is None:
-            if out:
-                rows = out[-1] @ branching_matrix(series[i + 1], series[i])
-            else:
-                rows = np.eye(len(top), dtype=np.int64)
-            rows.setflags(write=False)
-            top._branching[key] = rows
-        out.append(rows)
+def branching_matrix(N: PermGroup, M: PermGroup) -> np.ndarray:
+    """The int64 matrix [psi|_M, nu] over psi in N's canonical table (rows)
+    and nu in M's (columns), for a normal subgroup M of prime index: the one
+    place the dense matrix is formed, from the index vectors of _branching."""
+    head, first = _branching(N, M)
+    return (head[:, None] == first).astype(np.int64)
+
+
+def _restrictions_along(series, top) -> list[np.ndarray]:
+    """[psi|_N, nu] for each N of a chief series and psi of series[-1]'s table
+    at the indices top: R_t is the identity's rows there, and R_(i-1)'s column
+    nu sums R_i's columns psi with head[psi] = first[nu], as restriction is transitive."""
+    out = [np.eye(len(character_table(series[-1])), dtype=np.int64)[top]]
+    for i in range(len(series) - 1, 0, -1):
+        head, first = _branching(series[i], series[i - 1])
+        by_head = np.zeros((len(out[-1]), len(first)), dtype=np.int64)
+        np.add.at(by_head.T, head, out[-1].T)
+        out.append(by_head[:, first])
     return out[::-1]
 
 

@@ -72,7 +72,8 @@ class Character:
         """Build from a value list, coercing plain integers at conductor e."""
         if e <= 0:
             e = group.exponent()
-        return cls(group, [v if isinstance(v, CycValue) else CycValue.integer(e, v) for v in values])
+        coerced = [v if isinstance(v, CycValue) else CycValue.integer(e, v) for v in values]
+        return cls(group, coerced)
 
     @classmethod
     def principal(cls, group: PermGroup) -> "Character":

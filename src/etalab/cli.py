@@ -80,9 +80,9 @@ def _usage(msg: str) -> int:
 
 
 def _pick_char(table, index: int, what: str):
-    if not 0 <= index < len(table):
-        return None, _usage(f"{what} index {index} out of range (table has {len(table)} characters)")
-    return table[index], 0
+    if 0 <= index < len(table):
+        return table[index], 0
+    return None, _usage(f"{what} index {index} out of range (table has {len(table)} characters)")
 
 
 def _cmd_table(args) -> int:

@@ -18,23 +18,18 @@ index shrinks by p).  The ledger counts m_i = unstable indices so far,
 r_i = log_p of nu_i's orbit length, s_i = log_p nu_i(1), and asserts
 m_i = 2 s_i + r_i.
 
-Every chain question is read off the branching matrices
-B_i = [psi|N_(i-1), nu] of single steps (`charops.branching_matrix`, kept on
-N_i's table, rows looked up among orbit sums), by table index:
-- nu_(i-1) is the first nonzero entry of nu_i's row of B_i;
-- nu_i extends nu_(i-1) when that row is the unit vector at nu_(i-1);
-- Ind nu_(i-1) = nu_i (Frobenius reciprocity) when nu_(i-1)'s column of
-  B_i is the unit vector at nu_i, so no character is induced;
-- |G_nu_i| is |G| divided by nu_i's orbit length, which by Clifford's
-  theorem is the number of nonzero entries in chi's row of the restriction
-  to N_i, the product of the B_j above (`charops._restrictions_along`).
-So the chains restrict no character by pairing, and no orbit of G on
-Irr(N_i) is searched.  Chains are handled as the columns of (t+1, width)
-index arrays: `_descend` finds the canonical ones under any set of
-characters of G, and `_classify` labels and checks any set of chains, each
-read of B_i or R_i one gather for all of them.  The ledger sweep runs both
-on all of Irr(G) at once; `build_chain` and `classify_chain` run them on
-one chain.
+Every chain question is read off the steps from N_i down to N_(i-1), each kept
+on N_i's table as index vectors (`charops._branching`): first[nu] heads nu's
+orbit, head[psi] the orbit psi restricts to, and [psi|N_(i-1), nu] =
+(head[psi] == first[nu]).  So nu_(i-1) is head[nu_i], which nu_i extends when
+that orbit has one member; Ind nu_(i-1) = nu_i (Frobenius reciprocity) when
+nu_i is the one psi with that head; and by Clifford's theorem nu_i's orbit
+length, |G| / |G_nu_i|, is the support of chi's row of the restriction to N_i
+(`charops._restrictions_along`).  No character is restricted by pairing and no
+orbit of G on Irr(N_i) is searched.  Chains are the columns of (t+1, width)
+index arrays: `_descend` finds the canonical ones and `_classify` labels and
+checks any, one gather per step for all; the ledger sweep runs both on all of
+Irr(G), and `build_chain` and `classify_chain` on one chain.
 """
 
 from __future__ import annotations
@@ -43,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chars import Character
-from .charops import _restrictions_along, branching_matrix, induce, restriction_multiplicities
+from .charops import _branching, _restrictions_along, induce, restriction_multiplicities
 from .errors import ChainError, CharacterError, GroupError, TableError
 from .perm import PermGroup, Permutation, _class_action, _rows_of
 from .table import character_table
@@ -184,22 +179,26 @@ def _irreducible_index(G: PermGroup, chi: Character) -> int:
 def _descend(series, top) -> np.ndarray:
     """The canonical chains under the characters of series[-1]'s table at
     the indices top, as the columns of a (t+1, len(top)) index array: each
-    nu_(i-1) is the first nonzero of nu_i's row of B_i."""
+    nu_(i-1) is the head of the orbit nu_i restricts to."""
     index = np.empty((len(series), len(top)), dtype=np.intp)
     index[-1] = top
     for i in range(len(series) - 1, 0, -1):
-        index[i - 1] = (branching_matrix(series[i], series[i - 1]) != 0).argmax(axis=1)[index[i]]
+        index[i - 1] = _branching(series[i], series[i - 1])[0][index[i]]
     return index
+
+
+def _chain(G: PermGroup, chi: Character, series, idx) -> CharacterChain:
+    """The chain under chi whose nu_i, below the top, is row idx[i] of N_i's table."""
+    nus = [character_table(N)[j] for N, j in zip(series[:-1], idx)]
+    return CharacterChain(group=G, chi=chi, series=tuple(series), nus=(*nus, chi))
 
 
 def build_chain(G: PermGroup, chi: Character) -> CharacterChain:
     """Canonical chain under chi: first-constituent descent along the chief
-    series, read off the branching matrices for chi's index alone."""
+    series, read off the branching heads for chi's index alone."""
     k = _irreducible_index(G, chi)
     series = G.chief_series()
-    idx = _descend(series, [k])[:-1, 0].tolist()
-    nus = [character_table(N)[j] for N, j in zip(series[:-1], idx)]
-    return CharacterChain(group=G, chi=chi, series=tuple(series), nus=(*nus, chi))
+    return _chain(G, chi, series, _descend(series, [k])[:-1, 0].tolist())
 
 
 def _plogs(p: int, n) -> tuple[np.ndarray, np.ndarray]:
@@ -225,29 +224,28 @@ def _plog(p: int, n: int) -> int:
     return k
 
 
-def _classify(G: PermGroup, series, index: np.ndarray) -> tuple[np.ndarray, list]:
+def _classify(G: PermGroup, series, index: np.ndarray, restricted) -> tuple[np.ndarray, list]:
     """The chains in the columns of index (as _descend gives them) under
-    characters of G, labelled and checked as classify_chain does, all at
-    once: the (t+1, width) mask of their unstable indices, and per column
-    its ChainLedger or the message of its first failing check."""
+    characters of G, labelled and checked as classify_chain does, all at once,
+    with restricted = _restrictions_along(series, index[-1]): the (t+1, width)
+    mask of their unstable indices, and per column its ChainLedger or error."""
     info = G.p_group_info()
     p = info.p if info.p > 1 else 2
-    top = index[-1]
-    restricted = _restrictions_along(series)
+    columns = np.arange(index.shape[1])
     # Clifford: chi|N_i is a multiple of the sum over nu_i's G-orbit, so the
     # orbit is the support of chi's row of the restriction to N_i
-    inside = np.stack([rows[top, index[i]] != 0 for i, rows in enumerate(restricted)])
-    orbit = np.stack([np.count_nonzero(rows, axis=1)[top] for rows in restricted])
+    inside = np.stack([rows[columns, index[i]] != 0 for i, rows in enumerate(restricted)])
+    orbit = np.stack([np.count_nonzero(rows, axis=1) for rows in restricted])
     orders = G.order // np.maximum(orbit, 1)
     degrees = np.stack([character_table(N).cube[index[i], 0, 0] for i, N in enumerate(series)])
     case = np.zeros(index.shape, dtype=np.intp)
     misfit = np.zeros(index.shape, dtype=bool)
     for i in range(1, len(series)):
-        branching = branching_matrix(series[i], series[i - 1])
+        head, first = _branching(series[i], series[i - 1])
         here, below = index[i], index[i - 1]
-        entry = branching[here, below]
-        # nu_i restricts to nu_(i-1) alone
-        extends = (entry == 1) & (branching.sum(axis=1)[here] == 1)
+        entry = head[here] == first[below]
+        # nu_i restricts to nu_(i-1) alone: its orbit has one member
+        extends = entry & (np.bincount(first)[head[here]] == 1)
         # if nu_i extends nu_(i-1), G_nu_i <= G_nu_(i-1): equal orders mean equal groups
         stays = extends & (orders[i - 1] == orders[i])
         extension = extends & (orders[i - 1] == p * orders[i])
@@ -256,8 +254,8 @@ def _classify(G: PermGroup, series, index: np.ndarray) -> tuple[np.ndarray, list
             & (degrees[i] == p * degrees[i - 1])
             & (orders[i] == p * orders[i - 1])
             # Frobenius reciprocity: Ind nu_(i-1) = nu_i alone
-            & (entry == 1)
-            & (branching.sum(axis=0)[below] == 1)
+            & entry
+            & (np.bincount(head, minlength=len(first))[first[below]] == 1)
         )
         case[i] = np.select([extension, induced], [1, 2], 0)
         misfit[i] = ~(stays | extension | induced)
@@ -299,7 +297,8 @@ def classify_chain(chain: CharacterChain) -> ChainLedger:
     identity m_i = 2 s_i + r_i checked at every index: the chain's column
     of _classify."""
     index = [[character_table(N).index_of(nu)] for N, nu in zip(chain.series, chain.nus)]
-    ledger = _classify(chain.group, chain.series, np.array(index, dtype=np.intp))[1][0]
+    restricted = _restrictions_along(chain.series, index[-1])
+    ledger = _classify(chain.group, chain.series, np.array(index, dtype=np.intp), restricted)[1][0]
     if isinstance(ledger, str):
         raise ChainError(ledger)
     return ledger
@@ -316,15 +315,6 @@ def all_chains(G: PermGroup, chi: Character) -> list[CharacterChain]:
     # partial chains as table indices, bottom first
     partials = [[_irreducible_index(G, chi)]]
     for i in range(len(series) - 1, 0, -1):
-        branching = branching_matrix(series[i], series[i - 1])
-        partials = [[j] + c for c in partials for j in np.flatnonzero(branching[c[0]]).tolist()]
-    tables = [character_table(N) for N in series[:-1]]
-    return [
-        CharacterChain(
-            group=G,
-            chi=chi,
-            series=tuple(series),
-            nus=(*(t[j] for t, j in zip(tables, idx)), chi),
-        )
-        for idx in partials
-    ]
+        head, first = _branching(series[i], series[i - 1])
+        partials = [[j] + c for c in partials for j in np.flatnonzero(first == head[c[0]]).tolist()]
+    return [_chain(G, chi, series, idx) for idx in partials]

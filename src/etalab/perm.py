@@ -370,7 +370,9 @@ class PermGroup:
             generators = [Permutation._from_images(tuple(row)) for row in rows]
         return PermGroup(self.degree, generators, parent=self, _keys=keys)
 
-    def subgroup(self, generators: Iterable[Permutation], order_cap: int = DEFAULT_ORDER_CAP) -> "PermGroup":
+    def subgroup(
+        self, generators: Iterable[Permutation], order_cap: int = DEFAULT_ORDER_CAP
+    ) -> "PermGroup":
         return PermGroup(self.degree, generators, parent=self, order_cap=order_cap)
 
     def is_subgroup_of(self, other: "PermGroup") -> bool:

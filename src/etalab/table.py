@@ -13,8 +13,8 @@ eigenvector, in order, that fails a check is the one reported.
 
 A table is stored as its (characters, classes, phi(e)) int64 coefficient
 cube; its Characters, JSON form, cache entry and pairings are read off it.
-What callers derive from it (decompositions, branching matrices to
-subgroups) is kept on the table.
+What callers derive from it (decompositions, branching to subgroups) is
+kept on the table.
 
 Splitting is deterministic: class matrices are consumed in canonical class
 order (size ascending, then smallest member; perm), eigenvalues of each
@@ -51,7 +51,7 @@ onto it.  That orthogonality is checked mod q first, grouped by coset of
 N: the known characters are their distinct base rows on N times roots of
 unity per coset, so one small product per coset replaces the product over
 all known characters and all classes.  g's orbits on N's table are kept on
-that table and serve the branching matrix of the same link.  Lifting and
+that table and serve the branching of the same link.  Lifting and
 sorting are unchanged, so a seeded table equals the plain one byte for
 byte; a group with no held predecessor, and every prime_offset rerun, takes
 the plain path, and no table is built only to seed another.
@@ -360,7 +360,6 @@ def _center_blocks(classes: ConjugacyClassSet, q: int) -> tuple[list[np.ndarray]
     r, c = len(classes), classes.sizes.count(1)
     e = G.exponent()
     z = _root_of_unity(q, e)
-    zpow = np.array([pow(z, s, q) for s in range(e)], dtype=np.int64)
     reps = _rows_of(classes.representatives, G.degree)
     # H's members as translates (row m: the class of m x_j), their positions
     # by central class, and the characters' values on them
@@ -377,13 +376,10 @@ def _center_blocks(classes: ConjugacyClassSet, q: int) -> tuple[list[np.ndarray]
             powers.append(shift[powers[-1]])
         s = len(powers)
         target = vals[:, where[shift[powers[-1]][0]]]
-        is_root = zpow[np.arange(e) * s % e] == target[:, None]
-        if (is_root.sum(axis=1) != s).any():
-            raise TableError("internal eigensplit failure: lam(g^s) has no s-th roots in <z>")
-        ext, root = np.nonzero(is_root)
+        missing = "internal eigensplit failure: lam(g^s) has no s-th roots in <z>"
+        ext, coef = _root_extensions(z, q, e, target, s, missing)
         trans = np.stack(powers)[:, trans].reshape(-1, r)
         where[trans[:, 0]] = np.arange(len(trans))
-        coef = zpow[np.outer(root, np.arange(s)) % e]
         vals = (coef[:, :, None] * vals[ext][:, None, :] % q).reshape(len(ext), -1)
     head = trans.min(axis=0)
     heads = np.flatnonzero(head == np.arange(r))
@@ -394,6 +390,18 @@ def _center_blocks(classes: ConjugacyClassSet, q: int) -> tuple[list[np.ndarray]
     rows[np.arange(len(which))[:, None], trans[:, heads[orbit]].T] = vals[which]
     counts = np.bincount(which, minlength=len(vals))
     return np.split(rows, np.cumsum(counts)[:-1]), head
+
+
+def _root_extensions(z: int, q: int, e: int, target: np.ndarray, s: int, missing: str):
+    """The s-th roots c of each target value t mod q in <z>, z of order e:
+    (ext, coef) with one row per root, ext its target's index and
+    coef[k, j] = c^j for j < s; TableError(missing) unless every t has s."""
+    zpow = np.array([pow(z, j, q) for j in range(e)], dtype=np.int64)
+    is_root = zpow[np.arange(e) * s % e] == target[:, None]
+    if (is_root.sum(axis=1) != s).any():
+        raise TableError(missing)
+    ext, root = np.nonzero(is_root)
+    return ext, zpow[np.outer(root, np.arange(s)) % e]
 
 
 def _common_eigenbasis(
@@ -532,8 +540,8 @@ class CharTable:
         # charops._norm_decompositions the table's list under "norms" and
         # its multiplicity rows under "norm rows"
         object.__setattr__(self, "_decompositions", {})
-        # charops.branching_matrix keeps its results here, keyed by the
-        # subgroup's content_key
+        # charops._branching keeps its (head, first) index vectors here, keyed
+        # by the subgroup's content_key
         object.__setattr__(self, "_branching", {})
         # _orbit_heads keeps its results here, keyed by (g's images, p)
         object.__setattr__(self, "_orbits", {})
@@ -698,7 +706,7 @@ def _orbit_heads(table: CharTable, g: Permutation, p: int) -> np.ndarray:
     """The first row of each row's orbit under g, which normalizes the table's
     group N; TableError unless g permutes N's table in orbits of length 1 or p.
     Kept on the table, keyed by g's images and p: the seeding of <N, g> and
-    the branching matrix of <N, g> over N read the same orbits."""
+    the branching of <N, g> over N read the same orbits."""
     key = (g.images, p)
     first = table._orbits.get(key)
     if first is not None:
@@ -783,12 +791,9 @@ def _seed_spaces(
     induced = np.flatnonzero(length == p)
     linear = np.flatnonzero((length == 1) & (deg == 1))
     # the p-th roots c = z^s of nu(g^p), for each invariant linear nu
-    zpow = np.array([pow(z, s, q) for s in range(e)], dtype=np.int64)
     target = sums[linear, ncls.element_class[gp_at]] % q
-    is_root = zpow[np.arange(e) * p % e] == target[:, None]
-    if (is_root.sum(axis=1) != p).any():
-        raise TableError("internal seeding failure: nu(g^p) has no p-th roots in <z>")
-    ext, root = np.nonzero(is_root)
+    missing = "internal seeding failure: nu(g^p) has no p-th roots in <z>"
+    ext, roots = _root_extensions(z, q, e, target, p, missing)
     # the known characters in head order, then root order: base row, a_j, degree
     kept = np.concatenate([induced, linear])
     base = sums[kept][:, fused] % q
@@ -796,7 +801,7 @@ def _seed_spaces(
     order = np.argsort(kept[which], kind="stable")
     which = which[order]
     on_n = np.eye(1, p, dtype=np.int64).repeat(len(induced), axis=0)
-    coef = np.concatenate([on_n, zpow[np.outer(root, np.arange(p)) % e]])[order]
+    coef = np.concatenate([on_n, roots])[order]
     degrees = np.concatenate([p * deg[induced], np.ones(len(ext), dtype=np.int64)])[order]
     sizes = np.array(classes.sizes, dtype=np.int64) % q
     deg_inv = np.array([pow(int(d), q - 2, q) for d in degrees], dtype=np.int64)
@@ -887,7 +892,8 @@ def _compute_table(G: PermGroup, prime_offset: int = 0) -> CharTable:
         deg_sum += int(d @ d)
         cube[start:stop] = mults @ basis
     if deg_sum != order:
-        raise TableError(f"internal lifting failure: degree sum mismatch (group order {order}, q {q})")
+        mismatch = "internal lifting failure: degree sum mismatch"
+        raise TableError(f"{mismatch} (group order {order}, q {q})")
 
     return CharTable(group=G, classes=classes, cube=cube[_canonical_order(cube)], e=e, q=q)
 

@@ -13,11 +13,10 @@ one pairing of the factors decomposes a table's chi * conj(chi), or one
 chi's chi * psi, with decompose's checks.
 
 The ledger sweep restricts no character on its own and builds each group's
-ledger once, not once per character: the canonical chains, their labels
-and (m, r, s), and the constituent bookkeeping are arrays over all of
-Irr(G), read off the branching matrices along G's chief series (kept on the
-subgroups' tables), their products and the multiplicities of every
-chi * conj(chi); each character's record is read off those arrays.
+ledger once: the canonical chains, their labels and (m, r, s), and the
+constituent bookkeeping are arrays over all of Irr(G), read off the orbit
+heads of each step down G's chief series, the restrictions they compose and
+the multiplicities of every chi * conj(chi); each record is read off them.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import numpy as np
 from .catalog import default_catalog
 from .chars import Character
 from .charops import _norm_decompositions, _norm_multiplicities, _product_decompositions
-from .charops import _restrictions_along, branching_matrix, decompose
+from .charops import _branching, _restrictions_along, decompose
 from .clifford import _classify, _descend, _plog
 from .constructions import prop5_witness
 from .errors import ChainError, EtalabError, GroupError
@@ -226,31 +225,30 @@ def verify_corollary_a(groups=None, max_order=64):
         yield gid, G, records, None
 
 
-def _bookkeeping(G: PermGroup, series, unstable: np.ndarray) -> np.ndarray:
+def _bookkeeping(G: PermGroup, series, unstable: np.ndarray, restricted) -> np.ndarray:
     """The constituent bookkeeping behind the counting argument, for every
     chi of G at once: a (3, r) boolean array of the coverage, disjointness
     and size flags, with unstable the (t+1, r) mask of the unstable indices
-    of the canonical chains.
+    of the canonical chains and restricted the restrictions of all of Irr(G).
 
     Per unstable index i of chi's chain, every one-step character delta of
     N_i / N_(i-1) must be covered by a constituent xi of chi*conj(chi)
     restricting to exactly xi(1)*delta; the constituents attached to i
     (restricting onto a non-principal one-step character) must number at
     least p - 1, and the sets attached to distinct unstable indices must
-    not overlap.  A one-step character is a row of B_i whose restriction to
-    N_(i-1) is its degree times the principal character; the constituents'
-    restrictions to N_i are their rows of R_i, so each flag is a boolean
-    product of chi's constituent support with R_i over those columns."""
+    not overlap.  A one-step character is a linear psi of N_i whose
+    restriction is the principal character; the constituents' restrictions
+    to N_i are their rows of R_i, so each flag is a boolean product of chi's
+    constituent support with R_i over those columns."""
     table = character_table(G)
     support = (_norm_multiplicities(table) != 0).astype(np.int64)
     degrees = table.cube[:, 0, 0]
-    restricted = _restrictions_along(series)
     covered = np.ones(unstable.shape, dtype=bool)
     attached = np.zeros(unstable.shape, dtype=np.int64)
     for i in range(1, len(series)):
         tab_i = character_table(series[i])
         principal = character_table(series[i - 1]).principal_index
-        step = branching_matrix(series[i], series[i - 1])[:, principal] == tab_i.cube[:, 0, 0]
+        step = (_branching(series[i], series[i - 1])[0] == principal) & (tab_i.cube[:, 0, 0] == 1)
         # one-step characters are linear, so restricting to xi(1)*delta is the
         # same as the delta-entry soaking up the whole degree
         covered[i] = (support @ (restricted[i][:, step] == degrees[:, None])).all(axis=1)
@@ -273,11 +271,12 @@ def _ledger_arrays(G: PermGroup) -> tuple[list, np.ndarray]:
     series = G.chief_series()
     r = len(character_table(G))
     try:
-        unstable, ledgers = _classify(G, series, _descend(series, np.arange(r)))
+        restricted = _restrictions_along(series, np.arange(r))
+        unstable, ledgers = _classify(G, series, _descend(series, np.arange(r)), restricted)
     except EtalabError as exc:
         return [str(exc)] * r, None
     try:
-        return ledgers, _bookkeeping(G, series, unstable)
+        return ledgers, _bookkeeping(G, series, unstable, restricted)
     except EtalabError as exc:
         return [x if isinstance(x, str) else str(exc) for x in ledgers], None
 

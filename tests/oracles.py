@@ -8,12 +8,13 @@ genuine cross-check rather than the same code run twice.
 from __future__ import annotations
 
 import hashlib
+import weakref
 from itertools import accumulate
 from math import lcm
 
 import numpy as np
 
-from etalab.charops import _norm_decompositions, _restrictions_along, branching_matrix
+from etalab.charops import _norm_decompositions, branching_matrix
 from etalab.clifford import CharacterChain, ChainLedger, _irreducible_index
 from etalab.cyclotomic import (
     CycValue,
@@ -387,6 +388,28 @@ def build_chain_per_character(G: PermGroup, chi) -> CharacterChain:
     return CharacterChain(group=G, chi=chi, series=tuple(series), nus=(*nus, chi))
 
 
+# the dense restrictions per top table, freed with it: the per-character
+# oracles read them once per chain
+_DENSE_RESTRICTIONS = weakref.WeakKeyDictionary()
+
+
+def restrictions_along_dense(series) -> list[np.ndarray]:
+    """[psi|_N, nu] over series[-1]'s table for each N of a chief series, as
+    dense products: restriction is transitive, so R_(i-1) = R_i @ B_i with
+    B_i = branching_matrix(N_i, N_(i-1)) and R_t the identity."""
+    top = character_table(series[-1])
+    held = _DENSE_RESTRICTIONS.setdefault(top, {})
+    key = tuple(N.content_key for N in series)
+    if key not in held:
+        out = [np.eye(len(top), dtype=np.int64)]
+        for i in range(len(series) - 1, 0, -1):
+            out.append(out[-1] @ branching_matrix(series[i], series[i - 1]))
+        for rows in out:
+            rows.setflags(write=False)
+        held[key] = out[::-1]
+    return held[key]
+
+
 def _plog_per_character(p: int, n: int) -> int:
     k = 0
     while n > 1 and n % p == 0:
@@ -407,7 +430,7 @@ def classify_chain_per_character(chain: CharacterChain) -> ChainLedger:
     # Clifford: chi|N_i is a multiple of the sum over nu_i's G-orbit, so the
     # orbit is the support of chi's row of the restriction to N_i
     orders = []
-    for i, rows in enumerate(_restrictions_along(chain.series)):
+    for i, rows in enumerate(restrictions_along_dense(chain.series)):
         row = rows[idx[-1]]
         if not row[idx[i]]:
             raise ChainError(
@@ -473,7 +496,7 @@ def chain_extras_per_character(G: PermGroup, chi, chain, ledger):
     norm = _norm_decompositions(table)[table.index_of(chi)]
     xi_idx = [table.index_of(theta) for theta in norm.characters()]
     xi_degrees = table.cube[xi_idx, 0, :1]  # the constituents' degrees, as a column
-    restricted = _restrictions_along(chain.series)
+    restricted = restrictions_along_dense(chain.series)
     covered, attached = [], []
     for i in ledger.unstable_indices:
         tab_i = character_table(chain.series[i])

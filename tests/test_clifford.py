@@ -40,6 +40,7 @@ from oracles import (
     classify_chain_per_character,
     elementwise_inner,
     ledger_records_per_character,
+    restrictions_along_dense,
     stabilizer_elements,
 )
 
@@ -429,15 +430,23 @@ def test_branching_columns_read_induction_and_one_step_characters(gid):
         assert one_step == irr_mod(N, M), gid
 
 
-@pytest.mark.parametrize("gid", CATALOG_IDS)
+# g-orbits of length 5 and 7 occur in no catalog group
+BEYOND_THE_CATALOG = {"es5-1": (5, 1), "es7-1": (7, 1), "es3-2": (3, 2)}
+
+
+@pytest.mark.parametrize("gid", CATALOG_IDS + list(BEYOND_THE_CATALOG))
 def test_chain_restrictions_are_products_of_branching_matrices(gid):
-    G = load_catalog_group(gid)
+    if gid in BEYOND_THE_CATALOG:
+        G = extraspecial_exp_p(*BEYOND_THE_CATALOG[gid])
+    else:
+        G = load_catalog_group(gid)
     series = chief_series(G)
-    rows = _restrictions_along(series)
     irr = list(character_table(G))
-    for N, product in zip(series, rows):
+    rows = _restrictions_along(series, np.arange(len(irr)))
+    for N, product, dense in zip(series, rows, restrictions_along_dense(series)):
         assert product.dtype == np.int64
         assert product.tolist() == restriction_multiplicities(irr, N), gid
+        assert (product == dense).all(), gid
 
 
 def test_classify_chain_rejects_character_outside_table(d8, d8_table):

@@ -619,6 +619,21 @@ def test_seeding_failure_names_group_and_prime(d8, monkeypatch, action):
         table_mod._compute_table(fresh)
 
 
+def test_seeding_rejects_a_linear_character_without_roots(d8, monkeypatch):
+    # read as zeta_4, 1 gives each invariant linear nu's value at g^2 four
+    # square roots in <z> or none, never two
+    _fresh_memo(monkeypatch)
+    fresh = _fresh_copy(d8)
+    for N in fresh.chief_series()[:-1]:
+        character_table(N)
+    monkeypatch.setattr(table_mod, "_primitive_root", lambda q: 1)
+    with pytest.raises(TableError) as info:
+        table_mod._compute_table(fresh)
+    assert str(info.value) == (
+        "internal seeding failure: nu(g^p) has no p-th roots in <z> (group order 8, q 13)"
+    )
+
+
 def _values_equal(a, b):
     if len(a) != len(b):
         return False

@@ -3,6 +3,7 @@ determinism, exit codes."""
 
 import json
 
+import numpy as np
 import pytest
 
 from etalab.catalog import default_catalog, load_catalog_group
@@ -294,7 +295,7 @@ def test_cold_branching_lookup_computes_no_class_action(monkeypatch):
     monkeypatch.setattr(catalog_mod, "_GROUP_MEMO", {})
     monkeypatch.setattr(table_mod, "_TABLE_MEMO", {})
     inside, computed = [], []
-    lookup, action = charops.branching_matrix, table_mod._class_action
+    lookup, action = charops._branching, table_mod._class_action
 
     def branching(N, M):
         inside.append(N.order)
@@ -308,10 +309,32 @@ def test_cold_branching_lookup_computes_no_class_action(monkeypatch):
             computed.append(N.order)
         return action(N, g)
 
-    _patch_everywhere(monkeypatch, "branching_matrix", branching, lookup)
+    _patch_everywhere(monkeypatch, "_branching", branching, lookup)
     monkeypatch.setattr(table_mod, "_class_action", counted)
     assert verify_ledger(groups=_small("d8", "d16")).passed
     assert computed == []
+
+
+def test_cold_ledger_holds_only_one_step_index_vectors(monkeypatch):
+    # each chief-series table keeps the step down to the member below it as
+    # (head, first) index vectors, and no dense branching or restriction
+    # matrix under any key
+    import etalab.catalog as catalog_mod
+
+    monkeypatch.setattr(catalog_mod, "_GROUP_MEMO", {})
+    monkeypatch.setattr(table_mod, "_TABLE_MEMO", {})
+    assert verify_ledger(max_order=64).passed
+    groups = [G for G in catalog_mod._GROUP_MEMO.values() if G.order <= 64]
+    assert groups
+    for G in groups:
+        series = G.chief_series()
+        for i, N in enumerate(series):
+            held = character_table(N)._branching
+            below = {series[i - 1].content_key} if i else set()
+            assert set(held) <= below, (G.order, N.order)
+            for value in held.values():
+                assert len(value) == 2
+                assert all(isinstance(v, np.ndarray) and v.ndim == 1 for v in value)
 
 
 def test_ledger_seeds_every_chief_series_table(monkeypatch):
