@@ -34,6 +34,15 @@ __all__ = [
 ]
 
 
+def _exceeds_cap(base: int, exponent: int, factor: int = 1) -> bool:
+    """Whether base ** exponent * factor, base and factor positive, exceeds
+    the order cap, found without forming a power past it: from base 2 up,
+    the bit length of the cap is an exponent too many."""
+    if base > 1 and exponent >= DEFAULT_ORDER_CAP.bit_length():
+        return True
+    return base**exponent * factor > DEFAULT_ORDER_CAP
+
+
 def _regular_group(
     elements: Sequence[Hashable], mul: Callable, gens: Sequence[Hashable]
 ) -> PermGroup:
@@ -52,6 +61,8 @@ def cyclic(m: int) -> PermGroup:
     """Cyclic group of order m on m points."""
     if m < 1:
         raise ConstructionError(f"order must be positive, got {m}")
+    if m > DEFAULT_ORDER_CAP:
+        raise GroupError("group too large")
     if m == 1:
         return group_from_generators(1, [])
     rot = Permutation(tuple((i + 1) % m for i in range(m)))
@@ -63,6 +74,8 @@ def dihedral(m: int) -> PermGroup:
     order-4 case m = 2 needs 4 points to stay faithful."""
     if m < 2:
         raise ConstructionError(f"dihedral parameter must be at least 2, got {m}")
+    if 2 * m > DEFAULT_ORDER_CAP:
+        raise GroupError("group too large")
     if m == 2:
         a = Permutation.from_cycles(4, [(0, 1)])
         b = Permutation.from_cycles(4, [(2, 3)])
@@ -119,13 +132,12 @@ def extraspecial_exp_p(p: int, n: int = 1) -> PermGroup:
     regular action of the Heisenberg-style presentation."""
     if p == 2:
         raise ConstructionError("exponent-p extraspecial requires odd p")
-    if not _is_prime(p):
-        raise ConstructionError(f"p must be an odd prime, got {p}")
     if n < 1:
         raise ConstructionError(f"half-rank must be positive, got {n}")
-    order = p ** (2 * n + 1)
-    if order > DEFAULT_ORDER_CAP:
+    if p > 2 and _exceeds_cap(p, 2 * n + 1):
         raise GroupError("group too large")
+    if not _is_prime(p):
+        raise ConstructionError(f"p must be an odd prime, got {p}")
     span = range(p)
     vectors = [tuple(v) for v in _tuples(span, n)]
     elements = [(x, y, z) for x in vectors for y in vectors for z in span]
@@ -159,10 +171,10 @@ def _tuples(span, n):
 def wreath_cp(A: PermGroup, p: int) -> tuple[PermGroup, PermGroup]:
     """A wr C_p on deg(A)*p points: p blocks carrying copies of A plus the
     block-cycling generator.  Returns (wreath group, base subgroup A^p)."""
+    if p > 1 and _exceeds_cap(A.order, p, p):
+        raise GroupError("group too large")
     if not _is_prime(p):
         raise ConstructionError(f"p must be prime, got {p}")
-    if A.order ** p * p > DEFAULT_ORDER_CAP:
-        raise GroupError("group too large")
     d = A.degree
     degree = d * p
 
@@ -200,10 +212,20 @@ def prop5_witness(p: int, n: int) -> WitnessPair:
     """Recursive witness build: a cyclic base with a non-real linear
     character, then n rounds of wreathing by C_p, inducing the previous
     character from the first block of the base subgroup each time."""
-    if not _is_prime(p):
-        raise ConstructionError(f"p must be prime, got {p}")
     if n < 0:
         raise ConstructionError(f"witness depth must be non-negative, got {n}")
+    # each level wreathes the last by C_p, of order order^p * p: walked here
+    # before any recursion, it passes the cap within a few levels from p = 2 on
+    # (p < 2 is refused as no prime below)
+    order = p if p % 2 else 4
+    for _ in range(n if p > 1 else 0):
+        if _exceeds_cap(order, p, p):
+            raise GroupError("group too large")
+        order = order**p * p
+    if order > DEFAULT_ORDER_CAP:
+        raise GroupError("group too large")
+    if not _is_prime(p):
+        raise ConstructionError(f"p must be prime, got {p}")
     if n == 0:
         # a 2-group needs a value of order 4 to separate chi from its
         # conjugate, so p = 2 starts at C4 instead of C2

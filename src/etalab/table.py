@@ -5,8 +5,9 @@ class multiplication matrices M_i (with M_i[j][k] counting factorizations of
 the k-th representative as class-i times class-j elements) commute and share r
 one-dimensional eigenspaces over a finite field F_q, q = 1 mod exp(G) and
 q > 2*sqrt(|G|).  Each common eigenvector, normalized at the identity class,
-is a vector of central character values; degrees come back from a modular
-square root and exact values are lifted through power maps into Z[zeta_e].
+is a vector of central character values; its degree is the one divisor of
+|G| up to sqrt(|G|) that fits it mod q, read for all eigenvectors at once,
+and exact values are lifted through power maps into Z[zeta_e].
 Lifting runs on blocks of eigenvectors of bounded size, with one product by
 the power-map matrix and one by the power basis per block; the first
 eigenvector, in order, that fails a check is the one reported.
@@ -81,6 +82,7 @@ import os
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
+from math import isqrt
 from pathlib import Path
 from typing import Iterator, Optional, Union
 
@@ -130,38 +132,6 @@ def _smallest_admissible_prime(order: int, e: int, offset: int = 0) -> int:
 def _root_of_unity(q: int, e: int) -> int:
     """The primitive e-th root of unity mod q that zeta_e is read as."""
     return pow(_primitive_root(q), (q - 1) // e, q)
-
-
-def _sqrt_mod(a: int, q: int) -> int:
-    """Tonelli-Shanks; raises if a is not a square mod the odd prime q."""
-    a %= q
-    if a == 0:
-        return 0
-    if pow(a, (q - 1) // 2, q) != 1:
-        raise TableError("internal lifting failure: degree is not a square residue")
-    if q % 4 == 3:
-        return pow(a, (q + 1) // 4, q)
-    s, m = q - 1, 0
-    while s % 2 == 0:
-        s //= 2
-        m += 1
-    z = 2
-    while pow(z, (q - 1) // 2, q) == 1:
-        z += 1
-    c = pow(z, s, q)
-    t = pow(a, s, q)
-    x = pow(a, (s + 1) // 2, q)
-    while t != 1:
-        i, tt = 0, t
-        while tt != 1:
-            tt = tt * tt % q
-            i += 1
-        b = pow(c, 1 << (m - i - 1), q)
-        x = x * b % q
-        c = b * b % q
-        t = t * c % q
-        m = i
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +415,9 @@ def _common_eigenbasis(
         if not out[:, 0].all():
             raise TableError("internal eigensplit failure: eigenvector vanishes at the identity")
     except TableError as exc:
-        raise TableError(f"{exc} (group order {order}, q {q}, {step})") from None
+        # a class lookup failure names the group order, which this context repeats
+        message = str(exc).removesuffix(f" (group order {order})")
+        raise TableError(f"{message} (group order {order}, q {q}, {step})") from None
     out *= np.array([pow(int(row[0]), q - 2, q) for row in out], dtype=np.int64)[:, None]
     out %= q
     return out
@@ -845,53 +817,53 @@ def _compute_table(G: PermGroup, prime_offset: int = 0) -> CharTable:
     omegas = _common_eigenbasis(classes, spaces, q)
 
     size_inv = np.array([pow(s, q - 2, q) for s in classes.sizes], dtype=np.int64)
-
-    zinv = pow(z, q - 2, q)
-    zmat = np.array(
-        [[pow(zinv, (l * s) % e, q) for s in range(e)] for l in range(e)], dtype=np.int64
-    )
+    # mults[n, j, l] = e^-1 sum_s chi_n(x_j^s) z^(-ls), the multiplicity of z^l
+    # in chi_n(x_j): zmat folds e^-1 in, and every sum stays below e q^2 < 2^63
     e_inv = pow(e, q - 2, q)
+    zpow = np.array([e_inv * pow(z, -k, q) % q for k in range(e)], dtype=np.int64)
+    zmat = zpow[np.outer(np.arange(e), np.arange(e)) % e]
     basis = power_basis_matrix(e)
 
     # sum_j w_j w_(j^-1) / |C_j| for each eigenvector w, which is |G| / chi(1)^2;
     # every product is reduced mod q before the next, so int64 never overflows
     s_acc = (omegas * omegas[:, inv_class] % q * size_inv % q).sum(axis=1) % q
+    # chi(1) divides |G| and chi(1)^2 <= |G| < q^2 / 4, so chi(1) is the one
+    # divisor d <= sqrt|G| with s d^2 = |G| mod q: two divisors below q / 2
+    # with equal squares mod q are equal.  A row that none fits has a bad degree
+    divisors = np.arange(1, isqrt(order) + 1)
+    divisors = divisors[order % divisors == 0]
+    fits = s_acc[:, None] * (divisors**2 % q) % q == order % q
+    degrees = divisors[fits.argmax(axis=1)]
+    bad = ~fits.any(axis=1)
+    end = int(np.argmax(bad)) if bad.any() else r
+
+    def failure(check: str, n: int) -> TableError:
+        return TableError(
+            f"internal lifting failure: {check} (group order {order}, q {q}, eigenvector {n})"
+        )
+
     cube = np.empty((r, r, basis.shape[1]), dtype=np.int64)
-    deg_sum = 0
     step = max(1, _LIFT_ENTRIES // (r * e))
-    # a block of eigenvectors at a time; the first eigenvector, in order, that
-    # fails a check is reported with that check's message
-    for start in range(0, r, step):
-        stop, failure = min(start + step, r), None
-        degrees = []
-        for n in range(start, stop):
-            try:
-                d = _sqrt_mod(order % q * pow(int(s_acc[n]), q - 2, q) % q, q)
-                d = min(d, q - d)
-                if d == 0 or d * d > order:
-                    raise TableError("internal lifting failure: bad degree")
-            except TableError as exc:
-                stop, failure = n, str(exc)
-                break
-            degrees.append(d)
-        d = np.array(degrees, dtype=np.int64)
+    # blocks of eigenvectors up to the first bad degree; the first
+    # eigenvector, in order, that fails a check is reported with that check's message
+    for start in range(0, end, step):
+        stop = min(start + step, end)
+        d = degrees[start:stop]
         chi_mod = d[:, None] * omegas[start:stop] % q * size_inv % q
         mults = chi_mod[:, pclass] @ zmat.T
-        mults %= q
-        mults *= e_inv
         mults %= q
         over = (mults > d[:, None, None]).any(axis=(1, 2))
         short = (mults.sum(axis=2) != d[:, None]).any(axis=1)
         if (over | short).any():
             n = int(np.argmax(over | short))
-            stop, failure = start + n, "internal lifting failure: " + (
-                "multiplicity out of range" if over[n] else "multiplicities do not sum to degree"
+            raise failure(
+                "multiplicity out of range" if over[n] else "multiplicities do not sum to degree",
+                start + n,
             )
-        if failure is not None:
-            raise TableError(f"{failure} (group order {order}, q {q}, eigenvector {stop})")
-        deg_sum += int(d @ d)
         cube[start:stop] = mults @ basis
-    if deg_sum != order:
+    if end < r:
+        raise failure("bad degree", end)
+    if degrees @ degrees != order:
         mismatch = "internal lifting failure: degree sum mismatch"
         raise TableError(f"{mismatch} (group order {order}, q {q})")
 

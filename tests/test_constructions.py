@@ -2,6 +2,7 @@
 
 import pytest
 
+import etalab.constructions as constructions
 from etalab.charops import eta_count, restrict
 from etalab.clifford import stabilizer
 from etalab.constructions import (
@@ -14,7 +15,8 @@ from etalab.constructions import (
     quaternion,
     wreath_cp,
 )
-from etalab.errors import ConstructionError
+from etalab.errors import ConstructionError, GroupError
+from etalab.perm import DEFAULT_ORDER_CAP
 from etalab.table import character_table
 
 
@@ -132,3 +134,33 @@ def test_metacyclic_degenerate_and_inconsistent_cases():
     # twist 3 with y^2 = x needs 1*(3-1) = 0 mod 8, which fails
     with pytest.raises(ConstructionError):
         metacyclic(8, 3, 1)
+
+
+HUGE_PRIME = 10**18 + 3
+
+# each build gets the groups C1 and C2, made before the builders are stubbed
+OVERSIZED_BUILDS = {
+    "cyclic": lambda c1, c2: cyclic(DEFAULT_ORDER_CAP + 1),
+    "dihedral": lambda c1, c2: dihedral(DEFAULT_ORDER_CAP // 2 + 1),
+    "extraspecial-p": lambda c1, c2: extraspecial_exp_p(HUGE_PRIME),
+    "extraspecial-n": lambda c1, c2: extraspecial_exp_p(3, 10**18),
+    "wreath": lambda c1, c2: wreath_cp(c2, HUGE_PRIME),
+    "wreath-of-trivial": lambda c1, c2: wreath_cp(c1, HUGE_PRIME),
+    "witness-deep": lambda c1, c2: prop5_witness(2, 5000),
+    "witness-base": lambda c1, c2: prop5_witness(HUGE_PRIME, 0),
+    "witness-wide": lambda c1, c2: prop5_witness(HUGE_PRIME, 1),
+}
+
+
+@pytest.mark.parametrize("build", OVERSIZED_BUILDS.values(), ids=OVERSIZED_BUILDS.keys())
+def test_builders_refuse_oversized_input_before_any_work(monkeypatch, build):
+    # primality by trial division past 10^16 takes seconds, and a permutation
+    # of the group's order would exhaust memory: neither may come first
+    def refused(*args, **kwargs):
+        raise AssertionError("a builder did work before its order check")
+
+    c1, c2 = cyclic(1), cyclic(2)
+    for name in ("_is_prime", "Permutation", "group_from_generators"):
+        monkeypatch.setattr(constructions, name, refused)
+    with pytest.raises(GroupError, match="^group too large$"):
+        build(c1, c2)

@@ -238,6 +238,21 @@ def test_class_matrix_rejects_a_product_outside_the_group(d8):
         class_matrix(classes, 1)
 
 
+def test_an_eigensplit_lookup_failure_names_the_group_once(d8, monkeypatch):
+    # the lookup's own "(group order 8)" merges into the eigensplit's context
+    def failing(classes, i):
+        raise table_mod._lookup_failure(classes.group)
+
+    _fresh_memo(monkeypatch)
+    monkeypatch.setattr(table_mod, "class_matrix", failing)
+    with pytest.raises(TableError) as info:
+        character_table(_fresh_copy(d8))
+    assert str(info.value) == (
+        "internal class lookup failure: a product is not in the group"
+        " (group order 8, q 13, class matrix 2)"
+    )
+
+
 def test_class_mult_coefficients_symmetry(es27):
     # xy and yx are conjugate, so a_ijk = a_jik
     classes = es27.conjugacy_classes()
@@ -956,6 +971,17 @@ def test_lifting_reports_the_first_failing_eigenvector(monkeypatch, block_entrie
     for faults, n, message in cases:
         got = _lift_with_faults(monkeypatch, faults, block_entries)
         assert got == f"internal lifting failure: {message} (group order 32, q 17, eigenvector {n})"
+
+
+@pytest.mark.parametrize("block_entries", BLOCKS, ids=BLOCK_IDS)
+def test_a_square_root_of_no_divisor_is_a_bad_degree(monkeypatch, block_entries):
+    # lambda = 1/3 reads degree 3: 9 s = |G| mod 17, but 3 does not divide 32;
+    # a degree taken as a square root mod q alone would pass this check
+    monkeypatch.setitem(LIFTING_FAULTS, "bad degree", lambda q: pow(3, q - 2, q))
+    for n in (0, 5, 13):
+        got = _lift_with_faults(monkeypatch, {n: "bad degree"}, block_entries)
+        where = f"(group order 32, q 17, eigenvector {n})"
+        assert got == f"internal lifting failure: bad degree {where}"
 
 
 def test_a_corrupted_known_line_fails_the_coset_grouped_check(d8, monkeypatch):

@@ -485,6 +485,14 @@ def test_cli_rejects_degree_past_the_order_cap(tmp_path, capsys):
     assert "line 1: degree must lie in 1.." in capsys.readouterr().err
 
 
+def test_cli_refuses_a_witness_past_the_order_cap(tmp_path, capsys):
+    # refused before the recursion, not by a RecursionError's exit 1
+    out = tmp_path / "x.grp"
+    assert run_cli(["build", "witness", "2", "5000", "-o", str(out)]) == 3
+    assert "etalab: error: group too large" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_violation_exit_code(monkeypatch, capsys):
     # plumbing check: a failing report must surface as exit 1 with its
     # counterexample serialized
