@@ -24,10 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chars import Character
-from .cyclotomic import _is_prime, conjugate, down, lift, linear_map, multiply, pairing
+from .cyclotomic import _is_prime, conjugate, down, lift, linear_map, multiply, narrowest, pairing
 from .errors import CharacterError, CyclotomicError, GroupError, TableError
 from .perm import PermGroup, _as_keys, _classes_of_rows, _rows_of
-from .table import _key_positions, _orbit_heads
+from .table import _key_positions, _orbit_heads, _orbit_sums
 from .table import as_multiplicities, character_table
 
 __all__ = [
@@ -104,7 +104,7 @@ def _product_decompositions(table, a: np.ndarray, b: np.ndarray) -> list[Constit
     the table passes its _rational_pairings check, the multiplicities are
     then rational integers, and the pairing reads them at one embedding."""
     mults = table._multiplicity_rows((a, b), table.e, table._rational_pairings)
-    return _decompositions(table, mults, a[:, 0, 0] * b[:, 0, 0])
+    return _decompositions(table, mults, a[:, 0, 0].astype(np.int64) * b[:, 0, 0])
 
 
 def _norm_decompositions(table) -> list[ConstituentDecomposition]:
@@ -113,10 +113,10 @@ def _norm_decompositions(table) -> list[ConstituentDecomposition]:
     which _norm_multiplicities reads."""
     out = table._decompositions.get("norms")
     if out is None:
-        cube = table.cube
-        conj = conjugate(cube, table.e)
-        mults = table._multiplicity_rows((cube, conj), table.e, table._rational_pairings)
-        out = _decompositions(table, mults, cube[:, 0, 0] * cube[:, 0, 0])
+        conj = conjugate(table.cube, table.e)
+        mults = table._multiplicity_rows((table.cube, conj), table.e, table._rational_pairings)
+        degrees = table.cube[:, 0, 0].astype(np.int64)
+        out = _decompositions(table, mults, degrees * degrees)
         table._decompositions["norms"] = out
         table._decompositions["norm rows"] = mults
     return out
@@ -193,12 +193,14 @@ def _branching(N: PermGroup, M: PermGroup) -> tuple[np.ndarray, np.ndarray]:
         g = link[1] if linked else next(x for x in N.generators if x not in M)
         try:
             first = _orbit_heads(below, g, p)
-            heads, owner = np.unique(first, return_inverse=True)
-            sums = np.zeros((len(heads), *below.cube.shape[1:]), dtype=np.int64)
-            np.add.at(sums, owner, below.cube)
-            keys = _as_keys(lift(sums, below.e, table.e).reshape(len(sums), -1))
+            heads, sums = _orbit_sums(first, below.cube)
+            # both sides keyed at one dtype, wide enough for the sums and the rows
+            sums = narrowest(lift(sums, below.e, table.e))
+            dtype = np.promote_types(sums.dtype, table.cube.dtype)
+            keys = _as_keys(sums.astype(dtype, copy=False).reshape(len(sums), -1))
             order = np.argsort(keys)
-            restricted = table.cube[:, _fusion(M, N)].reshape(len(table), -1)
+            restricted = table.cube[:, _fusion(M, N)].astype(dtype, copy=False)
+            restricted = restricted.reshape(len(table), -1)
             pos = _key_positions(keys[order], restricted, "a restriction is no orbit sum")
         except TableError as exc:
             raise TableError(

@@ -2,12 +2,14 @@
 
 A Character is its coefficient array: one row per conjugacy class, in the
 group's canonical class order, holding the class value over the power basis
-of Z[zeta_e] at the group exponent e.  The array is int64, or dtype=object
-holding Python integers when a coefficient does not fit, and read-only.
-Products, conjugates, sums, differences and integer multiples run on the
-whole array, in int64 unless a bound calls for Python integers.  The public
-constructor takes each value to the group exponent with `CycValue.rebase`
-(the `down` kernel); `values` reads the array back as CycValues.
+of Z[zeta_e] at the group exponent e.  The array is read-only, in a signed
+integer dtype, or dtype=object holding Python integers when a coefficient
+does not fit int64; a table's characters are views of its cube, int8 for
+every table so far.  Products, conjugates, sums, differences and integer
+multiples run on the whole array, widened to int64 unless a bound calls
+for Python integers.  The public constructor takes each value to the group
+exponent with `CycValue.rebase` (the `down` kernel); `values` reads the
+array back as CycValues.
 
 Instances of the same group interoperate directly.  Characters of a subgroup
 and its parent only meet through restrict/induce (charops); there is no

@@ -237,7 +237,9 @@ def _classify(G: PermGroup, series, index: np.ndarray, restricted) -> tuple[np.n
     inside = np.stack([rows[columns, index[i]] != 0 for i, rows in enumerate(restricted)])
     orbit = np.stack([np.count_nonzero(rows, axis=1) for rows in restricted])
     orders = G.order // np.maximum(orbit, 1)
-    degrees = np.stack([character_table(N).cube[index[i], 0, 0] for i, N in enumerate(series)])
+    degrees = np.stack(
+        [character_table(N).cube[index[i], 0, 0] for i, N in enumerate(series)], dtype=np.int64
+    )
     case = np.zeros(index.shape, dtype=np.intp)
     misfit = np.zeros(index.shape, dtype=bool)
     for i in range(1, len(series)):

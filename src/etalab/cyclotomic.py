@@ -11,12 +11,15 @@ such vectors: `multiply`, `galois` (zeta_e -> zeta_e^u; `conjugate` is
 u = -1), `lift` (to a multiple of the conductor) and `down` (to a divisor),
 each an integer matmul against a small cached table read off the powers of
 zeta_e.  They run in int64 when a bound computed from the inputs keeps every
-partial sum below 2^63, and on Python integers (dtype=object) otherwise.
+partial sum below 2^63, and on Python integers (dtype=object) otherwise;
+an input in a narrower dtype (a table's cube, by `narrowest`) is widened
+before any sum is formed.
 CycValue, the scalar type, calls the same kernels on a single row.  The
 pairing sum_k w_k x(k) conj(y(k)) evaluates instead: mod word-size primes
 q = 1 mod e, cached per conductor, it reads both sides at the phi conjugate
 embeddings of zeta_e, where products are pointwise, and combines the primes
-by the Chinese remainder theorem.  When the caller knows every sum to be a
+by the Chinese remainder theorem; it widens narrow stacks a bounded block
+at a time as it evaluates them.  When the caller knows every sum to be a
 rational integer (tables check this: table.CharTable._rational_pairings),
 one embedding gives it, and the pairing reads only that one.  There is no
 floating point and no precision loss anywhere.
@@ -146,6 +149,21 @@ def _exact(bound: int, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     caller forms from them, is below 2^63; otherwise on Python integers."""
     dtype = np.int64 if bound < 1 << 63 else object
     return tuple(a.astype(dtype, copy=False) for a in arrays)
+
+
+def narrow_dtype(magnitude: int) -> type:
+    """The smallest signed integer dtype d with magnitude <= iinfo(d).max;
+    OverflowError past int64."""
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
+        if magnitude <= np.iinfo(dtype).max:
+            return dtype
+    raise OverflowError("coefficient does not fit int64")
+
+
+def narrowest(x: np.ndarray) -> np.ndarray:
+    """x in narrow_dtype of its largest |coefficient|: -x and |x| stay in
+    that dtype, as its minimum never occurs."""
+    return x.astype(narrow_dtype(_magnitude(x)), copy=False)
 
 
 def linear_map(x: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -308,6 +326,10 @@ def _primitive_root(q: int) -> int:
 # ---------------------------------------------------------------------------
 # the pairing, by evaluation at the conjugate embeddings mod word-size primes
 
+# bound on the coefficients _values widens to int64 at a time
+_VALUE_ENTRIES = 1 << 18
+
+
 @lru_cache(maxsize=None)
 def _embedding(e: int, width: int, i: int) -> tuple[int, np.ndarray, np.ndarray, list[int]]:
     """(q, vand, interp, neg) for the i-th largest prime q = 1 mod e with
@@ -335,14 +357,21 @@ def _embedding(e: int, width: int, i: int) -> tuple[int, np.ndarray, np.ndarray,
 
 def _values(x: np.ndarray, q: int, vand: np.ndarray) -> np.ndarray:
     """The (m, K, phi) stack x mod q at the embeddings of vand's columns, as
-    (embeddings, m, K): one contiguous matrix per embedding, for the fast matmul."""
+    (embeddings, m, K): one contiguous matrix per embedding, for the fast matmul.
+    x is read in int64 blocks of at most _VALUE_ENTRIES coefficients, so a
+    narrow stack is never widened whole."""
     m, k, phi = x.shape
+    flat = x.reshape(m * k, phi)
+    out = np.empty((vand.shape[1], m * k), dtype=np.int64)
     # reduced first only when the evaluation's sums could pass int64
-    if x.dtype != np.int64 or phi * _magnitude(x) * q >= 1 << 63:
-        x = (x % q).astype(np.int64)
-    out = (vand.T @ x.reshape(m * k, phi).T).reshape(vand.shape[1], m, k)
+    reduce = x.dtype == object or phi * _magnitude(x) * q >= 1 << 63
+    step = max(1, _VALUE_ENTRIES // phi)
+    for start in range(0, m * k, step):
+        block = flat[start : start + step]
+        block = (block % q).astype(np.int64) if reduce else block.astype(np.int64, copy=False)
+        out[:, start : start + step] = vand.T @ block.T
     out %= q
-    return out
+    return out.reshape(vand.shape[1], m, k)
 
 
 def pairing(x, weights, y: np.ndarray, e: int, rational: bool = False) -> np.ndarray:
@@ -366,9 +395,16 @@ def pairing(x, weights, y: np.ndarray, e: int, rational: bool = False) -> np.nda
     k, phi = y.shape[1:]
     w = [int(v) for v in weights]
     # the sum is one polynomial in zeta_e of degree below e, reduced once, of L1 norm
-    # at most sum_k |w_k| prod L1(x(k)) L1(y(k)) over each class's largest L1 norms
-    stacks = _exact(phi * max(map(_magnitude, (*factors, y))), *factors, y)
-    norms = [(np.abs(a) @ np.ones(phi, a.dtype)).max(axis=0, initial=0).tolist() for a in stacks]
+    # at most sum_k |w_k| prod L1(x(k)) L1(y(k)) over each class's largest L1 norms,
+    # summed in int64 unless one could pass it: a narrow stack is not copied wide
+    wide = phi * max(map(_magnitude, (*factors, y))) >= 1 << 63
+    norms = [
+        np.abs(a.astype(object) if wide else a)
+        .sum(axis=-1, dtype=object if wide else np.int64)
+        .max(axis=0, initial=0)
+        .tolist()
+        for a in (*factors, y)
+    ]
     bound = sum(abs(wk) * prod(ns) for wk, *ns in zip(w, *norms))
     bound *= int(np.abs(power_basis_matrix(e)).sum(axis=1).max())
     # one bucket of primes serves every sum of up to 256 terms

@@ -12,8 +12,11 @@ Lifting runs on blocks of eigenvectors of bounded size, with one product by
 the power-map matrix and one by the power basis per block; the first
 eigenvector, in order, that fails a check is the one reported.
 
-A table is stored as its (characters, classes, phi(e)) int64 coefficient
-cube; its Characters, JSON form, cache entry and pairings are read off it.
+A table is stored as its (characters, classes, phi(e)) coefficient cube,
+read-only, in the smallest signed dtype that holds its largest |coefficient|
+(int8 for every table of the catalog and its chief series); its Characters,
+JSON form, cache entry and pairings are read off it, and every arithmetic
+reader widens what it reads.
 What callers derive from it (decompositions, branching to subgroups) is
 kept on the table.
 
@@ -89,8 +92,8 @@ from typing import Iterator, Optional, Union
 import numpy as np
 
 from .chars import Character
-from .cyclotomic import _is_prime, _primitive_root, galois, lift, pairing, power_basis_matrix
-from .cyclotomic import reduced_degree, unit_generators
+from .cyclotomic import _is_prime, _primitive_root, _values, galois, lift, narrow_dtype, narrowest
+from .cyclotomic import pairing, power_basis_matrix, reduced_degree, unit_generators
 from .errors import CharacterError, EtalabError, TableError
 from .perm import ConjugacyClassSet, PermGroup, Permutation, _as_keys, _class_action
 from .perm import _classes_of_rows, _locate, _locate_rows, _rows_of
@@ -500,6 +503,7 @@ class CharTable:
     q: int
 
     def __post_init__(self):
+        object.__setattr__(self, "cube", narrowest(self.cube))
         self.cube.setflags(write=False)  # every attribute set below derives from it
         object.__setattr__(
             self, "irreducibles", tuple(Character._of(self.group, row) for row in self.cube)
@@ -532,15 +536,20 @@ class CharTable:
         return tuple(self.cube[:, 0, 0].tolist())
 
     def _rows_index(self, rows: np.ndarray) -> list[int]:
-        """The table index of each int64 row of a (m, classes, phi(e))
-        stack; TableError if one is not in the table."""
+        """The table index of each row of a (m, classes, phi(e)) integer or
+        object stack; TableError if one is not in the table.  Rows are keyed
+        in the cube's dtype, so one with a coefficient outside its range,
+        which a cast would wrap, is in no row."""
         keys, order = self._sorted_keys
-        pos = _key_positions(keys, rows.reshape(len(rows), -1), "character not in table")
-        return order[pos].tolist()
+        bounds = np.iinfo(self.cube.dtype)
+        if rows.size and (rows.min() < bounds.min or rows.max() > bounds.max):
+            raise TableError("character not in table")
+        rows = rows.astype(self.cube.dtype, copy=False).reshape(len(rows), -1)
+        return order[_key_positions(keys, rows, "character not in table")].tolist()
 
     @property
     def principal_index(self) -> int:
-        one = np.zeros((1, *self.cube.shape[1:]), dtype=np.int64)
+        one = np.zeros((1, *self.cube.shape[1:]), dtype=self.cube.dtype)
         one[..., 0] = 1
         try:
             return self._rows_index(one)[0]
@@ -555,11 +564,7 @@ class CharTable:
     def index_of(self, chi: Character) -> int:
         if not chi.group.same_elements(self.group):
             raise TableError("character not in table")
-        try:
-            coeffs = chi.coeffs.astype(np.int64, copy=False)
-        except OverflowError:  # a coefficient past int64 is in no row
-            raise TableError("character not in table") from None
-        return self._rows_index(coeffs[None])[0]
+        return self._rows_index(chi.coeffs[None])[0]
 
     def multiplicities(self, theta: Character) -> list[int]:
         """[theta, chi_i] for every table entry, as exact integers.  They are
@@ -633,16 +638,15 @@ class CharTable:
         _rational_pairings check, and are then paired at one embedding."""
         order = self.group.order
         sizes = self.classes.sizes
-        cube = self.cube
         rational = self._rational_pairings
-        gram = pairing(cube, sizes, cube, self.e, rational)
+        gram = pairing(self.cube, sizes, self.cube, self.e, rational)
         expect = np.zeros(gram.shape, dtype=np.int64)
-        for i in range(len(cube)):
+        for i in range(len(self)):
             expect[i, i, 0] = order
         if (gram != expect).any():
             raise TableError("row orthogonality violated")
-        by_class = cube.transpose(1, 0, 2)
-        cols = pairing(by_class, [1] * len(cube), by_class, self.e, rational)
+        by_class = self.cube.transpose(1, 0, 2)
+        cols = pairing(by_class, [1] * len(self), by_class, self.e, rational)
         expect = np.zeros(cols.shape, dtype=np.int64)
         for k, size in enumerate(sizes):
             expect[k, k, 0] = order // size
@@ -701,6 +705,16 @@ def _orbit_heads(table: CharTable, g: Permutation, p: int) -> np.ndarray:
     return first
 
 
+def _orbit_sums(first: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The heads of the orbits that first (as _orbit_heads gives it) names,
+    ascending, and for each the sum of rows over its orbit, in int64."""
+    heads, owner = np.unique(first, return_inverse=True)
+    # the rows grouped by orbit: every orbit has a row, so no segment is empty
+    order = np.argsort(owner, kind="stable")
+    starts = np.searchsorted(owner[order], np.arange(len(heads)))
+    return heads, np.add.reduceat(rows[order], starts, axis=0, dtype=np.int64)
+
+
 def _seed_spaces(
     G: PermGroup, classes: ConjugacyClassSet, inv_class: np.ndarray, q: int, z: int
 ) -> Optional[list[np.ndarray]]:
@@ -732,7 +746,7 @@ def _seed_spaces(
     # N's irreducibles mod q on N's classes, zeta_f read as z^(e/f)
     zf = pow(z, e // below.e, q)
     powers = np.array([pow(zf, j, q) for j in range(below.cube.shape[2])], dtype=np.int64)
-    vals = below.cube % q @ powers % q
+    vals = _values(below.cube, q, powers[:, None])[0]
     # class representative x_k of G as n g^j with n in N: j and n's class,
     # from x_k g^-j for every j < p, (x g^-1)[pt] = g^-1[x[pt]]
     images = np.array(g.images)
@@ -756,10 +770,9 @@ def _seed_spaces(
     except TableError as exc:
         raise TableError(f"internal seeding failure: {exc}") from None
     # the orbit sums, one per head: nu itself for an orbit of one
-    heads, owner, length = np.unique(first, return_inverse=True, return_counts=True)
-    sums = np.zeros((len(heads), vals.shape[1]), dtype=np.int64)
-    np.add.at(sums, owner, vals)
-    deg = below.cube[heads, 0, 0]
+    heads, sums = _orbit_sums(first, vals)
+    length = np.bincount(first)[heads]
+    deg = below.cube[heads, 0, 0].astype(np.int64)
     induced = np.flatnonzero(length == p)
     linear = np.flatnonzero((length == 1) & (deg == 1))
     # the p-th roots c = z^s of nu(g^p), for each invariant linear nu
@@ -842,7 +855,9 @@ def _compute_table(G: PermGroup, prime_offset: int = 0) -> CharTable:
             f"internal lifting failure: {check} (group order {order}, q {q}, eigenvector {n})"
         )
 
-    cube = np.empty((r, r, basis.shape[1]), dtype=np.int64)
+    # |coefficient| <= chi(1) max|basis|: the cube is filled at the dtype that bound needs
+    magnitude = int(degrees[:end].max(initial=1)) * int(np.abs(basis).max())
+    cube = np.empty((r, r, basis.shape[1]), dtype=narrow_dtype(magnitude))
     step = max(1, _LIFT_ENTRIES // (r * e))
     # blocks of eigenvectors up to the first bad degree; the first
     # eigenvector, in order, that fails a check is reported with that check's message
@@ -891,7 +906,7 @@ def _cache_load(G: PermGroup, path: Path) -> Optional[CharTable]:
         classes = G.conjugacy_classes()
         e = G.exponent()
         q = _smallest_admissible_prime(G.order, e)
-        cube = np.array(data["irreducibles"], dtype=np.int64)
+        cube = narrowest(np.array(data["irreducibles"], dtype=np.int64))
         r = len(classes)
         if (
             data["schema"] != 1

@@ -242,7 +242,7 @@ def _bookkeeping(G: PermGroup, series, unstable: np.ndarray, restricted) -> np.n
     constituent support with R_i over those columns."""
     table = character_table(G)
     support = (_norm_multiplicities(table) != 0).astype(np.int64)
-    degrees = table.cube[:, 0, 0]
+    degrees = table.cube[:, 0, 0].astype(np.int64)
     covered = np.ones(unstable.shape, dtype=bool)
     attached = np.zeros(unstable.shape, dtype=np.int64)
     for i in range(1, len(series)):

@@ -1,5 +1,8 @@
-"""Source layout: every line of the package fits in 100 characters."""
+"""Source layout: every line of the package fits in 100 characters, and every
+read of a table's narrow coefficient cube is widened or reviewed."""
 
+import ast
+import re
 from pathlib import Path
 
 import etalab
@@ -16,3 +19,84 @@ def test_package_lines_fit_the_line_limit():
         if len(line) > LINE_LIMIT
     ]
     assert long_lines == []
+
+
+# A table's cube is held in the narrowest signed dtype that fits it (int8 for
+# every table so far), so a reader that multiplies or adds must widen first.
+# Every `.cube` read in the package is either widened on its line or listed
+# here, by file and code (comments dropped), with what makes it safe: a new
+# or changed read fails the check until it is reviewed.
+WIDENED = re.compile(r"\.astype\(np\.int64\)|dtype=np\.int64")
+REVIEWED_CUBE_READS = {
+    "table.py": {
+        # the narrowing itself, the read-only flag, dtype and shape
+        'object.__setattr__(self, "cube", narrowest(self.cube))',
+        "self.cube.setflags(write=False)",
+        "bounds = np.iinfo(self.cube.dtype)",
+        "rows = rows.astype(self.cube.dtype, copy=False).reshape(len(rows), -1)",
+        "one = np.zeros((1, *self.cube.shape[1:]), dtype=self.cube.dtype)",
+        # views: Character arithmetic widens through cyclotomic._exact
+        'self, "irreducibles", tuple(Character._of(self.group, row) for row in self.cube)',
+        "by_class = self.cube.transpose(1, 0, 2)",
+        # keys, gathers and comparisons at the cube's dtype
+        "keys = _as_keys(self.cube.reshape(len(self.cube), -1))",
+        "return self._rows_index(self.cube[:, list(act)])",
+        "image = self.cube[:, act]",
+        # Python integers
+        "return tuple(self.cube[:, 0, 0].tolist())",
+        '"irreducibles": self.cube.tolist(),',
+        # kernels that widen: lift, galois (linear_map), pairing, _values
+        "raw = pairing(rows, self.classes.sizes, lift(self.cube, self.e, e), e, rational)",
+        "if not np.array_equal(galois(self.cube, self.e, u), image):",
+        "gram = pairing(self.cube, sizes, self.cube, self.e, rational)",
+        "vals = _values(below.cube, q, powers[:, None])[0]",
+    },
+    "charops.py": {
+        # kernels that widen: linear_map, conjugate, pairing; _orbit_sums sums in int64
+        "if (linear_map(np.array(mults, dtype=object), table.cube[:, :1, 0])[:, 0] != degrees).any():",
+        "conj = conjugate(table.cube, table.e)",
+        "mults = table._multiplicity_rows((table.cube, conj), table.e, table._rational_pairings)",
+        "heads, sums = _orbit_sums(first, below.cube)",
+        # keys at one dtype with the orbit sums, and a comparison
+        "dtype = np.promote_types(sums.dtype, table.cube.dtype)",
+        "restricted = table.cube[:, _fusion(M, N)].astype(dtype, copy=False)",
+        "keep = (table.cube[:, gen_classes] == table.cube[:, :1]).all(axis=(1, 2))",
+    },
+    "verify.py": {
+        # handed to _product_decompositions, which widens the degrees it multiplies
+        "row = table.cube[i : i + 1]",
+        "for j, dec in enumerate(_product_decompositions(table, row, table.cube)):",
+        "step = (_branching(series[i], series[i - 1])[0] == principal) & (tab_i.cube[:, 0, 0] == 1)",
+    },
+}
+
+
+def _cube_reads():
+    """(file name, code) of each line of the package that reads an attribute `cube`."""
+    package = Path(etalab.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        numbers = sorted(
+            {
+                node.lineno
+                for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.Attribute) and node.attr == "cube"
+            }
+        )
+        for number in numbers:
+            yield path.name, number, re.sub(r"\s+#.*$", "", lines[number - 1]).strip()
+
+
+def test_every_cube_read_is_widened_or_reviewed():
+    reads = list(_cube_reads())
+    unreviewed = [
+        f"{name}:{number}: {code}"
+        for name, number, code in reads
+        if not WIDENED.search(code) and code not in REVIEWED_CUBE_READS.get(name, ())
+    ]
+    assert unreviewed == []
+    # and the list names no read that is gone
+    present = {(name, code) for name, _, code in reads}
+    stale = [(n, c) for n, codes in REVIEWED_CUBE_READS.items() for c in codes if (n, c) not in present]
+    assert stale == []

@@ -2,10 +2,15 @@
 determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import etalab
 from etalab.catalog import default_catalog, load_catalog_group
 from etalab.cli import run_cli
 import etalab.cli as cli_mod
@@ -510,3 +515,19 @@ def test_cli_violation_exit_code(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "counterexamples:" in out
     assert "group_file" in out
+
+
+@pytest.mark.parametrize(
+    "args, code", [(["build", "extraspecial", "1000000000000000003"], 3), ([], 2)]
+)
+def test_both_module_entry_points_give_the_same_exit_code(args, code):
+    # python -m etalab.cli runs the command too, not just the import
+    src = str(Path(etalab.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    codes = [
+        subprocess.run(
+            [sys.executable, "-m", module, *args], env=env, capture_output=True, timeout=60
+        ).returncode
+        for module in ("etalab", "etalab.cli")
+    ]
+    assert codes == [code, code]
