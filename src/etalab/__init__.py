@@ -74,9 +74,18 @@ from .verify import (
     verify_theorem_a,
     verify_theorem_b,
 )
-from .cli import run_cli
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # the CLI is imported on first use, so that `python -m etalab.cli` does
+    # not find etalab.cli already imported by the package
+    if name == "run_cli":
+        from .cli import run_cli
+
+        return run_cli
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "CharacterError",

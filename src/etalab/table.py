@@ -29,13 +29,11 @@ acts as a scalar is one eigenspace and is kept as it is: the eigenlines are
 unique, so the table does not depend on where splits happen.  Nor on the
 matrices never built.  For z central K_z K_j = K_(z C_j), so the eigenlines
 with central character lam, a linear character of the center Z, span the
-space of v with v_(z C_j) = lam(z) v_j; the plain path starts from these
+space of v with v_(z C_j) = lam(z) v_j; every table starts from these
 blocks, written down in RREF, and builds only the matrix of the first class
-of each Z-orbit of classes (an abelian group builds none).  The seeded path
-skips class z C_j when z's class and class j both come earlier; its
-translates z x_j are looked up once a class matrix is first needed, one
-central z at a time.  Images under a class matrix are summed over its
-nonzeros only, for the rows of all unsplit spaces at once.  The class
+of each Z-orbit of classes.  An abelian group's blocks are its r lines: it
+builds none, and never seeds.  Images under a class matrix are summed over
+its nonzeros only, for the rows of all unsplit spaces at once.  The class
 algebra is split semisimple over F_q, so each class matrix A acts
 diagonalizably with its eigenvalues in F_q: they are the roots of the
 annihilators of coordinate seeds, taken in turn until P(A) = 0 for P the
@@ -45,17 +43,18 @@ P(A) / ((A - lam) P'(lam)), a line one of its columns; no minimal polynomial
 or nullspace is formed.
 
 Seeding (after Schneider, "Dixon's character table algorithm revisited",
-J. Symbolic Comput. 9, 1990): when G = <N, g> is a chief-series member of
-index p over N and N's table is already held, the characters of G known
-from it are written down mod q: the p extensions of each g-invariant linear
-character and one induced character per g-orbit of size p.  Their lines
-come directly, and class matrices split only the common kernel of their
-functionals, spanned by the rows of the projection that orthogonality gives
-onto it.  That orthogonality is checked mod q first, grouped by coset of
-N: the known characters are their distinct base rows on N times roots of
-unity per coset, so one small product per coset replaces the product over
-all known characters and all classes.  g's orbits on N's table are kept on
-that table and serve the branching of the same link.  Lifting and
+J. Symbolic Comput. 9, 1990): when a non-abelian G = <N, g> is a
+chief-series member of index p over N and N's table is already held, the
+characters of G known from it are written down mod q: the p extensions of
+each g-invariant linear character and one induced character per g-orbit of
+size p.  Their lines come directly, and each center block keeps only its
+image under the projection that orthogonality gives onto the common kernel
+of their functionals, which class matrices split.  That orthogonality is
+checked mod q first, grouped by coset of N: the known characters are their
+distinct base rows on N times roots of unity per coset, so one small
+product per coset replaces the product over all known characters and all
+classes.  g's orbits on N's table are kept on that table and serve the
+branching of the same link.  Lifting and
 sorting are unchanged, so a seeded table equals the plain one byte for
 byte; a group with no held predecessor, and every prime_offset rerun, takes
 the plain path, and no table is built only to seed another.
@@ -87,7 +86,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -308,14 +307,6 @@ def _split_spaces(spaces: list[np.ndarray], mat: np.ndarray, q: int) -> list[np.
     return refined
 
 
-def _central_translates(classes: ConjugacyClassSet) -> Iterator[np.ndarray]:
-    """For each central class in turn, the class of z x_j for every class j,
-    z its element and x_j j's representative: (z x_j)[pt] = x_j[z[pt]]."""
-    reps = _rows_of(classes.representatives, classes.group.degree)
-    for z in reps[: classes.sizes.count(1)]:
-        yield _classes_of_rows(classes, reps[:, z], _lookup_failure(classes.group))
-
-
 def _center_blocks(classes: ConjugacyClassSet, q: int) -> tuple[list[np.ndarray], np.ndarray]:
     """The eigenspaces of all central class matrices at once, one per linear
     character lam of the center Z, with rows in RREF; and each class's head,
@@ -378,38 +369,35 @@ def _root_extensions(z: int, q: int, e: int, target: np.ndarray, s: int, missing
 
 
 def _common_eigenbasis(
-    classes: ConjugacyClassSet, spaces: Optional[list[np.ndarray]], q: int
+    classes: ConjugacyClassSet, seeded: Optional[tuple[np.ndarray, np.ndarray]], q: int
 ) -> np.ndarray:
     """Rows of the returned (r, r) array span the r common eigenlines.
 
-    spaces are invariant subspaces (rows in RREF) whose direct sum is F_q^r,
-    or None to start from the center's blocks; only those of dimension above
-    one are split, by class matrices in class order.  For z central
-    K_(z C_j) = K_z K_j, so class z C_j acts as a scalar on every space the
-    classes before it leave when class j comes before it and K_z acts as a
-    scalar too: on the center's blocks, for every class but the first of its
-    Z-orbit; on other spaces, when z's class also comes before it.  Such a
-    class's matrix is not built."""
+    The split starts from the center's blocks.  seeded, as _seed_spaces
+    gives it or None, holds known lines and the projector onto the span of
+    the others along them: each known line is then a space of its own, and
+    each block keeps only its projection, its share of the unknown lines.
+    Spaces of dimension above one are split by class matrices in class
+    order.  Every space lies inside one block, on which K_z acts as a scalar
+    for z central, so K_(z C_h) = K_z K_h acts as a scalar wherever K_h
+    does: a class other than the first of its Z-orbit splits nothing, and
+    its matrix is not built."""
     r = len(classes)
     order = classes.group.order
     step = "center"
     try:
-        if spaces is None:
-            spaces, head = _center_blocks(classes, q)
-            redundant = head != np.arange(r)
-            translates = iter(())
-        else:
-            # the central classes come first; step i marks the translates of class i - 1
-            redundant = np.zeros(r, dtype=bool)
-            translates = _central_translates(classes)
+        spaces, head = _center_blocks(classes, q)
+        if seeded is not None:
+            lines, proj = seeded
+            # a block whose lines are all known projects to 0 and is dropped
+            rest = [_rref(block @ proj % q, q)[0] for block in spaces]
+            spaces = [line[None] for line in lines] + [s for s in rest if len(s)]
+        redundant = head != np.arange(r)
         # eigenspace dimensions always sum to r, so r spaces means r lines
         for i in range(1, r):
             step = f"class matrix {i}"
             if len(spaces) == r:
                 break
-            image = next(translates, None)
-            if image is not None:
-                redundant[image[image > np.maximum(np.arange(r), i - 1)]] = True
             if not redundant[i]:
                 spaces = _split_spaces(spaces, class_matrix(classes, i) % q, q)
         if len(spaces) < r:
@@ -717,16 +705,17 @@ def _orbit_sums(first: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def _seed_spaces(
     G: PermGroup, classes: ConjugacyClassSet, inv_class: np.ndarray, q: int, z: int
-) -> Optional[list[np.ndarray]]:
-    """The eigenlines of the characters of G = <N, g> known from N's table,
-    each as a one-row space, then the space the other lines span; None
-    when G is no chief-series member over N or N's table is not held.
+) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """(lines, proj): the eigenlines of the characters of G = <N, g> known
+    from N's table, one row each, and the projector onto the span of the
+    other lines along them, acting on rows; None when G is no chief-series
+    member over N or N's table is not held.
 
     Known mod q, with zeta_e -> z as the lift reads it: the p extensions
     lambda(n g^j) = nu(n) c^j, c^p = nu(g^p), of each g-invariant linear nu,
     and Ind nu, the sum of nu's orbit on N, for each g-orbit of size p.  A
     known psi's line is |C_k| psi(x_k) / psi(1); the other lines span the
-    common kernel of v -> sum_k v_k psi(x_k^-1).
+    common kernel of v -> sum_k v_k psi(x_k^-1), which is proj's image.
 
     Each known psi is a base row b (nu, or nu's orbit sum, on G's classes)
     times a coefficient a_j on coset N g^j: c^j for an extension, 1 on N
@@ -800,14 +789,11 @@ def _seed_spaces(
     if (gram * deg_inv % q != np.diag(G.order % q * deg_inv % q)).any():
         raise TableError("internal seeding failure: known characters are not orthogonal")
     known = base[which] * coef[:, coset] % q
-    spaces = [line[None] for line in known * sizes % q * deg_inv[:, None] % q]
-    if len(known) < len(sizes):
-        # so F L^T = D, D invertible, and the rows of I - F^T D^-1 L span ker F:
-        # F kills each, and it is idempotent of rank r - k.  D^-1 L = known sizes / |G|
-        scaled = known * sizes % q * pow(G.order, q - 2, q) % q
-        rest, _ = _rref(np.eye(len(sizes), dtype=np.int64) - known[:, inv_class].T @ scaled % q, q)
-        spaces.append(rest)
-    return spaces
+    # F L^T = D, D invertible, so I - F^T D^-1 L projects onto ker F along
+    # the known lines: F kills its image and it fixes ker F.  D^-1 L = known sizes / |G|
+    scaled = known * sizes % q * pow(G.order, q - 2, q) % q
+    proj = (np.eye(len(sizes), dtype=np.int64) - known[:, inv_class].T @ scaled) % q
+    return known * sizes % q * deg_inv[:, None] % q, proj
 
 
 def _compute_table(G: PermGroup, prime_offset: int = 0) -> CharTable:
@@ -821,13 +807,14 @@ def _compute_table(G: PermGroup, prime_offset: int = 0) -> CharTable:
     pclass = _power_classes(classes, e)
     inv_class = pclass[:, e - 1]
 
-    spaces = None
-    if not prime_offset:
+    # an abelian group's center blocks are its r lines, so only a non-abelian G seeds
+    seeded = None
+    if not prime_offset and classes.sizes.count(1) < r:
         try:
-            spaces = _seed_spaces(G, classes, inv_class, q, z)
+            seeded = _seed_spaces(G, classes, inv_class, q, z)
         except TableError as exc:
             raise TableError(f"{exc} (group order {order}, q {q})") from None
-    omegas = _common_eigenbasis(classes, spaces, q)
+    omegas = _common_eigenbasis(classes, seeded, q)
 
     size_inv = np.array([pow(s, q - 2, q) for s in classes.sizes], dtype=np.int64)
     # mults[n, j, l] = e^-1 sum_s chi_n(x_j^s) z^(-ls), the multiplicity of z^l

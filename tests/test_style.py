@@ -1,5 +1,6 @@
-"""Source layout: every line of the package fits in 100 characters, and every
-read of a table's narrow coefficient cube is widened or reviewed."""
+"""Source layout: every line of the package fits in 100 characters, every
+read of a table's narrow coefficient cube is widened or reviewed, and no
+module imports a name it never reads."""
 
 import ast
 import re
@@ -100,3 +101,44 @@ def test_every_cube_read_is_widened_or_reviewed():
     present = {(name, code) for name, _, code in reads}
     stale = [(n, c) for n, codes in REVIEWED_CUBE_READS.items() for c in codes if (n, c) not in present]
     assert stale == []
+
+
+def _unused_imports(source):
+    """(line, name) of each name a top-level import of source binds that
+    nothing reads, neither code nor `__all__`."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read |= set(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    package = Path(etalab.__file__).parent
+    unused = [
+        f"{path.name}:{line} imports {name}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "__init__.py"
+        for line, name in _unused_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert unused == []
+
+
+def test_the_unused_import_check_sees_an_unused_name():
+    source = (
+        "from typing import Iterator, Optional\n"
+        "import numpy as np\n"
+        "x: Optional[int] = np.int8(1)\n"
+    )
+    assert _unused_imports(source) == [(1, "Iterator")]

@@ -17,6 +17,7 @@ import etalab.cli as cli_mod
 import etalab.table as table_mod
 import etalab.verify as verify_mod
 from etalab.charops import inner_product
+from etalab.constructions import prop5_witness
 from etalab.errors import GroupError, TableError
 from etalab.groupfile import format_group, parse_group
 from etalab.perm import Permutation, group_from_generators
@@ -293,7 +294,8 @@ def test_sweep_records_on_the_groups_of_order_one_and_two():
 def test_cold_branching_lookup_computes_no_class_action(monkeypatch):
     # d8 and d16 are the catalog groups whose first generator outside the
     # series member below differs from the element that seeded their table;
-    # the lookup must use the seeding element's held class action
+    # the lookup must use the seeding element's held class action.  An
+    # abelian member is not seeded, so its lookup computes the action, once
     import etalab.catalog as catalog_mod
     from etalab import charops
 
@@ -303,21 +305,23 @@ def test_cold_branching_lookup_computes_no_class_action(monkeypatch):
     lookup, action = charops._branching, table_mod._class_action
 
     def branching(N, M):
-        inside.append(N.order)
+        inside.append(N)
         try:
             return lookup(N, M)
         finally:
             inside.pop()
 
-    def counted(N, g):
-        if inside and g.images not in N._class_actions:
-            computed.append(N.order)
-        return action(N, g)
+    def counted(M, g):
+        if inside and g.images not in M._class_actions:
+            N = inside[-1]
+            computed.append((N.content_key, M.content_key, N.center().order == N.order))
+        return action(M, g)
 
     _patch_everywhere(monkeypatch, "_branching", branching, lookup)
     monkeypatch.setattr(table_mod, "_class_action", counted)
     assert verify_ledger(groups=_small("d8", "d16")).passed
-    assert computed == []
+    assert computed and all(abelian for _, _, abelian in computed)
+    assert len(set(computed)) == len(computed)
 
 
 def test_cold_ledger_holds_only_one_step_index_vectors(monkeypatch):
@@ -356,9 +360,23 @@ def test_ledger_seeds_every_chief_series_table(monkeypatch):
 
     monkeypatch.setattr(table_mod, "_seed_spaces", recorded_seed)
     assert verify_ledger(groups=groups).passed
-    # each series table is computed once, bottom-up; all but the trivial
-    # group's are seeded from the one below
-    assert seeded == [(N.order, N.order > 1) for _, G in groups for N in G.chief_series()]
+    # each series table is computed once, bottom-up, and each non-abelian one
+    # is seeded from the one below; an abelian one, whose center blocks are
+    # its lines, never seeds
+    series = [N for _, G in groups for N in G.chief_series()]
+    expected = [(N.order, True) for N in series if N.center().order < N.order]
+    assert expected and len(expected) < len(series)
+    assert seeded == expected
+
+
+@pytest.mark.slow
+def test_witness_ledger_passes_every_record():
+    # the order-15625 sharpness witness for p = 5: one chain ledger record
+    # per irreducible character, 649 of them
+    rep = verify_ledger(groups=[("prop5_witness(5, 1)", prop5_witness(5, 1).group)])
+    records = rep.results[0]["records"]
+    assert len(records) == 649
+    assert all(rec["pass"] for rec in records) and rep.passed
 
 
 def test_prop5_report():
@@ -521,13 +539,16 @@ def test_cli_violation_exit_code(monkeypatch, capsys):
     "args, code", [(["build", "extraspecial", "1000000000000000003"], 3), ([], 2)]
 )
 def test_both_module_entry_points_give_the_same_exit_code(args, code):
-    # python -m etalab.cli runs the command too, not just the import
+    # python -m etalab.cli runs the command too, not just the import, and
+    # importing the package first does not make runpy warn about it
     src = str(Path(etalab.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    codes = [
+    runs = [
         subprocess.run(
-            [sys.executable, "-m", module, *args], env=env, capture_output=True, timeout=60
-        ).returncode
+            [sys.executable, "-m", module, *args],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
         for module in ("etalab", "etalab.cli")
     ]
-    assert codes == [code, code]
+    assert [run.returncode for run in runs] == [code, code]
+    assert all("RuntimeWarning" not in run.stderr for run in runs)
