@@ -2,8 +2,10 @@
 induction, kernels, and the related subgroup-character bookkeeping.
 
 Decomposition runs against the canonical table of the character's group and
-is kept on that table, keyed by the class function's values; products of
-table rows are decomposed in blocks, one pairing of their factors each.
+is kept on that table, keyed by the class function's values; decompose is
+the one place a ConstituentDecomposition is built.  Products of table rows
+are paired in blocks, one pairing of their factors each, into an integer
+array of multiplicities, one row per product, with decompose's degree check.
 Restriction multiplicities [theta|_N, psi] are paired at the parent's
 conductor, with N's table lifted up to it, so no value is rebased down; only
 the public `restrict` takes values down to N's conductor (the `down` kernel).
@@ -70,19 +72,16 @@ def inner_product(a: Character, b: Character) -> int:
         raise CharacterError("characters on different groups")
     G = a.group
     raw = pairing(a.coeffs[None], G.conjugacy_classes().sizes, b.coeffs[None], G.exponent())
-    return as_multiplicities(raw, G.order)[0][0]
+    return int(as_multiplicities(raw, G.order)[0, 0])
 
 
-def _decompositions(table, mults: list[list[int]], degrees) -> list[ConstituentDecomposition]:
-    """The decompositions against table of class functions theta from their
-    rows of multiplicities; CharacterError unless each row's constituents'
-    degrees sum to its theta(1), given in degrees."""
-    if (linear_map(np.array(mults, dtype=object), table.cube[:, :1, 0])[:, 0] != degrees).any():
+def _checked(table, mults: np.ndarray, degrees) -> np.ndarray:
+    """mults, rows of multiplicities against table of class functions theta,
+    once each row's constituents' degrees sum to its theta(1), given in
+    degrees; CharacterError otherwise."""
+    if (linear_map(mults, table.cube[:, :1, 0])[:, 0] != degrees).any():
         raise CharacterError("inner product not integral")
-    return [
-        ConstituentDecomposition(tuple((table[i], m) for i, m in enumerate(row) if m))
-        for row in mults
-    ]
+    return mults
 
 
 def decompose(theta: Character) -> ConstituentDecomposition:
@@ -90,43 +89,34 @@ def decompose(theta: Character) -> ConstituentDecomposition:
     table = character_table(theta.group)
     memo, key = table._decompositions, theta.value_key()
     if key not in memo:
-        memo[key] = _decompositions(table, [table.multiplicities(theta)], [theta.degree])[0]
+        row = table.multiplicities(theta)
+        _checked(table, np.array([row], dtype=object), theta.degree)
+        memo[key] = ConstituentDecomposition(tuple((table[i], m) for i, m in enumerate(row) if m))
     return memo[key]
 
 
-def _product_decompositions(table, a: np.ndarray, b: np.ndarray) -> list[ConstituentDecomposition]:
-    """The decompositions of the pointwise products a[i] * b[i] of two (m,
-    classes, phi(e)) coefficient stacks on table's classes (a stack of one
-    row broadcasts), as decompose finds them, from one pairing that takes
-    each product as its factors.
+def _product_multiplicities(table, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The multiplicities [a[i] * b[i], chi_j] at [i, j] of the pointwise
+    products of two (m, classes, phi(e)) coefficient stacks on table's
+    classes (a stack of one row broadcasts), checked as decompose checks
+    them, from one pairing that takes each product as its factors.
 
     Every row of a and b must be a row of table or a row's conjugate: when
     the table passes its _rational_pairings check, the multiplicities are
     then rational integers, and the pairing reads them at one embedding."""
     mults = table._multiplicity_rows((a, b), table.e, table._rational_pairings)
-    return _decompositions(table, mults, a[:, 0, 0].astype(np.int64) * b[:, 0, 0])
-
-
-def _norm_decompositions(table) -> list[ConstituentDecomposition]:
-    """The decomposition of chi * conj(chi) for each chi of table, in table
-    order, from one pairing; kept on the table with their multiplicity rows,
-    which _norm_multiplicities reads."""
-    out = table._decompositions.get("norms")
-    if out is None:
-        conj = conjugate(table.cube, table.e)
-        mults = table._multiplicity_rows((table.cube, conj), table.e, table._rational_pairings)
-        degrees = table.cube[:, 0, 0].astype(np.int64)
-        out = _decompositions(table, mults, degrees * degrees)
-        table._decompositions["norms"] = out
-        table._decompositions["norm rows"] = mults
-    return out
+    return _checked(table, mults, a[:, 0, 0].astype(np.int64) * b[:, 0, 0])
 
 
 def _norm_multiplicities(table) -> np.ndarray:
-    """The (r, r) int64 array of [chi_i * conj(chi_i), chi_j] at [i, j],
-    checked as _norm_decompositions checks them."""
-    _norm_decompositions(table)
-    return np.array(table._decompositions["norm rows"], dtype=np.int64)
+    """The (r, r) array of [chi_i * conj(chi_i), chi_j] at [i, j], from one
+    pairing; kept on the table, read-only."""
+    out = table._decompositions.get("norms")
+    if out is None:
+        out = _product_multiplicities(table, table.cube, conjugate(table.cube, table.e))
+        out.setflags(write=False)
+        table._decompositions["norms"] = out
+    return out
 
 
 def eta_count(chi: Character, psi: Character = None) -> int:
@@ -171,7 +161,7 @@ def restriction_multiplicities(thetas, N: PermGroup) -> list[list[int]]:
         raise CharacterError("characters on different groups")
     _check_subgroup(N, G)
     rows = np.stack([t.coeffs for t in thetas])[:, _fusion(N, G)]
-    return character_table(N)._multiplicity_rows(rows, G.exponent())
+    return character_table(N)._multiplicity_rows(rows, G.exponent()).tolist()
 
 
 def _branching(N: PermGroup, M: PermGroup) -> tuple[np.ndarray, np.ndarray]:

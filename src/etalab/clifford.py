@@ -74,6 +74,8 @@ def _orbit(G: PermGroup, N: PermGroup, nu: Character) -> tuple[np.ndarray, np.nd
     image under generator j."""
     if not N.is_normal_in(G):
         raise GroupError("not normal")
+    if not nu.group.same_elements(N):
+        raise CharacterError("characters on different groups")
     gens = _rows_of(G.generators, G.degree)
     actions = [_class_action(N, g) for g in G.generators]
     points = [nu.value_key()]
@@ -212,16 +214,6 @@ def _plogs(p: int, n) -> tuple[np.ndarray, np.ndarray]:
             return k, rest
         rest[more] //= p
         k[more] += 1
-
-
-def _plog(p: int, n: int) -> int:
-    k = 0
-    while n > 1 and n % p == 0:
-        n //= p
-        k += 1
-    if n != 1:
-        raise ChainError(f"{n} is not a power of {p}")
-    return k
 
 
 def _classify(G: PermGroup, series, index: np.ndarray, restricted) -> tuple[np.ndarray, list]:

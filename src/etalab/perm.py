@@ -112,9 +112,6 @@ class Permutation:
     def apply(self, point: int) -> int:
         return self.images[point]
 
-    def is_identity(self) -> bool:
-        return all(i == x for i, x in enumerate(self.images))
-
     def __mul__(self, other: "Permutation") -> "Permutation":
         # apply self first, then other
         if len(self.images) != len(other.images):

@@ -78,7 +78,6 @@ rows and orthogonality sums; those pairings read one embedding only.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import weakref
@@ -467,13 +466,14 @@ def _power_classes(classes: ConjugacyClassSet, n: int) -> np.ndarray:
     return out
 
 
-def as_multiplicities(raw: np.ndarray, order: int) -> list:
-    """A pairing result (int64 or object) divided by |G|, as nested lists of
-    non-negative integers: every coefficient past the first must vanish."""
+def as_multiplicities(raw: np.ndarray, order: int) -> np.ndarray:
+    """A pairing result (int64 or object) divided by |G|, as an array of
+    non-negative integers of its dtype: every coefficient past the first
+    must vanish."""
     head = raw[..., 0]
     if raw[..., 1:].any() or (head % order).any() or (head < 0).any():
         raise CharacterError("inner product not integral")
-    return (head // order).tolist()
+    return head // order
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +501,7 @@ class CharTable:
         order = np.argsort(keys)
         object.__setattr__(self, "_sorted_keys", (keys[order], order))
         # charops.decompose keeps its results here, keyed by value_key(), and
-        # charops._norm_decompositions the table's list under "norms" and
-        # its multiplicity rows under "norm rows"
+        # charops._norm_multiplicities its read-only array under "norms"
         object.__setattr__(self, "_decompositions", {})
         # charops._branching keeps its (head, first) index vectors here, keyed
         # by the subgroup's content_key
@@ -565,16 +564,17 @@ class CharTable:
         rational = actions is not None and all(
             np.array_equal(galois(theta.coeffs, self.e, u), theta.coeffs[act]) for u, act in actions
         )
-        return self._multiplicity_rows(theta.coeffs[None], self.e, rational)[0]
+        return self._multiplicity_rows(theta.coeffs[None], self.e, rational)[0].tolist()
 
-    def _multiplicity_rows(self, rows, e: int, rational: bool = False) -> list[list[int]]:
+    def _multiplicity_rows(self, rows, e: int, rational: bool = False) -> np.ndarray:
         """[row, chi_i] for a (m, classes, phi(e)) stack of class functions, or
         a sequence of such stacks standing for their pointwise products, on
         this table's classes at a conductor e that self.e divides.
 
         The pairing runs at e, so nothing is rebased down: the cube is lifted.
         rational is the caller's proof that every multiplicity is a rational
-        integer; the pairing then reads them at one embedding.
+        integer; the pairing then reads them at one embedding.  The (m, r)
+        result is int64, or object when the pairing needs Python integers.
         """
         raw = pairing(rows, self.classes.sizes, lift(self.cube, self.e, e), e, rational)
         return as_multiplicities(raw, self.group.order)
@@ -875,16 +875,6 @@ def _compute_table(G: PermGroup, prime_offset: int = 0) -> CharTable:
 # ---------------------------------------------------------------------------
 # caching
 
-def _cache_key(G: PermGroup) -> str:
-    h = hashlib.sha256()
-    h.update(b"etalab-table-v1")
-    h.update(G.degree.to_bytes(4, "big"))
-    for g in sorted(set(G.generators)):
-        for i in g.images:
-            h.update(i.to_bytes(4, "big"))
-    return h.hexdigest()
-
-
 def _cache_load(G: PermGroup, path: Path) -> Optional[CharTable]:
     """The cached table of G, or None when the entry is unreadable, malformed,
     describes another group or fails the orthogonality check."""
@@ -943,7 +933,7 @@ def character_table(
     memo_key = G.content_key
     cache_path = None
     if cache_dir is not None:
-        cache_path = Path(cache_dir) / f"{_cache_key(G)}.json"
+        cache_path = Path(cache_dir) / f"{memo_key}.json"
         table = _cache_load(G, cache_path)
         if table is not None:
             G._char_table = table

@@ -8,9 +8,12 @@ context (group file text, character indices, decomposition) to reproduce the
 violation in isolation; in the ledger sweep an error raised for one
 character, or for its whole group, becomes the failing record of each
 character it concerns.  Reports are deterministic apart from elapsed_ms.
-Theorems A and B, corollary A and the ledger form no product of characters:
-one pairing of the factors decomposes a table's chi * conj(chi), or one
-chi's chi * psi, with decompose's checks.
+Theorems A and B, corollary A, prop5 and the ledger form no product of
+characters: one pairing of the factors gives the multiplicities of a
+table's chi * conj(chi), or of one chi's chi * psi, as the rows of one
+integer array, checked as decompose checks its row.  eta is a row's count
+of nonzero entries; degree patterns, linear constituents and
+counterexamples are read off the same rows.
 
 The ledger sweep restricts no character on its own and builds each group's
 ledger once: the canonical chains, their labels and (m, r, s), and the
@@ -30,9 +33,9 @@ import numpy as np
 
 from .catalog import default_catalog
 from .chars import Character
-from .charops import _norm_decompositions, _norm_multiplicities, _product_decompositions
-from .charops import _branching, _restrictions_along, decompose
-from .clifford import _classify, _descend, _plog
+from .charops import _branching, _norm_multiplicities, _product_multiplicities
+from .charops import _restrictions_along
+from .clifford import _classify, _descend, _plogs
 from .constructions import prop5_witness
 from .errors import ChainError, EtalabError, GroupError
 from .groupfile import format_group
@@ -129,17 +132,22 @@ def _judged(rec: dict, ok: bool, counterexample) -> dict:
     return rec
 
 
-def _bound(G: PermGroup, chi: Character) -> tuple[int, int]:
-    """(n, 2n(p-1)+1) with chi(1) = p^n; the trivial group has p = 1, n = 0."""
+def _bounds(G: PermGroup, table) -> tuple[list[int], list[int]]:
+    """(n, 2n(p-1)+1) for each chi of table, in table order, with chi(1) =
+    p^n; the trivial group has p = 1, n = 0."""
     p = G.p_group_info().p
-    n = _plog(p, chi.degree)
-    return n, 2 * n * (p - 1) + 1
+    n, rest = _plogs(p, table.degrees)
+    if (rest != 1).any():
+        raise ChainError(f"{rest[rest != 1][0]} is not a power of {p}")
+    return n.tolist(), (2 * n * (p - 1) + 1).tolist()
 
 
-def _counterexample(G: PermGroup, table, dec, **indices) -> dict:
+def _counterexample(G: PermGroup, row: np.ndarray, **indices) -> dict:
+    """The payload of a failing product: G's group file and the product's
+    [table index, multiplicity] pairs, read off its row of multiplicities."""
     payload = {
         "group_file": format_group(G),
-        "decomposition": [[table.index_of(c), m] for c, m in dec.constituents],
+        "decomposition": [[j, m] for j, m in enumerate(row.tolist()) if m],
     }
     payload.update(indices)
     return payload
@@ -150,18 +158,19 @@ def verify_theorem_a(groups=None, max_order=None):
     """eta(chi, conj chi) >= 2n(p-1)+1 with n = log_p chi(1), per irreducible."""
     for gid, G in _selection(groups, max_order):
         table = character_table(G)
+        norms = _norm_multiplicities(table)
+        etas = np.count_nonzero(norms, axis=1).tolist()
         records = []
-        for idx, (chi, dec) in enumerate(zip(table, _norm_decompositions(table))):
-            n, bound = _bound(G, chi)
-            ok = dec.eta >= bound
+        for idx, (degree, eta, n, bound) in enumerate(zip(table.degrees, etas, *_bounds(G, table))):
+            ok = eta >= bound
             rec = {
                 "chi": idx,
-                "degree": chi.degree,
+                "degree": degree,
                 "n": n,
-                "eta": dec.eta,
+                "eta": eta,
                 "bound": bound,
             }
-            records.append(_judged(rec, ok, lambda: _counterexample(G, table, dec, chi=idx)))
+            records.append(_judged(rec, ok, lambda: _counterexample(G, norms[idx], chi=idx)))
         yield gid, G, records, None
 
 
@@ -173,32 +182,33 @@ def verify_theorem_b(groups=None, max_order=None):
     for gid, G in _selection(groups, max_order):
         p = G.p_group_info().p
         table = character_table(G)
+        norms = _norm_multiplicities(table)
+        etas = np.count_nonzero(norms, axis=1).tolist()
+        degrees = np.array(table.degrees)
         records = []
         observed_degree_p = []
-        for idx, (chi, dec) in enumerate(zip(table, _norm_decompositions(table))):
-            deg = chi.degree
+        for idx, (deg, eta) in enumerate(zip(table.degrees, etas)):
             if deg == 1:
-                ok = dec.eta == 1
+                ok = eta == 1
                 case = "linear"
             elif deg == p:
-                observed_degree_p.append(dec.eta)
-                # the pattern has one entry per constituent, so it fixes eta
-                # at 2p-1 or p^2
-                ok = all(m == 1 for _, m in dec.constituents) and dec.degree_pattern() in (
-                    (1,) * p + (p,) * (p - 1),
-                    (1,) * (p * p),
-                )
+                observed_degree_p.append(eta)
+                # the sorted degrees of the constituents, one entry each, so
+                # the pattern fixes eta at 2p-1 or p^2
+                row = norms[idx]
+                pattern = np.sort(degrees[row != 0]).tolist()
+                ok = int(row.max()) == 1 and pattern in ([1] * p + [p] * (p - 1), [1] * (p * p))
                 case = "degree-p"
             else:
-                ok = dec.eta >= 4 * p - 3
+                ok = eta >= 4 * p - 3
                 case = "higher"
             rec = {
                 "chi": idx,
                 "degree": deg,
                 "case": case,
-                "eta": dec.eta,
+                "eta": eta,
             }
-            records.append(_judged(rec, ok, lambda: _counterexample(G, table, dec, chi=idx)))
+            records.append(_judged(rec, ok, lambda: _counterexample(G, norms[idx], chi=idx)))
         yield gid, G, records, {"eta_values_degree_p": sorted(set(observed_degree_p))}
 
 
@@ -208,19 +218,20 @@ def verify_corollary_a(groups=None, max_order=64):
     constituent, eta(chi, psi) >= 2n(p-1)+1 with n = log_p chi(1)."""
     for gid, G in _selection(groups, max_order):
         table = character_table(G)
+        linear = np.array(table.degrees) == 1
         records = []
-        for i, chi in enumerate(table):
-            bound = _bound(G, chi)[1]
+        for i, bound in enumerate(_bounds(G, table)[1]):
             # chi * psi for every psi, one pairing per chi
-            row = table.cube[i : i + 1]
-            for j, dec in enumerate(_product_decompositions(table, row, table.cube)):
-                qualifies = any(c.degree == 1 for c, _ in dec.constituents)
-                rec = {"chi": i, "psi": j, "qualifies": qualifies, "eta": dec.eta}
+            mults = _product_multiplicities(table, table.cube[i : i + 1], table.cube)
+            etas = np.count_nonzero(mults, axis=1).tolist()
+            qualifying = (mults[:, linear] != 0).any(axis=1).tolist()
+            for j, (eta, qualifies) in enumerate(zip(etas, qualifying)):
+                rec = {"chi": i, "psi": j, "qualifies": qualifies, "eta": eta}
                 if qualifies:
                     rec["bound"] = bound
-                ok = not qualifies or dec.eta >= bound
+                ok = not qualifies or eta >= bound
                 records.append(
-                    _judged(rec, ok, lambda: _counterexample(G, table, dec, chi=i, psi=j))
+                    _judged(rec, ok, lambda: _counterexample(G, mults[j], chi=i, psi=j))
                 )
         yield gid, G, records, None
 
@@ -340,17 +351,22 @@ def verify_prop5(pairs=DEFAULT_PROP5_PAIRS):
         witness = prop5_witness(p, n)
         G = witness.group
         chi = witness.chi
-        dec = decompose(chi * chi.conjugate())
+        # chi is irreducible (prop5_witness checks [chi, chi] = 1), so a row
+        # of G's table, as _product_multiplicities asks
+        table = character_table(G)
+        conj = chi.conjugate()
+        row = _product_multiplicities(table, chi.coeffs[None], conj.coeffs[None])[0]
+        eta = int(np.count_nonzero(row))
         expected = 2 * n * (p - 1) + 1
-        not_real = not (chi == chi.conjugate())
-        ok = chi.degree == p ** n and not_real and dec.eta == expected
+        not_real = not (chi == conj)
+        ok = chi.degree == p ** n and not_real and eta == expected
         rec = {
             "p": p,
             "n": n,
             "chi_degree": chi.degree,
-            "eta": dec.eta,
+            "eta": eta,
             "expected": expected,
             "chi_differs_from_conjugate": not_real,
         }
-        rec = _judged(rec, ok, lambda: _counterexample(G, character_table(G), dec))
+        rec = _judged(rec, ok, lambda: _counterexample(G, row))
         yield f"witness-{p}-{n}", G, [rec], None

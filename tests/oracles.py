@@ -14,7 +14,7 @@ from math import lcm
 
 import numpy as np
 
-from etalab.charops import _norm_decompositions, branching_matrix
+from etalab.charops import branching_matrix, decompose
 from etalab.clifford import CharacterChain, ChainLedger, _irreducible_index
 from etalab.cyclotomic import (
     CycValue,
@@ -493,7 +493,7 @@ def chain_extras_per_character(G: PermGroup, chi, chain, ledger):
     the k whose restriction to N_(i-1) is deg_k times the principal
     character."""
     table = character_table(G)
-    norm = _norm_decompositions(table)[table.index_of(chi)]
+    norm = decompose(chi * chi.conjugate())
     xi_idx = [table.index_of(theta) for theta in norm.characters()]
     xi_degrees = table.cube[xi_idx, 0, :1]  # the constituents' degrees, as a column
     restricted = restrictions_along_dense(chain.series)

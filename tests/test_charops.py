@@ -9,8 +9,8 @@ import pytest
 from etalab.catalog import load_catalog_group
 from etalab.chars import Character
 from etalab.charops import (
-    _norm_decompositions,
-    _product_decompositions,
+    _norm_multiplicities,
+    _product_multiplicities,
     center_of_character,
     decompose,
     eta_count,
@@ -300,12 +300,23 @@ def test_irr_mod_rejects_non_normal():
         irr_mod(G, H)
 
 
+def _rows_as_decompositions(table, mults):
+    """decompose's form of each row of a multiplicity array."""
+    return [
+        tuple((table[j], m) for j, m in enumerate(row) if m) for row in mults.tolist()
+    ]
+
+
 @pytest.mark.parametrize("gid", catalog_ids())
 def test_batched_norm_decompositions_match_decompose(gid):
     table = character_table(load_catalog_group(gid))
-    batched = _product_decompositions(table, table.cube, conjugate(table.cube, table.e))
-    assert batched == [decompose(chi * chi.conjugate()) for chi in table]
-    assert _norm_decompositions(table) == batched
+    batched = _product_multiplicities(table, table.cube, conjugate(table.cube, table.e))
+    assert _rows_as_decompositions(table, batched) == [
+        decompose(chi * chi.conjugate()).constituents for chi in table
+    ]
+    norms = _norm_multiplicities(table)
+    assert np.array_equal(norms, batched) and not norms.flags.writeable
+    assert _norm_multiplicities(table) is norms
 
 
 def test_batched_product_decompositions_match_decompose_on_every_ordered_pair():
@@ -315,8 +326,9 @@ def test_batched_product_decompositions_match_decompose_on_every_ordered_pair():
             continue
         table = character_table(G)
         for i, chi in enumerate(table):
-            batched = _product_decompositions(table, table.cube[[i] * len(table)], table.cube)
-            assert batched == [decompose(chi * psi) for psi in table], (G.order, i)
+            batched = _product_multiplicities(table, table.cube[[i] * len(table)], table.cube)
+            expected = [decompose(chi * psi).constituents for psi in table]
+            assert _rows_as_decompositions(table, batched) == expected, (G.order, i)
 
 
 def test_batched_decompositions_keep_the_degree_check(d8_table, monkeypatch):
@@ -325,12 +337,10 @@ def test_batched_decompositions_keep_the_degree_check(d8_table, monkeypatch):
     import etalab.table as table_mod
 
     real = table_mod.as_multiplicities
-    monkeypatch.setattr(
-        table_mod, "as_multiplicities", lambda raw, order: [[m + 1 for m in row] for row in real(raw, order)]
-    )
+    monkeypatch.setattr(table_mod, "as_multiplicities", lambda raw, order: real(raw, order) + 1)
     cube = d8_table.cube
     with pytest.raises(CharacterError, match="^inner product not integral$"):
-        _product_decompositions(d8_table, cube, conjugate(cube, d8_table.e))
+        _product_multiplicities(d8_table, cube, conjugate(cube, d8_table.e))
 
 
 def _full_path_multiplicities(table, theta):
@@ -338,7 +348,7 @@ def _full_path_multiplicities(table, theta):
     from etalab.cyclotomic import pairing
 
     raw = pairing(theta.coeffs[None], table.classes.sizes, table.cube, table.e)
-    return table_mod.as_multiplicities(raw, table.group.order)[0]
+    return table_mod.as_multiplicities(raw, table.group.order)[0].tolist()
 
 
 def _pairing_modes(monkeypatch):

@@ -183,6 +183,15 @@ def test_stabilizer_requires_normal_subgroup():
         stabilizer(G, H, nu)
 
 
+def test_stabilizer_rejects_a_character_of_another_group(d8, d8_table):
+    # nu must be a character of N itself: a row of G's table, or of a smaller
+    # member of the chief series, is not one
+    _, two, four, _ = d8.chief_series()
+    for nu in (d8_table[4], character_table(two)[1]):
+        with pytest.raises(CharacterError, match="^characters on different groups$"):
+            stabilizer(d8, four, nu)
+
+
 def test_d8_chain_ledger_frozen(d8, d8_table):
     chi = d8_table[4]
     chain = build_chain(d8, chi)

@@ -1,6 +1,7 @@
 """Source layout: every line of the package fits in 100 characters, every
-read of a table's narrow coefficient cube is widened or reviewed, and no
-module imports a name it never reads."""
+read of a table's narrow coefficient cube is widened or reviewed, no module
+imports a name it never reads, and every private helper is read in the
+package."""
 
 import ast
 import re
@@ -53,10 +54,11 @@ REVIEWED_CUBE_READS = {
         "vals = _values(below.cube, q, powers[:, None])[0]",
     },
     "charops.py": {
-        # kernels that widen: linear_map, conjugate, pairing; _orbit_sums sums in int64
-        "if (linear_map(np.array(mults, dtype=object), table.cube[:, :1, 0])[:, 0] != degrees).any():",
-        "conj = conjugate(table.cube, table.e)",
-        "mults = table._multiplicity_rows((table.cube, conj), table.e, table._rational_pairings)",
+        # kernels that widen: linear_map, conjugate, pairing (through
+        # _product_multiplicities, which widens the degrees it multiplies);
+        # _orbit_sums sums in int64
+        "if (linear_map(mults, table.cube[:, :1, 0])[:, 0] != degrees).any():",
+        "out = _product_multiplicities(table, table.cube, conjugate(table.cube, table.e))",
         "heads, sums = _orbit_sums(first, below.cube)",
         # keys at one dtype with the orbit sums, and a comparison
         "dtype = np.promote_types(sums.dtype, table.cube.dtype)",
@@ -64,9 +66,8 @@ REVIEWED_CUBE_READS = {
         "keep = (table.cube[:, gen_classes] == table.cube[:, :1]).all(axis=(1, 2))",
     },
     "verify.py": {
-        # handed to _product_decompositions, which widens the degrees it multiplies
-        "row = table.cube[i : i + 1]",
-        "for j, dec in enumerate(_product_decompositions(table, row, table.cube)):",
+        # handed to _product_multiplicities, which widens the degrees it multiplies
+        "mults = _product_multiplicities(table, table.cube[i : i + 1], table.cube)",
         "step = (_branching(series[i], series[i - 1])[0] == principal) & (tab_i.cube[:, 0, 0] == 1)",
     },
 }
@@ -142,3 +143,40 @@ def test_the_unused_import_check_sees_an_unused_name():
         "x: Optional[int] = np.int8(1)\n"
     )
     assert _unused_imports(source) == [(1, "Iterator")]
+
+
+def _private_definitions(sources):
+    """(file name, name) of each underscore-named function or class, dunders
+    aside, defined in sources, a {file name: source} map, and the set of names
+    their code reads, by name or as an attribute."""
+    defined, read = [], set()
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.startswith("__"):
+                    defined.append((name, node.name))
+            elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                read.add(node.id if isinstance(node, ast.Name) else node.attr)
+    return defined, read
+
+
+def test_every_private_helper_is_read_in_the_package():
+    # a helper that only tests import belongs in the tests
+    package = Path(etalab.__file__).parent
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
+    defined, read = _private_definitions(sources)
+    assert defined
+    assert [f"{name}: {helper}" for name, helper in defined if helper not in read] == []
+
+
+def test_the_private_helper_check_sees_an_unread_helper():
+    sources = {
+        "a.py": "def _used():\n    pass\n\n\ndef _unused():\n    _unused = 1\n",
+        "b.py": "from a import _used\n\n\nclass _Box:\n    def _open(self):\n        _used()\n",
+    }
+    defined, read = _private_definitions(sources)
+    assert [d for d in defined if d[1] not in read] == [
+        ("a.py", "_unused"),
+        ("b.py", "_Box"),
+        ("b.py", "_open"),
+    ]

@@ -255,6 +255,37 @@ def test_sweeps_neither_multiply_nor_decompose_characters(monkeypatch):
     assert calls == []
 
 
+def test_counterexamples_list_the_decomposition_of_their_product(monkeypatch):
+    # every record made to fail, so each carries its counterexample
+    judged = verify_mod._judged
+    monkeypatch.setattr(verify_mod, "_judged", lambda rec, ok, make: judged(rec, False, make))
+    from etalab.charops import decompose
+
+    def expected(table, product):
+        return [[table.index_of(c), m] for c, m in decompose(product).constituents]
+
+    groups = _small("d8", "es27")
+    reports = [verify_theorem_a(groups=groups), verify_theorem_b(groups=groups)]
+    for report in reports:
+        for (_, G), entry in zip(groups, report.results):
+            table = character_table(G)
+            for rec in entry["records"]:
+                chi = table[rec["counterexample"]["chi"]]
+                payload = rec["counterexample"]["decomposition"]
+                assert payload == expected(table, chi * chi.conjugate()), rec
+    for (_, G), entry in zip(groups, verify_corollary_a(groups=groups).results):
+        table = character_table(G)
+        for rec in entry["records"]:
+            chi, psi = (table[rec["counterexample"][k]] for k in ("chi", "psi"))
+            assert rec["counterexample"]["decomposition"] == expected(table, chi * psi), rec
+    for entry in verify_prop5(pairs=((2, 1), (3, 1))).results:
+        [rec] = entry["records"]
+        witness = prop5_witness(entry["p"], rec["n"])
+        table = character_table(witness.group)
+        product = witness.chi * witness.chi.conjugate()
+        assert rec["counterexample"]["decomposition"] == expected(table, product), rec
+
+
 def test_sweep_records_on_the_groups_of_order_one_and_two():
     # conductors 1 and 2, where phi = 1 and the evaluation is at one embedding
     from etalab.constructions import cyclic
