@@ -346,8 +346,11 @@ def _center_blocks(classes: ConjugacyClassSet, q: int) -> tuple[list[np.ndarray]
         vals = (coef[:, :, None] * vals[ext][:, None, :] % q).reshape(len(ext), -1)
     head = trans.min(axis=0)
     heads = np.flatnonzero(head == np.arange(r))
-    # lam is trivial on h's stabilizer when no member fixing h has lam != 1
-    moved = (vals != 1).astype(np.int64) @ (trans[:, heads] == heads).astype(np.int64)
+    # lam is trivial on h's stabilizer when no member fixing h has lam != 1;
+    # only the members fixing some head count (for abelian G, the identity)
+    fixes = trans[:, heads] == heads
+    fixers = np.flatnonzero(fixes.any(axis=1))
+    moved = (vals[:, fixers] != 1).astype(np.int64) @ fixes[fixers].astype(np.int64)
     which, orbit = np.nonzero(moved == 0)
     rows = np.zeros((len(which), r), dtype=np.int64)
     rows[np.arange(len(which))[:, None], trans[:, heads[orbit]].T] = vals[which]

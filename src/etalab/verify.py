@@ -9,11 +9,13 @@ violation in isolation; in the ledger sweep an error raised for one
 character, or for its whole group, becomes the failing record of each
 character it concerns.  Reports are deterministic apart from elapsed_ms.
 Theorems A and B, corollary A, prop5 and the ledger form no product of
-characters: one pairing of the factors gives the multiplicities of a
-table's chi * conj(chi), or of one chi's chi * psi, as the rows of one
-integer array, checked as decompose checks its row.  eta is a row's count
-of nonzero entries; degree patterns, linear constituents and
-counterexamples are read off the same rows.
+characters: a pairing of the factors gives the multiplicities of products
+of table rows as the rows of one integer array, checked as decompose checks
+its row.  eta is a row's count of nonzero entries; degree patterns, linear
+constituents and counterexamples are read off the same rows.  One pairing
+gives a table's chi * conj(chi); corollary A pairs each chi_i * chi_j once,
+for i <= j, in chunks of bounded size, and reduces each chunk at once to
+its eta and linear-constituent flag, entered at (i, j) and (j, i).
 
 The ledger sweep restricts no character on its own and builds each group's
 ledger once: the canonical chains, their labels and (m, r, s), and the
@@ -40,7 +42,7 @@ from .constructions import prop5_witness
 from .errors import ChainError, EtalabError, GroupError
 from .groupfile import format_group
 from .perm import PermGroup
-from .table import character_table
+from .table import _LIFT_ENTRIES, character_table
 
 __all__ = [
     "VerificationReport",
@@ -212,27 +214,48 @@ def verify_theorem_b(groups=None, max_order=None):
         yield gid, G, records, {"eta_values_degree_p": sorted(set(observed_degree_p))}
 
 
+def _pair_products(table) -> tuple[np.ndarray, np.ndarray]:
+    """(eta, linear): (r, r) arrays of the number of distinct constituents
+    of chi_i * chi_j and of whether one of them is linear.  The product is
+    symmetric, so each unordered pair i <= j is paired once, in row-major
+    order, in chunks whose factor stacks hold at most _LIFT_ENTRIES
+    coefficients, as a lifting block does; each chunk is reduced at once and
+    entered at (i, j) and (j, i)."""
+    r = len(table)
+    first, second = np.triu_indices(r)
+    is_linear = np.array(table.degrees) == 1
+    eta = np.empty((r, r), dtype=np.int64)
+    linear = np.empty((r, r), dtype=bool)
+    step = max(1, _LIFT_ENTRIES // table.cube[0].size)
+    for start in range(0, len(first), step):
+        i, j = first[start : start + step], second[start : start + step]
+        mults = _product_multiplicities(table, table.cube[i], table.cube[j])
+        eta[i, j] = eta[j, i] = np.count_nonzero(mults, axis=1)
+        linear[i, j] = linear[j, i] = (mults[:, is_linear] != 0).any(axis=1)
+    return eta, linear
+
+
 @_sweep("corollary-a")
 def verify_corollary_a(groups=None, max_order=64):
     """Over all ordered pairs (chi, psi): whenever chi*psi has a linear
     constituent, eta(chi, psi) >= 2n(p-1)+1 with n = log_p chi(1)."""
     for gid, G in _selection(groups, max_order):
         table = character_table(G)
-        linear = np.array(table.degrees) == 1
+        etas, linear = (a.tolist() for a in _pair_products(table))
+
+        def failing(i, j):
+            # only the failing product's row is paired again
+            row = _product_multiplicities(table, table.cube[[i]], table.cube[[j]])[0]
+            return _counterexample(G, row, chi=i, psi=j)
+
         records = []
         for i, bound in enumerate(_bounds(G, table)[1]):
-            # chi * psi for every psi, one pairing per chi
-            mults = _product_multiplicities(table, table.cube[i : i + 1], table.cube)
-            etas = np.count_nonzero(mults, axis=1).tolist()
-            qualifying = (mults[:, linear] != 0).any(axis=1).tolist()
-            for j, (eta, qualifies) in enumerate(zip(etas, qualifying)):
+            for j, (eta, qualifies) in enumerate(zip(etas[i], linear[i])):
                 rec = {"chi": i, "psi": j, "qualifies": qualifies, "eta": eta}
                 if qualifies:
                     rec["bound"] = bound
                 ok = not qualifies or eta >= bound
-                records.append(
-                    _judged(rec, ok, lambda: _counterexample(G, mults[j], chi=i, psi=j))
-                )
+                records.append(_judged(rec, ok, lambda: failing(i, j)))
         yield gid, G, records, None
 
 

@@ -67,7 +67,10 @@ REVIEWED_CUBE_READS = {
     },
     "verify.py": {
         # handed to _product_multiplicities, which widens the degrees it multiplies
-        "mults = _product_multiplicities(table, table.cube[i : i + 1], table.cube)",
+        "mults = _product_multiplicities(table, table.cube[i], table.cube[j])",
+        "row = _product_multiplicities(table, table.cube[[i]], table.cube[[j]])[0]",
+        # the shape of one row
+        "step = max(1, _LIFT_ENTRIES // table.cube[0].size)",
         "step = (_branching(series[i], series[i - 1])[0] == principal) & (tab_i.cube[:, 0, 0] == 1)",
     },
 }

@@ -16,7 +16,7 @@ from etalab.cli import run_cli
 import etalab.cli as cli_mod
 import etalab.table as table_mod
 import etalab.verify as verify_mod
-from etalab.charops import inner_product
+from etalab.charops import _product_multiplicities, inner_product
 from etalab.constructions import prop5_witness
 from etalab.errors import GroupError, TableError
 from etalab.groupfile import format_group, parse_group
@@ -65,6 +65,88 @@ def test_corollary_skips_pairs_without_linear_constituent():
     assert {r["eta"] for r in skipped} == {1}
     qualifying = [r for r in recs if r["qualifies"]]
     assert all(r["eta"] >= r["bound"] for r in qualifying)
+
+
+def _per_chi_corollary_records(G):
+    """Corollary A's records on G from one pairing per chi of chi * psi over
+    every psi, as the sweep used to pair them, with each bound from chi(1)."""
+    table = character_table(G)
+    p = G.p_group_info().p
+    linear = np.array(table.degrees) == 1
+    records = []
+    for i, degree in enumerate(table.degrees):
+        n = next(k for k in range(degree.bit_length()) if p**k == degree)
+        bound = 2 * n * (p - 1) + 1
+        mults = _product_multiplicities(table, table.cube[i : i + 1], table.cube)
+        for j, row in enumerate(mults):
+            eta, qualifies = int(np.count_nonzero(row)), bool(row[linear].any())
+            rec = {"chi": i, "psi": j, "qualifies": qualifies, "eta": eta}
+            if qualifies:
+                rec["bound"] = bound
+            rec["pass"] = not qualifies or eta >= bound
+            records.append(rec)
+    return records
+
+
+@pytest.fixture(scope="module")
+def whole_catalog_corollary():
+    return verify_corollary_a(max_order=None)
+
+
+def test_corollary_records_equal_the_per_chi_pairing(whole_catalog_corollary, monkeypatch):
+    catalog = default_catalog()
+    assert [entry["group"] for entry in whole_catalog_corollary.results] == [g for g, _ in catalog]
+    for (gid, G), entry in zip(catalog, whole_catalog_corollary.results):
+        expected = _per_chi_corollary_records(G)
+        assert entry["records"] == expected, gid
+        # again in chunks of a quarter row of products, at least 3, so that
+        # chunks end inside the rows of pairs
+        table = character_table(G)
+        rows = max(3, len(table) // 4)
+        monkeypatch.setattr(verify_mod, "_LIFT_ENTRIES", rows * table.cube[0].size)
+        [entry] = verify_corollary_a(groups=[(gid, G)], max_order=None).results
+        assert entry["records"] == expected, gid
+
+
+def test_corollary_pairs_each_unordered_pair_once_in_bounded_chunks(monkeypatch):
+    # w22 has r = 119 characters: r (r + 1) / 2 products, none held twice,
+    # and no r^2-row block of factors
+    calls = []
+    real = verify_mod._product_multiplicities
+
+    def spy(table, a, b):
+        calls.append((len(a), a.size, b.size))
+        return real(table, a, b)
+
+    monkeypatch.setattr(verify_mod, "_product_multiplicities", spy)
+    assert verify_corollary_a(groups=_small("w22"), max_order=None).passed
+    assert sum(rows for rows, _, _ in calls) == 119 * 120 // 2
+    assert max(max(a, b) for _, a, b in calls) <= verify_mod._LIFT_ENTRIES
+    assert len(calls) < 119
+
+
+def test_corollary_holds_over_the_whole_catalog(whole_catalog_corollary):
+    report = whole_catalog_corollary
+    assert report.passed
+    assert sum(len(entry["records"]) for entry in report.results) == 16000
+    [entry] = [entry for entry in report.results if entry["group"] == "w22"]
+    qualifying = [rec for rec in entry["records"] if rec["qualifies"]]
+    # p = 2: bound 2n + 1, so n >= 2 is a bound of 5 or more
+    assert len(qualifying) == 949
+    assert sum(rec["bound"] >= 5 for rec in qualifying) == 517
+    assert max(rec["bound"] for rec in qualifying) == 7
+    assert min(rec["eta"] - rec["bound"] for rec in qualifying) == 0
+
+
+def test_cli_corollary_past_order_64_matches_the_sweep(whole_catalog_corollary, tmp_path, capsys):
+    out = tmp_path / "corollary.json"
+    assert run_cli(["verify", "corollary-a", "--max-order", "2048", "--json", str(out)]) == 0
+    blob = json.loads(out.read_text())
+    expected = whole_catalog_corollary.to_json_dict()
+    blob.pop("elapsed_ms")
+    expected.pop("elapsed_ms")
+    assert blob == expected
+    assert "overall: PASS" in capsys.readouterr().out
 
 
 def test_ledger_report_fields():
