@@ -177,7 +177,7 @@ def _branching(N: PermGroup, M: PermGroup) -> tuple[np.ndarray, np.ndarray]:
     out = table._branching.get(M.content_key)
     if out is None:
         below = character_table(M)
-        # the series link's g, when it links N to M, has M's class action held
+        # any g in N outside M has the same orbits: the series link's, when it links N to M
         link = N._series_link
         linked = link is not None and link[0].same_elements(M)
         g = link[1] if linked else next(x for x in N.generators if x not in M)

@@ -27,8 +27,8 @@ Subgroups carry a reference to the ambient group they were cut from; they
 share its degree and are otherwise ordinary groups.  A group keeps the
 content keys of the groups it was found to lie in, or be normal in.  Each
 member of a chief series, the top group included, records the member below
-it and the element that generates it over that one; character tables are
-seeded from that link.
+it and the element that generates it over that one; the branching of a
+character table to the member below reads that link.
 """
 
 from __future__ import annotations

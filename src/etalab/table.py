@@ -32,38 +32,22 @@ with central character lam, a linear character of the center Z, span the
 space of v with v_(z C_j) = lam(z) v_j; every table starts from these
 blocks, written down in RREF, and builds only the matrix of the first class
 of each Z-orbit of classes.  An abelian group's blocks are its r lines: it
-builds none, and never seeds.  Images under a class matrix are summed over
-its nonzeros only, for the rows of all unsplit spaces at once.  The class
-algebra is split semisimple over F_q, so each class matrix A acts
-diagonalizably with its eigenvalues in F_q: they are the roots of the
-annihilators of coordinate seeds, taken in turn until P(A) = 0 for P the
+builds none.  Images under a class matrix are summed over its nonzeros
+only, for the rows of all unsplit spaces at once.  The class algebra is
+split semisimple over F_q, so each class matrix A acts diagonalizably with
+its eigenvalues in F_q.  The unsplit spaces of one dimension are split as
+one stack, with one set of roots: the roots of the annihilators of
+coordinate seeds, taken in turn until P(A) = 0 on every space for P the
 product of x - lam over the roots found, which proves them all.  Each
 eigenspace is then the image of the Lagrange idempotent
-P(A) / ((A - lam) P'(lam)), a line one of its columns; no minimal polynomial
-or nullspace is formed.
+P(A) / ((A - lam) P'(lam)), a line one of its columns read for the whole
+stack at once; no minimal polynomial or nullspace is formed.
 
-Seeding (after Schneider, "Dixon's character table algorithm revisited",
-J. Symbolic Comput. 9, 1990): when a non-abelian G = <N, g> is a
-chief-series member of index p over N and N's table is already held, the
-characters of G known from it are written down mod q: the p extensions of
-each g-invariant linear character and one induced character per g-orbit of
-size p.  Their lines come directly, and each center block keeps only its
-image under the projection that orthogonality gives onto the common kernel
-of their functionals, which class matrices split.  That orthogonality is
-checked mod q first, grouped by coset of N: the known characters are their
-distinct base rows on N times roots of unity per coset, so one small
-product per coset replaces the product over all known characters and all
-classes.  g's orbits on N's table are kept on that table and serve the
-branching of the same link.  Lifting and
-sorting are unchanged, so a seeded table equals the plain one byte for
-byte; a group with no held predecessor, and every prime_offset rerun, takes
-the plain path, and no table is built only to seed another.
-
-Class matrices, power maps and the seeding's coset decomposition are numpy
-gathers over image rows, class i's members read off the group's element
-keys; each product, formed in chunks of bounded size, is found by perm's one
-key search among those keys, which gives its class.  Each class matrix is
-built when the split asks for it and is not kept.
+Class matrices and power maps are numpy gathers over image rows, class i's
+members read off the group's element keys; each product, formed in chunks
+of bounded size, is found by perm's one key search among those keys, which
+gives its class.  Each class matrix is built when the split asks for it and
+is not kept.
 
 No floating point anywhere.  numpy does the int64 modular linear algebra,
 where every product stays below 2^63 because q is kept under 2^21 and the
@@ -90,11 +74,11 @@ from typing import Optional, Union
 import numpy as np
 
 from .chars import Character
-from .cyclotomic import _is_prime, _primitive_root, _values, galois, lift, narrow_dtype, narrowest
+from .cyclotomic import _is_prime, _primitive_root, galois, lift, narrow_dtype, narrowest
 from .cyclotomic import pairing, power_basis_matrix, reduced_degree, unit_generators
 from .errors import CharacterError, EtalabError, TableError
 from .perm import ConjugacyClassSet, PermGroup, Permutation, _as_keys, _class_action
-from .perm import _classes_of_rows, _locate, _locate_rows, _rows_of
+from .perm import _classes_of_rows, _locate, _rows_of
 
 __all__ = [
     "CharTable",
@@ -138,111 +122,119 @@ def _root_of_unity(q: int, e: int) -> int:
 # ---------------------------------------------------------------------------
 # modular linear algebra (int64 arrays, entries reduced mod q < 2^21)
 
-def _rref(a: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
+def _rref(a: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row echelon forms of a stack of matrices, one pivot of each at
+    a time: (the stack reduced, each one's nonzero rows first; each one's
+    rank)."""
     a = a % q
-    rows, cols = a.shape
-    r = c = 0
-    pivots = []
-    while r < rows and c < cols:
-        # the next pivot column is c when it has a nonzero below row r, else
-        # the first later column that has one
-        below = np.flatnonzero(a[r:, c])
-        if not len(below):
-            nonzero = np.flatnonzero(a[r:, c:].any(axis=0))
-            if not len(nonzero):
-                break
-            c += int(nonzero[0])
-            below = np.flatnonzero(a[r:, c])
-        piv = r + int(below[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        # row r is zero left of c, so only columns c.. change, and only in
-        # the rows with a nonzero in column c
-        a[r, c:] = a[r, c:] * pow(int(a[r, c]), q - 2, q) % q
-        hit = np.flatnonzero(a[:, c])
-        hit = hit[hit != r]
-        a[hit, c:] = (a[hit, c:] - np.outer(a[hit, c], a[r, c:])) % q
-        pivots.append(c)
-        r += 1
-        c += 1
-    return a[:r], pivots
-
-
-def _vector_annihilator(mat: np.ndarray, v: np.ndarray, q: int) -> np.ndarray:
-    """Monic minimal polynomial (ascending coeffs) annihilating v under mat."""
-    d = len(v)
-    rows: list[np.ndarray] = []
-    pivs: list[int] = []
-    combos: list[np.ndarray] = []
-    u = v % q
-    power = 0
+    n, rows, cols = a.shape
+    # the rows that hold no pivot yet, which are 0 left of the next pivot,
+    # and the pivot column of each row that does
+    free = np.ones((n, rows), dtype=bool)
+    pivot = np.full((n, rows), cols)
     while True:
-        w = u.copy()
-        wc = np.zeros(d + 1, dtype=np.int64)
-        wc[power] = 1
-        for row, piv, cmb in zip(rows, pivs, combos):
-            c = int(w[piv])
-            if c:
-                w = (w - c * row) % q
-                wc = (wc - c * cmb) % q
-        nz = np.nonzero(w)[0]
-        if len(nz) == 0:
-            return wc[: power + 1]
-        piv = int(nz[0])
-        inv = pow(int(w[piv]), q - 2, q)
-        rows.append(w * inv % q)
-        pivs.append(piv)
-        combos.append(wc * inv % q)
-        u = mat @ u % q
-        power += 1
+        below = (a != 0) & free[:, :, None]
+        ahead = below.any(axis=1)
+        has = ahead.any(axis=1).nonzero()[0]
+        if not len(has):
+            break
+        at = np.arange(len(has))
+        c = ahead[has].argmax(axis=1)
+        piv = below[has, :, c].argmax(axis=1)
+        free[has, piv] = False
+        pivot[has, piv] = c
+        # clear column c in every row but the pivot row, which is scaled to 1 there
+        factor = a[has, :, c]
+        inv = np.array([pow(x, -1, q) for x in factor[at, piv].tolist()], dtype=np.int64)
+        row = a[has, piv] * inv[:, None] % q
+        factor[at, piv] -= 1
+        a[has] = (a[has] - factor[:, :, None] * row[:, None]) % q
+    # rows in pivot order, then the zero rows
+    order = pivot.argsort(axis=1, kind="stable")
+    return a[np.arange(n)[:, None], order], rows - free.sum(axis=1)
 
 
-def _poly_roots(poly: np.ndarray, q: int) -> list[int]:
-    xs = np.arange(q, dtype=np.int64)
-    acc = np.zeros(q, dtype=np.int64)
-    for c in poly[::-1]:
-        acc = (acc * xs + int(c)) % q
-    return [int(x) for x in np.nonzero(acc == 0)[0]]
+def _vector_annihilator(acts: np.ndarray, j: int, q: int) -> np.ndarray:
+    """Monic minimal polynomials annihilating the coordinate seed e_j under
+    each of a stack of actions: one row each of ascending coefficients, zero
+    above its degree, as wide as the largest degree needs.
+
+    The images A^t e_j, t <= d, are the columns of a Krylov matrix, free up
+    to the annihilator's degree m and no further, so its RREF has pivots
+    0..m-1 and holds in column m the coefficients of A^m e_j over them."""
+    n, d = acts.shape[:2]
+    krylov = np.zeros((n, d, d + 1), dtype=np.int64)
+    krylov[:, j, 0] = 1
+    for t in range(d):
+        krylov[:, :, t + 1] = (acts @ krylov[:, :, t, None])[:, :, 0] % q
+    ech, degree = _rref(krylov, q)
+    out = np.zeros((n, degree.max() + 1), dtype=np.int64)
+    out[:, :-1] = -ech[np.arange(n), : degree.max(), degree] % q
+    out[np.arange(n), degree] = 1
+    return out
 
 
-def _eigenspaces(act: np.ndarray, q: int) -> list[np.ndarray]:
-    """The eigenspaces of act, diagonalizable over F_q, as coordinate rows
-    in RREF, in increasing eigenvalue order.
+def _poly_roots(polys: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each x in F_q, ascending, that is a root of one of a stack of
+    polynomials (rows of ascending coefficients), and the first row it is a
+    root of; the rows are evaluated at every x, in blocks of bounded size."""
+    step = max(1, _GATHER_ENTRIES // len(polys))
+    roots, first = [], []
+    for start in range(0, q, step):
+        xs = np.arange(start, min(start + step, q), dtype=np.int64)
+        acc = np.zeros((len(polys), len(xs)), dtype=np.int64)
+        for c in polys.T[::-1]:
+            acc = (acc * xs + c[:, None]) % q
+        hit = acc == 0
+        some = hit.any(axis=0)
+        roots.append(xs[some])
+        first.append(hit[:, some].argmax(axis=0))
+    return np.concatenate(roots), np.concatenate(first)
 
-    Each root of a coordinate seed's annihilator is an eigenvalue.  Seeds
-    run until P(act) = 0 for P the product of x - lam over the roots found,
-    which proves them every eigenvalue and act diagonalizable; P(act) is
-    read off act's powers.  The Lagrange idempotent E_lam = L_lam(act),
-    L_lam = P / ((x - lam) P'(lam)), then projects onto lam's eigenspace
-    along the others, with rank its trace.  E_lam is nonzero on the seed j
-    that gave the root lam, so a line is column j of E_lam; a larger
-    eigenspace is E_lam's column space in RREF, as many pivots as its
-    rank."""
-    d = len(act)
-    eye = np.eye(d, dtype=np.int64)
-    roots: list[int] = []
-    found: list[int] = []
-    # P's coefficients, ascending, and act^t for t <= len(roots)
+
+def _eigenspaces(acts: np.ndarray, bases: np.ndarray, q: int) -> list[list[np.ndarray]]:
+    """The eigenspaces of each of a stack of (n, d, d) actions, diagonalizable
+    over F_q, in increasing eigenvalue order: their coordinate rows in RREF
+    times the action's basis, (d, r) rows in RREF, which keeps them in RREF.
+
+    The stack shares one set of roots.  Each root of a coordinate seed's
+    annihilator under an action A is an eigenvalue of A.  Seeds run until
+    P(A) = 0 for every A, P the product of x - lam over the roots found,
+    which proves them every eigenvalue and each A diagonalizable; P(A) is
+    read off A's powers.  The Lagrange idempotent E_lam = L_lam(A),
+    L_lam = P / ((x - lam) P'(lam)), then projects onto lam's eigenspace of
+    A along the others; it is 0 where lam is no eigenvalue of A, and must not
+    be on the action whose seed gave lam.  Its rank is its trace, exact mod q
+    when d < q, and a line is then E_lam's column at a nonzero diagonal
+    entry, which an idempotent of rank one has.  Any other eigenspace is
+    E_lam's column space in RREF."""
+    n, d = acts.shape[:2]
+    roots = origin = np.zeros(0, dtype=np.int64)
+    # P's coefficients, ascending, and each A^t for t <= len(roots); live
+    # are the actions with P(A) != 0
     poly = np.ones(1, dtype=np.int64)
-    powers = [eye]
+    powers = [np.zeros_like(acts)]
+    powers[0][:, np.arange(d), np.arange(d)] = 1
+    live = np.arange(n)
     for j in range(d):
-        annihilator = _vector_annihilator(act, eye[j], q)
-        new = [lam for lam in _poly_roots(annihilator, q) if lam not in roots]
-        if not new:
+        new, first = _poly_roots(_vector_annihilator(acts[live], j, q), q)
+        fresh = ~(new[:, None] == roots).any(axis=1)
+        if not fresh.any():
             continue
-        for lam in new:
-            poly = (np.append(0, poly) - lam * np.append(poly, 0)) % q
-            powers.append(act @ powers[-1] % q)
-        roots += new
-        found += [j] * len(new)
-        if not (sum(c * power for c, power in zip(poly.tolist(), powers)) % q).any():
+        for lam in new[fresh].tolist():
+            poly = np.convolve(poly, [q - lam, 1]) % q
+            powers.append(acts @ powers[-1] % q)
+        roots = np.concatenate([roots, new[fresh]])
+        origin = np.concatenate([origin, live[first[fresh]]])
+        residue = sum(c * power for c, power in zip(poly.tolist(), powers)) % q
+        live = residue.any(axis=(1, 2)).nonzero()[0]
+        if not len(live):
             break
     else:
         raise TableError("internal eigensplit failure: eigenspaces do not fill the space")
     k = len(roots)
     order = np.argsort(roots)
-    lams, found = np.array(roots)[order], np.array(found)[order]
+    lams, origin = roots[order], origin[order]
     # P / (x - lam) for every lam at once by synthetic division, ascending,
     # and its value at lam
     quot = np.zeros((k, k), dtype=np.int64)
@@ -252,58 +244,78 @@ def _eigenspaces(act: np.ndarray, q: int) -> list[np.ndarray]:
     at = np.zeros(k, dtype=np.int64)
     for t in range(k - 1, -1, -1):
         at = (at * lams + quot[:, t]) % q
-    lagrange = quot * np.array([pow(int(v), q - 2, q) for v in at])[:, None] % q
+    lagrange = quot * np.array([pow(v, -1, q) for v in at.tolist()])[:, None] % q
     stack = np.stack(powers[:k])
-    ranks = lagrange @ (np.trace(stack, axis1=1, axis2=2) % q) % q
-    spaces = []
-    for n in range(k):
-        if ranks[n] == 1:
-            line = lagrange[n] @ stack[:, :, found[n]] % q
-            space = line[None] * pow(int(line[(line != 0).argmax()]), q - 2, q) % q
-        else:
-            space = _rref(np.tensordot(lagrange[n], stack, axes=1).T % q, q)[0]
-        if not space.any():
-            raise TableError("internal eigensplit failure: root without eigenvector")
-        spaces.append(space)
-    return spaces
+    # the diagonal of E_lam on each action, [lam, action], and its trace
+    diag = (lagrange @ stack.diagonal(axis1=2, axis2=3).reshape(k, -1) % q).reshape(k, n, d)
+    ranks = diag.sum(axis=2) % q
+    # (root, action) pairs: the lines, each scaled to lead with 1
+    line = (ranks == 1) & (d < q)
+    root, act = np.nonzero(line)
+    col = (diag[root, act] != 0).argmax(axis=1)
+    lines = np.einsum("pt,ptr->pr", lagrange[root], stack[:, act, :, col]) % q
+    lead = lines[np.arange(len(lines)), (lines != 0).argmax(axis=1)]
+    lines = lines * np.array([pow(v, -1, q) for v in lead.tolist()], dtype=np.int64)[:, None] % q
+    # and any other eigenspace, the column space of E_lam in RREF
+    wide_root, wide_act = np.nonzero(~line & ((ranks != 0) | (d >= q)))
+    idem = sum(lagrange[wide_root, t, None, None] * stack[t, wide_act] for t in range(k)) % q
+    ech, size = _rref(idem.transpose(0, 2, 1), q)
+    found = line.copy()
+    found[wide_root, wide_act] = size > 0
+    if not found[np.arange(k), origin].all():
+        raise TableError("internal eigensplit failure: root without eigenvector")
+    # every eigenspace over its basis, the lines in one product (each at its
+    # slot among its action's lines), in action order, then root order
+    slot = (line.cumsum(axis=0) - 1)[root, act]
+    coords = np.zeros((n, line.sum(axis=0).max(), d), dtype=np.int64)
+    coords[act, slot] = lines
+    lines = (coords @ bases % q)[act, slot]
+    wide = [ech[p, :m] @ bases[b] % q for p, (m, b) in enumerate(zip(size.tolist(), wide_act)) if m]
+    spaces = list(lines[:, None]) + wide
+    key = np.concatenate([act * k + root, (wide_act * k + wide_root)[size > 0]])
+    spaces = [spaces[p] for p in np.argsort(key).tolist()]
+    ends = np.cumsum(found.sum(axis=0)).tolist()
+    return [spaces[start:end] for start, end in zip([0] + ends, ends)]
 
 
 def _split_spaces(spaces: list[np.ndarray], mat: np.ndarray, q: int) -> list[np.ndarray]:
-    """Refine each space (rows in RREF) into the eigenspaces of mat on it."""
+    """Refine each space (rows in RREF) into the eigenspaces of mat on it.
+    The spaces mat does not act on as a scalar are split in stacks of one
+    dimension d, n at a time with n^2 d^3 <= _LIFT_ENTRIES, so that the
+    powers of a stack, one per root, stay bounded too."""
     # images = basis @ mat.T over mat's nonzeros, for the rows of all spaces
-    # of dimension above one at once; every row of mat has a nonzero, so the
-    # row starts are r increasing indices and no reduceat segment is empty
-    rows, cols = np.nonzero(mat)
-    starts = np.flatnonzero(np.diff(rows, prepend=-1))
-    multi = [basis for basis in spaces if basis.shape[0] > 1]
-    dims = [basis.shape[0] for basis in multi]
-    first = np.cumsum([0] + dims[:-1])
-    stacked = np.vstack(multi)
-    images = np.add.reduceat(stacked[:, cols] * mat[rows, cols], starts, axis=1) % q
+    # of dimension above one at once, unreduced: each sum is below r q^2.
+    # Every row of mat has a nonzero, so the row starts are r increasing
+    # indices and no reduceat segment is empty
+    rows, cols = np.divmod(mat.ravel().nonzero()[0], len(mat))
+    starts = rows.searchsorted(np.arange(len(mat)))
+    multi = np.array([t for t, basis in enumerate(spaces) if len(basis) > 1])
+    dims = np.array([len(spaces[t]) for t in multi])
+    first = np.cumsum(dims) - dims
+    stacked = np.concatenate([spaces[t] for t in multi])
+    images = np.add.reduceat(stacked[:, cols] * (mat[rows, cols] % q), starts, axis=1)
     # mat acts on a space as a scalar when each image row is one scalar times
     # its basis row: the whole space is then one eigenspace
-    scalars = images[np.arange(len(stacked)), (stacked != 0).argmax(axis=1)]
+    scalars = images[np.arange(len(stacked)), (stacked != 0).argmax(axis=1)] % q
     fits = ~((images - scalars[:, None] * stacked) % q).any(axis=1)
     fits &= scalars == np.repeat(scalars[first], dims)
-    blocks = iter(zip(first.tolist(), np.logical_and.reduceat(fits, first).tolist()))
-    refined: list[np.ndarray] = []
-    for basis in spaces:
-        d = basis.shape[0]
-        if d == 1:
-            refined.append(basis)
-            continue
-        start, is_scalar = next(blocks)
-        if is_scalar:
-            refined.append(basis)
-            continue
-        image = images[start : start + d]
-        # action on coordinate columns; image rows expand as act.T @ basis
-        act = image[:, (basis != 0).argmax(axis=1)].T.copy()
-        if ((act.T @ basis - image) % q).any():
-            raise TableError("internal eigensplit failure: space is not invariant")
-        # basis is in RREF, so (RREF of coordinates) @ basis is in RREF too
-        refined.extend(space @ basis % q for space in _eigenspaces(act, q))
-    return refined
+    split = ~np.logical_and.reduceat(fits, first)
+    refined = [[basis] for basis in spaces]
+    for d in sorted(set(dims[split].tolist())):
+        which = (split & (dims == d)).nonzero()[0]
+        step = max(1, isqrt(_LIFT_ENTRIES // d**3))
+        for start in range(0, len(which), step):
+            chunk = which[start : start + step]
+            at = first[chunk, None] + np.arange(d)
+            basis, image = stacked[at], images[at]
+            # image rows expand as act.T @ basis, act the action on coordinates
+            act_t = images[at[:, :, None], (basis != 0).argmax(axis=2)[:, None]] % q
+            if ((act_t @ basis - image) % q).any():
+                raise TableError("internal eigensplit failure: space is not invariant")
+            eigen = _eigenspaces(act_t.transpose(0, 2, 1).copy(), basis, q)
+            for t, parts in zip(multi[chunk].tolist(), eigen):
+                refined[t] = parts
+    return [space for parts in refined for space in parts]
 
 
 def _center_blocks(classes: ConjugacyClassSet, q: int) -> tuple[list[np.ndarray], np.ndarray]:
@@ -315,14 +327,15 @@ def _center_blocks(classes: ConjugacyClassSet, q: int) -> tuple[list[np.ndarray]
     character lam has v_(z C_j) = lam(z) v_j.  lam's space has one row per
     Z-orbit of classes on whose stabilizer lam is trivial, lam(z) at class
     z C_h for h the orbit's head: the rows' supports are disjoint and each
-    starts with 1 at its head.  Irr(Z) is built one central element at a
-    time, as the seeding extends nu: with s the least power of g in the
-    subgroup H so far, lam(h g^j) = lam(h) c^j for c each s-th root of
-    lam(g^s); translation by g^j h is a gather of g's translates."""
+    starts with 1 at its head.  Irr(Z) is built one central element g at a
+    time: with s the least power of g in the subgroup H so far,
+    lam(h g^j) = lam(h) c^j for c each s-th root of lam(g^s) in <z>, z of
+    order e; translation by g^j h is a gather of g's translates."""
     G = classes.group
     r, c = len(classes), classes.sizes.count(1)
     e = G.exponent()
     z = _root_of_unity(q, e)
+    zpow = np.array([pow(z, j, q) for j in range(e)], dtype=np.int64)
     reps = _rows_of(classes.representatives, G.degree)
     # H's members as translates (row m: the class of m x_j), their positions
     # by central class, and the characters' values on them
@@ -339,8 +352,12 @@ def _center_blocks(classes: ConjugacyClassSet, q: int) -> tuple[list[np.ndarray]
             powers.append(shift[powers[-1]])
         s = len(powers)
         target = vals[:, where[shift[powers[-1]][0]]]
-        missing = "internal eigensplit failure: lam(g^s) has no s-th roots in <z>"
-        ext, coef = _root_extensions(z, q, e, target, s, missing)
+        is_root = zpow[np.arange(e) * s % e] == target[:, None]
+        if (is_root.sum(axis=1) != s).any():
+            raise TableError("internal eigensplit failure: lam(g^s) has no s-th roots in <z>")
+        # one row per root c: its target's index, and c^j for j < s
+        ext, root = np.nonzero(is_root)
+        coef = zpow[np.outer(root, np.arange(s)) % e]
         trans = np.stack(powers)[:, trans].reshape(-1, r)
         where[trans[:, 0]] = np.arange(len(trans))
         vals = (coef[:, :, None] * vals[ext][:, None, :] % q).reshape(len(ext), -1)
@@ -358,42 +375,20 @@ def _center_blocks(classes: ConjugacyClassSet, q: int) -> tuple[list[np.ndarray]
     return np.split(rows, np.cumsum(counts)[:-1]), head
 
 
-def _root_extensions(z: int, q: int, e: int, target: np.ndarray, s: int, missing: str):
-    """The s-th roots c of each target value t mod q in <z>, z of order e:
-    (ext, coef) with one row per root, ext its target's index and
-    coef[k, j] = c^j for j < s; TableError(missing) unless every t has s."""
-    zpow = np.array([pow(z, j, q) for j in range(e)], dtype=np.int64)
-    is_root = zpow[np.arange(e) * s % e] == target[:, None]
-    if (is_root.sum(axis=1) != s).any():
-        raise TableError(missing)
-    ext, root = np.nonzero(is_root)
-    return ext, zpow[np.outer(root, np.arange(s)) % e]
-
-
-def _common_eigenbasis(
-    classes: ConjugacyClassSet, seeded: Optional[tuple[np.ndarray, np.ndarray]], q: int
-) -> np.ndarray:
+def _common_eigenbasis(classes: ConjugacyClassSet, q: int) -> np.ndarray:
     """Rows of the returned (r, r) array span the r common eigenlines.
 
-    The split starts from the center's blocks.  seeded, as _seed_spaces
-    gives it or None, holds known lines and the projector onto the span of
-    the others along them: each known line is then a space of its own, and
-    each block keeps only its projection, its share of the unknown lines.
-    Spaces of dimension above one are split by class matrices in class
-    order.  Every space lies inside one block, on which K_z acts as a scalar
-    for z central, so K_(z C_h) = K_z K_h acts as a scalar wherever K_h
-    does: a class other than the first of its Z-orbit splits nothing, and
-    its matrix is not built."""
+    The split starts from the center's blocks; spaces of dimension above one
+    are split by class matrices in class order.  Every space lies inside one
+    block, on which K_z acts as a scalar for z central, so
+    K_(z C_h) = K_z K_h acts as a scalar wherever K_h does: a class other
+    than the first of its Z-orbit splits nothing, and its matrix is not
+    built."""
     r = len(classes)
     order = classes.group.order
     step = "center"
     try:
         spaces, head = _center_blocks(classes, q)
-        if seeded is not None:
-            lines, proj = seeded
-            # a block whose lines are all known projects to 0 and is dropped
-            rest = [_rref(block @ proj % q, q)[0] for block in spaces]
-            spaces = [line[None] for line in lines] + [s for s in rest if len(s)]
         redundant = head != np.arange(r)
         # eigenspace dimensions always sum to r, so r spaces means r lines
         for i in range(1, r):
@@ -401,7 +396,7 @@ def _common_eigenbasis(
             if len(spaces) == r:
                 break
             if not redundant[i]:
-                spaces = _split_spaces(spaces, class_matrix(classes, i) % q, q)
+                spaces = _split_spaces(spaces, class_matrix(classes, i), q)
         if len(spaces) < r:
             raise TableError("internal eigensplit failure: class matrices leave a space unsplit")
         out = np.vstack(spaces)
@@ -509,8 +504,6 @@ class CharTable:
         # charops._branching keeps its (head, first) index vectors here, keyed
         # by the subgroup's content_key
         object.__setattr__(self, "_branching", {})
-        # _orbit_heads keeps its results here, keyed by (g's images, p)
-        object.__setattr__(self, "_orbits", {})
 
     def __len__(self) -> int:
         return len(self.irreducibles)
@@ -671,13 +664,7 @@ def _canonical_order(cube: np.ndarray) -> np.ndarray:
 
 def _orbit_heads(table: CharTable, g: Permutation, p: int) -> np.ndarray:
     """The first row of each row's orbit under g, which normalizes the table's
-    group N; TableError unless g permutes N's table in orbits of length 1 or p.
-    Kept on the table, keyed by g's images and p: the seeding of <N, g> and
-    the branching of <N, g> over N read the same orbits."""
-    key = (g.images, p)
-    first = table._orbits.get(key)
-    if first is not None:
-        return first
+    group N; TableError unless g permutes N's table in orbits of length 1 or p."""
     try:
         image = np.array(table._row_images(_class_action(table.group, g)))
     except TableError:
@@ -692,7 +679,6 @@ def _orbit_heads(table: CharTable, g: Permutation, p: int) -> np.ndarray:
     if (image[point] != rows).any():
         raise TableError("an orbit of length neither 1 nor p")
     first.setflags(write=False)
-    table._orbits[key] = first
     return first
 
 
@@ -706,99 +692,6 @@ def _orbit_sums(first: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.nda
     return heads, np.add.reduceat(rows[order], starts, axis=0, dtype=np.int64)
 
 
-def _seed_spaces(
-    G: PermGroup, classes: ConjugacyClassSet, inv_class: np.ndarray, q: int, z: int
-) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """(lines, proj): the eigenlines of the characters of G = <N, g> known
-    from N's table, one row each, and the projector onto the span of the
-    other lines along them, acting on rows; None when G is no chief-series
-    member over N or N's table is not held.
-
-    Known mod q, with zeta_e -> z as the lift reads it: the p extensions
-    lambda(n g^j) = nu(n) c^j, c^p = nu(g^p), of each g-invariant linear nu,
-    and Ind nu, the sum of nu's orbit on N, for each g-orbit of size p.  A
-    known psi's line is |C_k| psi(x_k) / psi(1); the other lines span the
-    common kernel of v -> sum_k v_k psi(x_k^-1), which is proj's image.
-
-    Each known psi is a base row b (nu, or nu's orbit sum, on G's classes)
-    times a coefficient a_j on coset N g^j: c^j for an extension, 1 on N
-    and 0 off it for Ind nu.  Orthogonality, F L^T = D with F the
-    functionals and L the lines, is checked grouped by coset: x_k in
-    N g^j has x_k^-1 in N g^-j, so with M_j = b[:, inv(C_j)] diag(|C_k|)
-    b[:, C_j]^T over the distinct base rows, (F L^T)[psi, psi'] is
-    sum_j a_(-j) a'_j M_j[b, b'] / psi'(1)."""
-    link = G._series_link
-    below = None if link is None else _held_table(link[0])
-    if below is None:
-        return None
-    N, g = link
-    p = G.order // N.order
-    e = G.exponent()
-    ncls = below.classes
-    # N's irreducibles mod q on N's classes, zeta_f read as z^(e/f)
-    zf = pow(z, e // below.e, q)
-    powers = np.array([pow(zf, j, q) for j in range(below.cube.shape[2])], dtype=np.int64)
-    vals = _values(below.cube, q, powers[:, None])[0]
-    # class representative x_k of G as n g^j with n in N: j and n's class,
-    # from x_k g^-j for every j < p, (x g^-1)[pt] = g^-1[x[pt]]
-    images = np.array(g.images)
-    shifted = [_rows_of(classes.representatives, G.degree)]
-    for _ in range(p - 1):
-        shifted.append(np.argsort(images)[shifted[-1]])
-    pos, there = _locate_rows(N, np.stack(shifted))
-    if not there.any(axis=0).all():
-        raise TableError("internal seeding failure: a class lies outside <N, g>")
-    coset = there.argmax(axis=0)
-    fused = ncls.element_class[pos[coset, np.arange(len(coset))]]
-    # g^p by p - 1 gathers: (g^(s+1))[pt] = g[g^s[pt]]
-    gp = images
-    for _ in range(p - 1):
-        gp = images[gp]
-    gp_at, there = _locate_rows(N, gp)
-    if not there:
-        raise TableError("internal seeding failure: g^p lies outside N")
-    try:
-        first = _orbit_heads(below, g, p)
-    except TableError as exc:
-        raise TableError(f"internal seeding failure: {exc}") from None
-    # the orbit sums, one per head: nu itself for an orbit of one
-    heads, sums = _orbit_sums(first, vals)
-    length = np.bincount(first)[heads]
-    deg = below.cube[heads, 0, 0].astype(np.int64)
-    induced = np.flatnonzero(length == p)
-    linear = np.flatnonzero((length == 1) & (deg == 1))
-    # the p-th roots c = z^s of nu(g^p), for each invariant linear nu
-    target = sums[linear, ncls.element_class[gp_at]] % q
-    missing = "internal seeding failure: nu(g^p) has no p-th roots in <z>"
-    ext, roots = _root_extensions(z, q, e, target, p, missing)
-    # the known characters in head order, then root order: base row, a_j, degree
-    kept = np.concatenate([induced, linear])
-    base = sums[kept][:, fused] % q
-    which = np.concatenate([np.arange(len(induced)), len(induced) + ext])
-    order = np.argsort(kept[which], kind="stable")
-    which = which[order]
-    on_n = np.eye(1, p, dtype=np.int64).repeat(len(induced), axis=0)
-    coef = np.concatenate([on_n, roots])[order]
-    degrees = np.concatenate([p * deg[induced], np.ones(len(ext), dtype=np.int64)])[order]
-    sizes = np.array(classes.sizes, dtype=np.int64) % q
-    deg_inv = np.array([pow(int(d), q - 2, q) for d in degrees], dtype=np.int64)
-    gram = np.zeros((len(which), len(which)), dtype=np.int64)
-    for j in range(p):
-        cls = np.flatnonzero(coset == j)
-        m_j = base[:, inv_class[cls]] * sizes[cls] % q @ base[:, cls].T % q
-        pairs = coef[:, (p - j) % p, None] * coef[None, :, j] % q
-        gram = (gram + pairs * m_j[which][:, which]) % q
-    # orthogonality mod q: psi's functional is |G| / psi(1) on its own line, 0 on the others
-    if (gram * deg_inv % q != np.diag(G.order % q * deg_inv % q)).any():
-        raise TableError("internal seeding failure: known characters are not orthogonal")
-    known = base[which] * coef[:, coset] % q
-    # F L^T = D, D invertible, so I - F^T D^-1 L projects onto ker F along
-    # the known lines: F kills its image and it fixes ker F.  D^-1 L = known sizes / |G|
-    scaled = known * sizes % q * pow(G.order, q - 2, q) % q
-    proj = (np.eye(len(sizes), dtype=np.int64) - known[:, inv_class].T @ scaled) % q
-    return known * sizes % q * deg_inv[:, None] % q, proj
-
-
 def _compute_table(G: PermGroup, prime_offset: int = 0) -> CharTable:
     classes = G.conjugacy_classes()
     r = len(classes)
@@ -810,14 +703,7 @@ def _compute_table(G: PermGroup, prime_offset: int = 0) -> CharTable:
     pclass = _power_classes(classes, e)
     inv_class = pclass[:, e - 1]
 
-    # an abelian group's center blocks are its r lines, so only a non-abelian G seeds
-    seeded = None
-    if not prime_offset and classes.sizes.count(1) < r:
-        try:
-            seeded = _seed_spaces(G, classes, inv_class, q, z)
-        except TableError as exc:
-            raise TableError(f"{exc} (group order {order}, q {q})") from None
-    omegas = _common_eigenbasis(classes, seeded, q)
+    omegas = _common_eigenbasis(classes, q)
 
     size_inv = np.array([pow(s, q - 2, q) for s in classes.sizes], dtype=np.int64)
     # mults[n, j, l] = e^-1 sum_s chi_n(x_j^s) z^(-ls), the multiplicity of z^l
@@ -909,14 +795,6 @@ def _cache_load(G: PermGroup, path: Path) -> Optional[CharTable]:
     return table
 
 
-def _held_table(G: PermGroup) -> Optional[CharTable]:
-    """G's table if this process holds it, on G or an equal-content group."""
-    table = G._char_table
-    if table is None:
-        table = _TABLE_MEMO.get(G.content_key)
-    return table
-
-
 def character_table(
     G: PermGroup,
     cache_dir: Union[str, Path, None] = None,
@@ -929,11 +807,14 @@ def character_table(
     """
     if prime_offset:
         return _compute_table(G, prime_offset)
-    table = _held_table(G)
+    # held on G, or on an equal-content group
+    memo_key = G.content_key
+    table = G._char_table
+    if table is None:
+        table = _TABLE_MEMO.get(memo_key)
     if table is not None:
         G._char_table = table
         return table
-    memo_key = G.content_key
     cache_path = None
     if cache_dir is not None:
         cache_path = Path(cache_dir) / f"{memo_key}.json"

@@ -347,13 +347,9 @@ def verify_ledger(groups=None, max_order=None):
     An error raised for one chi, or for the whole group, becomes the
     failing record of each chi it concerns."""
     for gid, G in _selection(groups, max_order):
-        # the chief-series tables bottom-up, each non-abelian one seeded from
-        # the one below; the last is G's
-        for N in G.chief_series():
-            table = character_table(N)
         ledger = _ledger_arrays(G)
         records = []
-        for idx, chi in enumerate(table):
+        for idx, chi in enumerate(character_table(G)):
             try:
                 rec, ok = _ledger_record(G, chi, idx, ledger)
             except EtalabError as exc:

@@ -27,7 +27,7 @@ from etalab.cyclotomic import (
 )
 from etalab.errors import ChainError, EtalabError, GroupError
 from etalab.perm import PermGroup, Permutation, _class_action
-from etalab.table import _poly_roots, _vector_annihilator, character_table
+from etalab.table import character_table
 
 
 def closure_elementwise(degree: int, gens, cap: int) -> set:
@@ -145,6 +145,43 @@ def nullspace(a: np.ndarray, q: int) -> np.ndarray:
     basis[np.arange(len(free)), free] = 1
     basis[:, pivots] = -ech[:, free].T % q
     return basis
+
+
+def _vector_annihilator(mat: np.ndarray, v: np.ndarray, q: int) -> np.ndarray:
+    """Monic minimal polynomial (ascending coeffs) annihilating v under mat."""
+    d = len(v)
+    rows: list[np.ndarray] = []
+    pivs: list[int] = []
+    combos: list[np.ndarray] = []
+    u = v % q
+    power = 0
+    while True:
+        w = u.copy()
+        wc = np.zeros(d + 1, dtype=np.int64)
+        wc[power] = 1
+        for row, piv, cmb in zip(rows, pivs, combos):
+            c = int(w[piv])
+            if c:
+                w = (w - c * row) % q
+                wc = (wc - c * cmb) % q
+        nz = np.nonzero(w)[0]
+        if len(nz) == 0:
+            return wc[: power + 1]
+        piv = int(nz[0])
+        inv = pow(int(w[piv]), q - 2, q)
+        rows.append(w * inv % q)
+        pivs.append(piv)
+        combos.append(wc * inv % q)
+        u = mat @ u % q
+        power += 1
+
+
+def _poly_roots(poly: np.ndarray, q: int) -> list[int]:
+    xs = np.arange(q, dtype=np.int64)
+    acc = np.zeros(q, dtype=np.int64)
+    for c in poly[::-1]:
+        acc = (acc * xs + int(c)) % q
+    return [int(x) for x in np.nonzero(acc == 0)[0]]
 
 
 def split_spaces_by_nullspaces(

@@ -47,11 +47,10 @@ REVIEWED_CUBE_READS = {
         # Python integers
         "return tuple(self.cube[:, 0, 0].tolist())",
         '"irreducibles": self.cube.tolist(),',
-        # kernels that widen: lift, galois (linear_map), pairing, _values
+        # kernels that widen: lift, galois (linear_map), pairing
         "raw = pairing(rows, self.classes.sizes, lift(self.cube, self.e, e), e, rational)",
         "if not np.array_equal(galois(self.cube, self.e, u), image):",
         "gram = pairing(self.cube, sizes, self.cube, self.e, rational)",
-        "vals = _values(below.cube, q, powers[:, None])[0]",
     },
     "charops.py": {
         # kernels that widen: linear_map, conjugate, pairing (through

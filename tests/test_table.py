@@ -284,10 +284,11 @@ def test_eigensplit_skips_scalar_actions(monkeypatch):
     # split, so no annihilator may be computed there
     original = table_mod._vector_annihilator
 
-    def guarded(mat, v, q):
-        if np.array_equal(mat % q, mat[0, 0] % q * np.eye(mat.shape[0], dtype=np.int64)):
+    def guarded(acts, j, q):
+        scalar = acts[:, :1, :1] % q * np.eye(acts.shape[1], dtype=np.int64)
+        if (acts % q == scalar).all(axis=(1, 2)).any():
             raise AssertionError("minimal polynomial of a scalar action")
-        return original(mat, v, q)
+        return original(acts, j, q)
 
     monkeypatch.setattr(table_mod, "_vector_annihilator", guarded)
     for _, G in default_catalog(max_order=64):
@@ -307,14 +308,14 @@ def test_eigensplit_takes_later_seeds_until_the_space_is_filled(monkeypatch):
     seeds = []
     annihilator = table_mod._vector_annihilator
 
-    def counted(mat, v, q):
-        seeds.append(v.tolist())
-        return annihilator(mat, v, q)
+    def counted(acts, j, q):
+        seeds.append(j)
+        return annihilator(acts, j, q)
 
     monkeypatch.setattr(table_mod, "_vector_annihilator", counted)
     spaces = table_mod._split_spaces([np.eye(3, dtype=np.int64)], np.diag([1, 1, 2]), 7)
     assert [space.tolist() for space in spaces] == [[[1, 0, 0], [0, 1, 0]], [[0, 0, 1]]]
-    assert seeds == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert seeds == [0, 1, 2]
 
 
 def test_eigensplit_rejects_a_non_diagonalizable_action():
@@ -327,10 +328,10 @@ def test_eigensplit_rejects_a_non_diagonalizable_action():
 
 
 def test_eigensplit_failure_names_group_and_prime(d8, monkeypatch):
-    # a copy of d8 with no chief series computed has no predecessor table to
-    # seed from, so the eigensplit runs on every line
+    # no annihilator has a root, so no space is ever filled
     fresh = _fresh_copy(d8)
-    monkeypatch.setattr(table_mod, "_poly_roots", lambda poly, q: [])
+    none = np.zeros(0, dtype=np.int64)
+    monkeypatch.setattr(table_mod, "_poly_roots", lambda polys, q: (none, none))
     with pytest.raises(TableError) as info:
         table_mod._compute_table(fresh)
     message = str(info.value)
@@ -355,9 +356,10 @@ def test_eigensplit_rejects_a_root_without_eigenvector(d8, monkeypatch):
     # idempotent vanishes once the true roots are all found
     roots = table_mod._poly_roots
 
-    def with_a_non_root(poly, q):
-        found = roots(poly, q)
-        return found + [next(x for x in range(q) if x not in found)]
+    def with_a_non_root(polys, q):
+        found, first = roots(polys, q)
+        extra = next(x for x in range(q) if x not in found)
+        return np.append(found, extra), np.append(first, 0)
 
     message = _eigensplit_failure(d8, monkeypatch, _poly_roots=with_a_non_root)
     assert message == (
@@ -424,6 +426,11 @@ def test_split_spaces_matches_the_nullspace_oracle_on_random_actions():
     # the whole space, and a partition of P's eigenvector columns into
     # invariant subspaces, some of them lines
     rng = np.random.default_rng(20)
+    # an eigenspace of dimension 8 = 1 mod 7, whose trace reads as rank one
+    mat, q = np.diag([1] * 8 + [2]), 7
+    got = table_mod._split_spaces([np.eye(9, dtype=np.int64)], mat, q)
+    want = split_spaces_by_nullspaces([np.eye(9, dtype=np.int64)], mat, q)
+    assert [x.tolist() for x in got] == [x.tolist() for x in want]
     for q, sizes in [(7, (2, 3, 5, 8, 12)), (97, (2, 3, 5, 8, 12)), (1_048_573, (3, 8))]:
         for r in sizes:
             for _ in range(4):
@@ -449,8 +456,11 @@ def test_split_spaces_matches_the_nullspace_oracle_on_catalog_tables(monkeypatch
         return got
 
     monkeypatch.setattr(table_mod, "_split_spaces", checked)
-    for _, G in default_catalog():
-        table_mod._compute_table(G, prime_offset=1)
+    # the top tables, and every chief-series member: w22's of order 512 and
+    # 1024 split many small spaces under each class matrix
+    members = {N.content_key: N for _, G in default_catalog() for N in G.chief_series()}
+    for N in members.values():
+        table_mod._compute_table(N, prime_offset=1)
     assert splits and sum(splits) > 0
 
 
@@ -499,45 +509,26 @@ def test_abelian_plain_tables_build_no_class_matrix(monkeypatch):
 
 
 @pytest.mark.slow
-def test_prop5_witness_plain_table_equals_seeded():
-    # order 15625, 649 classes: the plain table starts from five blocks of
-    # 125 to 149 dimensions; the seeded one comes up the chief series
+def test_prop5_witness_table_equals_its_next_prime_rerun():
+    # order 15625, 649 classes: the table starts from five blocks of 125 to
+    # 149 dimensions
     G = prop5_witness(5, 1).group
-    for N in G.chief_series():
-        seeded = character_table(N)
-    plain = table_mod._compute_table(G, prime_offset=1)
-    assert seeded.group is G
-    assert plain.to_json_dict()["irreducibles"] == seeded.to_json_dict()["irreducibles"]
+    table = character_table(G)
+    rerun = table_mod._compute_table(G, prime_offset=1)
+    assert rerun.q != table.q
+    assert rerun.to_json_dict()["irreducibles"] == table.to_json_dict()["irreducibles"]
 
 
 def test_seeded_tables_equal_plain_dixon(monkeypatch):
-    # a fresh memo and fresh copies, so that every chief-series table is
-    # computed here, bottom-up, each seeded from the table below it
+    # every chief-series table equals its next-prime rerun, which pairs at
+    # one embedding exactly as on the full path
     _fresh_memo(monkeypatch)
-    seeded_runs, splits = [], []
-    compute, split = table_mod._compute_table, table_mod._split_spaces
-
-    def counted_compute(G, prime_offset=0):
-        if not prime_offset:
-            seeded_runs.append(G)
-        return compute(G, prime_offset)
-
-    def counted_split(spaces, mat, q):
-        splits.append(mat.shape)
-        return split(spaces, mat, q)
-
-    monkeypatch.setattr(table_mod, "_compute_table", counted_compute)
-    monkeypatch.setattr(table_mod, "_split_spaces", counted_split)
     for gid, G in default_catalog():
         for N in _fresh_copy(G).chief_series():
-            seeded_runs.clear()
-            splits.clear()
-            seeded = character_table(N).to_json_dict()["irreducibles"]
-            if gid == "w22" and 32 <= N.order <= 512:
-                assert seeded_runs == [N] and not splits, N.order
-            plain = table_mod._compute_table(N, prime_offset=1)
-            assert seeded == plain.to_json_dict()["irreducibles"], (gid, N.order)
-            _assert_one_embedding_is_the_full_path(plain, (gid, N.order, "prime_offset=1"))
+            table = character_table(N).to_json_dict()["irreducibles"]
+            rerun = table_mod._compute_table(N, prime_offset=1)
+            assert table == rerun.to_json_dict()["irreducibles"], (gid, N.order)
+            _assert_one_embedding_is_the_full_path(rerun, (gid, N.order, "prime_offset=1"))
 
 
 def _central_translate_classes(classes):
@@ -556,12 +547,8 @@ def test_eigensplit_builds_no_central_translate(monkeypatch):
     # K_(z C_j) = K_z K_j for z central: such a class splits nothing the
     # classes before it have not, so its matrix is never built
     _fresh_memo(monkeypatch)
-    w22 = load_catalog_group("w22")
-    plain = _fresh_copy(w22)  # no chief series, so no seeding
-    seeded = _fresh_copy(w22).chief_series()
-    member = next(N for N in seeded if N.order == 1024)
-    for N in seeded[: seeded.index(member)]:
-        character_table(N)
+    w22 = _fresh_copy(load_catalog_group("w22"))
+    member = next(N for N in w22.chief_series() if N.order == 1024)
     requested = []
     build = table_mod.class_matrix
 
@@ -570,7 +557,7 @@ def test_eigensplit_builds_no_central_translate(monkeypatch):
         return build(classes, i)
 
     monkeypatch.setattr(table_mod, "class_matrix", tracked)
-    for G in (plain, member):
+    for G in (w22, member):
         requested.clear()
         character_table(G)
         skipped = _central_translate_classes(G.conjugacy_classes())
@@ -615,38 +602,6 @@ def test_table_without_predecessor_computes_only_itself(monkeypatch):
     table = character_table(G)
     assert computed == [G]
     assert table.to_json_dict() == character_table(load_catalog_group("c3wrc3")).to_json_dict()
-
-
-@pytest.mark.parametrize(
-    "action",
-    [
-        pytest.param(lambda N, g: (0,) * len(N.conjugacy_classes()), id="not-a-permutation"),
-        pytest.param(lambda N, g: tuple(range(len(N.conjugacy_classes()))), id="every-nu-invariant"),
-    ],
-)
-def test_seeding_failure_names_group_and_prime(d8, monkeypatch, action):
-    _fresh_memo(monkeypatch)
-    fresh = _fresh_copy(d8)
-    for N in fresh.chief_series()[:-1]:
-        character_table(N)
-    monkeypatch.setattr(table_mod, "_class_action", action)
-    with pytest.raises(TableError, match=r"^internal seeding failure: .*\(group order 8, q 13\)$"):
-        table_mod._compute_table(fresh)
-
-
-def test_seeding_rejects_a_linear_character_without_roots(d8, monkeypatch):
-    # read as zeta_4, 1 gives each invariant linear nu's value at g^2 four
-    # square roots in <z> or none, never two
-    _fresh_memo(monkeypatch)
-    fresh = _fresh_copy(d8)
-    for N in fresh.chief_series()[:-1]:
-        character_table(N)
-    monkeypatch.setattr(table_mod, "_primitive_root", lambda q: 1)
-    with pytest.raises(TableError) as info:
-        table_mod._compute_table(fresh)
-    assert str(info.value) == (
-        "internal seeding failure: nu(g^p) has no p-th roots in <z> (group order 8, q 13)"
-    )
 
 
 def _values_equal(a, b):
@@ -836,12 +791,16 @@ def test_rref_matches_the_dense_oracle():
     rng = np.random.default_rng(17)
     for q in (7, 1_048_573):
         for rows, cols, rank in [(1, 1, 0), (5, 5, 5), (6, 9, 3), (9, 4, 2), (8, 8, 1), (12, 30, 7)]:
+            # one stack of six, of ranks up to rank
+            stack = []
             for _ in range(6):
                 a = rng.integers(0, q, (rows, rank)) @ rng.integers(0, q, (rank, cols)) % q
                 a[:, rng.integers(0, cols, 2)] = 0
-                got, pivots = table_mod._rref(a.copy(), q)
-                want, want_pivots = rref_dense(a, q)
-                assert pivots == want_pivots and got.tolist() == want.tolist(), (q, rows, cols)
+                stack.append(a)
+            got, ranks = table_mod._rref(np.stack(stack), q)
+            for a, ech, r in zip(stack, got, ranks):
+                assert ech[:r].tolist() == rref_dense(a, q)[0].tolist(), (q, rows, cols)
+                assert not ech[r:].any(), (q, rows, cols)
 
 
 EXTRASPECIAL = {"es5-1": (5, 1), "es7-1": (7, 1), "es3-2": (3, 2)}
@@ -875,8 +834,8 @@ def _assert_one_embedding_is_the_full_path(table, label):
 
 @pytest.mark.parametrize("gid", catalog_ids() + list(EXTRASPECIAL))
 def test_one_embedding_pairings_equal_the_full_path(gid):
-    # every seeded chief-series member; test_seeded_tables_equal_plain_dixon
-    # checks the same at prime_offset=1
+    # every chief-series member; test_seeded_tables_equal_plain_dixon checks
+    # the same at prime_offset=1
     G = extraspecial_exp_p(*EXTRASPECIAL[gid]) if gid in EXTRASPECIAL else load_catalog_group(gid)
     for N in G.chief_series():
         _assert_one_embedding_is_the_full_path(character_table(N), (gid, N.order))
@@ -934,8 +893,8 @@ def _lift_with_faults(monkeypatch, faults, block_entries):
     G = _fresh_copy(load_catalog_group("c4wrc2"))
     real = table_mod._common_eigenbasis
 
-    def faulty(classes, spaces, q):
-        out = real(classes, spaces, q).copy()
+    def faulty(classes, q):
+        out = real(classes, q).copy()
         for n, message in faults.items():
             out[n] = LIFTING_FAULTS[message](q) * np.array(classes.sizes) % q
         return out
@@ -982,30 +941,3 @@ def test_a_square_root_of_no_divisor_is_a_bad_degree(monkeypatch, block_entries)
         got = _lift_with_faults(monkeypatch, {n: "bad degree"}, block_entries)
         where = f"(group order 32, q 17, eigenvector {n})"
         assert got == f"internal lifting failure: bad degree {where}"
-
-
-def test_a_corrupted_known_line_fails_the_coset_grouped_check(d8, monkeypatch):
-    # d8 over its Klein four subgroup N: g swaps N's classes 1 and 2, so the
-    # last linear character of N stays g-invariant with its sign flipped on
-    # class 3, and its two extensions are known lines that are no characters
-    _fresh_memo(monkeypatch)
-    fresh = _fresh_copy(d8)
-    for N in fresh.chief_series()[:-1]:
-        character_table(N)
-    N, g = fresh._series_link
-    below = character_table(N)
-    assert table_mod._class_action(N, g) == (0, 2, 1, 3)
-    cube = below.cube.copy()
-    assert cube[3, :, 0].tolist() == [1, -1, -1, 1]
-    cube[3, 3] = -cube[3, 3]
-    corrupted = CharTable(group=N, classes=below.classes, cube=cube, e=below.e, q=below.q)
-    held = table_mod._held_table
-    monkeypatch.setattr(table_mod, "_held_table", lambda H: corrupted if H is N else held(H))
-    message = (
-        r"^internal seeding failure: known characters are not orthogonal \(group order 8, q 13\)$"
-    )
-    with pytest.raises(TableError, match=message):
-        table_mod._compute_table(fresh)
-    # the same link with N's own table seeds the right table
-    monkeypatch.setattr(table_mod, "_held_table", held)
-    assert table_mod._compute_table(fresh).to_json_dict() == character_table(d8).to_json_dict()
