@@ -102,9 +102,9 @@ def _product_multiplicities(table, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     them, from one pairing that takes each product as its factors.
 
     Every row of a and b must be a row of table or a row's conjugate: when
-    the table passes its _rational_pairings check, the multiplicities are
+    the table passes its _galois_actions check, the multiplicities are
     then rational integers, and the pairing reads them at one embedding."""
-    mults = table._multiplicity_rows((a, b), table.e, table._rational_pairings)
+    mults = table._multiplicity_rows((a, b), table.e, table._galois_actions is not None)
     return _checked(table, mults, a[:, 0, 0].astype(np.int64) * b[:, 0, 0])
 
 
@@ -177,10 +177,9 @@ def _branching(N: PermGroup, M: PermGroup) -> tuple[np.ndarray, np.ndarray]:
     out = table._branching.get(M.content_key)
     if out is None:
         below = character_table(M)
-        # any g in N outside M has the same orbits: the series link's, when it links N to M
-        link = N._series_link
-        linked = link is not None and link[0].same_elements(M)
-        g = link[1] if linked else next(x for x in N.generators if x not in M)
+        # any g in N outside M has the same orbits: M fixes its own characters
+        # and g generates N / M
+        g = next(x for x in N.generators if x not in M)
         try:
             first = _orbit_heads(below, g, p)
             heads, sums = _orbit_sums(first, below.cube)

@@ -20,7 +20,7 @@ q = 1 mod e, cached per conductor, it reads both sides at the phi conjugate
 embeddings of zeta_e, where products are pointwise, and combines the primes
 by the Chinese remainder theorem; it widens narrow stacks a bounded block
 at a time as it evaluates them.  When the caller knows every sum to be a
-rational integer (tables check this: table.CharTable._rational_pairings),
+rational integer (tables check this: table.CharTable._galois_actions),
 one embedding gives it, and the pairing reads only that one.  There is no
 floating point and no precision loss anywhere.
 

@@ -25,10 +25,8 @@ propagation.
 
 Subgroups carry a reference to the ambient group they were cut from; they
 share its degree and are otherwise ordinary groups.  A group keeps the
-content keys of the groups it was found to lie in, or be normal in.  Each
-member of a chief series, the top group included, records the member below
-it and the element that generates it over that one; the branching of a
-character table to the member below reads that link.
+content keys of the groups it was found to lie in, or be normal in.  A
+class set keeps its power map, built once on first use.
 """
 
 from __future__ import annotations
@@ -272,6 +270,22 @@ class ConjugacyClassSet:
         ends = np.cumsum(self.sizes).tolist()
         return tuple(tuple(flat[end - size : end]) for size, end in zip(self.sizes, ends))
 
+    @cached_property
+    def power_map(self) -> np.ndarray:
+        """(r, e) read-only array, e the group's exponent: the class of
+        rep_j^s for each class j and each s < e, applying each representative
+        once more per step, one gather for all."""
+        G = self.group
+        reps = _rows_of(self.representatives, G.degree)
+        power = np.broadcast_to(np.arange(G.degree), reps.shape)
+        missing = GroupError("internal class failure: a power is not in the group")
+        out = np.empty((len(reps), G.exponent()), dtype=np.int64)
+        for s in range(out.shape[1]):
+            out[:, s] = _classes_of_rows(self, power, missing)
+            power = np.take_along_axis(reps, power, axis=1)
+        out.setflags(write=False)
+        return out
+
     def class_of(self, x: Permutation) -> int:
         return int(_classes_of_rows(self, np.array([x.images]))[0])
 
@@ -310,9 +324,6 @@ class PermGroup:
         self._exponent: Optional[int] = None
         self._pinfo: Optional[PGroupInfo] = None
         self._series = None
-        # (N, g) with this group = <N, g> and N of index p, when a chief
-        # series has this group as a member (see _chief_series)
-        self._series_link: Optional[tuple["PermGroup", Permutation]] = None
         self._content_key: Optional[str] = None
         self._char_table = None
         self._class_actions: dict = {}
@@ -593,10 +604,7 @@ def _chief_series(G: PermGroup) -> list[PermGroup]:
             pw = rows[c][pw]
         chosen = Permutation._from_images(tuple(rows[c].tolist()))
         member = G._subgroup_of_keys(keys[cur], generators=member.generators + (chosen,))
-        member._series_link = (series[-1], chosen)
         series.append(member)
-    if G._series_link is None:
-        G._series_link = member._series_link
     series[-1] = G
     return series
 

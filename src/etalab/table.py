@@ -43,21 +43,24 @@ eigenspace is then the image of the Lagrange idempotent
 P(A) / ((A - lam) P'(lam)), a line one of its columns read for the whole
 stack at once; no minimal polynomial or nullspace is formed.
 
-Class matrices and power maps are numpy gathers over image rows, class i's
-members read off the group's element keys; each product, formed in chunks
-of bounded size, is found by perm's one key search among those keys, which
-gives its class.  Each class matrix is built when the split asks for it and
-is not kept.
+Class matrices are numpy gathers over image rows, class i's members read
+off the group's element keys; each product, formed in chunks of bounded
+size, is found by perm's one key search among those keys, which gives its
+class.  Each class matrix is built when the split asks for it and is not
+kept; the power map, which the lift and the Galois check read, is kept on
+the class set.
 
 No floating point anywhere.  numpy does the int64 modular linear algebra,
 where every product stays below 2^63 because q is kept under 2^21 and the
 element cap bounds matrix sizes; the sparse images keep that bound.  The
 exact pairing behind multiplicities and orthogonality (cyclotomic.pairing)
 works mod primes of its own, at the conjugate embeddings of zeta_e, and is
-exact by the Chinese remainder theorem.  A table whose rows the Galois
-group permutes as the power maps permute its classes (_rational_pairings,
+exact by the Chinese remainder theorem.  A table on whose values the
+Galois group acts as the power maps permute its classes (_galois_actions,
 an exact check kept on the table) has rational-integer norms, products of
-rows and orthogonality sums; those pairings read one embedding only.
+rows and row-orthogonality sums; those pairings read one embedding only.
+Column orthogonality needs no pairing: for a square table it follows from
+the rows'.
 """
 
 from __future__ import annotations
@@ -406,7 +409,7 @@ def _common_eigenbasis(classes: ConjugacyClassSet, q: int) -> np.ndarray:
         # a class lookup failure names the group order, which this context repeats
         message = str(exc).removesuffix(f" (group order {order})")
         raise TableError(f"{message} (group order {order}, q {q}, {step})") from None
-    out *= np.array([pow(int(row[0]), q - 2, q) for row in out], dtype=np.int64)[:, None]
+    out *= np.array([pow(v, -1, q) for v in out[:, 0].tolist()], dtype=np.int64)[:, None]
     out %= q
     return out
 
@@ -449,19 +452,6 @@ def class_matrix(classes: ConjugacyClassSet, i: int) -> np.ndarray:
         owner = _classes_of_rows(classes, products, _lookup_failure(G))
         counts += np.bincount((owner * r + np.arange(r)).ravel(), minlength=r * r)
     return counts.reshape(r, r)
-
-
-def _power_classes(classes: ConjugacyClassSet, n: int) -> np.ndarray:
-    """(r, n) array: the class of rep_j^s for each class j and each s < n,
-    applying each representative once more per step, one gather for all."""
-    G = classes.group
-    reps = _rows_of(classes.representatives, G.degree)
-    power = np.broadcast_to(np.arange(G.degree), reps.shape)
-    out = np.empty((len(reps), n), dtype=np.int64)
-    for s in range(n):
-        out[:, s] = _classes_of_rows(classes, power, _lookup_failure(G))
-        power = np.take_along_axis(reps, power, axis=1)
-    return out
 
 
 def as_multiplicities(raw: np.ndarray, order: int) -> np.ndarray:
@@ -551,7 +541,7 @@ class CharTable:
 
     def multiplicities(self, theta: Character) -> list[int]:
         """[theta, chi_i] for every table entry, as exact integers.  They are
-        rational when the table passes its _rational_pairings check and
+        rational when the table passes its _galois_actions check and
         sigma_u(theta) = theta o P_u for each of its unit generators u, and
         are then paired at one embedding."""
         if not theta.group.same_elements(self.group):
@@ -575,66 +565,47 @@ class CharTable:
         raw = pairing(rows, self.classes.sizes, lift(self.cube, self.e, e), e, rational)
         return as_multiplicities(raw, self.group.order)
 
-    @property
-    def _rational_pairings(self) -> bool:
-        """Whether the Galois action on the rows matches the power maps, so
-        that every pairing of products of rows and their conjugates, and
-        every column sum sum_i chi_i(k) conj(chi_i(l)), is a rational integer.
-        See _galois_actions."""
-        return self._galois_actions is not None
-
     @cached_property
     def _galois_actions(self) -> Optional[tuple[tuple[int, np.ndarray], ...]]:
         """(u, P_u) for each u of a generating set of (Z/e)^x, with P_u the
-        class map k -> class of x_k^u, when the table passes the checks below;
-        None when it fails one.
+        class map k -> class of x_k^u read off the class set's power map,
+        when the table passes the checks below; None when it fails one.
 
         With sigma_u the automorphism zeta_e -> zeta_e^u: (a) P_u permutes the
         classes and keeps their sizes; (b) sigma_u(cube) equals cube[:, P_u]
-        exactly; (c) the rows of cube[:, P_u] are the table's rows, each once.
-        By (a) and (b), sigma_u fixes sum_k |C_k| prod f(k) conj(y(k)) for rows
+        exactly.  Then sigma_u fixes sum_k |C_k| prod f(k) conj(y(k)) for rows
         or conjugate rows f and y, and for y a row and f any class function
-        with sigma_u(f) = f o P_u; by (b) and (c) it permutes the rows, which
-        fixes each column sum.  Fixed by every sigma_u, such a sum is
-        rational; it is an algebraic integer, so a rational integer."""
+        with sigma_u(f) = f o P_u.  Fixed by every sigma_u, such a sum is
+        rational; it is an algebraic integer, so a rational integer.  Column
+        sums need no check of their own: verify_orthogonality pairs none."""
         sizes = np.array(self.classes.sizes)
-        r = len(sizes)
+        power = self.classes.power_map
         gens = unit_generators(self.e)
-        power = _power_classes(self.classes, max(gens, default=0) + 1)
         for u in gens:
             act = power[:, u]
-            if (np.sort(act) != np.arange(r)).any() or (sizes[act] != sizes).any():
+            if (np.sort(act) != np.arange(len(sizes))).any() or (sizes[act] != sizes).any():
                 return None
-            image = self.cube[:, act]
-            if not np.array_equal(galois(self.cube, self.e, u), image):
-                return None
-            try:
-                rows = self._rows_index(image)
-            except TableError:
-                return None
-            if sorted(rows) != list(range(len(rows))):
+            if not np.array_equal(galois(self.cube, self.e, u), self.cube[:, act]):
                 return None
         return tuple((u, power[:, u]) for u in gens)
 
     def verify_orthogonality(self) -> None:
         """Exact row and column orthogonality; raises TableError on failure.
-        Both relations are rational integers when the table passes its
-        _rational_pairings check, and are then paired at one embedding."""
+        The row relation is one pairing, at one embedding when the table
+        passes its _galois_actions check.  With X the (m, r) value matrix and
+        D the class sizes, the rows pass when X D X* = |G| I: X then has rank
+        m <= r.  For m = r, X is invertible and X* X = |G| D^-1, which is
+        the column relation; for m < r, X* X has rank m and the columns fail.
+        So the columns pass exactly when the rows do and the table is square."""
         order = self.group.order
-        sizes = self.classes.sizes
-        rational = self._rational_pairings
-        gram = pairing(self.cube, sizes, self.cube, self.e, rational)
+        rational = self._galois_actions is not None
+        gram = pairing(self.cube, self.classes.sizes, self.cube, self.e, rational)
         expect = np.zeros(gram.shape, dtype=np.int64)
         for i in range(len(self)):
             expect[i, i, 0] = order
         if (gram != expect).any():
             raise TableError("row orthogonality violated")
-        by_class = self.cube.transpose(1, 0, 2)
-        cols = pairing(by_class, [1] * len(self), by_class, self.e, rational)
-        expect = np.zeros(cols.shape, dtype=np.int64)
-        for k, size in enumerate(sizes):
-            expect[k, k, 0] = order // size
-        if (cols != expect).any():
+        if len(self) != len(self.classes):
             raise TableError("column orthogonality violated")
 
     def to_json_dict(self) -> dict:
@@ -700,15 +671,15 @@ def _compute_table(G: PermGroup, prime_offset: int = 0) -> CharTable:
     q = _smallest_admissible_prime(order, e, prime_offset)
     z = _root_of_unity(q, e)
     # x^(e-1) is x^-1
-    pclass = _power_classes(classes, e)
+    pclass = classes.power_map
     inv_class = pclass[:, e - 1]
 
     omegas = _common_eigenbasis(classes, q)
 
-    size_inv = np.array([pow(s, q - 2, q) for s in classes.sizes], dtype=np.int64)
+    size_inv = np.array([pow(s, -1, q) for s in classes.sizes], dtype=np.int64)
     # mults[n, j, l] = e^-1 sum_s chi_n(x_j^s) z^(-ls), the multiplicity of z^l
     # in chi_n(x_j): zmat folds e^-1 in, and every sum stays below e q^2 < 2^63
-    e_inv = pow(e, q - 2, q)
+    e_inv = pow(e, -1, q)
     zpow = np.array([e_inv * pow(z, -k, q) % q for k in range(e)], dtype=np.int64)
     zmat = zpow[np.outer(np.arange(e), np.arange(e)) % e]
     basis = power_basis_matrix(e)

@@ -95,7 +95,7 @@ class VerificationReport:
 
 def _selection(groups, max_order=None):
     if groups is None:
-        groups = default_catalog()
+        groups = default_catalog(max_order)
     out = []
     for gid, G in groups:
         if max_order is not None and G.order > max_order:

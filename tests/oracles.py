@@ -104,10 +104,7 @@ def chief_series_elementwise(G: PermGroup) -> list[PermGroup]:
             pw = pw * chosen
         cur_set = frozenset(new_set)
         cur = G.subgroup_from_elements(cur_set, generators=cur.generators + (chosen,))
-        cur._series_link = (series[-1], chosen)
         series.append(cur)
-    if G._series_link is None:
-        G._series_link = cur._series_link
     series[-1] = G
     return series
 

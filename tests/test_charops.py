@@ -374,7 +374,7 @@ def test_single_row_multiplicities_of_products_take_one_embedding(monkeypatch):
         if G.order > 64:
             continue
         table = character_table(G)
-        assert table._rational_pairings, G.order
+        assert table._galois_actions is not None, G.order
         for chi in table:
             for psi in table:
                 theta = chi * psi

@@ -358,19 +358,18 @@ def test_branching_by_lookup_beyond_the_catalog(p, n):
     assert verify_ledger(groups=[(f"es{p}-{n}", G)]).passed
 
 
-def test_branching_matrix_with_and_without_a_series_link(monkeypatch):
-    # a fresh memo, so that every matrix is built; a fresh D8 has no series
-    # link until its chief series is computed, and that link names one of
-    # its three index-2 subgroups only
+def test_branching_matrix_before_and_after_the_chief_series(monkeypatch):
+    # a fresh memo, so that every matrix is built; a fresh D8 has no chief
+    # series until one is computed, and it holds one of D8's three index-2
+    # subgroups only
     monkeypatch.setattr(table_mod, "_TABLE_MEMO", {})
     G = dihedral(4)
     r, s = G.generators
     halves = [G.subgroup([r]), G.subgroup([r * r, s]), G.subgroup([r * r, r * s])]
-    assert G._series_link is None
+    assert G._series is None
     for computed_series in (False, True):
         if computed_series:
-            chief_series(G)
-            assert G._series_link is not None
+            assert sum(chief_series(G)[-2].same_elements(M) for M in halves) == 1
             for M in halves:
                 character_table(G)._branching.pop(M.content_key)
         for M in halves:

@@ -39,18 +39,16 @@ REVIEWED_CUBE_READS = {
         "one = np.zeros((1, *self.cube.shape[1:]), dtype=self.cube.dtype)",
         # views: Character arithmetic widens through cyclotomic._exact
         'self, "irreducibles", tuple(Character._of(self.group, row) for row in self.cube)',
-        "by_class = self.cube.transpose(1, 0, 2)",
         # keys, gathers and comparisons at the cube's dtype
         "keys = _as_keys(self.cube.reshape(len(self.cube), -1))",
         "return self._rows_index(self.cube[:, list(act)])",
-        "image = self.cube[:, act]",
         # Python integers
         "return tuple(self.cube[:, 0, 0].tolist())",
         '"irreducibles": self.cube.tolist(),',
         # kernels that widen: lift, galois (linear_map), pairing
         "raw = pairing(rows, self.classes.sizes, lift(self.cube, self.e, e), e, rational)",
-        "if not np.array_equal(galois(self.cube, self.e, u), image):",
-        "gram = pairing(self.cube, sizes, self.cube, self.e, rational)",
+        "if not np.array_equal(galois(self.cube, self.e, u), self.cube[:, act]):",
+        "gram = pairing(self.cube, self.classes.sizes, self.cube, self.e, rational)",
     },
     "charops.py": {
         # kernels that widen: linear_map, conjugate, pairing (through

@@ -154,6 +154,24 @@ def test_orthogonality_detects_corrupted_tables(gid):
         _corrupted(table, chars).verify_orthogonality()
     with pytest.raises(TableError, match="^column orthogonality violated$"):
         _corrupted(table, list(table)[:-1]).verify_orthogonality()
+    # a row too many is a row that cannot be orthogonal to the others
+    with pytest.raises(TableError, match="^row orthogonality violated$"):
+        _corrupted(table, list(table) + [table[0]]).verify_orthogonality()
+
+
+@pytest.mark.parametrize("gid", catalog_ids())
+def test_column_orthogonality_holds_at_every_embedding(gid):
+    # verify_orthogonality pairs the rows only and reads the column relation
+    # off the table's squareness; here every column pair is paired itself,
+    # at all embeddings, for every chief-series member
+    for N in load_catalog_group(gid).chief_series():
+        table = character_table(N)
+        by_class = table.cube.transpose(1, 0, 2)
+        cols = pairing(by_class, [1] * len(table), by_class, table.e)
+        expect = np.zeros(cols.shape, dtype=np.int64)
+        for k, size in enumerate(table.classes.sizes):
+            expect[k, k, 0] = N.order // size
+        assert np.array_equal(cols, expect), (gid, N.order)
 
 
 @pytest.mark.parametrize("gid", ["es27", "c3wrc3", "c25"])
@@ -780,9 +798,36 @@ def test_power_classes_match_the_power_map_oracle(gid):
     G = load_catalog_group(gid)
     classes = G.conjugacy_classes()
     e = G.exponent()
-    got = table_mod._power_classes(classes, e + 1)
-    for j in range(e + 1):
+    got = classes.power_map
+    assert got.shape == (len(classes), e) and not got.flags.writeable, gid
+    assert classes.power_map is got, gid
+    for j in range(e):
         assert got[:, j].tolist() == power_map(G, classes, j), (gid, j)
+
+
+def test_galois_check_of_a_computed_table_looks_up_nothing(d8, es27, monkeypatch):
+    # the lift has built the class set's power map, which the check reads:
+    # it finds no element's class and looks up no row
+    import etalab.perm as perm_mod
+
+    _fresh_memo(monkeypatch)
+    tables = [character_table(_fresh_copy(G)) for G in (d8, es27)]
+    lookups = []
+    locate, rows_index = perm_mod._locate_rows, CharTable._rows_index
+
+    def located(G, rows):
+        lookups.append("element")
+        return locate(G, rows)
+
+    def indexed(self, rows):
+        lookups.append("row")
+        return rows_index(self, rows)
+
+    monkeypatch.setattr(perm_mod, "_locate_rows", located)
+    monkeypatch.setattr(CharTable, "_rows_index", indexed)
+    for table in tables:
+        assert table._galois_actions is not None
+    assert lookups == []
 
 
 def test_rref_matches_the_dense_oracle():
@@ -808,19 +853,17 @@ EXTRASPECIAL = {"es5-1": (5, 1), "es7-1": (7, 1), "es3-2": (3, 2)}
 
 def _one_embedding_blocks(table):
     """The pairings the one-embedding mode serves, as (x, weights, y): the
-    norms block, one corollary-A block and both orthogonality grams."""
+    norms block, one corollary-A block and the row-orthogonality gram."""
     cube, e, sizes = table.cube, table.e, table.classes.sizes
-    by_class = cube.transpose(1, 0, 2)
     return [
         ((cube, conjugate(cube, e)), sizes, cube),
         ((cube[-1:], cube), sizes, cube),
         (cube, sizes, cube),
-        (by_class, [1] * len(cube), by_class),
     ]
 
 
 def _assert_one_embedding_is_the_full_path(table, label):
-    assert table._rational_pairings, label
+    assert table._galois_actions is not None, label
     blocks = _one_embedding_blocks(table)
     full = [pairing(x, weights, y, table.e) for x, weights, y in blocks]
     for (x, weights, y), want in zip(blocks, full):
@@ -859,9 +902,9 @@ def test_a_row_times_a_root_of_unity_keeps_the_full_path(gid, monkeypatch):
 
     monkeypatch.setattr(table_mod, "pairing", spy)
     table.verify_orthogonality()
-    assert table._rational_pairings and modes == [True, True]
+    assert table._galois_actions is not None and modes == [True]
     modes.clear()
-    assert not twisted._rational_pairings
+    assert twisted._galois_actions is None
     # a row times a root of unity keeps both orthogonality relations
     twisted.verify_orthogonality()
     try:
@@ -869,7 +912,7 @@ def test_a_row_times_a_root_of_unity_keeps_the_full_path(gid, monkeypatch):
     except CharacterError:
         pass  # chi * conj(chi) may pair with the twisted row to a non-integer
     assert twisted.multiplicities(twisted[one]) == [int(i == one) for i in range(len(twisted))]
-    assert len(modes) == 4 and not any(modes)
+    assert len(modes) == 3 and not any(modes)
 
 
 # eigenvector rows lambda * (class sizes) mod q that fail one lifting check

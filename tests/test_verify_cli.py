@@ -224,8 +224,11 @@ def test_cold_ledger_restricts_no_table_by_pairing(monkeypatch):
 
 
 def test_cold_ledger_finds_the_orbits_of_each_series_link_once(monkeypatch):
-    # the seeding of <N, g> and the branching matrix of <N, g> over N read
-    # the same orbits of g on N's table: 55 links, each searched once
+    # the branching of each chief-series member over the member below reads
+    # the orbits of one element outside it on the lower table: the catalog's
+    # series have 60 such steps, 55 of them distinct as pairs of element
+    # sets (branchings are kept on tables shared by equal-content groups),
+    # and each distinct step's orbits are searched once
     import etalab.catalog as catalog_mod
 
     monkeypatch.setattr(catalog_mod, "_GROUP_MEMO", {})
@@ -266,6 +269,17 @@ def test_cold_ledger_does_no_permutation_arithmetic(monkeypatch):
     assert groups
     for G in groups:
         assert all(N._elements is None for N in G.chief_series()), G.order
+
+
+def test_a_capped_sweep_loads_only_the_groups_it_checks(monkeypatch):
+    # a fresh catalog memo: a sweep to order 8 parses no larger group
+    import etalab.catalog as catalog_mod
+
+    monkeypatch.setattr(catalog_mod, "_GROUP_MEMO", {})
+    report = verify_theorem_a(max_order=8)
+    assert report.passed
+    small = {entry["id"] for entry in catalog_mod.catalog_index() if entry["order"] <= 8}
+    assert set(catalog_mod._GROUP_MEMO) == small == {g["group"] for g in report.results}
 
 
 def test_ledger_pairs_once_per_step_and_character(monkeypatch):
@@ -404,10 +418,9 @@ def test_sweep_records_on_the_groups_of_order_one_and_two():
 
 
 def test_cold_branching_lookup_computes_no_class_action(monkeypatch):
-    # d8 and d16 are the catalog groups whose first generator outside the
-    # series member below differs from the element that links the two; each
-    # link's lookup computes that element's class action on the member
-    # below at most once
+    # each step of d8's and d16's chief series computes the class action
+    # of its group's first generator outside the member below on that
+    # member at most once
     import etalab.catalog as catalog_mod
     from etalab import charops
 
