@@ -4,8 +4,9 @@ induction, kernels, and the related subgroup-character bookkeeping.
 Decomposition runs against the canonical table of the character's group and
 is kept on that table, keyed by the class function's values; decompose is
 the one place a ConstituentDecomposition is built.  Products of table rows
-are paired in blocks, one pairing of their factors each, into an integer
-array of multiplicities, one row per product, with decompose's degree check.
+are paired in blocks, one pairing each of the factors' row indices against
+the values kept on the table, into an integer array of multiplicities, one
+row per product, with decompose's degree check.
 Restriction multiplicities [theta|_N, psi] are paired at the parent's
 conductor, with N's table lifted up to it, so no value is rebased down; only
 the public `restrict` takes values down to N's conductor (the `down` kernel).
@@ -95,17 +96,19 @@ def decompose(theta: Character) -> ConstituentDecomposition:
     return memo[key]
 
 
-def _product_multiplicities(table, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The multiplicities [a[i] * b[i], chi_j] at [i, j] of the pointwise
-    products of two (m, classes, phi(e)) coefficient stacks on table's
-    classes (a stack of one row broadcasts), checked as decompose checks
-    them, from one pairing that takes each product as its factors.
+def _product_multiplicities(table, i, j) -> np.ndarray:
+    """The multiplicities [chi_i[n] * chi_j[n], chi_k] at [n, k] of the
+    pointwise products of two sequences of table rows, given by index, a
+    row ~j standing for conj(chi_j), checked as decompose checks them, from
+    one pairing that gathers each product's factors from the table's values.
 
-    Every row of a and b must be a row of table or a row's conjugate: when
-    the table passes its _galois_actions check, the multiplicities are
-    then rational integers, and the pairing reads them at one embedding."""
-    mults = table._multiplicity_rows((a, b), table.e, table._galois_actions is not None)
-    return _checked(table, mults, a[:, 0, 0].astype(np.int64) * b[:, 0, 0])
+    When the table passes its _galois_actions check, the multiplicities are
+    rational integers, and the pairing reads them at one embedding."""
+    x = np.array([i, j], dtype=np.int64)
+    mults = table._multiplicity_rows(x, table.e, table._galois_actions is not None)
+    # a row's degree is its conjugate's
+    degrees = table.cube[np.maximum(x, ~x), 0, 0].astype(np.int64)
+    return _checked(table, mults, degrees[0] * degrees[1])
 
 
 def _norm_multiplicities(table) -> np.ndarray:
@@ -113,7 +116,8 @@ def _norm_multiplicities(table) -> np.ndarray:
     pairing; kept on the table, read-only."""
     out = table._decompositions.get("norms")
     if out is None:
-        out = _product_multiplicities(table, table.cube, conjugate(table.cube, table.e))
+        rows = np.arange(len(table))
+        out = _product_multiplicities(table, rows, ~rows)
         out.setflags(write=False)
         table._decompositions["norms"] = out
     return out

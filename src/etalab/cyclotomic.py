@@ -19,7 +19,12 @@ pairing sum_k w_k x(k) conj(y(k)) evaluates instead: mod word-size primes
 q = 1 mod e, cached per conductor, it reads both sides at the phi conjugate
 embeddings of zeta_e, where products are pointwise, and combines the primes
 by the Chinese remainder theorem; it widens narrow stacks a bounded block
-at a time as it evaluates them.  When the caller knows every sum to be a
+at a time as it evaluates them.  Its y side may be an Evaluated stack,
+which keeps its L1 norms and its values at each prime and embedding set
+read so far; a table keeps its cube that way.  x is a stack of its own,
+evaluated on each call, or rows of y by index: a product of rows is
+gathered from y's kept values, and a row's conjugate is the row read at
+the conjugate embedding.  When the caller knows every sum to be a
 rational integer (tables check this: table.CharTable._galois_actions),
 one embedding gives it, and the pairing reads only that one.  There is no
 floating point and no precision loss anywhere.
@@ -374,37 +379,58 @@ def _values(x: np.ndarray, q: int, vand: np.ndarray) -> np.ndarray:
     return out.reshape(vand.shape[1], m, k)
 
 
-def pairing(x, weights, y: np.ndarray, e: int, rational: bool = False) -> np.ndarray:
+def _l1_norms(a: np.ndarray) -> np.ndarray:
+    """The (..., K) L1 norms of a (..., K, phi) stack's values, summed in
+    int64 unless one could pass it: a narrow stack is not copied wide."""
+    wide = a.shape[-1] * _magnitude(a) >= 1 << 63
+    return np.abs(a.astype(object) if wide else a).sum(axis=-1, dtype=object if wide else np.int64)
+
+
+class Evaluated:
+    """The y side of pairings: an (n, K, phi) coefficient stack, kept with
+    the (n, K) L1 norms of its rows' values and with its values mod each
+    pairing prime at each set of embeddings a pairing has read it at."""
+
+    def __init__(self, coeffs: np.ndarray):
+        self.coeffs = coeffs
+        self.norms = _l1_norms(coeffs)
+        self._values = {}
+
+    def values(self, q: int, vand: np.ndarray, cols: tuple[int, ...]) -> np.ndarray:
+        """The stack at the embeddings cols of vand's columns, as _values gives it."""
+        out = self._values.get((q, cols))
+        if out is None:
+            out = self._values[q, cols] = _values(self.coeffs, q, vand[:, list(cols)])
+        return out
+
+
+def pairing(x: np.ndarray, weights, y, e: int, rational: bool = False) -> np.ndarray:
     """(m, n, phi) coefficients of sum_k w_k x_i(k) conj(y_j(k)) in Z[zeta_e].
 
-    x and y are (m, K, phi) and (n, K, phi) coefficient stacks, weights K
-    integers; x may be a sequence of such stacks, standing for their
-    pointwise product, whose row counts broadcast to m.  Mod each prime, one
-    int64 matmul per embedding forms the sums (conj(y) at a is y at 1 / a);
-    an operand that is both a factor and y is evaluated once.  Primes are
-    added until their product exceeds twice a bound on the result, which is
-    int64 while that product fits and Python integers (dtype=object)
-    otherwise.
+    y is an (n, K, phi) coefficient stack, or an Evaluated one, which keeps
+    what pairings read of it from one call to the next; weights are K
+    integers.  x is an (m, K, phi) coefficient stack, or an (f, m) integer
+    array of rows of y standing for their pointwise products, f at a time:
+    index j reads y_j and ~j reads conj(y_j), as y_j at the conjugate
+    embedding.  Mod each prime, one int64 matmul per embedding forms the
+    sums (conj(y) at a is y at 1 / a).  Primes are added until their
+    product exceeds twice a bound on the result, which is int64 while that
+    product fits and Python integers (dtype=object) otherwise.
 
     rational is the caller's promise that every sum is a rational integer.
     A rational integer is its own value at any embedding, so each prime then
     takes one matmul, at one embedding, and nothing is interpolated; the
     result is the same, with every coefficient past the first zero.
     """
-    factors = [x] if isinstance(x, np.ndarray) else list(x)
-    k, phi = y.shape[1:]
+    side = y if isinstance(y, Evaluated) else Evaluated(y)
+    k, phi = side.coeffs.shape[1:]
     w = [int(v) for v in weights]
-    # the sum is one polynomial in zeta_e of degree below e, reduced once, of L1 norm
-    # at most sum_k |w_k| prod L1(x(k)) L1(y(k)) over each class's largest L1 norms,
-    # summed in int64 unless one could pass it: a narrow stack is not copied wide
-    wide = phi * max(map(_magnitude, (*factors, y))) >= 1 << 63
-    norms = [
-        np.abs(a.astype(object) if wide else a)
-        .sum(axis=-1, dtype=object if wide else np.int64)
-        .max(axis=0, initial=0)
-        .tolist()
-        for a in (*factors, y)
-    ]
+    by_index = x.ndim == 2
+    # the sum is one polynomial in zeta_e of degree below e, reduced once, of L1
+    # norm at most sum_k |w_k| prod L1(x(k)) L1(y(k)) over each class's largest
+    # L1 norms; conj(y_j) is such a polynomial with y_j's norm
+    factors = [side.norms[np.maximum(j, ~j)] for j in x] if by_index else [_l1_norms(x)]
+    norms = [a.max(axis=0, initial=0).tolist() for a in (*factors, side.norms)]
     bound = sum(abs(wk) * prod(ns) for wk, *ns in zip(w, *norms))
     bound *= int(np.abs(power_basis_matrix(e)).sum(axis=1).max())
     # one bucket of primes serves every sum of up to 256 terms
@@ -413,19 +439,21 @@ def pairing(x, weights, y: np.ndarray, e: int, rational: bool = False) -> np.nda
     out, modulus = None, 1
     for i in count():
         q, vand, interp, neg = _embedding(e, width, i)
-        # the factors are read at the embeddings at, y at their conjugates;
-        # every operand is evaluated once, at both
-        cols = sorted({*at, *(neg[t] for t in at)})
-        read, read_conj = [cols.index(t) for t in at], [cols.index(neg[t]) for t in at]
-        values = {}
-        for a in (*factors, y):
-            if id(a) not in values:
-                values[id(a)] = _values(a, q, vand[:, cols])
+        # y is read at the conjugates of the embeddings at, and so is a row ~j of x
+        cols = tuple(sorted({*at, *(neg[t] for t in at)}))
+        values = side.values(q, vand, cols)
+        read = np.array([cols.index(t) for t in at])
+        read_conj = np.array([cols.index(neg[t]) for t in at])
         acc = np.array([wk % q for wk in w], dtype=np.int64)
-        for f in factors:
-            acc = values[id(f)][read] * acc % q
-        # the sums at each embedding, then their coefficients mod q
-        acc = np.matmul(acc, values[id(y)][read_conj].transpose(0, 2, 1)) % q
+        if by_index:
+            for j in x:
+                col = np.where(j < 0, read_conj[:, None], read[:, None])
+                acc = values[col, np.maximum(j, ~j)] * acc % q
+        else:
+            acc = _values(x, q, vand[:, at]) * acc % q
+        # the sums at each embedding, against y's kept values read in place,
+        # then their coefficients mod q
+        acc = np.stack([a @ values[c].T for a, c in zip(acc, read_conj)]) % q
         acc = acc[0] if rational else acc.transpose(1, 2, 0) @ interp % q
         if i:
             # Garner: the next mixed-radix digit in int64, added on in int64

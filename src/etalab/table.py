@@ -17,8 +17,8 @@ read-only, in the smallest signed dtype that holds its largest |coefficient|
 (int8 for every table of the catalog and its chief series); its Characters,
 JSON form, cache entry and pairings are read off it, and every arithmetic
 reader widens what it reads.
-What callers derive from it (decompositions, branching to subgroups) is
-kept on the table.
+What callers derive from it (decompositions, branching to subgroups, the
+cube's values at each pairing prime and embedding set) is kept on the table.
 
 Splitting is deterministic: class matrices are consumed in canonical class
 order (size ascending, then smallest member; perm), eigenvalues of each
@@ -55,10 +55,16 @@ where every product stays below 2^63 because q is kept under 2^21 and the
 element cap bounds matrix sizes; the sparse images keep that bound.  The
 exact pairing behind multiplicities and orthogonality (cyclotomic.pairing)
 works mod primes of its own, at the conjugate embeddings of zeta_e, and is
-exact by the Chinese remainder theorem.  A table on whose values the
-Galois group acts as the power maps permute its classes (_galois_actions,
-an exact check kept on the table) has rational-integer norms, products of
-rows and row-orthogonality sums; those pairings read one embedding only.
+exact by the Chinese remainder theorem.  The table side of every pairing
+is the cube as a cyclotomic.Evaluated (_paired), kept on the table per
+conductor: its per-row L1 norms, and its values at each prime and
+embedding set, evaluated once.  Products of rows, a row's conjugate and
+the rows themselves go in as row indices, gathered from those values; a
+class function that is no row is evaluated itself, one row at a time.  A
+table on whose values the Galois group acts as the power maps permute its
+classes (_galois_actions, an exact check kept on the table) has
+rational-integer norms, products of rows and row-orthogonality sums; those
+pairings read one embedding only.
 Column orthogonality needs no pairing: for a square table it follows from
 the rows'.
 """
@@ -77,8 +83,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .chars import Character
-from .cyclotomic import _is_prime, _primitive_root, galois, lift, narrow_dtype, narrowest
-from .cyclotomic import pairing, power_basis_matrix, reduced_degree, unit_generators
+from .cyclotomic import Evaluated, _is_prime, _primitive_root, galois, lift, narrow_dtype
+from .cyclotomic import narrowest, pairing, power_basis_matrix, reduced_degree, unit_generators
 from .errors import CharacterError, EtalabError, TableError
 from .perm import ConjugacyClassSet, PermGroup, Permutation, _as_keys, _class_action
 from .perm import _classes_of_rows, _locate, _rows_of
@@ -494,6 +500,10 @@ class CharTable:
         # charops._branching keeps its (head, first) index vectors here, keyed
         # by the subgroup's content_key
         object.__setattr__(self, "_branching", {})
+        # the y side of every pairing against the table, per conductor: the
+        # cube lifted there, its L1 norms and its values at each pairing
+        # prime and embedding set (_paired)
+        object.__setattr__(self, "_evaluated", {})
 
     def __len__(self) -> int:
         return len(self.irreducibles)
@@ -552,17 +562,25 @@ class CharTable:
         )
         return self._multiplicity_rows(theta.coeffs[None], self.e, rational)[0].tolist()
 
-    def _multiplicity_rows(self, rows, e: int, rational: bool = False) -> np.ndarray:
-        """[row, chi_i] for a (m, classes, phi(e)) stack of class functions, or
-        a sequence of such stacks standing for their pointwise products, on
-        this table's classes at a conductor e that self.e divides.
+    def _paired(self, e: int) -> Evaluated:
+        """The cube at a conductor e that self.e divides, as pairing reads it,
+        kept on the table: lifted, never rebased down."""
+        out = self._evaluated.get(e)
+        if out is None:
+            out = self._evaluated[e] = Evaluated(narrowest(lift(self.cube, self.e, e)))
+        return out
 
-        The pairing runs at e, so nothing is rebased down: the cube is lifted.
+    def _multiplicity_rows(self, x: np.ndarray, e: int, rational: bool = False) -> np.ndarray:
+        """[x_i, chi_j] at [i, j], for x an (m, classes, phi(e)) stack of class
+        functions on this table's classes at a conductor e that self.e
+        divides, or an (f, m) array of table rows standing for their
+        products, as pairing reads it.
+
         rational is the caller's proof that every multiplicity is a rational
         integer; the pairing then reads them at one embedding.  The (m, r)
         result is int64, or object when the pairing needs Python integers.
         """
-        raw = pairing(rows, self.classes.sizes, lift(self.cube, self.e, e), e, rational)
+        raw = pairing(x, self.classes.sizes, self._paired(e), e, rational)
         return as_multiplicities(raw, self.group.order)
 
     @cached_property
@@ -599,7 +617,8 @@ class CharTable:
         So the columns pass exactly when the rows do and the table is square."""
         order = self.group.order
         rational = self._galois_actions is not None
-        gram = pairing(self.cube, self.classes.sizes, self.cube, self.e, rational)
+        rows = np.arange(len(self))[None]
+        gram = pairing(rows, self.classes.sizes, self._paired(self.e), self.e, rational)
         expect = np.zeros(gram.shape, dtype=np.int64)
         for i in range(len(self)):
             expect[i, i, 0] = order

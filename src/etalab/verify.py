@@ -9,13 +9,14 @@ violation in isolation; in the ledger sweep an error raised for one
 character, or for its whole group, becomes the failing record of each
 character it concerns.  Reports are deterministic apart from elapsed_ms.
 Theorems A and B, corollary A, prop5 and the ledger form no product of
-characters: a pairing of the factors gives the multiplicities of products
-of table rows as the rows of one integer array, checked as decompose checks
-its row.  eta is a row's count of nonzero entries; degree patterns, linear
-constituents and counterexamples are read off the same rows.  One pairing
-gives a table's chi * conj(chi); corollary A pairs each chi_i * chi_j once,
-for i <= j, in chunks of bounded size, and reduces each chunk at once to
-its eta and linear-constituent flag, entered at (i, j) and (j, i).
+characters: a pairing of the factors' row indices gives the multiplicities
+of products of table rows as the rows of one integer array, checked as
+decompose checks its row.  eta is a row's count of nonzero entries; degree
+patterns, linear constituents and counterexamples are read off the same
+rows.  One pairing gives a table's chi * conj(chi); corollary A pairs each
+chi_i * chi_j once, for i <= j, in chunks of bounded size, and reduces each
+chunk at once to its eta and linear-constituent flag, entered at (i, j) and
+(j, i).
 
 The ledger sweep restricts no character on its own and builds each group's
 ledger once: the canonical chains, their labels and (m, r, s), and the
@@ -218,8 +219,9 @@ def _pair_products(table) -> tuple[np.ndarray, np.ndarray]:
     """(eta, linear): (r, r) arrays of the number of distinct constituents
     of chi_i * chi_j and of whether one of them is linear.  The product is
     symmetric, so each unordered pair i <= j is paired once, in row-major
-    order, in chunks whose factor stacks hold at most _LIFT_ENTRIES
-    coefficients, as a lifting block does; each chunk is reduced at once and
+    order, by index, in chunks whose factors, gathered from the table's
+    values, hold at most _LIFT_ENTRIES entries even at all phi(e)
+    embeddings, as a lifting block does; each chunk is reduced at once and
     entered at (i, j) and (j, i)."""
     r = len(table)
     first, second = np.triu_indices(r)
@@ -229,7 +231,7 @@ def _pair_products(table) -> tuple[np.ndarray, np.ndarray]:
     step = max(1, _LIFT_ENTRIES // table.cube[0].size)
     for start in range(0, len(first), step):
         i, j = first[start : start + step], second[start : start + step]
-        mults = _product_multiplicities(table, table.cube[i], table.cube[j])
+        mults = _product_multiplicities(table, i, j)
         eta[i, j] = eta[j, i] = np.count_nonzero(mults, axis=1)
         linear[i, j] = linear[j, i] = (mults[:, is_linear] != 0).any(axis=1)
     return eta, linear
@@ -245,7 +247,7 @@ def verify_corollary_a(groups=None, max_order=64):
 
         def failing(i, j):
             # only the failing product's row is paired again
-            row = _product_multiplicities(table, table.cube[[i]], table.cube[[j]])[0]
+            row = _product_multiplicities(table, [i], [j])[0]
             return _counterexample(G, row, chi=i, psi=j)
 
         records = []
@@ -371,10 +373,12 @@ def verify_prop5(pairs=DEFAULT_PROP5_PAIRS):
         G = witness.group
         chi = witness.chi
         # chi is irreducible (prop5_witness checks [chi, chi] = 1), so a row
-        # of G's table, as _product_multiplicities asks
+        # of G's table: its product with its conjugate is paired as the
+        # row's index and ~index, the row read at the conjugate embedding
         table = character_table(G)
+        k = table.index_of(chi)
+        row = _product_multiplicities(table, [k], [~k])[0]
         conj = chi.conjugate()
-        row = _product_multiplicities(table, chi.coeffs[None], conj.coeffs[None])[0]
         eta = int(np.count_nonzero(row))
         expected = 2 * n * (p - 1) + 1
         not_real = not (chi == conj)

@@ -24,7 +24,7 @@ from etalab.charops import (
 )
 from etalab.catalog import catalog_ids, default_catalog
 from etalab.constructions import cyclic, dihedral, prop5_witness
-from etalab.cyclotomic import CycValue, conjugate
+from etalab.cyclotomic import CycValue
 from etalab.errors import CharacterError, GroupError
 from etalab.perm import chief_series
 from etalab.table import character_table
@@ -310,7 +310,8 @@ def _rows_as_decompositions(table, mults):
 @pytest.mark.parametrize("gid", catalog_ids())
 def test_batched_norm_decompositions_match_decompose(gid):
     table = character_table(load_catalog_group(gid))
-    batched = _product_multiplicities(table, table.cube, conjugate(table.cube, table.e))
+    rows = np.arange(len(table))
+    batched = _product_multiplicities(table, rows, ~rows)
     assert _rows_as_decompositions(table, batched) == [
         decompose(chi * chi.conjugate()).constituents for chi in table
     ]
@@ -326,7 +327,8 @@ def test_batched_product_decompositions_match_decompose_on_every_ordered_pair():
             continue
         table = character_table(G)
         for i, chi in enumerate(table):
-            batched = _product_multiplicities(table, table.cube[[i] * len(table)], table.cube)
+            rows = np.arange(len(table))
+            batched = _product_multiplicities(table, np.full_like(rows, i), rows)
             expected = [decompose(chi * psi).constituents for psi in table]
             assert _rows_as_decompositions(table, batched) == expected, (G.order, i)
 
@@ -338,9 +340,9 @@ def test_batched_decompositions_keep_the_degree_check(d8_table, monkeypatch):
 
     real = table_mod.as_multiplicities
     monkeypatch.setattr(table_mod, "as_multiplicities", lambda raw, order: real(raw, order) + 1)
-    cube = d8_table.cube
+    rows = np.arange(len(d8_table))
     with pytest.raises(CharacterError, match="^inner product not integral$"):
-        _product_multiplicities(d8_table, cube, conjugate(cube, d8_table.e))
+        _product_multiplicities(d8_table, rows, ~rows)
 
 
 def _full_path_multiplicities(table, theta):
@@ -405,3 +407,31 @@ def test_a_class_function_off_the_galois_action_keeps_the_full_path(d8_table, mo
     assert modes == [False]
     with pytest.raises(CharacterError, match="^inner product not integral$"):
         _full_path_multiplicities(d8_table, theta)
+
+
+def test_a_second_decompose_evaluates_one_row(monkeypatch):
+    # the table's values are kept on it: once a decompose has evaluated w22's
+    # cube, a decompose of another theta evaluates theta's one row only
+    import etalab.table as table_mod
+    from etalab import cyclotomic
+    from etalab.groupfile import format_group, parse_group
+
+    monkeypatch.setattr(table_mod, "_TABLE_MEMO", {})
+    G = parse_group(format_group(load_catalog_group("w22")))
+    table = character_table(G)
+    chi, psi = table[-1], table[-2]
+    decompose(chi * chi.conjugate())
+    rows, real = [], cyclotomic._values
+
+    def counted(x, q, vand):
+        rows.append(len(x))
+        return real(x, q, vand)
+
+    monkeypatch.setattr(cyclotomic, "_values", counted)
+    theta = chi * psi
+    got = decompose(theta)
+    assert rows == [1]
+    want = _full_path_multiplicities(table, theta)
+    assert [(table.index_of(xi), m) for xi, m in got.constituents] == [
+        (j, m) for j, m in enumerate(want) if m
+    ]

@@ -300,8 +300,9 @@ def test_pairing_matches_power_basis_oracle_on_catalog_tables(gid, monkeypatch):
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_pairing_matches_power_basis_oracle_on_drawn_stacks(data):
-    # products of up to three factors against the oracle on the multiplied
-    # stack; scales up to 2**64 need three or more primes and Python integers
+    # a stack, and products of up to three rows of y by index, each row
+    # conjugated or not, against the oracle on the multiplied stack; scales
+    # up to 2**64 need three or more primes and Python integers
     e = data.draw(st.sampled_from([1, 2, 3, 4, 5, 8, 9, 12, 16, 25, 27]))
     phi = reduced_degree(e)
     m, n, k = (data.draw(st.integers(0 if i < 2 else 1, 4)) for i in range(3))
@@ -314,17 +315,25 @@ def test_pairing_matches_power_basis_oracle_on_drawn_stacks(data):
             min_size=rows, max_size=rows,
         ))).reshape(rows, k, phi)
 
-    factors = [stack(m) for _ in range(data.draw(st.integers(1, 3)))]
+    x = stack(m)
     y = stack(n)
     weights = data.draw(st.lists(st.integers(-50, 50), min_size=k, max_size=k))
-    product = factors[0]
-    for f in factors[1:]:
-        product = multiply(product, f, e)
-    got = pairing(factors, weights, y, e)
+    got = pairing(x, weights, y, e)
     assert got.shape == (m, n, phi)
+    assert got.tolist() == power_basis_pairing(x, weights, y, e).tolist()
+    if not n:
+        return
+    # index j is row j of y, ~j its conjugate
+    f = data.draw(st.integers(1, 3))
+    index = st.lists(st.integers(-n, n - 1), min_size=m, max_size=m)
+    rows = np.array(data.draw(st.lists(index, min_size=f, max_size=f)), dtype=np.int64)
+    product = None
+    for j in rows.reshape(f, m):
+        factor = y[np.maximum(j, ~j)]
+        factor = np.where((j < 0)[:, None, None], conjugate(factor, e), factor)
+        product = factor if product is None else multiply(product, factor, e)
+    got = pairing(rows.reshape(f, m), weights, y, e)
     assert got.tolist() == power_basis_pairing(product, weights, y, e).tolist()
-    if len(factors) == 1:
-        assert pairing(factors[0], weights, y, e).tolist() == got.tolist()
 
 
 @pytest.mark.parametrize(
@@ -363,7 +372,8 @@ def test_unit_generators_generate_every_unit_group():
 
 @pytest.mark.parametrize("rational", [False, True])
 def test_an_operand_in_both_roles_is_evaluated_once(rational, monkeypatch):
-    # the norms block: cube is a factor and y, conj(cube) a factor only
+    # the norms block: the rows of cube are both factors, one of them
+    # conjugated, and cube is y
     table = character_table(load_catalog_group("c25"))
     cube, e = table.cube, table.e
     values, evaluated = cyclotomic._values, []
@@ -374,7 +384,8 @@ def test_an_operand_in_both_roles_is_evaluated_once(rational, monkeypatch):
 
     taken = _primes_used(monkeypatch)
     monkeypatch.setattr(cyclotomic, "_values", counted)
-    pairing((cube, conjugate(cube, e)), table.classes.sizes, cube, e, rational)
+    rows = np.arange(len(table))
+    pairing(np.stack([rows, ~rows]), table.classes.sizes, cube, e, rational)
     primes = len({i for i, _ in taken})
-    # one embedding and its conjugate, or all phi(25) = 20
-    assert evaluated == [2 if rational else 20] * (2 * primes)
+    # once per prime: one embedding and its conjugate, or all phi(25) = 20
+    assert evaluated == [2 if rational else 20] * primes

@@ -45,17 +45,14 @@ REVIEWED_CUBE_READS = {
         # Python integers
         "return tuple(self.cube[:, 0, 0].tolist())",
         '"irreducibles": self.cube.tolist(),',
-        # kernels that widen: lift, galois (linear_map), pairing
-        "raw = pairing(rows, self.classes.sizes, lift(self.cube, self.e, e), e, rational)",
+        # kernels that widen: lift and galois (linear_map); Evaluated, whose
+        # values widen a bounded block at a time and whose norms sum in int64
+        "out = self._evaluated[e] = Evaluated(narrowest(lift(self.cube, self.e, e)))",
         "if not np.array_equal(galois(self.cube, self.e, u), self.cube[:, act]):",
-        "gram = pairing(self.cube, self.classes.sizes, self.cube, self.e, rational)",
     },
     "charops.py": {
-        # kernels that widen: linear_map, conjugate, pairing (through
-        # _product_multiplicities, which widens the degrees it multiplies);
-        # _orbit_sums sums in int64
+        # kernels that widen: linear_map; _orbit_sums sums in int64
         "if (linear_map(mults, table.cube[:, :1, 0])[:, 0] != degrees).any():",
-        "out = _product_multiplicities(table, table.cube, conjugate(table.cube, table.e))",
         "heads, sums = _orbit_sums(first, below.cube)",
         # keys at one dtype with the orbit sums, and a comparison
         "dtype = np.promote_types(sums.dtype, table.cube.dtype)",
@@ -63,9 +60,6 @@ REVIEWED_CUBE_READS = {
         "keep = (table.cube[:, gen_classes] == table.cube[:, :1]).all(axis=(1, 2))",
     },
     "verify.py": {
-        # handed to _product_multiplicities, which widens the degrees it multiplies
-        "mults = _product_multiplicities(table, table.cube[i], table.cube[j])",
-        "row = _product_multiplicities(table, table.cube[[i]], table.cube[[j]])[0]",
         # the shape of one row
         "step = max(1, _LIFT_ENTRIES // table.cube[0].size)",
         "step = (_branching(series[i], series[i - 1])[0] == principal) & (tab_i.cube[:, 0, 0] == 1)",

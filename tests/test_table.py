@@ -546,7 +546,8 @@ def test_seeded_tables_equal_plain_dixon(monkeypatch):
             table = character_table(N).to_json_dict()["irreducibles"]
             rerun = table_mod._compute_table(N, prime_offset=1)
             assert table == rerun.to_json_dict()["irreducibles"], (gid, N.order)
-            _assert_one_embedding_is_the_full_path(rerun, (gid, N.order, "prime_offset=1"))
+            assert rerun._galois_actions is not None, (gid, N.order)
+            _assert_index_path_is_the_stack_path(rerun, (gid, N.order, "prime_offset=1"))
 
 
 def _central_translate_classes(classes):
@@ -851,28 +852,38 @@ def test_rref_matches_the_dense_oracle():
 EXTRASPECIAL = {"es5-1": (5, 1), "es7-1": (7, 1), "es3-2": (3, 2)}
 
 
-def _one_embedding_blocks(table):
-    """The pairings the one-embedding mode serves, as (x, weights, y): the
-    norms block, one corollary-A block and the row-orthogonality gram."""
-    cube, e, sizes = table.cube, table.e, table.classes.sizes
+def _index_blocks(table):
+    """The pairings the sweeps make by row index, as (rows, stack): the rows
+    pairing reads and the coefficient stack they stand for.  chi * conj(chi)
+    for every chi, every chi_i * chi_j with i <= j when |G| <= 64 and the
+    last row times every row otherwise, and the rows themselves, whose
+    pairing is the row-orthogonality gram."""
+    cube, e = table.cube, table.e
+    rows = np.arange(len(table))
+    last = (np.full_like(rows, rows[-1]), rows)
+    i, j = np.triu_indices(len(table)) if table.group.order <= 64 else last
     return [
-        ((cube, conjugate(cube, e)), sizes, cube),
-        ((cube[-1:], cube), sizes, cube),
-        (cube, sizes, cube),
+        (np.stack([rows, ~rows]), multiply(cube, conjugate(cube, e), e)),
+        (np.stack([i, j]), multiply(cube[i], cube[j], e)),
+        (rows[None], cube),
     ]
 
 
-def _assert_one_embedding_is_the_full_path(table, label):
-    assert table._galois_actions is not None, label
-    blocks = _one_embedding_blocks(table)
-    full = [pairing(x, weights, y, table.e) for x, weights, y in blocks]
-    for (x, weights, y), want in zip(blocks, full):
-        got = pairing(x, weights, y, table.e, True)
-        assert got.dtype == want.dtype and np.array_equal(got, want), label
-    # the corollary-A block broadcasts its one row as the repeated row did
-    r = len(table)
-    rows = (table.cube[[r - 1] * r], table.cube)
-    assert np.array_equal(pairing(rows, table.classes.sizes, table.cube, table.e), full[1]), label
+def _assert_index_path_is_the_stack_path(table, label):
+    """Each index block, paired against the values kept on the table at one
+    embedding when its Galois check passes and at all of them otherwise,
+    equals the pairing of the stack it stands for at all embeddings; so
+    does the stack at one embedding, when the check passes."""
+    sizes, e = table.classes.sizes, table.e
+    rational = table._galois_actions is not None
+    for rows, stack in _index_blocks(table):
+        want = pairing(stack, sizes, table.cube, e)
+        for got in (
+            pairing(rows, sizes, table._paired(e), e, rational),
+            pairing(rows, sizes, table._paired(e), e),
+            pairing(stack, sizes, table.cube, e, rational),
+        ):
+            assert got.dtype == want.dtype and np.array_equal(got, want), label
 
 
 @pytest.mark.parametrize("gid", catalog_ids() + list(EXTRASPECIAL))
@@ -881,7 +892,9 @@ def test_one_embedding_pairings_equal_the_full_path(gid):
     # the same at prime_offset=1
     G = extraspecial_exp_p(*EXTRASPECIAL[gid]) if gid in EXTRASPECIAL else load_catalog_group(gid)
     for N in G.chief_series():
-        _assert_one_embedding_is_the_full_path(character_table(N), (gid, N.order))
+        table = character_table(N)
+        assert table._galois_actions is not None, (gid, N.order)
+        _assert_index_path_is_the_stack_path(table, (gid, N.order))
 
 
 @pytest.mark.parametrize("gid", ["d8", "es27", "c25"])
@@ -913,6 +926,7 @@ def test_a_row_times_a_root_of_unity_keeps_the_full_path(gid, monkeypatch):
         pass  # chi * conj(chi) may pair with the twisted row to a non-integer
     assert twisted.multiplicities(twisted[one]) == [int(i == one) for i in range(len(twisted))]
     assert len(modes) == 3 and not any(modes)
+    _assert_index_path_is_the_stack_path(twisted, (gid, "twisted"))
 
 
 # eigenvector rows lambda * (class sizes) mod q that fail one lifting check

@@ -76,7 +76,8 @@ def _per_chi_corollary_records(G):
     for i, degree in enumerate(table.degrees):
         n = next(k for k in range(degree.bit_length()) if p**k == degree)
         bound = 2 * n * (p - 1) + 1
-        mults = _product_multiplicities(table, table.cube[i : i + 1], table.cube)
+        rows = np.arange(len(table))
+        mults = _product_multiplicities(table, np.full_like(rows, i), rows)
         for j, row in enumerate(mults):
             eta, qualifies = int(np.count_nonzero(row)), bool(row[linear].any())
             rec = {"chi": i, "psi": j, "qualifies": qualifies, "eta": eta}
@@ -109,18 +110,21 @@ def test_corollary_records_equal_the_per_chi_pairing(whole_catalog_corollary, mo
 
 def test_corollary_pairs_each_unordered_pair_once_in_bounded_chunks(monkeypatch):
     # w22 has r = 119 characters: r (r + 1) / 2 products, none held twice,
-    # and no r^2-row block of factors
+    # and no r^2-row block of factors: a chunk's factors, row by row of the
+    # cube, hold at most _LIFT_ENTRIES coefficients
     calls = []
     real = verify_mod._product_multiplicities
 
-    def spy(table, a, b):
-        calls.append((len(a), a.size, b.size))
-        return real(table, a, b)
+    def spy(table, i, j):
+        assert len(i) == len(j)
+        calls.append(len(i) * table.cube[0].size)
+        return real(table, i, j)
 
     monkeypatch.setattr(verify_mod, "_product_multiplicities", spy)
     assert verify_corollary_a(groups=_small("w22"), max_order=None).passed
-    assert sum(rows for rows, _, _ in calls) == 119 * 120 // 2
-    assert max(max(a, b) for _, a, b in calls) <= verify_mod._LIFT_ENTRIES
+    table = character_table(load_catalog_group("w22"))
+    assert sum(calls) == 119 * 120 // 2 * table.cube[0].size
+    assert max(calls) <= verify_mod._LIFT_ENTRIES
     assert len(calls) < 119
 
 
@@ -652,3 +656,32 @@ def test_both_module_entry_points_give_the_same_exit_code(args, code):
     ]
     assert [run.returncode for run in runs] == [code, code]
     assert all("RuntimeWarning" not in run.stderr for run in runs)
+
+
+def test_a_cold_sweep_evaluates_each_cube_once_per_prime_and_embedding_set(monkeypatch):
+    # theorems A and B, corollary A, prop5 and the orthogonality check pair
+    # against the values kept on each table: in a fresh memo, a cube reaches
+    # _values at most once per (prime, embedding set)
+    import etalab.catalog as catalog_mod
+    from etalab import cyclotomic
+
+    monkeypatch.setattr(table_mod, "_TABLE_MEMO", {})
+    monkeypatch.setattr(catalog_mod, "_GROUP_MEMO", {})
+    evaluated, real = [], cyclotomic._values
+
+    def counted(x, q, vand):
+        evaluated.append((x, q, vand.tobytes()))
+        return real(x, q, vand)
+
+    monkeypatch.setattr(cyclotomic, "_values", counted)
+    for sweep in (verify_theorem_a, verify_theorem_b, verify_corollary_a, verify_prop5):
+        assert sweep().passed
+    # a plain dict, the memo holds every table the sweeps made, prop5's too
+    tables = list(table_mod._TABLE_MEMO.values())
+    for table in tables:
+        table.verify_orthogonality()
+    cubes = [
+        (id(x), q, vand) for x, q, vand in evaluated if any(x is table.cube for table in tables)
+    ]
+    assert len(cubes) >= len(tables) >= len(default_catalog())
+    assert len(set(cubes)) == len(cubes)
