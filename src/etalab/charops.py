@@ -3,13 +3,11 @@ induction, kernels, and the related subgroup-character bookkeeping.
 
 Decomposition runs against the canonical table of the character's group and
 is kept on that table, keyed by the class function's values; decompose is
-the one place a ConstituentDecomposition is built.  Products of table rows
-are paired in blocks, one pairing each of the factors' row indices against
-the values kept on the table, into an integer array of multiplicities, one
-row per product, with decompose's degree check.
-Restriction multiplicities [theta|_N, psi] are paired at the parent's
-conductor, with N's table lifted up to it, so no value is rebased down; only
-the public `restrict` takes values down to N's conductor (the `down` kernel).
+the one place a ConstituentDecomposition is built.  Every pairing against a
+table, decompose's and restriction's, is the table's own
+(CharTable._multiplicity_rows), at its conductor: restriction multiplicities
+take theta's values down to N's conductor first (the `down` kernel), as
+`restrict` does.  inner_product is the one other pairing.
 A whole table restricted to a normal subgroup of prime index is, by
 Clifford's theorem, one orbit head per row, looked up among orbit sums with
 no pairing and kept on the table; along a chief series the top table's
@@ -76,51 +74,14 @@ def inner_product(a: Character, b: Character) -> int:
     return int(as_multiplicities(raw, G.order)[0, 0])
 
 
-def _checked(table, mults: np.ndarray, degrees) -> np.ndarray:
-    """mults, rows of multiplicities against table of class functions theta,
-    once each row's constituents' degrees sum to its theta(1), given in
-    degrees; CharacterError otherwise."""
-    if (linear_map(mults, table.cube[:, :1, 0])[:, 0] != degrees).any():
-        raise CharacterError("inner product not integral")
-    return mults
-
-
 def decompose(theta: Character) -> ConstituentDecomposition:
     """Full decomposition of theta against the canonical table of its group."""
     table = character_table(theta.group)
     memo, key = table._decompositions, theta.value_key()
     if key not in memo:
         row = table.multiplicities(theta)
-        _checked(table, np.array([row], dtype=object), theta.degree)
         memo[key] = ConstituentDecomposition(tuple((table[i], m) for i, m in enumerate(row) if m))
     return memo[key]
-
-
-def _product_multiplicities(table, i, j) -> np.ndarray:
-    """The multiplicities [chi_i[n] * chi_j[n], chi_k] at [n, k] of the
-    pointwise products of two sequences of table rows, given by index, a
-    row ~j standing for conj(chi_j), checked as decompose checks them, from
-    one pairing that gathers each product's factors from the table's values.
-
-    When the table passes its _galois_actions check, the multiplicities are
-    rational integers, and the pairing reads them at one embedding."""
-    x = np.array([i, j], dtype=np.int64)
-    mults = table._multiplicity_rows(x, table.e, table._galois_actions is not None)
-    # a row's degree is its conjugate's
-    degrees = table.cube[np.maximum(x, ~x), 0, 0].astype(np.int64)
-    return _checked(table, mults, degrees[0] * degrees[1])
-
-
-def _norm_multiplicities(table) -> np.ndarray:
-    """The (r, r) array of [chi_i * conj(chi_i), chi_j] at [i, j], from one
-    pairing; kept on the table, read-only."""
-    out = table._decompositions.get("norms")
-    if out is None:
-        rows = np.arange(len(table))
-        out = _product_multiplicities(table, rows, ~rows)
-        out.setflags(write=False)
-        table._decompositions["norms"] = out
-    return out
 
 
 def eta_count(chi: Character, psi: Character = None) -> int:
@@ -157,7 +118,7 @@ def restrict(a: Character, N: PermGroup) -> Character:
 def restriction_multiplicities(thetas, N: PermGroup) -> list[list[int]]:
     """Rows [theta|_N, psi] over psi in N's canonical table, one per theta in
     a sequence of class functions of one group G containing N, read on N's
-    classes through class fusion and paired at G's conductor."""
+    classes through class fusion and paired at N's conductor."""
     if not thetas:
         return []
     G = thetas[0].group
@@ -165,7 +126,12 @@ def restriction_multiplicities(thetas, N: PermGroup) -> list[list[int]]:
         raise CharacterError("characters on different groups")
     _check_subgroup(N, G)
     rows = np.stack([t.coeffs for t in thetas])[:, _fusion(N, G)]
-    return character_table(N)._multiplicity_rows(rows, G.exponent()).tolist()
+    try:
+        # integral multiplicities would put theta|_N in Z[zeta_(e_N)]
+        rows = down(rows, G.exponent(), N.exponent())
+    except CyclotomicError:
+        raise CharacterError("inner product not integral") from None
+    return character_table(N)._multiplicity_rows(rows).tolist()
 
 
 def _branching(N: PermGroup, M: PermGroup) -> tuple[np.ndarray, np.ndarray]:

@@ -111,18 +111,24 @@ def stabilizer(G: PermGroup, N: PermGroup, nu: Character) -> PermGroup:
 
 def clifford_correspondent(chi: Character, N: PermGroup, nu: Character) -> Character:
     """The unique irreducible of the stabilizer lying over nu that induces
-    back to chi."""
+    back to chi, for chi in Irr(G) and nu in Irr(N)."""
     G = chi.group
-    # [theta|_N, nu] is theta's restriction row over Irr(N) dotted with nu's
-    over_nu = character_table(N).multiplicities(nu)
-    if not np.dot(restriction_multiplicities([chi], N)[0], over_nu):
+    if not nu.group.same_elements(N):
+        raise CharacterError("characters on different groups")
+    try:
+        character_table(G).index_of(chi)
+        k = character_table(N).index_of(nu)
+    except TableError:
+        raise CharacterError("not irreducible") from None
+    # [theta|_N, nu] is column k of theta's restriction row over Irr(N)
+    if not restriction_multiplicities([chi], N)[0][k]:
         raise CharacterError("not a constituent")
     stab = stabilizer(G, N, nu)
     if stab.same_elements(G):
         return chi
     table = character_table(stab)
     rows = restriction_multiplicities(list(table), N)
-    matches = [t for t, row in zip(table, rows) if np.dot(row, over_nu) and induce(t, G) == chi]
+    matches = [t for t, row in zip(table, rows) if row[k] and induce(t, G) == chi]
     if len(matches) != 1:
         raise ChainError("internal Clifford failure")
     return matches[0]

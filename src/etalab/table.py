@@ -17,8 +17,9 @@ read-only, in the smallest signed dtype that holds its largest |coefficient|
 (int8 for every table of the catalog and its chief series); its Characters,
 JSON form, cache entry and pairings are read off it, and every arithmetic
 reader widens what it reads.
-What callers derive from it (decompositions, branching to subgroups, the
-cube's values at each pairing prime and embedding set) is kept on the table.
+What callers derive from it (decompositions, branching to subgroups,
+chi * conj(chi)'s multiplicities, the cube's values at each pairing prime
+and embedding set) is kept on the table.
 
 Splitting is deterministic: class matrices are consumed in canonical class
 order (size ascending, then smallest member; perm), eigenvalues of each
@@ -55,16 +56,20 @@ where every product stays below 2^63 because q is kept under 2^21 and the
 element cap bounds matrix sizes; the sparse images keep that bound.  The
 exact pairing behind multiplicities and orthogonality (cyclotomic.pairing)
 works mod primes of its own, at the conjugate embeddings of zeta_e, and is
-exact by the Chinese remainder theorem.  The table side of every pairing
-is the cube as a cyclotomic.Evaluated (_paired), kept on the table per
-conductor: its per-row L1 norms, and its values at each prime and
-embedding set, evaluated once.  Products of rows, a row's conjugate and
-the rows themselves go in as row indices, gathered from those values; a
-class function that is no row is evaluated itself, one row at a time.  A
-table on whose values the Galois group acts as the power maps permute its
-classes (_galois_actions, an exact check kept on the table) has
-rational-integer norms, products of rows and row-orthogonality sums; those
-pairings read one embedding only.
+exact by the Chinese remainder theorem.  Every pairing against a table
+goes through one seam (_multiplicity_rows), at the table's own conductor:
+its table side is the cube as a cyclotomic.Evaluated, kept on the table
+with its per-row L1 norms and its values at each prime and embedding set,
+evaluated once.  Products of rows, a row's conjugate and the rows
+themselves go in as row indices, gathered from those values; a class
+function that is no row is evaluated itself.  The seam decides the mode:
+a table on whose values the Galois group acts as the power maps permute
+its classes (_galois_actions, an exact check kept on the table) has
+rational-integer products of rows and row-orthogonality sums, and so has
+a class function that the Galois group moves as it moves the classes;
+those pairings read one embedding only.  The seam checks each result's
+degrees against the class function's; chi * conj(chi)'s multiplicities,
+paired there once, are kept on the table (_norm_rows).
 Column orthogonality needs no pairing: for a square table it follows from
 the rows'.
 """
@@ -83,7 +88,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .chars import Character
-from .cyclotomic import Evaluated, _is_prime, _primitive_root, galois, lift, narrow_dtype
+from .cyclotomic import Evaluated, _is_prime, _primitive_root, galois, linear_map, narrow_dtype
 from .cyclotomic import narrowest, pairing, power_basis_matrix, reduced_degree, unit_generators
 from .errors import CharacterError, EtalabError, TableError
 from .perm import ConjugacyClassSet, PermGroup, Permutation, _as_keys, _class_action
@@ -494,16 +499,11 @@ class CharTable:
         keys = _as_keys(self.cube.reshape(len(self.cube), -1))
         order = np.argsort(keys)
         object.__setattr__(self, "_sorted_keys", (keys[order], order))
-        # charops.decompose keeps its results here, keyed by value_key(), and
-        # charops._norm_multiplicities its read-only array under "norms"
+        # charops.decompose keeps its results here, keyed by value_key()
         object.__setattr__(self, "_decompositions", {})
         # charops._branching keeps its (head, first) index vectors here, keyed
         # by the subgroup's content_key
         object.__setattr__(self, "_branching", {})
-        # the y side of every pairing against the table, per conductor: the
-        # cube lifted there, its L1 norms and its values at each pairing
-        # prime and embedding set (_paired)
-        object.__setattr__(self, "_evaluated", {})
 
     def __len__(self) -> int:
         return len(self.irreducibles)
@@ -550,38 +550,54 @@ class CharTable:
         return self._rows_index(chi.coeffs[None])[0]
 
     def multiplicities(self, theta: Character) -> list[int]:
-        """[theta, chi_i] for every table entry, as exact integers.  They are
-        rational when the table passes its _galois_actions check and
-        sigma_u(theta) = theta o P_u for each of its unit generators u, and
-        are then paired at one embedding."""
+        """[theta, chi_i] for every table entry, as exact integers."""
         if not theta.group.same_elements(self.group):
             raise CharacterError("characters on different groups")
+        return self._multiplicity_rows(theta.coeffs[None])[0].tolist()
+
+    @cached_property
+    def _evaluated(self) -> Evaluated:
+        """The cube as every pairing against the table reads it, kept on the
+        table: its L1 norms and its values at each prime and embedding set."""
+        return Evaluated(self.cube)
+
+    def _multiplicity_rows(self, x: np.ndarray) -> np.ndarray:
+        """[x_i, chi_j] at [i, j], the one pairing against the table, for x
+        an (m, classes, phi(e)) stack of class functions at the table's
+        conductor, or an (f, m) array of table rows standing for their
+        products, ~j for conj(chi_j), as pairing reads it.
+
+        The multiplicities are rational integers, and are read at one
+        embedding, when the table passes its _galois_actions check and, for
+        a stack, sigma_u(x) = x[:, P_u] for each of its unit generators u.
+        Each row's constituents' degrees must sum to its x_i(1), a rational
+        integer; CharacterError otherwise.  The (m, r) result is int64, or
+        object when the pairing needs Python integers."""
         actions = self._galois_actions
-        rational = actions is not None and all(
-            np.array_equal(galois(theta.coeffs, self.e, u), theta.coeffs[act]) for u, act in actions
+        rational = actions is not None and (
+            x.ndim == 2
+            or all(np.array_equal(galois(x, self.e, u), x[:, act]) for u, act in actions)
         )
-        return self._multiplicity_rows(theta.coeffs[None], self.e, rational)[0].tolist()
+        raw = pairing(x, self.classes.sizes, self._evaluated, self.e, rational)
+        mults = as_multiplicities(raw, self.group.order)
+        if x.ndim == 2:
+            # a row's degree is its conjugate's
+            degrees = self.cube[np.maximum(x, ~x), 0, 0].astype(np.int64).prod(axis=0)
+        else:
+            degrees = x[:, 0, 0]
+        irrational = x.ndim == 3 and x[:, 0, 1:].any()
+        if irrational or (linear_map(mults, self.cube[:, :1, 0])[:, 0] != degrees).any():
+            raise CharacterError("inner product not integral")
+        return mults
 
-    def _paired(self, e: int) -> Evaluated:
-        """The cube at a conductor e that self.e divides, as pairing reads it,
-        kept on the table: lifted, never rebased down."""
-        out = self._evaluated.get(e)
-        if out is None:
-            out = self._evaluated[e] = Evaluated(narrowest(lift(self.cube, self.e, e)))
+    @cached_property
+    def _norm_rows(self) -> np.ndarray:
+        """The (r, r) array of [chi_i * conj(chi_i), chi_j] at [i, j], from
+        one pairing; read-only."""
+        rows = np.arange(len(self))
+        out = self._multiplicity_rows(np.stack([rows, ~rows]))
+        out.setflags(write=False)
         return out
-
-    def _multiplicity_rows(self, x: np.ndarray, e: int, rational: bool = False) -> np.ndarray:
-        """[x_i, chi_j] at [i, j], for x an (m, classes, phi(e)) stack of class
-        functions on this table's classes at a conductor e that self.e
-        divides, or an (f, m) array of table rows standing for their
-        products, as pairing reads it.
-
-        rational is the caller's proof that every multiplicity is a rational
-        integer; the pairing then reads them at one embedding.  The (m, r)
-        result is int64, or object when the pairing needs Python integers.
-        """
-        raw = pairing(x, self.classes.sizes, self._paired(e), e, rational)
-        return as_multiplicities(raw, self.group.order)
 
     @cached_property
     def _galois_actions(self) -> Optional[tuple[tuple[int, np.ndarray], ...]]:
@@ -609,20 +625,18 @@ class CharTable:
 
     def verify_orthogonality(self) -> None:
         """Exact row and column orthogonality; raises TableError on failure.
-        The row relation is one pairing, at one embedding when the table
-        passes its _galois_actions check.  With X the (m, r) value matrix and
-        D the class sizes, the rows pass when X D X* = |G| I: X then has rank
-        m <= r.  For m = r, X is invertible and X* X = |G| D^-1, which is
-        the column relation; for m < r, X* X has rank m and the columns fail.
+        The row relation is the table's pairing of its own rows
+        (_multiplicity_rows), read as an integer gram.  With X the (m, r)
+        value matrix and D the class sizes, the rows pass when
+        X D X* = |G| I: X then has rank m <= r.  For m = r, X is invertible
+        and X* X = |G| D^-1, which is the column relation; for m < r, X* X
+        has rank m and the columns fail.
         So the columns pass exactly when the rows do and the table is square."""
-        order = self.group.order
-        rational = self._galois_actions is not None
-        rows = np.arange(len(self))[None]
-        gram = pairing(rows, self.classes.sizes, self._paired(self.e), self.e, rational)
-        expect = np.zeros(gram.shape, dtype=np.int64)
-        for i in range(len(self)):
-            expect[i, i, 0] = order
-        if (gram != expect).any():
+        try:
+            gram = self._multiplicity_rows(np.arange(len(self))[None])
+        except CharacterError:
+            gram = None
+        if gram is None or not np.array_equal(gram, np.eye(len(self), dtype=np.int64)):
             raise TableError("row orthogonality violated")
         if len(self) != len(self.classes):
             raise TableError("column orthogonality violated")

@@ -9,11 +9,12 @@ violation in isolation; in the ledger sweep an error raised for one
 character, or for its whole group, becomes the failing record of each
 character it concerns.  Reports are deterministic apart from elapsed_ms.
 Theorems A and B, corollary A, prop5 and the ledger form no product of
-characters: a pairing of the factors' row indices gives the multiplicities
-of products of table rows as the rows of one integer array, checked as
-decompose checks its row.  eta is a row's count of nonzero entries; degree
-patterns, linear constituents and counterexamples are read off the same
-rows.  One pairing gives a table's chi * conj(chi); corollary A pairs each
+characters: the table's pairing of the factors' row indices
+(CharTable._multiplicity_rows) gives the multiplicities of products of
+table rows as the rows of one checked integer array.  eta is a row's count
+of nonzero entries; degree patterns, linear constituents and
+counterexamples are read off the same rows.  A table keeps its
+chi * conj(chi) from one such pairing; corollary A pairs each
 chi_i * chi_j once, for i <= j, in chunks of bounded size, and reduces each
 chunk at once to its eta and linear-constituent flag, entered at (i, j) and
 (j, i).
@@ -36,8 +37,7 @@ import numpy as np
 
 from .catalog import default_catalog
 from .chars import Character
-from .charops import _branching, _norm_multiplicities, _product_multiplicities
-from .charops import _restrictions_along
+from .charops import _branching, _restrictions_along
 from .clifford import _classify, _descend, _plogs
 from .constructions import prop5_witness
 from .errors import ChainError, EtalabError, GroupError
@@ -161,7 +161,7 @@ def verify_theorem_a(groups=None, max_order=None):
     """eta(chi, conj chi) >= 2n(p-1)+1 with n = log_p chi(1), per irreducible."""
     for gid, G in _selection(groups, max_order):
         table = character_table(G)
-        norms = _norm_multiplicities(table)
+        norms = table._norm_rows
         etas = np.count_nonzero(norms, axis=1).tolist()
         records = []
         for idx, (degree, eta, n, bound) in enumerate(zip(table.degrees, etas, *_bounds(G, table))):
@@ -185,7 +185,7 @@ def verify_theorem_b(groups=None, max_order=None):
     for gid, G in _selection(groups, max_order):
         p = G.p_group_info().p
         table = character_table(G)
-        norms = _norm_multiplicities(table)
+        norms = table._norm_rows
         etas = np.count_nonzero(norms, axis=1).tolist()
         degrees = np.array(table.degrees)
         records = []
@@ -231,7 +231,7 @@ def _pair_products(table) -> tuple[np.ndarray, np.ndarray]:
     step = max(1, _LIFT_ENTRIES // table.cube[0].size)
     for start in range(0, len(first), step):
         i, j = first[start : start + step], second[start : start + step]
-        mults = _product_multiplicities(table, i, j)
+        mults = table._multiplicity_rows(np.stack([i, j]))
         eta[i, j] = eta[j, i] = np.count_nonzero(mults, axis=1)
         linear[i, j] = linear[j, i] = (mults[:, is_linear] != 0).any(axis=1)
     return eta, linear
@@ -247,7 +247,7 @@ def verify_corollary_a(groups=None, max_order=64):
 
         def failing(i, j):
             # only the failing product's row is paired again
-            row = _product_multiplicities(table, [i], [j])[0]
+            row = table._multiplicity_rows(np.array([[i], [j]]))[0]
             return _counterexample(G, row, chi=i, psi=j)
 
         records = []
@@ -277,7 +277,7 @@ def _bookkeeping(G: PermGroup, series, unstable: np.ndarray, restricted) -> np.n
     to N_i are their rows of R_i, so each flag is a boolean product of chi's
     constituent support with R_i over those columns."""
     table = character_table(G)
-    support = (_norm_multiplicities(table) != 0).astype(np.int64)
+    support = (table._norm_rows != 0).astype(np.int64)
     degrees = table.cube[:, 0, 0].astype(np.int64)
     covered = np.ones(unstable.shape, dtype=bool)
     attached = np.zeros(unstable.shape, dtype=np.int64)
@@ -377,7 +377,7 @@ def verify_prop5(pairs=DEFAULT_PROP5_PAIRS):
         # row's index and ~index, the row read at the conjugate embedding
         table = character_table(G)
         k = table.index_of(chi)
-        row = _product_multiplicities(table, [k], [~k])[0]
+        row = table._multiplicity_rows(np.array([[k], [~k]]))[0]
         conj = chi.conjugate()
         eta = int(np.count_nonzero(row))
         expected = 2 * n * (p - 1) + 1

@@ -9,8 +9,6 @@ import pytest
 from etalab.catalog import load_catalog_group
 from etalab.chars import Character
 from etalab.charops import (
-    _norm_multiplicities,
-    _product_multiplicities,
     center_of_character,
     decompose,
     eta_count,
@@ -231,6 +229,58 @@ def test_restriction_multiplicities_match_elementwise_oracle():
             assert row == [elementwise_inner(n_table, res, psi) for psi in n_table]
 
 
+def test_restriction_pairs_at_the_subgroups_conductor(monkeypatch):
+    # c8's C4 member: the restricted rows go down to conductor 4 and are
+    # paired against C4's own cube, at one embedding
+    import etalab.table as table_mod
+    from etalab.cyclotomic import Evaluated
+
+    G = load_catalog_group("c8")
+    N = chief_series(G)[-2]
+    n_table = character_table(N)
+    assert (G.exponent(), N.exponent()) == (8, 4)
+    calls = []
+    real = table_mod.pairing
+
+    def spy(x, weights, y, e, rational=False):
+        calls.append((e, rational, y))
+        return real(x, weights, y, e, rational)
+
+    monkeypatch.setattr(table_mod, "pairing", spy)
+    rows = restriction_multiplicities(list(character_table(G)), N)
+    # each linear character restricts to one linear character
+    assert all(sorted(row) == [0, 0, 0, 1] for row in rows)
+    held = [v for v in vars(n_table).values() if isinstance(v, Evaluated)]
+    assert len(held) == 1 and held[0].coeffs is n_table.cube
+    assert [(e, rational) for e, rational, _ in calls] == [(4, True)]
+    assert calls[0][2] is held[0]
+
+
+def test_the_table_pairing_checks_degrees(d8, d8_table, monkeypatch):
+    # multiplicities that pass as_multiplicities but miss theta(1) raise,
+    # for a single class function and for restrictions alike
+    import etalab.table as table_mod
+
+    real = table_mod.as_multiplicities
+    monkeypatch.setattr(table_mod, "as_multiplicities", lambda raw, order: real(raw, order) + 1)
+    chi = d8_table[4]
+    with pytest.raises(CharacterError, match="^inner product not integral$"):
+        d8_table.multiplicities(chi * chi.conjugate())
+    with pytest.raises(CharacterError, match="^inner product not integral$"):
+        restriction_multiplicities(list(d8_table), chief_series(d8)[-2])
+
+
+def test_a_restriction_off_the_subgroups_conductor_is_not_integral():
+    # zeta_8 times the principal character of c8 restricts to C4 with values
+    # outside Z[zeta_4], so its multiplicities cannot be integers
+    G = load_catalog_group("c8")
+    N = chief_series(G)[-2]
+    zeta = np.array(CycValue.root_of_unity(8).coeffs)
+    theta = Character._of(G, np.tile(zeta, (len(G.conjugacy_classes()), 1)))
+    with pytest.raises(CharacterError, match="^inner product not integral$"):
+        restriction_multiplicities([theta], N)
+
+
 def test_induction_matches_elementwise_oracle():
     # in c8, N = C4 has a smaller exponent, so nu's values are lifted
     for gid in ("d8", "es27", "c8"):
@@ -311,13 +361,13 @@ def _rows_as_decompositions(table, mults):
 def test_batched_norm_decompositions_match_decompose(gid):
     table = character_table(load_catalog_group(gid))
     rows = np.arange(len(table))
-    batched = _product_multiplicities(table, rows, ~rows)
+    batched = table._multiplicity_rows(np.stack([rows, ~rows]))
     assert _rows_as_decompositions(table, batched) == [
         decompose(chi * chi.conjugate()).constituents for chi in table
     ]
-    norms = _norm_multiplicities(table)
+    norms = table._norm_rows
     assert np.array_equal(norms, batched) and not norms.flags.writeable
-    assert _norm_multiplicities(table) is norms
+    assert table._norm_rows is norms
 
 
 def test_batched_product_decompositions_match_decompose_on_every_ordered_pair():
@@ -328,7 +378,7 @@ def test_batched_product_decompositions_match_decompose_on_every_ordered_pair():
         table = character_table(G)
         for i, chi in enumerate(table):
             rows = np.arange(len(table))
-            batched = _product_multiplicities(table, np.full_like(rows, i), rows)
+            batched = table._multiplicity_rows(np.stack([np.full_like(rows, i), rows]))
             expected = [decompose(chi * psi).constituents for psi in table]
             assert _rows_as_decompositions(table, batched) == expected, (G.order, i)
 
@@ -342,7 +392,7 @@ def test_batched_decompositions_keep_the_degree_check(d8_table, monkeypatch):
     monkeypatch.setattr(table_mod, "as_multiplicities", lambda raw, order: real(raw, order) + 1)
     rows = np.arange(len(d8_table))
     with pytest.raises(CharacterError, match="^inner product not integral$"):
-        _product_multiplicities(d8_table, rows, ~rows)
+        d8_table._multiplicity_rows(np.stack([rows, ~rows]))
 
 
 def _full_path_multiplicities(table, theta):

@@ -299,6 +299,50 @@ def test_clifford_correspondent_rejects_non_constituent(d8, d8_table):
         clifford_correspondent(chi, N, principal)
 
 
+REDUCIBLE = [
+    "d8-nu-psi0-plus-psi1",
+    "d8-nu-twice-psi1",
+    "es27-nu-psi1-plus-psi2",
+    "d8-chi-chi4-plus-chi0",
+    "d8-chi-twice-chi4",
+]
+
+
+def _reducible_cases(d8, d8_table, es27, es27_table):
+    """{label: (chi, N, nu)}, with chi or nu a sum of irreducibles."""
+    N = d8.chief_series()[-2]
+    psi = character_table(N)
+    M = es27.chief_series()[1]
+    xi = character_table(M)
+    chi = d8_table[4]
+    cases = [
+        (chi, N, psi[0] + psi[1]),
+        (chi, N, 2 * psi[1]),
+        (es27_table[-1], M, xi[1] + xi[2]),
+        (chi + d8_table[0], N, psi[1]),
+        (2 * chi, N, psi[1]),
+    ]
+    return dict(zip(REDUCIBLE, cases))
+
+
+@pytest.mark.parametrize("label", REDUCIBLE)
+def test_clifford_correspondent_rejects_a_reducible_chi_or_nu(
+    label, d8, d8_table, es27, es27_table
+):
+    chi, N, nu = _reducible_cases(d8, d8_table, es27, es27_table)[label]
+    with pytest.raises(CharacterError, match="^not irreducible$"):
+        clifford_correspondent(chi, N, nu)
+
+
+def test_clifford_correspondent_rejects_a_nu_of_another_group(d8, d8_table, es27_table):
+    N = d8.chief_series()[-2]
+    with pytest.raises(CharacterError, match="^characters on different groups$"):
+        clifford_correspondent(d8_table[4], N, es27_table[0])
+    # a reducible nu of another group is still one of another group
+    with pytest.raises(CharacterError, match="^characters on different groups$"):
+        clifford_correspondent(d8_table[4], N, es27_table[0] + es27_table[1])
+
+
 def test_build_chain_rejects_reducible():
     G = load_catalog_group("d8")
     table = character_table(G)

@@ -8,7 +8,7 @@ import pytest
 import etalab.cyclotomic as cyclotomic
 from etalab.catalog import catalog_ids, load_catalog_group
 from etalab.chars import Character
-from etalab.charops import _product_multiplicities, decompose
+from etalab.charops import decompose
 from etalab.constructions import dihedral, direct_product
 from etalab.cyclotomic import pairing
 from etalab.errors import TableError
@@ -115,7 +115,7 @@ def test_degree_products_past_int8_decompose_as_decompose_does(d8_to_the_fourth)
     _, table = d8_to_the_fourth
     top = table.degrees.index(16)
     rows = np.arange(len(table))
-    mults = _product_multiplicities(table, np.full_like(rows, top), rows)
+    mults = table._multiplicity_rows(np.stack([np.full_like(rows, top), rows]))
     degrees = np.array(table.degrees)
     assert (mults @ degrees == 16 * degrees).all()
     last = decompose(table[top] * table[-1]).constituents

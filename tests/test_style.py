@@ -1,7 +1,7 @@
 """Source layout: every line of the package fits in 100 characters, every
 read of a table's narrow coefficient cube is widened or reviewed, no module
-imports a name it never reads, and every private helper is read in the
-package."""
+imports a name it never reads, every private helper is read in the
+package, and the exact pairing has one caller per kind of pairing."""
 
 import ast
 import re
@@ -45,14 +45,14 @@ REVIEWED_CUBE_READS = {
         # Python integers
         "return tuple(self.cube[:, 0, 0].tolist())",
         '"irreducibles": self.cube.tolist(),',
-        # kernels that widen: lift and galois (linear_map); Evaluated, whose
-        # values widen a bounded block at a time and whose norms sum in int64
-        "out = self._evaluated[e] = Evaluated(narrowest(lift(self.cube, self.e, e)))",
+        # kernels that widen: galois and linear_map; Evaluated, whose values
+        # widen a bounded block at a time and whose norms sum in int64
+        "return Evaluated(self.cube)",
         "if not np.array_equal(galois(self.cube, self.e, u), self.cube[:, act]):",
+        "if irrational or (linear_map(mults, self.cube[:, :1, 0])[:, 0] != degrees).any():",
     },
     "charops.py": {
-        # kernels that widen: linear_map; _orbit_sums sums in int64
-        "if (linear_map(mults, table.cube[:, :1, 0])[:, 0] != degrees).any():",
+        # kernels that widen: _orbit_sums sums in int64
         "heads, sums = _orbit_sums(first, below.cube)",
         # keys at one dtype with the orbit sums, and a comparison
         "dtype = np.promote_types(sums.dtype, table.cube.dtype)",
@@ -174,3 +174,50 @@ def test_the_private_helper_check_sees_an_unread_helper():
         ("b.py", "_Box"),
         ("b.py", "_open"),
     ]
+
+
+def _pairing_callers(sources):
+    """(file name, enclosing function) of each call of a name `pairing` in
+    sources, a {file name: source} map; methods as Class.method."""
+    found = []
+
+    class Calls(ast.NodeVisitor):
+        def __init__(self, name):
+            self.name, self.scope = name, []
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        visit_ClassDef = visit_FunctionDef
+
+        def visit_Call(self, node):
+            func = node.func
+            if getattr(func, "id", getattr(func, "attr", None)) == "pairing":
+                found.append((self.name, ".".join(self.scope)))
+            self.generic_visit(node)
+
+    for name, source in sources.items():
+        Calls(name).visit(ast.parse(source))
+    return sorted(found)
+
+
+def test_tables_are_paired_through_one_seam():
+    # every pairing against a table, its mode decision and its degree check
+    # are CharTable._multiplicity_rows'; inner_product pairs two characters
+    package = Path(etalab.__file__).parent
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
+    assert _pairing_callers(sources) == [
+        ("charops.py", "inner_product"),
+        ("table.py", "CharTable._multiplicity_rows"),
+    ]
+
+
+def test_the_pairing_caller_check_sees_every_caller():
+    sources = {
+        "a.py": "def f():\n    return pairing(x)\n\n\nclass T:\n    def g(self):\n"
+        "        def h():\n            return cyclotomic.pairing(y)\n        return h\n",
+        "b.py": "pairing(z)\n",
+    }
+    assert _pairing_callers(sources) == [("a.py", "T.g.h"), ("a.py", "f"), ("b.py", "")]

@@ -13,7 +13,7 @@ import pytest
 import etalab.table as table_mod
 from etalab.catalog import catalog_ids, default_catalog, load_catalog_group
 from etalab.chars import Character
-from etalab.charops import _norm_multiplicities, inner_product
+from etalab.charops import inner_product
 from etalab.constructions import cyclic, dihedral, extraspecial_exp_p, prop5_witness
 from etalab.cyclotomic import CycValue, conjugate, multiply, pairing
 from etalab.errors import CharacterError, TableError
@@ -879,8 +879,8 @@ def _assert_index_path_is_the_stack_path(table, label):
     for rows, stack in _index_blocks(table):
         want = pairing(stack, sizes, table.cube, e)
         for got in (
-            pairing(rows, sizes, table._paired(e), e, rational),
-            pairing(rows, sizes, table._paired(e), e),
+            pairing(rows, sizes, table._evaluated, e, rational),
+            pairing(rows, sizes, table._evaluated, e),
             pairing(stack, sizes, table.cube, e, rational),
         ):
             assert got.dtype == want.dtype and np.array_equal(got, want), label
@@ -921,7 +921,7 @@ def test_a_row_times_a_root_of_unity_keeps_the_full_path(gid, monkeypatch):
     # a row times a root of unity keeps both orthogonality relations
     twisted.verify_orthogonality()
     try:
-        _norm_multiplicities(twisted)
+        twisted._norm_rows
     except CharacterError:
         pass  # chi * conj(chi) may pair with the twisted row to a non-integer
     assert twisted.multiplicities(twisted[one]) == [int(i == one) for i in range(len(twisted))]

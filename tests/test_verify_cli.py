@@ -16,7 +16,7 @@ from etalab.cli import run_cli
 import etalab.cli as cli_mod
 import etalab.table as table_mod
 import etalab.verify as verify_mod
-from etalab.charops import _product_multiplicities, inner_product
+from etalab.charops import inner_product
 from etalab.constructions import prop5_witness
 from etalab.errors import GroupError, TableError
 from etalab.perm import Permutation, group_from_generators
@@ -77,7 +77,7 @@ def _per_chi_corollary_records(G):
         n = next(k for k in range(degree.bit_length()) if p**k == degree)
         bound = 2 * n * (p - 1) + 1
         rows = np.arange(len(table))
-        mults = _product_multiplicities(table, np.full_like(rows, i), rows)
+        mults = table._multiplicity_rows(np.stack([np.full_like(rows, i), rows]))
         for j, row in enumerate(mults):
             eta, qualifies = int(np.count_nonzero(row)), bool(row[linear].any())
             rec = {"chi": i, "psi": j, "qualifies": qualifies, "eta": eta}
@@ -113,14 +113,14 @@ def test_corollary_pairs_each_unordered_pair_once_in_bounded_chunks(monkeypatch)
     # and no r^2-row block of factors: a chunk's factors, row by row of the
     # cube, hold at most _LIFT_ENTRIES coefficients
     calls = []
-    real = verify_mod._product_multiplicities
+    real = table_mod.CharTable._multiplicity_rows
 
-    def spy(table, i, j):
-        assert len(i) == len(j)
-        calls.append(len(i) * table.cube[0].size)
-        return real(table, i, j)
+    def spy(table, x):
+        assert x.shape[0] == 2
+        calls.append(x.shape[1] * table.cube[0].size)
+        return real(table, x)
 
-    monkeypatch.setattr(verify_mod, "_product_multiplicities", spy)
+    monkeypatch.setattr(table_mod.CharTable, "_multiplicity_rows", spy)
     assert verify_corollary_a(groups=_small("w22"), max_order=None).passed
     table = character_table(load_catalog_group("w22"))
     assert sum(calls) == 119 * 120 // 2 * table.cube[0].size
