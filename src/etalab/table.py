@@ -40,9 +40,9 @@ its eigenvalues in F_q.  The unsplit spaces of one dimension are split as
 one stack, with one set of roots: the roots of the annihilators of
 coordinate seeds, taken in turn until P(A) = 0 on every space for P the
 product of x - lam over the roots found, which proves them all.  Each
-eigenspace is then the image of the Lagrange idempotent
-P(A) / ((A - lam) P'(lam)), a line one of its columns read for the whole
-stack at once; no minimal polynomial or nullspace is formed.
+eigenspace, a line or wider, is then the image of the Lagrange idempotent
+P(A) / ((A - lam) P'(lam)), read off its RREF for the whole stack at once;
+no minimal polynomial or nullspace is formed.
 
 Class matrices are numpy gathers over image rows, class i's members read
 off the group's element keys; each product, formed in chunks of bounded
@@ -218,10 +218,9 @@ def _eigenspaces(acts: np.ndarray, bases: np.ndarray, q: int) -> list[list[np.nd
     read off A's powers.  The Lagrange idempotent E_lam = L_lam(A),
     L_lam = P / ((x - lam) P'(lam)), then projects onto lam's eigenspace of
     A along the others; it is 0 where lam is no eigenvalue of A, and must not
-    be on the action whose seed gave lam.  Its rank is its trace, exact mod q
-    when d < q, and a line is then E_lam's column at a nonzero diagonal
-    entry, which an idempotent of rank one has.  Any other eigenspace is
-    E_lam's column space in RREF."""
+    be on the action whose seed gave lam.  Every eigenspace, a line or wider,
+    is E_lam's column space in RREF, read for every (action, root) pair in
+    one stack."""
     n, d = acts.shape[:2]
     roots = origin = np.zeros(0, dtype=np.int64)
     # P's coefficients, ascending, and each A^t for t <= len(roots); live
@@ -259,36 +258,19 @@ def _eigenspaces(acts: np.ndarray, bases: np.ndarray, q: int) -> list[list[np.nd
     for t in range(k - 1, -1, -1):
         at = (at * lams + quot[:, t]) % q
     lagrange = quot * np.array([pow(v, -1, q) for v in at.tolist()])[:, None] % q
-    stack = np.stack(powers[:k])
-    # the diagonal of E_lam on each action, [lam, action], and its trace
-    diag = (lagrange @ stack.diagonal(axis1=2, axis2=3).reshape(k, -1) % q).reshape(k, n, d)
-    ranks = diag.sum(axis=2) % q
-    # (root, action) pairs: the lines, each scaled to lead with 1
-    line = (ranks == 1) & (d < q)
-    root, act = np.nonzero(line)
-    col = (diag[root, act] != 0).argmax(axis=1)
-    lines = np.einsum("pt,ptr->pr", lagrange[root], stack[:, act, :, col]) % q
-    lead = lines[np.arange(len(lines)), (lines != 0).argmax(axis=1)]
-    lines = lines * np.array([pow(v, -1, q) for v in lead.tolist()], dtype=np.int64)[:, None] % q
-    # and any other eigenspace, the column space of E_lam in RREF
-    wide_root, wide_act = np.nonzero(~line & ((ranks != 0) | (d >= q)))
-    idem = sum(lagrange[wide_root, t, None, None] * stack[t, wide_act] for t in range(k)) % q
-    ech, size = _rref(idem.transpose(0, 2, 1), q)
-    found = line.copy()
-    found[wide_root, wide_act] = size > 0
-    if not found[np.arange(k), origin].all():
+    # E_lam on every action, [action, lam], unreduced: each sum is below
+    # k q^2.  Its transpose's RREF holds its column space
+    idem = np.tensordot(lagrange, np.stack(powers[:k]), axes=(1, 0)).swapaxes(0, 1)
+    ech, size = _rref(idem.reshape(n * k, d, d).transpose(0, 2, 1), q)
+    found = size.reshape(n, k) > 0
+    if not found[origin, np.arange(k)].all():
         raise TableError("internal eigensplit failure: root without eigenvector")
-    # every eigenspace over its basis, the lines in one product (each at its
-    # slot among its action's lines), in action order, then root order
-    slot = (line.cumsum(axis=0) - 1)[root, act]
-    coords = np.zeros((n, line.sum(axis=0).max(), d), dtype=np.int64)
-    coords[act, slot] = lines
-    lines = (coords @ bases % q)[act, slot]
-    wide = [ech[p, :m] @ bases[b] % q for p, (m, b) in enumerate(zip(size.tolist(), wide_act)) if m]
-    spaces = list(lines[:, None]) + wide
-    key = np.concatenate([act * k + root, (wide_act * k + wide_root)[size > 0]])
-    spaces = [spaces[p] for p in np.argsort(key).tolist()]
-    ends = np.cumsum(found.sum(axis=0)).tolist()
+    # every eigenspace over its basis, in action order, then root order, in
+    # one product: an action's eigenspaces fill its space, so d rows each
+    coords = ech[np.arange(d) < size[:, None]].reshape(n, d, d)
+    rows = (coords @ bases % q).reshape(n * d, -1)
+    spaces = np.split(rows, np.cumsum(size[size > 0])[:-1])
+    ends = np.cumsum(found.sum(axis=1)).tolist()
     return [spaces[start:end] for start, end in zip([0] + ends, ends)]
 
 

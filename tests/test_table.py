@@ -444,11 +444,12 @@ def test_split_spaces_matches_the_nullspace_oracle_on_random_actions():
     # the whole space, and a partition of P's eigenvector columns into
     # invariant subspaces, some of them lines
     rng = np.random.default_rng(20)
-    # an eigenspace of dimension 8 = 1 mod 7, whose trace reads as rank one
-    mat, q = np.diag([1] * 8 + [2]), 7
-    got = table_mod._split_spaces([np.eye(9, dtype=np.int64)], mat, q)
-    want = split_spaces_by_nullspaces([np.eye(9, dtype=np.int64)], mat, q)
-    assert [x.tolist() for x in got] == [x.tolist() for x in want]
+    # eigenspaces of dimension 8 = 1 mod 7 and 7 = 0 mod 7, whose idempotents'
+    # traces mod 7 are 1 and 0, not their ranks
+    for mat, q in [(np.diag([1] * 8 + [2]), 7), (np.diag([1] * 7 + [2] * 2), 7)]:
+        got = table_mod._split_spaces([np.eye(9, dtype=np.int64)], mat, q)
+        want = split_spaces_by_nullspaces([np.eye(9, dtype=np.int64)], mat, q)
+        assert [x.tolist() for x in got] == [x.tolist() for x in want]
     for q, sizes in [(7, (2, 3, 5, 8, 12)), (97, (2, 3, 5, 8, 12)), (1_048_573, (3, 8))]:
         for r in sizes:
             for _ in range(4):
@@ -537,7 +538,7 @@ def test_prop5_witness_table_equals_its_next_prime_rerun():
     assert rerun.to_json_dict()["irreducibles"] == table.to_json_dict()["irreducibles"]
 
 
-def test_seeded_tables_equal_plain_dixon(monkeypatch):
+def test_chief_series_tables_equal_their_next_prime_rerun(monkeypatch):
     # every chief-series table equals its next-prime rerun, which pairs at
     # one embedding exactly as on the full path
     _fresh_memo(monkeypatch)
@@ -888,8 +889,9 @@ def _assert_index_path_is_the_stack_path(table, label):
 
 @pytest.mark.parametrize("gid", catalog_ids() + list(EXTRASPECIAL))
 def test_one_embedding_pairings_equal_the_full_path(gid):
-    # every chief-series member; test_seeded_tables_equal_plain_dixon checks
-    # the same at prime_offset=1
+    # every chief-series member;
+    # test_chief_series_tables_equal_their_next_prime_rerun checks the same
+    # at prime_offset=1
     G = extraspecial_exp_p(*EXTRASPECIAL[gid]) if gid in EXTRASPECIAL else load_catalog_group(gid)
     for N in G.chief_series():
         table = character_table(N)

@@ -490,6 +490,16 @@ def test_prop5_report():
     assert rep.passed
 
 
+@pytest.mark.slow
+def test_prop5_report_at_p3_n2():
+    # the order-3^13 witness: chi(1) = 9 and eta = 2*2*(3-1)+1; the cold
+    # table takes minutes and about a gigabyte
+    rep = verify_prop5(pairs=((3, 2),))
+    rec = rep.results[0]["records"][0]
+    assert (rec["chi_degree"], rec["eta"], rec["expected"]) == (9, 9, 9)
+    assert rep.passed
+
+
 def test_verify_rejects_non_p_group():
     s3 = group_from_generators(3, [
         Permutation.from_cycles(3, [(0, 1)]),
