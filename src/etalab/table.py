@@ -25,24 +25,25 @@ Splitting is deterministic: class matrices are consumed in canonical class
 order (size ascending, then smallest member; perm), eigenvalues of each
 restriction in increasing residue order, and the finished table is sorted
 by (degree, coefficient vectors).  Recomputing with a different admissible
-prime reproduces the table byte for byte.  A space on which a class matrix
-acts as a scalar is one eigenspace and is kept as it is: the eigenlines are
-unique, so the table does not depend on where splits happen.  Nor on the
-matrices never built.  For z central K_z K_j = K_(z C_j), so the eigenlines
-with central character lam, a linear character of the center Z, span the
-space of v with v_(z C_j) = lam(z) v_j; every table starts from these
-blocks, written down in RREF, and builds only the matrix of the first class
-of each Z-orbit of classes.  An abelian group's blocks are its r lines: it
-builds none.  Images under a class matrix are summed over its nonzeros
-only, for the rows of all unsplit spaces at once.  The class algebra is
-split semisimple over F_q, so each class matrix A acts diagonalizably with
-its eigenvalues in F_q.  The unsplit spaces of one dimension are split as
-one stack, with one set of roots: the roots of the annihilators of
-coordinate seeds, taken in turn until P(A) = 0 on every space for P the
-product of x - lam over the roots found, which proves them all.  Each
-eigenspace, a line or wider, is then the image of the Lagrange idempotent
-P(A) / ((A - lam) P'(lam)), read off its RREF for the whole stack at once;
-no minimal polynomial or nullspace is formed.
+prime reproduces the table byte for byte.  The eigenlines are unique, so
+the table depends neither on where splits happen nor on the matrices never
+built.  For z central K_z K_j = K_(z C_j), so the eigenlines with central
+character lam, a linear character of the center Z, span the space of v
+with v_(z C_j) = lam(z) v_j; every table starts from these blocks, in
+RREF.  An eigenline normalized at the identity holds at class i the
+eigenvalue of K_i on it, so K_i moves a space exactly when its RREF is
+nonzero at column i below its first row; the first such column of any
+space is the next class matrix built, and it splits the spaces it moves
+(an abelian group's blocks are its r lines: it builds none).  Images are
+summed over the class matrix's nonzeros only, for all those rows at once.
+The class algebra is split semisimple over F_q, so each class matrix A
+acts diagonalizably with its eigenvalues in F_q.  The spaces of one
+dimension are split as one stack, with one set of roots: the roots of the
+annihilators of coordinate seeds, taken in turn until P(A) = 0 on every
+space for P the product of x - lam over the roots found, which proves them
+all.  Each eigenspace, a line or wider, is then the image of the Lagrange
+idempotent P(A) / ((A - lam) P'(lam)), read off its RREF for the whole
+stack at once; no minimal polynomial or nullspace is formed.
 
 Class matrices are numpy gathers over image rows, class i's members read
 off the group's element keys; each product, formed in chunks of bounded
@@ -146,23 +147,28 @@ def _rref(a: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     # and the pivot column of each row that does
     free = np.ones((n, rows), dtype=bool)
     pivot = np.full((n, rows), cols)
+    has, live = np.arange(n), a  # the matrices with a pivot left, reduced in place
     while True:
-        below = (a != 0) & free[:, :, None]
+        below = (live != 0) & free[has, :, None]
         ahead = below.any(axis=1)
-        has = ahead.any(axis=1).nonzero()[0]
+        left = ahead.any(axis=1)
+        if not left.all():
+            a[has[~left]] = live[~left]
+            has, live, below, ahead = has[left], live[left], below[left], ahead[left]
         if not len(has):
             break
         at = np.arange(len(has))
-        c = ahead[has].argmax(axis=1)
-        piv = below[has, :, c].argmax(axis=1)
+        c = ahead.argmax(axis=1)
+        piv = below[at, :, c].argmax(axis=1)
         free[has, piv] = False
         pivot[has, piv] = c
         # clear column c in every row but the pivot row, which is scaled to 1 there
-        factor = a[has, :, c]
+        factor = live[at, :, c]
         inv = np.array([pow(x, -1, q) for x in factor[at, piv].tolist()], dtype=np.int64)
-        row = a[has, piv] * inv[:, None] % q
+        row = live[at, piv] * inv[:, None] % q
         factor[at, piv] -= 1
-        a[has] = (a[has] - factor[:, :, None] * row[:, None]) % q
+        live -= factor[:, :, None] * row[:, None]
+        live %= q
     # rows in pivot order, then the zero rows
     order = pivot.argsort(axis=1, kind="stable")
     return a[np.arange(n)[:, None], order], rows - free.sum(axis=1)
@@ -276,13 +282,12 @@ def _eigenspaces(acts: np.ndarray, bases: np.ndarray, q: int) -> list[list[np.nd
 
 def _split_spaces(spaces: list[np.ndarray], mat: np.ndarray, q: int) -> list[np.ndarray]:
     """Refine each space (rows in RREF) into the eigenspaces of mat on it.
-    The spaces mat does not act on as a scalar are split in stacks of one
-    dimension d, n at a time with n^2 d^3 <= _LIFT_ENTRIES, so that the
-    powers of a stack, one per root, stay bounded too."""
-    # images = basis @ mat.T over mat's nonzeros, for the rows of all spaces
-    # of dimension above one at once, unreduced: each sum is below r q^2.
-    # Every row of mat has a nonzero, so the row starts are r increasing
-    # indices and no reduceat segment is empty
+    Every space of dimension above one is split, in stacks of one dimension
+    d, n at a time with n^2 d^3 <= _LIFT_ENTRIES, so that the powers of a
+    stack, one per root, stay bounded too."""
+    # images = basis @ mat.T over mat's nonzeros for the rows of every space
+    # above one dimension, unreduced: each sum is below r q^2.  Each row of
+    # mat has a nonzero: its r row starts increase, no reduceat segment empty
     rows, cols = np.divmod(mat.ravel().nonzero()[0], len(mat))
     starts = rows.searchsorted(np.arange(len(mat)))
     multi = np.array([t for t, basis in enumerate(spaces) if len(basis) > 1])
@@ -290,15 +295,9 @@ def _split_spaces(spaces: list[np.ndarray], mat: np.ndarray, q: int) -> list[np.
     first = np.cumsum(dims) - dims
     stacked = np.concatenate([spaces[t] for t in multi])
     images = np.add.reduceat(stacked[:, cols] * (mat[rows, cols] % q), starts, axis=1)
-    # mat acts on a space as a scalar when each image row is one scalar times
-    # its basis row: the whole space is then one eigenspace
-    scalars = images[np.arange(len(stacked)), (stacked != 0).argmax(axis=1)] % q
-    fits = ~((images - scalars[:, None] * stacked) % q).any(axis=1)
-    fits &= scalars == np.repeat(scalars[first], dims)
-    split = ~np.logical_and.reduceat(fits, first)
     refined = [[basis] for basis in spaces]
-    for d in sorted(set(dims[split].tolist())):
-        which = (split & (dims == d)).nonzero()[0]
+    for d in sorted(set(dims.tolist())):
+        which = (dims == d).nonzero()[0]
         step = max(1, isqrt(_LIFT_ENTRIES // d**3))
         for start in range(0, len(which), step):
             chunk = which[start : start + step]
@@ -314,19 +313,19 @@ def _split_spaces(spaces: list[np.ndarray], mat: np.ndarray, q: int) -> list[np.
     return [space for parts in refined for space in parts]
 
 
-def _center_blocks(classes: ConjugacyClassSet, q: int) -> tuple[list[np.ndarray], np.ndarray]:
+def _center_blocks(classes: ConjugacyClassSet, q: int) -> list[np.ndarray]:
     """The eigenspaces of all central class matrices at once, one per linear
-    character lam of the center Z, with rows in RREF; and each class's head,
-    the first class of its Z-orbit.
+    character lam of the center Z, with rows in RREF.
 
     K_z K_j = K_(z C_j) for z central, so an eigenline v with central
     character lam has v_(z C_j) = lam(z) v_j.  lam's space has one row per
     Z-orbit of classes on whose stabilizer lam is trivial, lam(z) at class
-    z C_h for h the orbit's head: the rows' supports are disjoint and each
-    starts with 1 at its head.  Irr(Z) is built one central element g at a
-    time: with s the least power of g in the subgroup H so far,
-    lam(h g^j) = lam(h) c^j for c each s-th root of lam(g^s) in <z>, z of
-    order e; translation by g^j h is a gather of g's translates."""
+    z C_h for h the orbit's first class, its head: the rows' supports are
+    disjoint, each starts with 1 at its head, the first at the identity.
+    Irr(Z) is built one central element g at a time: with s the least power
+    of g in the subgroup H so far, lam(h g^j) = lam(h) c^j for c each s-th
+    root of lam(g^s) in <z>, z of order e; translation by g^j h is a gather
+    of g's translates."""
     G = classes.group
     r, c = len(classes), classes.sizes.count(1)
     e = G.exponent()
@@ -357,8 +356,7 @@ def _center_blocks(classes: ConjugacyClassSet, q: int) -> tuple[list[np.ndarray]
         trans = np.stack(powers)[:, trans].reshape(-1, r)
         where[trans[:, 0]] = np.arange(len(trans))
         vals = (coef[:, :, None] * vals[ext][:, None, :] % q).reshape(len(ext), -1)
-    head = trans.min(axis=0)
-    heads = np.flatnonzero(head == np.arange(r))
+    heads = np.flatnonzero(trans.min(axis=0) == np.arange(r))
     # lam is trivial on h's stabilizer when no member fixing h has lam != 1;
     # only the members fixing some head count (for abelian G, the identity)
     fixes = trans[:, heads] == heads
@@ -368,33 +366,34 @@ def _center_blocks(classes: ConjugacyClassSet, q: int) -> tuple[list[np.ndarray]
     rows = np.zeros((len(which), r), dtype=np.int64)
     rows[np.arange(len(which))[:, None], trans[:, heads[orbit]].T] = vals[which]
     counts = np.bincount(which, minlength=len(vals))
-    return np.split(rows, np.cumsum(counts)[:-1]), head
+    return np.split(rows, np.cumsum(counts)[:-1])
 
 
 def _common_eigenbasis(classes: ConjugacyClassSet, q: int) -> np.ndarray:
     """Rows of the returned (r, r) array span the r common eigenlines.
 
-    The split starts from the center's blocks; spaces of dimension above one
-    are split by class matrices in class order.  Every space lies inside one
-    block, on which K_z acts as a scalar for z central, so
-    K_(z C_h) = K_z K_h acts as a scalar wherever K_h does: a class other
-    than the first of its Z-orbit splits nothing, and its matrix is not
-    built."""
-    r = len(classes)
+    The split starts from the center's blocks.  Every unsplit space V is a
+    sum of eigenlines, each 1 at the identity class and holding at class i
+    the eigenvalue of K_i on it, so V's RREF is 1 at column 0 in its first
+    row and 0 there below it: K_i acts on V as a scalar exactly when V's
+    rows below the first are 0 at column i.  The first column where some
+    space's are not is the next class matrix built, which splits the spaces
+    it moves.  Column z C_h, z central, is lam(z) times column h in every
+    block, and h comes first: its matrix is never built."""
     order = classes.group.order
     step = "center"
     try:
-        spaces, head = _center_blocks(classes, q)
-        redundant = head != np.arange(r)
-        # eigenspace dimensions always sum to r, so r spaces means r lines
-        for i in range(1, r):
+        spaces = _center_blocks(classes, q)
+        # [space, i]: K_i moves the space
+        while (moved := np.array([space[1:].any(axis=0) for space in spaces])).any():
+            i = moved.any(axis=0).argmax()
             step = f"class matrix {i}"
-            if len(spaces) == r:
-                break
-            if not redundant[i]:
-                spaces = _split_spaces(spaces, class_matrix(classes, i), q)
-        if len(spaces) < r:
-            raise TableError("internal eigensplit failure: class matrices leave a space unsplit")
+            mat = class_matrix(classes, i)
+            parts = _split_spaces([v for v, m in zip(spaces, moved[:, i]) if m], mat, q)
+            # no class up to i moves a space now, so the next i is later
+            if any(part[1:, : i + 1].any() for part in parts):
+                raise TableError("internal eigensplit failure: a moved space does not split")
+            spaces = [v for v, m in zip(spaces, moved[:, i]) if not m] + parts
         out = np.vstack(spaces)
         if not out[:, 0].all():
             raise TableError("internal eigensplit failure: eigenvector vanishes at the identity")

@@ -21,7 +21,7 @@ from etalab.groupfile import format_group, parse_group
 from etalab.perm import Permutation
 from etalab.table import CharTable, character_table, class_matrix
 
-from oracles import class_index, class_matrix_elementwise, power_map, rref_dense
+from oracles import class_matrix_elementwise, power_map, rref_dense
 from oracles import split_spaces_by_nullspaces
 
 # order-2 table is pinned exactly: principal row first, then the sign row
@@ -410,12 +410,24 @@ def test_eigensplit_rejects_an_action_without_roots(monkeypatch):
     message = _eigensplit_failure(
         load_catalog_group("c3"),
         monkeypatch,
-        _center_blocks=lambda classes, q: ([np.eye(3, dtype=np.int64)], np.arange(3)),
+        _center_blocks=lambda classes, q: [np.eye(3, dtype=np.int64)],
         class_matrix=lambda classes, i: rotation,
     )
     assert message == (
         "internal eigensplit failure: eigenspaces do not fill the space"
         " (group order 3, q 7, class matrix 1)"
+    )
+
+
+def test_eigensplit_rejects_a_moved_space_that_does_not_split(d8, monkeypatch):
+    # column 2 of d8's four-dimensional block is nonzero below its first row,
+    # so class matrix 2 must split it; the identity in its place splits nothing
+    message = _eigensplit_failure(
+        d8, monkeypatch, class_matrix=lambda classes, i: np.eye(len(classes), dtype=np.int64)
+    )
+    assert message == (
+        "internal eigensplit failure: a moved space does not split"
+        " (group order 8, q 13, class matrix 2)"
     )
 
 
@@ -486,8 +498,7 @@ def test_split_spaces_matches_the_nullspace_oracle_on_catalog_tables(monkeypatch
 def test_center_blocks_match_the_oracle_split_by_central_class_matrices():
     # the joint eigenspaces of the central class matrices, split one at a
     # time, skipping K_z for z in the group the earlier z generate (a
-    # product of their matrices); each class's head is the first class of
-    # its orbit under Z
+    # product of their matrices)
     groups = {}
     for _, G in default_catalog():
         for N in G.chief_series():
@@ -496,7 +507,7 @@ def test_center_blocks_match_the_oracle_split_by_central_class_matrices():
         classes = N.conjugacy_classes()
         r, c = len(classes), classes.sizes.count(1)
         q = table_mod._smallest_admissible_prime(N.order, N.exponent())
-        blocks, head = table_mod._center_blocks(classes, q)
+        blocks = table_mod._center_blocks(classes, q)
         center = classes.representatives[:c]
         spanned = {center[0]}
         spaces = [np.eye(r, dtype=np.int64)]
@@ -505,9 +516,6 @@ def test_center_blocks_match_the_oracle_split_by_central_class_matrices():
                 spaces = split_spaces_by_nullspaces(spaces, class_matrix(classes, i), q)
                 spanned = {x * z**j for x in spanned for j in range(z.order())}
         assert sorted(x.tolist() for x in blocks) == sorted(x.tolist() for x in spaces), N.order
-        owner = class_index(classes)
-        heads = [min(owner[z * x] for z in center) for x in classes.representatives]
-        assert head.tolist() == heads, N.order
 
 
 def test_abelian_plain_tables_build_no_class_matrix(monkeypatch):
@@ -528,10 +536,12 @@ def test_abelian_plain_tables_build_no_class_matrix(monkeypatch):
 
 
 @pytest.mark.slow
-def test_prop5_witness_table_equals_its_next_prime_rerun():
+@pytest.mark.parametrize("p, n", [(5, 1), (3, 2)])
+def test_prop5_witness_table_equals_its_next_prime_rerun(p, n):
     # order 15625, 649 classes: the table starts from five blocks of 125 to
-    # 149 dimensions
-    G = prop5_witness(5, 1).group
+    # 149 dimensions; order 3^13, 1683 classes: the next prime may move
+    # other spaces first, so other class matrices are built
+    G = prop5_witness(p, n).group
     table = character_table(G)
     rerun = table_mod._compute_table(G, prime_offset=1)
     assert rerun.q != table.q
@@ -583,6 +593,31 @@ def test_eigensplit_builds_no_central_translate(monkeypatch):
         skipped = _central_translate_classes(G.conjugacy_classes())
         assert requested and min(skipped) < max(requested), G.order
         assert not skipped & set(requested), G.order
+
+
+def test_every_class_matrix_built_splits_each_space_it_is_given(monkeypatch):
+    # a class matrix is built only for the spaces whose rows below the first
+    # are nonzero at its column, and each of them splits
+    w22 = _fresh_copy(load_catalog_group("w22"))
+    member = next(N for N in w22.chief_series() if N.order == 1024)
+    events = []
+    build, split = table_mod.class_matrix, table_mod._split_spaces
+
+    def tracked(classes, i):
+        events.append("build")
+        return build(classes, i)
+
+    def counted(spaces, mat, q):
+        got = split(spaces, mat, q)
+        events.append(len(got) >= 2 * len(spaces))
+        return got
+
+    monkeypatch.setattr(table_mod, "class_matrix", tracked)
+    monkeypatch.setattr(table_mod, "_split_spaces", counted)
+    for G, built in ((w22, 6), (member, 4)):
+        events.clear()
+        table_mod._compute_table(G)
+        assert events == ["build", True] * built, G.order
 
 
 def test_class_matrices_do_not_outlive_the_table(monkeypatch):
