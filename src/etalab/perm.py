@@ -26,7 +26,10 @@ propagation.
 Subgroups carry a reference to the ambient group they were cut from; they
 share its degree and are otherwise ordinary groups.  A group keeps the
 content keys of the groups it was found to lie in, or be normal in.  A
-class set keeps its power map, built once on first use.
+class set keeps its power map, built once on first use: the one place that
+holds powers of elements, one row per class, as wide as the exponent.  The
+exponent and the chief series' tests are class functions, read at the
+representatives, never at all |G| elements.
 """
 
 from __future__ import annotations
@@ -274,15 +277,22 @@ class ConjugacyClassSet:
     def power_map(self) -> np.ndarray:
         """(r, e) read-only array, e the group's exponent: the class of
         rep_j^s for each class j and each s < e, applying each representative
-        once more per step, one gather for all."""
+        once more per step, one gather for all, until each has come back to
+        class 0, the identity's, and the step is a multiple of the lcm of
+        their orders, which is the exponent, as conjugates share an order."""
         G = self.group
         reps = _rows_of(self.representatives, G.degree)
         power = np.broadcast_to(np.arange(G.degree), reps.shape)
         missing = GroupError("internal class failure: a power is not in the group")
-        out = np.empty((len(reps), G.exponent()), dtype=np.int64)
-        for s in range(out.shape[1]):
-            out[:, s] = _classes_of_rows(self, power, missing)
+        columns, order = [], np.zeros(len(reps), dtype=np.int64)
+        while True:
+            column = _classes_of_rows(self, power, missing)
+            order[(column == 0) & (order == 0)] = len(columns)
+            if order.all() and len(columns) % lcm(*order.tolist()) == 0:
+                break
+            columns.append(column)
             power = np.take_along_axis(reps, power, axis=1)
+        out = np.stack(columns, axis=1)
         out.setflags(write=False)
         return out
 
@@ -321,7 +331,6 @@ class PermGroup:
         self.order = len(self._element_keys[1])
         self._elements: Optional[tuple[Permutation, ...]] = None
         self._classes: Optional[ConjugacyClassSet] = None
-        self._exponent: Optional[int] = None
         self._pinfo: Optional[PGroupInfo] = None
         self._series = None
         self._content_key: Optional[str] = None
@@ -454,28 +463,13 @@ class PermGroup:
         return self._centralizing((g,))
 
     def exponent(self) -> int:
-        """The lcm of the element orders, which is the lcm of the lengths of
-        their cycles: step s of the powers of all elements at once finds the
-        points back at themselves for the first time, whose cycles have
-        length s, and no cycle is longer than the degree."""
-        if self._exponent is None:
-            rows = self._rows()
-            rows = rows.astype(rows.dtype.newbyteorder("="))
-            points = np.arange(self.degree)
-            seen = np.zeros(rows.shape, dtype=bool)
-            power, out = rows, 1
-            for s in range(1, self.degree + 1):
-                back = (power == points) & ~seen
-                if back.any():
-                    out = lcm(out, s)
-                    seen |= back
-                    if seen.all():
-                        break
-                power = np.take_along_axis(rows, power, axis=1)
-            self._exponent = out
-        return self._exponent
+        """The lcm of the element orders: the width of the class set's power
+        map, whose walk runs over class representatives only."""
+        return self.conjugacy_classes().power_map.shape[1]
 
     def p_group_info(self) -> PGroupInfo:
+        """(is_p_group, p, exponent, is_trivial).  Builds the conjugacy classes
+        of a nontrivial group, since the exponent is read off their power map."""
         if self._pinfo is None:
             n = self.order
             if n == 1:
@@ -570,30 +564,34 @@ def is_p_group(G: PermGroup) -> PGroupInfo:
 def _chief_series(G: PermGroup) -> list[PermGroup]:
     """Each member is the one below and the first element g outside it, in
     sorted order, that has g^p and every commutator g^-1 x^-1 g x with a
-    generator x in it; members are masks over G's sorted elements."""
+    generator x in it; members are masks over G's sorted elements.  Members
+    are normal, so they are unions of classes, and whether g fits is a class
+    function: it is tested once per class, at the representative."""
     info = G.p_group_info()
     if not info.is_p_group:
         raise GroupError("not a p-group")
     if G.order == 1:
         return [G]
     p = info.p
+    classes = G.conjugacy_classes()
     keys = G.element_keys()[1]
-    rows = G._rows().astype(np.intp)
-    # every element's p-th power by p - 1 gathers, and its commutators:
-    # (g^-1 x^-1 g x)[pt] = x[g[x^-1[g^-1[pt]]]]
-    power = rows
-    for _ in range(p - 1):
-        power = np.take_along_axis(rows, power, axis=1)
-    inv = np.argsort(rows, axis=1)
+    rows = G._rows()
+    # each representative's p-th power, read off the power map, and its
+    # commutators: (g^-1 x^-1 g x)[pt] = x[g[x^-1[g^-1[pt]]]]
+    reps = _rows_of(classes.representatives, G.degree)
+    inv = np.argsort(reps, axis=1)
     gens = _rows_of(G.generators, G.degree)
-    comms = [x[np.take_along_axis(rows, np.argsort(x)[inv], axis=1)] for x in gens]
-    needed = _locate_rows(G, np.stack([power, *comms]))[0]
+    comms = [x[np.take_along_axis(reps, np.argsort(x)[inv], axis=1)] for x in gens]
+    power = classes.power_map[:, p % G.exponent()]
+    needed = np.vstack([power, _classes_of_rows(classes, np.stack(comms))])
     cur = np.zeros(G.order, dtype=bool)
     cur[0] = True  # the identity, the smallest element
+    held = np.zeros(len(classes), dtype=bool)
+    held[0] = True  # the classes of cur
     member = G._subgroup_of_keys(keys[cur], generators=())
     series = [member]
     while not cur.all():
-        fits = ~cur & cur[needed].all(axis=0)
+        fits = (~held & held[needed].all(axis=0))[classes.element_class]
         if not fits.any():
             raise GroupError("chief series construction failed")
         c = int(np.argmax(fits))
@@ -602,6 +600,7 @@ def _chief_series(G: PermGroup) -> list[PermGroup]:
         for _ in range(p - 1):
             cur[_locate_rows(G, below[:, pw])[0]] = True
             pw = rows[c][pw]
+        held[classes.element_class[cur]] = True
         chosen = Permutation._from_images(tuple(rows[c].tolist()))
         member = G._subgroup_of_keys(keys[cur], generators=member.generators + (chosen,))
         series.append(member)

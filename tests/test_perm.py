@@ -4,12 +4,14 @@ import random
 
 import pytest
 
+from etalab import perm
 from etalab.catalog import catalog_ids, default_catalog, load_catalog_group
 from etalab.constructions import (
     cyclic,
     dihedral,
     direct_product,
     extraspecial_exp_p,
+    prop5_witness,
     quaternion,
     wreath_cp,
 )
@@ -95,6 +97,7 @@ def test_closure_of_s3():
 BEYOND_THE_CATALOG = {
     "c9wrc3": lambda: wreath_cp(cyclic(9), 3)[0],
     "es7-1": lambda: extraspecial_exp_p(7, 1),
+    "es5-1": lambda: extraspecial_exp_p(5, 1),
 }
 
 
@@ -201,6 +204,36 @@ def test_chief_series_matches_elementwise_oracle(gid):
         assert N.generators == M.generators, (gid, i)
 
 
+def test_exponent_and_chief_series_gather_only_class_representatives(monkeypatch):
+    # both are class functions: orders, and whether g^p and [g, x] lie in a
+    # normal member, are read at one representative per class
+    w22 = load_catalog_group("w22")
+    G = group_from_generators(w22.degree, w22.generators)
+    classes = G.conjugacy_classes()
+    gathered = []
+    take_along_axis = perm.np.take_along_axis
+
+    def spy(arr, *args, **kwargs):
+        gathered.append(len(arr))
+        return take_along_axis(arr, *args, **kwargs)
+
+    monkeypatch.setattr(perm.np, "take_along_axis", spy)
+    G.exponent()
+    G.chief_series()
+    assert gathered and max(gathered) <= len(classes) < G.order
+
+
+@pytest.mark.slow
+def test_exponent_and_chief_series_at_order_3_to_the_13():
+    G = wreath_cp(prop5_witness(3, 1).group, 3)[0]
+    assert G.order == 3**13
+    assert G.exponent() == 27
+    series = G.chief_series()
+    assert [N.order for N in series] == [3**i for i in range(14)]
+    assert all(N.is_subgroup_of(M) for N, M in zip(series, series[1:]))
+    assert all(N.is_normal_in(G) for N in series)
+
+
 def test_chief_series_is_deterministic():
     a = [N.elements for N in chief_series(dihedral(4))]
     b = [N.elements for N in chief_series(dihedral(4))]
@@ -233,5 +266,7 @@ def test_subgroup_membership_errors():
 def test_exponent_values():
     assert cyclic(12).exponent() == 12
     assert dihedral(4).exponent() == 4
+    # S3: largest order 3, exponent 6
+    assert dihedral(3).exponent() == 6
     assert quaternion().exponent() == 4
     assert direct_product(cyclic(2), cyclic(4)).exponent() == 4
