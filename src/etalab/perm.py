@@ -428,7 +428,10 @@ class PermGroup:
         if self._content_key is None:
             h = hashlib.sha256()
             h.update(self.degree.to_bytes(4, "big"))
-            h.update(self._rows().astype(">u4").tobytes())
+            # a block of rows at a time, not two |G| x degree copies at once
+            rows, step = self._rows(), max(1, (1 << 18) // self.degree)
+            for start in range(0, len(rows), step):
+                h.update(rows[start : start + step].astype(">u4").tobytes())
             self._content_key = h.hexdigest()
         return self._content_key
 

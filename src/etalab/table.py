@@ -4,10 +4,11 @@ The classic approach: class sums span the center of the group algebra, so the
 class multiplication matrices M_i (with M_i[j][k] counting factorizations of
 the k-th representative as class-i times class-j elements) commute and share r
 one-dimensional eigenspaces over a finite field F_q, q = 1 mod exp(G) and
-q > 2*sqrt(|G|).  Each common eigenvector, normalized at the identity class,
-is a vector of central character values; its degree is the one divisor of
-|G| up to sqrt(|G|) that fits it mod q, read for all eigenvectors at once,
-and exact values are lifted through power maps into Z[zeta_e].
+q > 2*sqrt(|G|).  Each common eigenvector, an RREF row and so 1 at the
+identity class, is a vector of central character values; its degree is the
+one divisor of |G| up to sqrt(|G|) that fits it mod q, read for all
+eigenvectors at once, and exact values are lifted through power maps into
+Z[zeta_e].
 Lifting runs on blocks of eigenvectors of bounded size, with one product by
 the power-map matrix and one by the power basis per block; the first
 eigenvector, in order, that fails a check is the one reported.
@@ -38,12 +39,14 @@ space is the next class matrix built, and it splits the spaces it moves
 summed over the class matrix's nonzeros only, for all those rows at once.
 The class algebra is split semisimple over F_q, so each class matrix A
 acts diagonalizably with its eigenvalues in F_q.  The spaces of one
-dimension are split as one stack, with one set of roots: the roots of the
-annihilators of coordinate seeds, taken in turn until P(A) = 0 on every
-space for P the product of x - lam over the roots found, which proves them
-all.  Each eigenspace, a line or wider, is then the image of the Lagrange
-idempotent P(A) / ((A - lam) P'(lam)), read off its RREF for the whole
-stack at once; no minimal polynomial or nullspace is formed.
+dimension are split as one stack, with one set of roots, one annihilator
+per space: each eigenspace of A on a space is a sum of eigenlines, 1 at the
+identity class, the space's first pivot, so the identity-class functional
+is nonzero on each, and its annihilator under A is A's minimal polynomial
+there.  P(A) = 0 on every space, P the product of x - lam over the roots
+found, is checked once.  Each eigenspace, a line or wider, is then the
+image of the Lagrange idempotent P(A) / ((A - lam) P'(lam)), read off its
+RREF for the whole stack at once; no nullspace is formed.
 
 Class matrices are numpy gathers over image rows, class i's members read
 off the group's element keys; each product, formed in chunks of bounded
@@ -174,17 +177,17 @@ def _rref(a: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     return a[np.arange(n)[:, None], order], rows - free.sum(axis=1)
 
 
-def _vector_annihilator(acts: np.ndarray, j: int, q: int) -> np.ndarray:
-    """Monic minimal polynomials annihilating the coordinate seed e_j under
-    each of a stack of actions: one row each of ascending coefficients, zero
-    above its degree, as wide as the largest degree needs.
+def _vector_annihilator(acts: np.ndarray, q: int) -> np.ndarray:
+    """Monic minimal polynomials annihilating e_0 under each of a stack of
+    actions: one row each of ascending coefficients, zero above its degree,
+    as wide as the largest degree needs.
 
-    The images A^t e_j, t <= d, are the columns of a Krylov matrix, free up
+    The images A^t e_0, t <= d, are the columns of a Krylov matrix, free up
     to the annihilator's degree m and no further, so its RREF has pivots
-    0..m-1 and holds in column m the coefficients of A^m e_j over them."""
+    0..m-1 and holds in column m the coefficients of A^m e_0 over them."""
     n, d = acts.shape[:2]
     krylov = np.zeros((n, d, d + 1), dtype=np.int64)
-    krylov[:, j, 0] = 1
+    krylov[:, 0, 0] = 1
     for t in range(d):
         krylov[:, :, t + 1] = (acts @ krylov[:, :, t, None])[:, :, 0] % q
     ech, degree = _rref(krylov, q)
@@ -213,47 +216,35 @@ def _poly_roots(polys: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _eigenspaces(acts: np.ndarray, bases: np.ndarray, q: int) -> list[list[np.ndarray]]:
-    """The eigenspaces of each of a stack of (n, d, d) actions, diagonalizable
-    over F_q, in increasing eigenvalue order: their coordinate rows in RREF
-    times the action's basis, (d, r) rows in RREF, which keeps them in RREF.
+    """The eigenspaces of each of a stack of (n, d, d) actions M on coordinate
+    rows, c -> c M, diagonalizable over F_q, in increasing eigenvalue order:
+    their coordinate rows in RREF times the action's basis, (d, r) rows in
+    RREF, which keeps them in RREF.
 
-    The stack shares one set of roots.  Each root of a coordinate seed's
-    annihilator under an action A is an eigenvalue of A.  Seeds run until
-    P(A) = 0 for every A, P the product of x - lam over the roots found,
-    which proves them every eigenvalue and each A diagonalizable; P(A) is
-    read off A's powers.  The Lagrange idempotent E_lam = L_lam(A),
-    L_lam = P / ((x - lam) P'(lam)), then projects onto lam's eigenspace of
-    A along the others; it is 0 where lam is no eigenvalue of A, and must not
-    be on the action whose seed gave lam.  Every eigenspace, a line or wider,
-    is E_lam's column space in RREF, read for every (action, root) pair in
-    one stack."""
+    One seed proves each M's eigenvalues.  Only a basis's first row is
+    nonzero at its first pivot, and each eigenspace has a vector nonzero
+    there (_split_spaces), so c -> c_0 is nonzero on each: E_lam e_0 != 0
+    for every spectral projection E_lam, and e_0's annihilator under M, on
+    columns, is M's minimal polynomial.  P(M) = 0, P the product of x - lam
+    over the stack's roots, read off M's powers, proves M diagonalizable
+    with its eigenvalues among them.  The Lagrange idempotent
+    E_lam = L_lam(M), L_lam = P / ((x - lam) P'(lam)), projects onto lam's
+    eigenspace along the others; it is 0 where lam is no eigenvalue of M,
+    and must not be on the action whose annihilator gave lam.  Every
+    eigenspace, a line or wider, is E_lam's row space in RREF, read for
+    every (action, root) pair in one stack."""
     n, d = acts.shape[:2]
-    roots = origin = np.zeros(0, dtype=np.int64)
-    # P's coefficients, ascending, and each A^t for t <= len(roots); live
-    # are the actions with P(A) != 0
+    lams, origin = _poly_roots(_vector_annihilator(acts, q), q)
+    k = len(lams)
+    # P's coefficients, ascending, and each M^t for t <= k
     poly = np.ones(1, dtype=np.int64)
     powers = [np.zeros_like(acts)]
     powers[0][:, np.arange(d), np.arange(d)] = 1
-    live = np.arange(n)
-    for j in range(d):
-        new, first = _poly_roots(_vector_annihilator(acts[live], j, q), q)
-        fresh = ~(new[:, None] == roots).any(axis=1)
-        if not fresh.any():
-            continue
-        for lam in new[fresh].tolist():
-            poly = np.convolve(poly, [q - lam, 1]) % q
-            powers.append(acts @ powers[-1] % q)
-        roots = np.concatenate([roots, new[fresh]])
-        origin = np.concatenate([origin, live[first[fresh]]])
-        residue = sum(c * power for c, power in zip(poly.tolist(), powers)) % q
-        live = residue.any(axis=(1, 2)).nonzero()[0]
-        if not len(live):
-            break
-    else:
+    for lam in lams.tolist():
+        poly = np.convolve(poly, [q - lam, 1]) % q
+        powers.append(acts @ powers[-1] % q)
+    if (sum(c * power for c, power in zip(poly.tolist(), powers)) % q).any():
         raise TableError("internal eigensplit failure: eigenspaces do not fill the space")
-    k = len(roots)
-    order = np.argsort(roots)
-    lams, origin = roots[order], origin[order]
     # P / (x - lam) for every lam at once by synthetic division, ascending,
     # and its value at lam
     quot = np.zeros((k, k), dtype=np.int64)
@@ -265,9 +256,9 @@ def _eigenspaces(acts: np.ndarray, bases: np.ndarray, q: int) -> list[list[np.nd
         at = (at * lams + quot[:, t]) % q
     lagrange = quot * np.array([pow(v, -1, q) for v in at.tolist()])[:, None] % q
     # E_lam on every action, [action, lam], unreduced: each sum is below
-    # k q^2.  Its transpose's RREF holds its column space
+    # k q^2.  Its RREF holds its row space
     idem = np.tensordot(lagrange, np.stack(powers[:k]), axes=(1, 0)).swapaxes(0, 1)
-    ech, size = _rref(idem.reshape(n * k, d, d).transpose(0, 2, 1), q)
+    ech, size = _rref(idem.reshape(n * k, d, d), q)
     found = size.reshape(n, k) > 0
     if not found[origin, np.arange(k)].all():
         raise TableError("internal eigensplit failure: root without eigenvector")
@@ -281,21 +272,21 @@ def _eigenspaces(acts: np.ndarray, bases: np.ndarray, q: int) -> list[list[np.nd
 
 
 def _split_spaces(spaces: list[np.ndarray], mat: np.ndarray, q: int) -> list[np.ndarray]:
-    """Refine each space (rows in RREF) into the eigenspaces of mat on it.
-    Every space of dimension above one is split, in stacks of one dimension
-    d, n at a time with n^2 d^3 <= _LIFT_ENTRIES, so that the powers of a
-    stack, one per root, stay bounded too."""
-    # images = basis @ mat.T over mat's nonzeros for the rows of every space
-    # above one dimension, unreduced: each sum is below r q^2.  Each row of
-    # mat has a nonzero: its r row starts increase, no reduceat segment empty
+    """Refine each space (rows in RREF) into the eigenspaces of mat on it;
+    each eigenspace must have a vector nonzero at the space's first pivot.
+    Every space is split, in stacks of one dimension d, n at a time with
+    n^2 d^3 <= _LIFT_ENTRIES, so that the powers of a stack, one per root,
+    stay bounded too."""
+    # images = basis @ mat.T over mat's nonzeros for the rows of every space,
+    # unreduced: each sum is below r q^2.  Each row of mat has a nonzero:
+    # its r row starts increase, no reduceat segment empty
     rows, cols = np.divmod(mat.ravel().nonzero()[0], len(mat))
     starts = rows.searchsorted(np.arange(len(mat)))
-    multi = np.array([t for t, basis in enumerate(spaces) if len(basis) > 1])
-    dims = np.array([len(spaces[t]) for t in multi])
+    dims = np.array([len(basis) for basis in spaces])
     first = np.cumsum(dims) - dims
-    stacked = np.concatenate([spaces[t] for t in multi])
+    stacked = np.concatenate(spaces)
     images = np.add.reduceat(stacked[:, cols] * (mat[rows, cols] % q), starts, axis=1)
-    refined = [[basis] for basis in spaces]
+    refined = [None] * len(spaces)
     for d in sorted(set(dims.tolist())):
         which = (dims == d).nonzero()[0]
         step = max(1, isqrt(_LIFT_ENTRIES // d**3))
@@ -303,12 +294,11 @@ def _split_spaces(spaces: list[np.ndarray], mat: np.ndarray, q: int) -> list[np.
             chunk = which[start : start + step]
             at = first[chunk, None] + np.arange(d)
             basis, image = stacked[at], images[at]
-            # image rows expand as act.T @ basis, act the action on coordinates
+            # image rows expand as act_t @ basis, act_t the action on coordinate rows
             act_t = images[at[:, :, None], (basis != 0).argmax(axis=2)[:, None]] % q
             if ((act_t @ basis - image) % q).any():
                 raise TableError("internal eigensplit failure: space is not invariant")
-            eigen = _eigenspaces(act_t.transpose(0, 2, 1).copy(), basis, q)
-            for t, parts in zip(multi[chunk].tolist(), eigen):
+            for t, parts in zip(chunk.tolist(), _eigenspaces(act_t, basis, q)):
                 refined[t] = parts
     return [space for parts in refined for space in parts]
 
@@ -378,8 +368,10 @@ def _common_eigenbasis(classes: ConjugacyClassSet, q: int) -> np.ndarray:
     row and 0 there below it: K_i acts on V as a scalar exactly when V's
     rows below the first are 0 at column i.  The first column where some
     space's are not is the next class matrix built, which splits the spaces
-    it moves.  Column z C_h, z central, is lam(z) times column h in every
-    block, and h comes first: its matrix is never built."""
+    it moves; its eigenspaces on V, sums of eigenlines, are nonzero at
+    column 0.  Column z C_h, z central, is lam(z) times column h in every
+    block, and h comes first: its matrix is never built.  The spaces end
+    as lines in RREF, 1 at the identity class: the rows returned."""
     order = classes.group.order
     step = "center"
     try:
@@ -395,14 +387,12 @@ def _common_eigenbasis(classes: ConjugacyClassSet, q: int) -> np.ndarray:
                 raise TableError("internal eigensplit failure: a moved space does not split")
             spaces = [v for v, m in zip(spaces, moved[:, i]) if not m] + parts
         out = np.vstack(spaces)
-        if not out[:, 0].all():
+        if (out[:, 0] != 1).any():
             raise TableError("internal eigensplit failure: eigenvector vanishes at the identity")
     except TableError as exc:
         # a class lookup failure names the group order, which this context repeats
         message = str(exc).removesuffix(f" (group order {order})")
         raise TableError(f"{message} (group order {order}, q {q}, {step})") from None
-    out *= np.array([pow(v, -1, q) for v in out[:, 0].tolist()], dtype=np.int64)[:, None]
-    out %= q
     return out
 
 
@@ -750,17 +740,20 @@ def _compute_table(G: PermGroup, prime_offset: int = 0) -> CharTable:
 # caching
 
 def _cache_load(G: PermGroup, path: Path) -> Optional[CharTable]:
-    """The cached table of G, or None when the entry is unreadable, malformed,
-    describes another group or fails the orthogonality check."""
+    """The cached table of G, or None when the entry is unreadable or
+    malformed (a cube value no JSON integer in int64, or nested past the
+    recursion limit), describes another group or fails the orthogonality check."""
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
         classes = G.conjugacy_classes()
         e = G.exponent()
         q = _smallest_admissible_prime(G.order, e)
-        cube = narrowest(np.array(data["irreducibles"], dtype=np.int64))
+        cube = np.array(data["irreducibles"])
         r = len(classes)
         if (
-            data["schema"] != 1
+            # no dtype is forced, which would read "1", 1.0 and 1.9 as integers
+            cube.dtype != np.int64
+            or data["schema"] != 1
             or (data["degree"], data["order"], data["exponent"]) != (G.degree, G.order, e)
             or data["modulus"] != q
             or data["classes"]["sizes"] != list(classes.sizes)
@@ -775,7 +768,7 @@ def _cache_load(G: PermGroup, path: Path) -> Optional[CharTable]:
             return None
         table = CharTable(group=G, classes=classes, cube=cube, e=e, q=q)
         table.verify_orthogonality()
-    except (OSError, ValueError, TypeError, KeyError, OverflowError, EtalabError):
+    except (OSError, ValueError, TypeError, KeyError, RecursionError, EtalabError):
         return None
     return table
 

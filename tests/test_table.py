@@ -302,11 +302,11 @@ def test_eigensplit_skips_scalar_actions(monkeypatch):
     # split, so no annihilator may be computed there
     original = table_mod._vector_annihilator
 
-    def guarded(acts, j, q):
+    def guarded(acts, q):
         scalar = acts[:, :1, :1] % q * np.eye(acts.shape[1], dtype=np.int64)
         if (acts % q == scalar).all(axis=(1, 2)).any():
             raise AssertionError("minimal polynomial of a scalar action")
-        return original(acts, j, q)
+        return original(acts, q)
 
     monkeypatch.setattr(table_mod, "_vector_annihilator", guarded)
     for _, G in default_catalog(max_order=64):
@@ -314,26 +314,32 @@ def test_eigensplit_skips_scalar_actions(monkeypatch):
 
 
 def test_eigensplit_splits_basis_rows_with_different_eigenvalues():
-    # each basis row is an eigenvector, but of its own eigenvalue: the action
-    # is diagonal, not scalar, so the space must split into its two lines
-    spaces = table_mod._split_spaces([np.eye(2, dtype=np.int64)], np.diag([1, 2]), 7)
-    assert [space.tolist() for space in spaces] == [[[1, 0]], [[0, 1]]]
+    # each basis row is an eigenvector, but of its own eigenvalue, and the
+    # line of 2 is 0 at the space's first pivot: the one seed there sees
+    # only the eigenvalue 1, so the split must refuse the space, not drop a line
+    with pytest.raises(
+        TableError, match="^internal eigensplit failure: eigenspaces do not fill the space$"
+    ):
+        table_mod._split_spaces([np.eye(2, dtype=np.int64)], np.diag([1, 2]), 7)
 
 
-def test_eigensplit_takes_later_seeds_until_the_space_is_filled(monkeypatch):
-    # the first two coordinate seeds see only the eigenvalue 1, whose
-    # eigenspace is a plane; the third brings the eigenvalue 2
-    seeds = []
+def test_eigensplit_takes_one_seed_at_the_first_pivot(monkeypatch):
+    # the eigenlines (1, 0) and (1, 1) are both nonzero at the first pivot,
+    # so one annihilator, of e_0 under the action on coordinate rows, gives
+    # both eigenvalues; the seed e_0 under the action on columns is an
+    # eigenvector and sees only the eigenvalue 1
+    calls = []
     annihilator = table_mod._vector_annihilator
 
-    def counted(acts, j, q):
-        seeds.append(j)
-        return annihilator(acts, j, q)
+    def counted(acts, q):
+        calls.append(len(acts))
+        return annihilator(acts, q)
 
     monkeypatch.setattr(table_mod, "_vector_annihilator", counted)
-    spaces = table_mod._split_spaces([np.eye(3, dtype=np.int64)], np.diag([1, 1, 2]), 7)
-    assert [space.tolist() for space in spaces] == [[[1, 0, 0], [0, 1, 0]], [[0, 0, 1]]]
-    assert seeds == [0, 1, 2]
+    mat = np.array([[1, 1], [0, 2]], dtype=np.int64)
+    spaces = table_mod._split_spaces([np.eye(2, dtype=np.int64)], mat, 7)
+    assert [space.tolist() for space in spaces] == [[[1, 0]], [[1, 1]]]
+    assert calls == [1]
 
 
 def test_eigensplit_rejects_a_non_diagonalizable_action():
@@ -441,10 +447,12 @@ def test_center_failure_names_group_and_prime(d8, monkeypatch):
 
 
 def _random_diagonalizable(rng, r, q):
-    """P D P^-1 over F_q with r columns of P as eigenvectors, and D's
-    eigenvalues drawn, with repeats, from a few nonzero residues."""
+    """P D P^-1 over F_q with r columns of P as eigenvectors, each nonzero in
+    row 0, and D's eigenvalues drawn, with repeats, from a few nonzero
+    residues."""
     while True:
         p = rng.integers(0, q, (r, r))
+        p[0] = rng.integers(1, q, r)
         ech, pivots = rref_dense(np.hstack([p, np.eye(r, dtype=np.int64)]), q)
         if pivots[:r] == list(range(r)):
             break
@@ -454,11 +462,17 @@ def _random_diagonalizable(rng, r, q):
 
 def test_split_spaces_matches_the_nullspace_oracle_on_random_actions():
     # the whole space, and a partition of P's eigenvector columns into
-    # invariant subspaces, some of them lines
+    # invariant subspaces, some of them lines; every eigenvector is nonzero
+    # at coordinate 0, each space's first pivot, as the split needs
     rng = np.random.default_rng(20)
     # eigenspaces of dimension 8 = 1 mod 7 and 7 = 0 mod 7, whose idempotents'
-    # traces mod 7 are 1 and 0, not their ranks
-    for mat, q in [(np.diag([1] * 8 + [2]), 7), (np.diag([1] * 7 + [2] * 2), 7)]:
+    # traces mod 7 are 1 and 0, not their ranks; the unipotent P with row 0
+    # all ones makes each eigenspace nonzero at coordinate 0
+    unipotent = np.eye(9, dtype=np.int64)
+    unipotent[0] = 1
+    inverse = 2 * np.eye(9, dtype=np.int64) - unipotent
+    for values, q in [([1] * 8 + [2], 7), ([1] * 7 + [2] * 2, 7)]:
+        mat = unipotent @ np.diag(values) @ inverse % q
         got = table_mod._split_spaces([np.eye(9, dtype=np.int64)], mat, q)
         want = split_spaces_by_nullspaces([np.eye(9, dtype=np.int64)], mat, q)
         assert [x.tolist() for x in got] == [x.tolist() for x in want]
@@ -716,6 +730,16 @@ def test_corrupted_cache_is_recomputed(tmp_path, monkeypatch):
     again = character_table(quaternion(), cache_dir=cache)
     assert _values_equal(base, again)
 
+    def json_integers(x):
+        return all(map(json_integers, x)) if isinstance(x, list) else type(x) is int
+
+    # nested past the recursion limit: a cache miss, not a RecursionError
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    _fresh_memo(monkeypatch)
+    again = character_table(quaternion(), cache_dir=cache)
+    assert _values_equal(base, again)
+    assert json_integers(json.loads(path.read_text())["irreducibles"])
+
     # one flipped sign keeps the degrees summing to |G| but breaks
     # orthogonality, so the entry must be recomputed, not served
     cache = tmp_path / "cache-d8"
@@ -748,6 +772,13 @@ def test_corrupted_cache_is_recomputed(tmp_path, monkeypatch):
     def coefficient_missing(blob):
         del blob["irreducibles"][1][1][-1]
 
+    def coefficient_as_a_string(blob):
+        # the right value, but no JSON integer: an int64 cast would read it
+        blob["irreducibles"][1][1][0] = "1"
+
+    def coefficient_as_a_float(blob):
+        blob["irreducibles"][1][1][0] = 1.0
+
     def row_times_unit(blob):
         # (a + b z3)(1 + z3) = (a - b) + a z3; 1 + z3 = -z3^2 is a unit, so
         # row 9 (degree 3) keeps canonical order, a degree >= 1 and both
@@ -769,6 +800,8 @@ def test_corrupted_cache_is_recomputed(tmp_path, monkeypatch):
         rows_out_of_order,
         coefficient_past_int64,
         coefficient_missing,
+        coefficient_as_a_string,
+        coefficient_as_a_float,
     )
     cases = [(d8_entry, c) for c in d8_corruptions] + [(es27_entry, row_times_unit)]
     for (make_group, entry_cache, expected), corrupt in cases:
@@ -780,6 +813,7 @@ def test_corrupted_cache_is_recomputed(tmp_path, monkeypatch):
         again = character_table(make_group(), cache_dir=entry_cache)
         assert _values_equal(expected, again)
         assert again.q == expected.q
+        assert json_integers(json.loads(path.read_text())["irreducibles"]), corrupt
 
 
 def test_table_memo_lasts_while_an_equal_group_is_alive():

@@ -544,6 +544,23 @@ def test_cli_table_eta_chain(tmp_path, capsys):
     assert "all valid chains: 2" in out
 
 
+def test_cli_table_recomputes_a_cache_entry_nested_past_the_recursion_limit(
+    tmp_path, monkeypatch, capsys
+):
+    # a malformed entry is a cache miss, not a crash: exit 1 is for violations
+    from etalab.groupfile import load_group
+
+    grp = tmp_path / "d8.grp"
+    assert run_cli(["build", "dihedral", "4", "-o", str(grp)]) == 0
+    entry = tmp_path / "cache" / f"{load_group(grp).content_key}.json"
+    entry.parent.mkdir()
+    entry.write_text("[" * 100_000 + "]" * 100_000)
+    monkeypatch.setattr(table_mod, "_TABLE_MEMO", {})
+    assert run_cli(["table", str(grp), "--cache-dir", str(entry.parent)]) == 0
+    assert "order 8" in capsys.readouterr().out
+    assert json.loads(entry.read_text())["order"] == 8
+
+
 def test_cli_build_witness_sidecar(tmp_path):
     out = tmp_path / "w21.grp"
     assert run_cli(["build", "witness", "2", "1", "-o", str(out)]) == 0
