@@ -748,12 +748,15 @@ def _cache_load(G: PermGroup, path: Path) -> Optional[CharTable]:
         classes = G.conjugacy_classes()
         e = G.exponent()
         q = _smallest_admissible_prime(G.order, e)
-        cube = np.array(data["irreducibles"])
+        # the leaves themselves are tested: an int dtype, forced or inferred,
+        # would also take "1", 1.0, 1.9 or true
+        leaves = np.array(data["irreducibles"], dtype=object)
+        if set(map(type, leaves.flat)) != {int}:
+            return None
+        cube = leaves.astype(np.int64)
         r = len(classes)
         if (
-            # no dtype is forced, which would read "1", 1.0 and 1.9 as integers
-            cube.dtype != np.int64
-            or data["schema"] != 1
+            data["schema"] != 1
             or (data["degree"], data["order"], data["exponent"]) != (G.degree, G.order, e)
             or data["modulus"] != q
             or data["classes"]["sizes"] != list(classes.sizes)
@@ -768,7 +771,7 @@ def _cache_load(G: PermGroup, path: Path) -> Optional[CharTable]:
             return None
         table = CharTable(group=G, classes=classes, cube=cube, e=e, q=q)
         table.verify_orthogonality()
-    except (OSError, ValueError, TypeError, KeyError, RecursionError, EtalabError):
+    except (OSError, ValueError, TypeError, KeyError, OverflowError, RecursionError, EtalabError):
         return None
     return table
 

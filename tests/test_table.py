@@ -779,6 +779,14 @@ def test_corrupted_cache_is_recomputed(tmp_path, monkeypatch):
     def coefficient_as_a_float(blob):
         blob["irreducibles"][1][1][0] = 1.0
 
+    def coefficient_as_a_boolean(blob):
+        # numpy reads a list mixing true with integers as int64
+        blob["irreducibles"][1][1][0] = True
+
+    def coefficient_past_the_narrowest_dtype(blob):
+        # fits int64, so only narrowing the only degree-2 row overflows
+        blob["irreducibles"][4][1][1] = -(2**63)
+
     def row_times_unit(blob):
         # (a + b z3)(1 + z3) = (a - b) + a z3; 1 + z3 = -z3^2 is a unit, so
         # row 9 (degree 3) keeps canonical order, a degree >= 1 and both
@@ -802,6 +810,8 @@ def test_corrupted_cache_is_recomputed(tmp_path, monkeypatch):
         coefficient_missing,
         coefficient_as_a_string,
         coefficient_as_a_float,
+        coefficient_as_a_boolean,
+        coefficient_past_the_narrowest_dtype,
     )
     cases = [(d8_entry, c) for c in d8_corruptions] + [(es27_entry, row_times_unit)]
     for (make_group, entry_cache, expected), corrupt in cases:
