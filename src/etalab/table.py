@@ -43,10 +43,10 @@ dimension are split as one stack, with one set of roots, one annihilator
 per space: each eigenspace of A on a space is a sum of eigenlines, 1 at the
 identity class, the space's first pivot, so the identity-class functional
 is nonzero on each, and its annihilator under A is A's minimal polynomial
-there.  P(A) = 0 on every space, P the product of x - lam over the roots
-found, is checked once.  Each eigenspace, a line or wider, is then the
-image of the Lagrange idempotent P(A) / ((A - lam) P'(lam)), read off its
-RREF for the whole stack at once; no nullspace is formed.
+there.  Each eigenspace is the image of the Lagrange idempotent
+P(A) / ((A - lam) P'(lam)), P the product of x - lam over the roots found,
+read off its RREF for the whole stack at once.  The parts prove the split:
+each part W with root lam has W A^T = lam W, and they fill each space.
 
 Class matrices are numpy gathers over image rows, class i's members read
 off the group's element keys; each product, formed in chunks of bounded
@@ -197,110 +197,108 @@ def _vector_annihilator(acts: np.ndarray, q: int) -> np.ndarray:
     return out
 
 
-def _poly_roots(polys: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+def _poly_roots(polys: np.ndarray, q: int) -> np.ndarray:
     """Each x in F_q, ascending, that is a root of one of a stack of
-    polynomials (rows of ascending coefficients), and the first row it is a
-    root of; the rows are evaluated at every x, in blocks of bounded size."""
+    polynomials (rows of ascending coefficients); the rows are evaluated at
+    every x, in blocks of bounded size."""
     step = max(1, _GATHER_ENTRIES // len(polys))
-    roots, first = [], []
+    roots = []
     for start in range(0, q, step):
         xs = np.arange(start, min(start + step, q), dtype=np.int64)
         acc = np.zeros((len(polys), len(xs)), dtype=np.int64)
         for c in polys.T[::-1]:
             acc = (acc * xs + c[:, None]) % q
-        hit = acc == 0
-        some = hit.any(axis=0)
-        roots.append(xs[some])
-        first.append(hit[:, some].argmax(axis=0))
-    return np.concatenate(roots), np.concatenate(first)
+        roots.append(xs[(acc == 0).any(axis=0)])
+    return np.concatenate(roots)
 
 
-def _eigenspaces(acts: np.ndarray, bases: np.ndarray, q: int) -> list[list[np.ndarray]]:
+def _eigenspaces(acts: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The eigenspaces of each of a stack of (n, d, d) actions M on coordinate
-    rows, c -> c M, diagonalizable over F_q, in increasing eigenvalue order:
-    their coordinate rows in RREF times the action's basis, (d, r) rows in
-    RREF, which keeps them in RREF.
+    rows, c -> c M, for _split_spaces to prove: (their coordinate rows in
+    RREF, each action's in root order; the roots; [action, root] dimensions).
 
-    One seed proves each M's eigenvalues.  Only a basis's first row is
-    nonzero at its first pivot, and each eigenspace has a vector nonzero
-    there (_split_spaces), so c -> c_0 is nonzero on each: E_lam e_0 != 0
-    for every spectral projection E_lam, and e_0's annihilator under M, on
-    columns, is M's minimal polynomial.  P(M) = 0, P the product of x - lam
-    over the stack's roots, read off M's powers, proves M diagonalizable
-    with its eigenvalues among them.  The Lagrange idempotent
-    E_lam = L_lam(M), L_lam = P / ((x - lam) P'(lam)), projects onto lam's
-    eigenspace along the others; it is 0 where lam is no eigenvalue of M,
-    and must not be on the action whose annihilator gave lam.  Every
-    eigenspace, a line or wider, is E_lam's row space in RREF, read for
-    every (action, root) pair in one stack."""
+    One seed gives M's eigenvalues.  Only a basis's first row is nonzero at
+    its first pivot, and each eigenspace has a vector nonzero there, so
+    c -> c_0 is nonzero on each: E_lam e_0 != 0 for every spectral
+    projection E_lam, and e_0's annihilator under M, on columns, is M's
+    minimal polynomial.  With P the product of x - lam over the stack's
+    roots, E_lam = L_lam(M), L_lam = P / ((x - lam) P'(lam)): it projects on
+    lam's eigenspace, and is 0, giving no part, where lam is no eigenvalue
+    of M.  Every part, a line or wider, is E_lam's row space in RREF, read
+    for every (action, root) pair at once."""
     n, d = acts.shape[:2]
-    lams, origin = _poly_roots(_vector_annihilator(acts, q), q)
+    lams = _poly_roots(_vector_annihilator(acts, q), q)
     k = len(lams)
-    # P's coefficients, ascending, and each M^t for t <= k
+    # P's coefficients, ascending, and each M^t for t < k, none without roots
     poly = np.ones(1, dtype=np.int64)
-    powers = [np.zeros_like(acts)]
-    powers[0][:, np.arange(d), np.arange(d)] = 1
     for lam in lams.tolist():
         poly = np.convolve(poly, [q - lam, 1]) % q
-        powers.append(acts @ powers[-1] % q)
-    if (sum(c * power for c, power in zip(poly.tolist(), powers)) % q).any():
-        raise TableError("internal eigensplit failure: eigenspaces do not fill the space")
-    # P / (x - lam) for every lam at once by synthetic division, ascending,
-    # and its value at lam
-    quot = np.zeros((k, k), dtype=np.int64)
-    quot[:, k - 1] = 1
-    for t in range(k - 1, 0, -1):
-        quot[:, t - 1] = (poly[t] + lams * quot[:, t]) % q
+    powers = np.empty((k, n, d, d), dtype=np.int64)
+    powers[:1] = np.eye(d, dtype=np.int64)
+    for t in range(1, k):
+        powers[t] = acts @ powers[t - 1] % q
+    # P / (x - lam) for every lam by synthetic division, ascending, and its value at lam
+    quot = np.zeros((k, k + 1), dtype=np.int64)
     at = np.zeros(k, dtype=np.int64)
-    for t in range(k - 1, -1, -1):
-        at = (at * lams + quot[:, t]) % q
-    lagrange = quot * np.array([pow(v, -1, q) for v in at.tolist()])[:, None] % q
+    for t in range(k, 0, -1):
+        quot[:, t - 1] = (poly[t] + lams * quot[:, t]) % q
+        at = (at * lams + quot[:, t - 1]) % q
+    inv = np.array([pow(v, -1, q) for v in at.tolist()], dtype=np.int64)
+    lagrange = quot[:, :k] * inv[:, None] % q
     # E_lam on every action, [action, lam], unreduced: each sum is below
     # k q^2.  Its RREF holds its row space
-    idem = np.tensordot(lagrange, np.stack(powers[:k]), axes=(1, 0)).swapaxes(0, 1)
+    idem = np.tensordot(lagrange, powers, axes=(1, 0)).swapaxes(0, 1)
     ech, size = _rref(idem.reshape(n * k, d, d), q)
-    found = size.reshape(n, k) > 0
-    if not found[origin, np.arange(k)].all():
-        raise TableError("internal eigensplit failure: root without eigenvector")
-    # every eigenspace over its basis, in action order, then root order, in
-    # one product: an action's eigenspaces fill its space, so d rows each
-    coords = ech[np.arange(d) < size[:, None]].reshape(n, d, d)
-    rows = (coords @ bases % q).reshape(n * d, -1)
-    spaces = np.split(rows, np.cumsum(size[size > 0])[:-1])
-    ends = np.cumsum(found.sum(axis=1)).tolist()
-    return [spaces[start:end] for start, end in zip([0] + ends, ends)]
+    return ech[np.arange(d) < size[:, None]], lams, size.reshape(n, k)
 
 
 def _split_spaces(spaces: list[np.ndarray], mat: np.ndarray, q: int) -> list[np.ndarray]:
-    """Refine each space (rows in RREF) into the eigenspaces of mat on it;
-    each eigenspace must have a vector nonzero at the space's first pivot.
-    Every space is split, in stacks of one dimension d, n at a time with
-    n^2 d^3 <= _LIFT_ENTRIES, so that the powers of a stack, one per root,
-    stay bounded too."""
-    # images = basis @ mat.T over mat's nonzeros for the rows of every space,
-    # unreduced: each sum is below r q^2.  Each row of mat has a nonzero:
-    # its r row starts increase, no reduceat segment empty
+    """Refine each space V (rows in RREF) into the eigenspaces of mat on it;
+    each must have a vector nonzero at V's first pivot.  Spaces are split in
+    stacks of one dimension d, n at a time with n^2 d^3 <= _LIFT_ENTRIES, so
+    that the powers of a stack, one per root, stay bounded too.  V's images
+    at its pivots, act_t, are the action on coordinate rows if V is
+    invariant, and its parts are coordinate rows times V's basis: they lie
+    in V, in RREF.  They prove the split: each part W with root lam has
+    W mat^T = lam W, and V's parts have d dimensions.  Their roots differ,
+    so their sum is direct and is V: V is invariant, and mat is diagonal on
+    it with exactly these eigenspaces.  A missed root, a V that is not
+    invariant or a mat not diagonalizable on V leaves V unfilled."""
+    # x -> x mat^T over mat's nonzeros for a stack of rows, a block of rows
+    # at a time, unreduced: each sum is below r q^2.  Each row of mat has a
+    # nonzero: its r row starts increase, no reduceat segment empty
     rows, cols = np.divmod(mat.ravel().nonzero()[0], len(mat))
     starts = rows.searchsorted(np.arange(len(mat)))
+    values = mat[rows, cols] % q
+
+    def image(x: np.ndarray) -> np.ndarray:
+        step = max(1, _GATHER_ENTRIES // len(cols))
+        terms = (x[i : i + step, cols] * values for i in range(0, len(x), step))
+        return np.concatenate([np.add.reduceat(t, starts, axis=1) for t in terms])
+
     dims = np.array([len(basis) for basis in spaces])
     first = np.cumsum(dims) - dims
     stacked = np.concatenate(spaces)
-    images = np.add.reduceat(stacked[:, cols] * (mat[rows, cols] % q), starts, axis=1)
-    refined = [None] * len(spaces)
+    images = image(stacked)
+    refined = []  # (space index, part), each space's in root order
     for d in sorted(set(dims.tolist())):
         which = (dims == d).nonzero()[0]
         step = max(1, isqrt(_LIFT_ENTRIES // d**3))
         for start in range(0, len(which), step):
             chunk = which[start : start + step]
             at = first[chunk, None] + np.arange(d)
-            basis, image = stacked[at], images[at]
-            # image rows expand as act_t @ basis, act_t the action on coordinate rows
+            basis = stacked[at]
             act_t = images[at[:, :, None], (basis != 0).argmax(axis=2)[:, None]] % q
-            if ((act_t @ basis - image) % q).any():
-                raise TableError("internal eigensplit failure: space is not invariant")
-            for t, parts in zip(chunk.tolist(), _eigenspaces(act_t, basis, q)):
-                refined[t] = parts
-    return [space for parts in refined for space in parts]
+            coords, lams, size = _eigenspaces(act_t, q)
+            if (size.sum(axis=1) != d).any():
+                raise TableError("internal eigensplit failure: eigenspaces do not fill the space")
+            parts = (coords.reshape(len(chunk), d, d) @ basis % q).reshape(len(chunk) * d, -1)
+            root = np.repeat(np.tile(lams, len(chunk)), size.ravel())
+            if ((image(parts) - root[:, None] * parts) % q).any():
+                raise TableError("internal eigensplit failure: eigenspaces do not fill the space")
+            owner = np.repeat(chunk, (size > 0).sum(axis=1)).tolist()
+            refined += zip(owner, np.split(parts, np.cumsum(size[size > 0])[:-1]))
+    return [part for _, part in sorted(refined, key=lambda pair: pair[0])]
 
 
 def _center_blocks(classes: ConjugacyClassSet, q: int) -> list[np.ndarray]:

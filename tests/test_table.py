@@ -355,7 +355,7 @@ def test_eigensplit_failure_names_group_and_prime(d8, monkeypatch):
     # no annihilator has a root, so no space is ever filled
     fresh = _fresh_copy(d8)
     none = np.zeros(0, dtype=np.int64)
-    monkeypatch.setattr(table_mod, "_poly_roots", lambda polys, q: (none, none))
+    monkeypatch.setattr(table_mod, "_poly_roots", lambda polys, q: none)
     with pytest.raises(TableError) as info:
         table_mod._compute_table(fresh)
     message = str(info.value)
@@ -375,21 +375,36 @@ def _eigensplit_failure(G, monkeypatch, **patches):
     return str(info.value)
 
 
-def test_eigensplit_rejects_a_root_without_eigenvector(d8, monkeypatch):
+def test_eigensplit_ignores_a_root_without_eigenvector(d8, monkeypatch):
     # 0 is no eigenvalue of class matrix 2 on d8's blocks, so its Lagrange
-    # idempotent vanishes once the true roots are all found
+    # idempotent vanishes once the true roots are all found: it gives no part
     roots = table_mod._poly_roots
 
     def with_a_non_root(polys, q):
-        found, first = roots(polys, q)
-        extra = next(x for x in range(q) if x not in found)
-        return np.append(found, extra), np.append(first, 0)
+        found = roots(polys, q)
+        return np.append(found, next(x for x in range(q) if x not in found))
 
-    message = _eigensplit_failure(d8, monkeypatch, _poly_roots=with_a_non_root)
-    assert message == (
-        "internal eigensplit failure: root without eigenvector"
-        " (group order 8, q 13, class matrix 2)"
-    )
+    want = table_mod._compute_table(_fresh_copy(d8)).to_json_dict()
+    monkeypatch.setattr(table_mod, "_poly_roots", with_a_non_root)
+    assert table_mod._compute_table(_fresh_copy(d8)).to_json_dict() == want
+
+
+def test_eigensplit_rejects_a_part_with_a_wrong_root(monkeypatch):
+    # the eigenlines (1, 0) and (1, 1) have the roots 1 and 2: labelled the
+    # other way round, each part has the right dimension and is refused
+    eigenspaces = table_mod._eigenspaces
+
+    def swapped(acts, q):
+        coords, lams, size = eigenspaces(acts, q)
+        assert lams.tolist() == [1, 2] and size.tolist() == [[1, 1]]
+        return coords, lams[::-1], size
+
+    monkeypatch.setattr(table_mod, "_eigenspaces", swapped)
+    mat = np.array([[1, 1], [0, 2]], dtype=np.int64)
+    with pytest.raises(
+        TableError, match="^internal eigensplit failure: eigenspaces do not fill the space$"
+    ):
+        table_mod._split_spaces([np.eye(2, dtype=np.int64)], mat, 7)
 
 
 def test_eigensplit_rejects_a_space_that_is_not_invariant(d8, monkeypatch):
@@ -404,7 +419,7 @@ def test_eigensplit_rejects_a_space_that_is_not_invariant(d8, monkeypatch):
 
     message = _eigensplit_failure(d8, monkeypatch, class_matrix=corrupted)
     assert message == (
-        "internal eigensplit failure: space is not invariant"
+        "internal eigensplit failure: eigenspaces do not fill the space"
         " (group order 8, q 13, class matrix 2)"
     )
 
