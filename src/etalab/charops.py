@@ -1,13 +1,12 @@
 """Character algebra: products, inner products, decomposition, restriction,
 induction, kernels, and the related subgroup-character bookkeeping.
 
-Decomposition runs against the canonical table of the character's group and
-is kept on that table, keyed by the class function's values; decompose is
-the one place a ConstituentDecomposition is built.  Every pairing against a
-table, decompose's and restriction's, is the table's own
-(CharTable._multiplicity_rows), at its conductor: restriction multiplicities
-take theta's values down to N's conductor first (the `down` kernel), as
-`restrict` does.  inner_product is the one other pairing.
+Decomposition runs against the canonical table of the character's group
+and is not kept; decompose is the one place a ConstituentDecomposition is
+built.  Every pairing against a table, decompose's and restriction's, is the
+table's own (CharTable._multiplicity_rows), at its conductor: restriction
+multiplicities take theta's values down to N's conductor first (the `down`
+kernel), as `restrict` does.  inner_product is the one other pairing.
 A whole table restricted to a normal subgroup of prime index is, by
 Clifford's theorem, one orbit head per row, looked up among orbit sums with
 no pairing and kept on the table; along a chief series the top table's
@@ -77,11 +76,8 @@ def inner_product(a: Character, b: Character) -> int:
 def decompose(theta: Character) -> ConstituentDecomposition:
     """Full decomposition of theta against the canonical table of its group."""
     table = character_table(theta.group)
-    memo, key = table._decompositions, theta.value_key()
-    if key not in memo:
-        row = table.multiplicities(theta)
-        memo[key] = ConstituentDecomposition(tuple((table[i], m) for i, m in enumerate(row) if m))
-    return memo[key]
+    row = table.multiplicities(theta)
+    return ConstituentDecomposition(tuple((table[i], m) for i, m in enumerate(row) if m))
 
 
 def eta_count(chi: Character, psi: Character = None) -> int:

@@ -266,26 +266,18 @@ def down(x: np.ndarray, e: int, f: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # small number theory, shared with the table computation
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17)
-# the least strong pseudoprime to all of _MR_BASES (Jaeschke 1993): below it,
-# Miller-Rabin with these bases is exact
-_MR_BOUND = 341_550_071_728_321
+# Miller-Rabin with these twelve bases is exact below 3.18e23 (Sorenson and
+# Webster, Math. Comp. 86, 2017); every caller's n is below 2^62
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin below _MR_BOUND, trial division from it on."""
+    """Deterministic Miller-Rabin, exact for n below 3.18e23."""
     if n < 2:
         return False
     for a in _MR_BASES:
         if n % a == 0:
             return n == a
-    if n >= _MR_BOUND:
-        d = 19
-        while d * d <= n:
-            if n % d == 0:
-                return False
-            d += 2
-        return True
     # n - 1 = d 2^s with d odd; n is a strong probable prime to base a when
     # a^d = 1 or a^(d 2^i) = -1 for some i < s
     d, s = n - 1, 0

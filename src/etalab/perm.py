@@ -320,7 +320,6 @@ class PermGroup:
         gens = _checked(degree, generators)
         self.degree = degree
         self.generators = gens
-        self.parent = parent
         # the sorted element keys (see element_keys) are the group's one
         # stored form, closed from the generators or given as _keys by the
         # group it is cut from; elements are read off them on first use

@@ -18,9 +18,9 @@ read-only, in the smallest signed dtype that holds its largest |coefficient|
 (int8 for every table of the catalog and its chief series); its Characters,
 JSON form, cache entry and pairings are read off it, and every arithmetic
 reader widens what it reads.
-What callers derive from it (decompositions, branching to subgroups,
-chi * conj(chi)'s multiplicities, the cube's values at each pairing prime
-and embedding set) is kept on the table.
+What callers derive from it (branching to subgroups, chi * conj(chi)'s
+multiplicities, the cube's values at each pairing prime and embedding set)
+is kept on the table.
 
 Splitting is deterministic: class matrices are consumed in canonical class
 order (size ascending, then smallest member; perm), eigenvalues of each
@@ -468,8 +468,6 @@ class CharTable:
         keys = _as_keys(self.cube.reshape(len(self.cube), -1))
         order = np.argsort(keys)
         object.__setattr__(self, "_sorted_keys", (keys[order], order))
-        # charops.decompose keeps its results here, keyed by value_key()
-        object.__setattr__(self, "_decompositions", {})
         # charops._branching keeps its (head, first) index vectors here, keyed
         # by the subgroup's content_key
         object.__setattr__(self, "_branching", {})
@@ -666,17 +664,21 @@ def _orbit_sums(first: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def _compute_table(G: PermGroup, prime_offset: int = 0) -> CharTable:
+    q = _smallest_admissible_prime(G.order, G.exponent(), prime_offset)
+    return _lifted(G, _common_eigenbasis(G.conjugacy_classes(), q), q)
+
+
+def _lifted(G: PermGroup, omegas: np.ndarray, q: int) -> CharTable:
+    """The table of G whose central characters mod q are omegas' rows: the
+    computed table's lift.  TableError when a row fails one of its checks."""
     classes = G.conjugacy_classes()
     r = len(classes)
     e = G.exponent()
     order = G.order
-    q = _smallest_admissible_prime(order, e, prime_offset)
     z = _root_of_unity(q, e)
     # x^(e-1) is x^-1
     pclass = classes.power_map
     inv_class = pclass[:, e - 1]
-
-    omegas = _common_eigenbasis(classes, q)
 
     size_inv = np.array([pow(s, -1, q) for s in classes.sizes], dtype=np.int64)
     # mults[n, j, l] = e^-1 sum_s chi_n(x_j^s) z^(-ls), the multiplicity of z^l
@@ -738,40 +740,38 @@ def _compute_table(G: PermGroup, prime_offset: int = 0) -> CharTable:
 # caching
 
 def _cache_load(G: PermGroup, path: Path) -> Optional[CharTable]:
-    """The cached table of G, or None when the entry is unreadable or
-    malformed (a cube value no JSON integer in int64, or nested past the
-    recursion limit), describes another group or fails the orthogonality check."""
+    """The cached table of G, or None when the entry is unreadable, malformed
+    (a cube value no JSON integer, or nested past the recursion limit) or
+    not proved to be G's table.  A row read mod q at z, times |C_j| over its
+    identity value, is a vector v, 1 at the identity.  If v K_s^T = v_s v for
+    s in S, v lies in the joint eigenspace of the K_s in which every
+    eigenline is v_s at s.  Rows distinct on S lie in r such spaces, which
+    the r eigenlines fill: each is a line and each row an eigenline, whose
+    lift is _compute_table's.  Two rows first differ where two rows adjacent
+    in lexicographic order do: S is those classes, at which _split_spaces
+    proves each row, passed as a line."""
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
+        # JSON integers only: 1.0 and true would pass for 1 in what follows
+        leaves = np.array(data["irreducibles"], dtype=object)
+        if data["schema"] != 1 or set(map(type, leaves.flat)) != {int}:
+            return None
         classes = G.conjugacy_classes()
         e = G.exponent()
         q = _smallest_admissible_prime(G.order, e)
-        # the leaves themselves are tested: an int dtype, forced or inferred,
-        # would also take "1", 1.0, 1.9 or true
-        leaves = np.array(data["irreducibles"], dtype=object)
-        if set(map(type, leaves.flat)) != {int}:
+        z = _root_of_unity(q, e)
+        zpow = np.array([pow(z, t, q) for t in range(reduced_degree(e))], dtype=np.int64)
+        values = (leaves % q).astype(np.int64) @ zpow % q * (np.array(classes.sizes) % q) % q
+        omegas = values * np.array([pow(v, -1, q) for v in values[:, 0].tolist()])[:, None] % q
+        apart = np.diff(omegas[np.lexsort(omegas.T[::-1])], axis=0) != 0
+        if not apart.any(axis=1).all():
             return None
-        cube = leaves.astype(np.int64)
-        r = len(classes)
-        if (
-            data["schema"] != 1
-            or (data["degree"], data["order"], data["exponent"]) != (G.degree, G.order, e)
-            or data["modulus"] != q
-            or data["classes"]["sizes"] != list(classes.sizes)
-            or data["classes"]["reps"] != [list(rep.images) for rep in classes.representatives]
-            or cube.shape != (r, r, reduced_degree(e))
-            or (_canonical_order(cube) != np.arange(r)).any()
-            # integer degrees >= 1: a row times a root of unity keeps
-            # both orthogonality relations and fails only this check
-            or (cube[:, 0, 0] < 1).any()
-            or cube[:, 0, 1:].any()
-        ):
-            return None
-        table = CharTable(group=G, classes=classes, cube=cube, e=e, q=q)
-        table.verify_orthogonality()
-    except (OSError, ValueError, TypeError, KeyError, OverflowError, RecursionError, EtalabError):
+        for s in np.unique(apart.argmax(axis=1)).tolist():
+            _split_spaces(list(omegas[:, None]), class_matrix(classes, s), q)
+        table = _lifted(G, omegas, q)
+    except (OSError, ValueError, TypeError, LookupError, RecursionError, EtalabError):
         return None
-    return table
+    return table if np.array_equal(table.cube, leaves) else None
 
 
 def character_table(

@@ -841,6 +841,35 @@ def test_corrupted_cache_is_recomputed(tmp_path, monkeypatch):
         assert json_integers(json.loads(path.read_text())["irreducibles"]), corrupt
 
 
+@pytest.mark.parametrize("gid", catalog_ids())
+def test_cache_entry_proves_its_columns(tmp_path, monkeypatch, gid):
+    # two classes of equal size swapped keep every property of the entry
+    # that a relabelling of classes keeps: only the class matrices tell
+    G = _fresh_copy(load_catalog_group(gid))
+    _fresh_memo(monkeypatch)
+    computed = character_table(G, cache_dir=tmp_path)
+    path = next(tmp_path.glob("*.json"))
+    blob = json.loads(path.read_text())
+    cube = np.array(blob["irreducibles"])
+    sizes = computed.classes.sizes
+    pairs = [
+        (i, j)
+        for i in range(1, len(sizes))
+        for j in range(i + 1, len(sizes))
+        if sizes[i] == sizes[j] and not np.array_equal(cube[:, i], cube[:, j])
+    ]
+    if not pairs:
+        pytest.skip("no two classes of equal size with different columns")
+    i, j = pairs[0]
+    cube[:, [i, j]] = cube[:, [j, i]]
+    blob["irreducibles"] = cube[table_mod._canonical_order(cube)].tolist()
+    path.write_text(json.dumps(blob))
+    _fresh_memo(monkeypatch)
+    again = character_table(_fresh_copy(G), cache_dir=tmp_path)
+    assert np.array_equal(again.cube, computed.cube)
+    assert json.loads(path.read_text()) == computed.to_json_dict()
+
+
 def test_table_memo_lasts_while_an_equal_group_is_alive():
     # dihedral(5) is not in the catalog, so no other test keeps it alive
     first, second = dihedral(5), dihedral(5)
