@@ -13,6 +13,8 @@ The first form writes one JSON object, key -> digest, of:
   wreath_cp(cyclic(9), 3), with their series;
 - `etalab verify <check> --json` for every check, with elapsed_ms masked,
   and its exit code;
+- `etalab table <file> --json OUT` for every catalog group: its stdout,
+  the JSON file and its exit code;
 - with --scale, the cold prop5_witness(3, 2) table (about a minute and
   1 GB).
 It digests the package of its own checkout.  The second form names the
@@ -37,6 +39,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from etalab.catalog import default_catalog  # noqa: E402
 from etalab.cli import VERIFY_CHECKS, run_cli  # noqa: E402
 from etalab.constructions import cyclic, extraspecial_exp_p, prop5_witness, wreath_cp  # noqa: E402
+from etalab.groupfile import save_group  # noqa: E402
 from etalab.table import character_table  # noqa: E402
 
 
@@ -84,6 +87,24 @@ def verify_digests() -> dict[str, str]:
     return out
 
 
+def table_cli_digests(groups) -> dict[str, str]:
+    """The digest of each (name, group)'s `etalab table <file> --json OUT`:
+    its stdout, the JSON file and its exit code.  The command runs in a
+    temporary directory that holds the group file under a relative name, so
+    the path it prints is the same in every checkout."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        for name, G in groups:
+            grp, report = f"{name}.grp", f"{name}.json"
+            save_group(G, grp)
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = run_cli(["table", grp, "--json", report])
+            text = Path(report).read_text(encoding="utf-8")
+            out[f"table {name}"] = _digest({"exit": code, "stdout": stdout.getvalue(), "json": text})
+    return out
+
+
 def _timed(name: str, fn, *args):
     """fn(*args), with its wall time on stderr."""
     start = time.monotonic()
@@ -101,6 +122,7 @@ def all_digests(scale: bool = False) -> dict[str, str]:
     out = {}
     for name, G in default_catalog() + extras:
         out.update(_timed(name, table_digests, [(name, G)]))
+    out.update(_timed("etalab table", table_cli_digests, default_catalog()))
     out.update(_timed("verify", verify_digests))
     if scale:
         witness = [("prop5_witness(3, 2)", prop5_witness(3, 2).group)]

@@ -48,7 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser("table", help="print the character table of a group file")
     p_table.add_argument("file")
     p_table.add_argument("--json", metavar="OUT", default=None)
-    p_table.add_argument("--cache-dir", default=".etalab-cache")
 
     p_eta = sub.add_parser("eta", help="count distinct constituents of a character product")
     p_eta.add_argument("file")
@@ -87,7 +86,7 @@ def _pick_char(table, index: int, what: str):
 
 def _cmd_table(args) -> int:
     G = load_group(args.file)
-    table = character_table(G, cache_dir=args.cache_dir)
+    table = character_table(G)
     info = G.p_group_info()
     print(f"group file: {args.file}")
     print(f"order {G.order}  p {info.p}  exponent {G.exponent()}  classes {len(table)}")

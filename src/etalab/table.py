@@ -16,8 +16,8 @@ eigenvector, in order, that fails a check is the one reported.
 A table is stored as its (characters, classes, phi(e)) coefficient cube,
 read-only, in the smallest signed dtype that holds its largest |coefficient|
 (int8 for every table of the catalog and its chief series); its Characters,
-JSON form, cache entry and pairings are read off it, and every arithmetic
-reader widens what it reads.
+JSON form and pairings are read off it, and every arithmetic reader widens
+what it reads.
 What callers derive from it (branching to subgroups, chi * conj(chi)'s
 multiplicities, the cube's values at each pairing prime and embedding set)
 is kept on the table.
@@ -80,21 +80,18 @@ the rows'.
 
 from __future__ import annotations
 
-import json
-import os
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt
-from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .chars import Character
 from .cyclotomic import Evaluated, _is_prime, _primitive_root, galois, linear_map, narrow_dtype
-from .cyclotomic import narrowest, pairing, power_basis_matrix, reduced_degree, unit_generators
-from .errors import CharacterError, EtalabError, TableError
+from .cyclotomic import narrowest, pairing, power_basis_matrix, unit_generators
+from .errors import CharacterError, TableError
 from .perm import ConjugacyClassSet, PermGroup, Permutation, _as_keys, _class_action
 from .perm import _classes_of_rows, _locate, _rows_of
 
@@ -119,8 +116,8 @@ _TABLE_MEMO: "weakref.WeakValueDictionary[str, CharTable]" = weakref.WeakValueDi
 
 def _smallest_admissible_prime(order: int, e: int, offset: int = 0) -> int:
     """Smallest prime q = 1 mod e with q^2 > 4*order; offset skips ahead."""
-    if offset < 0:
-        raise TableError("prime_offset must be non-negative")
+    if type(offset) is not int or offset < 0:
+        raise TableError("prime_offset must be a non-negative integer")
     q = e + 1
     while True:
         if q > 2 and _is_prime(q) and q * q > 4 * order:
@@ -664,17 +661,12 @@ def _orbit_sums(first: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def _compute_table(G: PermGroup, prime_offset: int = 0) -> CharTable:
-    q = _smallest_admissible_prime(G.order, G.exponent(), prime_offset)
-    return _lifted(G, _common_eigenbasis(G.conjugacy_classes(), q), q)
-
-
-def _lifted(G: PermGroup, omegas: np.ndarray, q: int) -> CharTable:
-    """The table of G whose central characters mod q are omegas' rows: the
-    computed table's lift.  TableError when a row fails one of its checks."""
-    classes = G.conjugacy_classes()
-    r = len(classes)
     e = G.exponent()
     order = G.order
+    q = _smallest_admissible_prime(order, e, prime_offset)
+    classes = G.conjugacy_classes()
+    r = len(classes)
+    omegas = _common_eigenbasis(classes, q)
     z = _root_of_unity(q, e)
     # x^(e-1) is x^-1
     pclass = classes.power_map
@@ -736,83 +728,24 @@ def _lifted(G: PermGroup, omegas: np.ndarray, q: int) -> CharTable:
     return CharTable(group=G, classes=classes, cube=cube[_canonical_order(cube)], e=e, q=q)
 
 
-# ---------------------------------------------------------------------------
-# caching
-
-def _cache_load(G: PermGroup, path: Path) -> Optional[CharTable]:
-    """The cached table of G, or None when the entry is unreadable, malformed
-    (a cube value no JSON integer, or nested past the recursion limit) or
-    not proved to be G's table.  A row read mod q at z, times |C_j| over its
-    identity value, is a vector v, 1 at the identity.  If v K_s^T = v_s v for
-    s in S, v lies in the joint eigenspace of the K_s in which every
-    eigenline is v_s at s.  Rows distinct on S lie in r such spaces, which
-    the r eigenlines fill: each is a line and each row an eigenline, whose
-    lift is _compute_table's.  Two rows first differ where two rows adjacent
-    in lexicographic order do: S is those classes, at which _split_spaces
-    proves each row, passed as a line."""
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-        # JSON integers only: 1.0 and true would pass for 1 in what follows
-        leaves = np.array(data["irreducibles"], dtype=object)
-        if data["schema"] != 1 or set(map(type, leaves.flat)) != {int}:
-            return None
-        classes = G.conjugacy_classes()
-        e = G.exponent()
-        q = _smallest_admissible_prime(G.order, e)
-        z = _root_of_unity(q, e)
-        zpow = np.array([pow(z, t, q) for t in range(reduced_degree(e))], dtype=np.int64)
-        values = (leaves % q).astype(np.int64) @ zpow % q * (np.array(classes.sizes) % q) % q
-        omegas = values * np.array([pow(v, -1, q) for v in values[:, 0].tolist()])[:, None] % q
-        apart = np.diff(omegas[np.lexsort(omegas.T[::-1])], axis=0) != 0
-        if not apart.any(axis=1).all():
-            return None
-        for s in np.unique(apart.argmax(axis=1)).tolist():
-            _split_spaces(list(omegas[:, None]), class_matrix(classes, s), q)
-        table = _lifted(G, omegas, q)
-    except (OSError, ValueError, TypeError, LookupError, RecursionError, EtalabError):
-        return None
-    return table if np.array_equal(table.cube, leaves) else None
-
-
-def character_table(
-    G: PermGroup,
-    cache_dir: Union[str, Path, None] = None,
-    prime_offset: int = 0,
-) -> CharTable:
+def character_table(G: PermGroup, cache_dir=None, prime_offset: int = 0) -> CharTable:
     """The full canonical table of G.
 
     prime_offset > 0 redoes the computation with a later admissible prime
-    (a determinism check; results bypass all caches).
+    (a determinism check; results bypass the in-process memo).  cache_dir is
+    accepted and ignored, for callers that still pass it: no table is read
+    from or written to disk.
     """
-    if prime_offset:
+    # any offset but the integer 0 is computed, and checked there
+    if type(prime_offset) is not int or prime_offset:
         return _compute_table(G, prime_offset)
     # held on G, or on an equal-content group
     memo_key = G.content_key
     table = G._char_table
     if table is None:
         table = _TABLE_MEMO.get(memo_key)
-    if table is not None:
-        G._char_table = table
-        return table
-    cache_path = None
-    if cache_dir is not None:
-        cache_path = Path(cache_dir) / f"{memo_key}.json"
-        table = _cache_load(G, cache_path)
-        if table is not None:
-            G._char_table = table
-            _TABLE_MEMO[memo_key] = table
-            return table
-    table = _compute_table(G)
+    if table is None:
+        table = _compute_table(G)
+        _TABLE_MEMO[memo_key] = table
     G._char_table = table
-    _TABLE_MEMO[memo_key] = table
-    if cache_path is not None:
-        try:
-            cache_path.parent.mkdir(parents=True, exist_ok=True)
-            tmp_path = cache_path.with_suffix(f".{os.getpid()}.tmp")
-            tmp_path.write_text(
-                json.dumps(table.to_json_dict(), separators=(",", ":")), encoding="utf-8"
-            )
-            os.replace(tmp_path, cache_path)
-        except OSError:
-            pass
     return table

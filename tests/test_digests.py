@@ -25,6 +25,10 @@ def test_compare_names_the_first_changed_table(tmp_path, capsys):
     keys = [k for k in want if k.startswith("d8 ")]
     assert len(keys) == 2 * (1 + len(groups[1][1].chief_series()))
     assert digests.table_digests(groups) == want
+    # `etalab table` run in a temporary directory, one key per group
+    cli = digests.table_cli_digests(groups)
+    assert list(cli) == ["table c4", "table d8"]
+    assert digests.table_cli_digests(groups) == cli
     changed = dict(want)
     changed[keys[1]] = "0" * 64
     a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -43,7 +43,6 @@ REVIEWED_CUBE_READS = {
         "keys = _as_keys(self.cube.reshape(len(self.cube), -1))",
         "return self._rows_index(self.cube[:, list(act)])",
         # Python integers
-        "return table if np.array_equal(table.cube, leaves) else None",
         "return tuple(self.cube[:, 0, 0].tolist())",
         '"irreducibles": self.cube.tolist(),',
         # kernels that widen: galois and linear_map; Evaluated, whose values

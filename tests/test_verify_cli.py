@@ -531,7 +531,7 @@ def test_cli_verify_writes_json(tmp_path, capsys):
 def test_cli_table_eta_chain(tmp_path, capsys):
     grp = tmp_path / "d8.grp"
     assert run_cli(["build", "dihedral", "4", "-o", str(grp)]) == 0
-    assert run_cli(["table", str(grp), "--cache-dir", str(tmp_path / "cache")]) == 0
+    assert run_cli(["table", str(grp)]) == 0
     out = capsys.readouterr().out
     assert "order 8" in out
     assert run_cli(["eta", str(grp), "--chi", "4"]) == 0
@@ -544,21 +544,15 @@ def test_cli_table_eta_chain(tmp_path, capsys):
     assert "all valid chains: 2" in out
 
 
-def test_cli_table_recomputes_a_cache_entry_nested_past_the_recursion_limit(
-    tmp_path, monkeypatch, capsys
-):
-    # a malformed entry is a cache miss, not a crash: exit 1 is for violations
-    from etalab.groupfile import load_group
-
+def test_cli_table_writes_nothing_to_disk(tmp_path, monkeypatch, capsys):
+    # without --json, the only file left is the group file it read
     grp = tmp_path / "d8.grp"
     assert run_cli(["build", "dihedral", "4", "-o", str(grp)]) == 0
-    entry = tmp_path / "cache" / f"{load_group(grp).content_key}.json"
-    entry.parent.mkdir()
-    entry.write_text("[" * 100_000 + "]" * 100_000)
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(table_mod, "_TABLE_MEMO", {})
-    assert run_cli(["table", str(grp), "--cache-dir", str(entry.parent)]) == 0
+    assert run_cli(["table", grp.name]) == 0
     assert "order 8" in capsys.readouterr().out
-    assert json.loads(entry.read_text())["order"] == 8
+    assert [f.name for f in tmp_path.iterdir()] == [grp.name]
 
 
 def test_cli_build_witness_sidecar(tmp_path):
@@ -590,6 +584,7 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert run_cli(["verify", "nosuchcheck"]) == 2
     assert run_cli(["verify", "theorem-a", "--catalog", "other"]) == 2
     assert run_cli(["eta", str(small), "--chi", "99"]) == 2
+    assert run_cli(["table", str(small), "--cache-dir", str(tmp_path)]) == 2
     assert run_cli(["chain", str(grp), "--chi", "0", "--all-chains"]) == 2
     assert run_cli(["build", "witness", "2", "1"]) == 2
     assert run_cli(["build", "cyclic", "x"]) == 2
