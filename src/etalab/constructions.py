@@ -6,12 +6,17 @@ constituent bound with equality.
 Abstract presentations are realized through their right regular action,
 then re-enumerated as ordinary permutation groups; block constructions
 (direct products, wreath products) act on disjoint point ranges directly.
+The base A^p of a wreath product is not closed again: it is the kernel of
+the action on the p blocks, cut from the wreath group's keys as a mask.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Hashable, Sequence
+
+import numpy as np
 
 from .chars import Character
 from .charops import induce, inner_product
@@ -139,7 +144,7 @@ def extraspecial_exp_p(p: int, n: int = 1) -> PermGroup:
     if not _is_prime(p):
         raise ConstructionError(f"p must be an odd prime, got {p}")
     span = range(p)
-    vectors = [tuple(v) for v in _tuples(span, n)]
+    vectors = list(product(span, repeat=n))
     elements = [(x, y, z) for x in vectors for y in vectors for z in span]
 
     def mul(u, v):
@@ -150,22 +155,10 @@ def extraspecial_exp_p(p: int, n: int = 1) -> PermGroup:
         z = (z1 + z2 + sum(a * b for a, b in zip(x1, y2))) % p
         return (x, y, z)
 
-    zero = tuple(0 for _ in range(n))
-    gens = []
-    for i in range(n):
-        e_i = tuple(1 if j == i else 0 for j in range(n))
-        gens.append((e_i, zero, 0))
-        gens.append((zero, e_i, 0))
+    zero = (0,) * n
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    gens = [g for e_i in units for g in ((e_i, zero, 0), (zero, e_i, 0))]
     return _regular_group(elements, mul, gens)
-
-
-def _tuples(span, n):
-    if n == 0:
-        yield ()
-        return
-    for head in span:
-        for tail in _tuples(span, n - 1):
-            yield (head,) + tail
 
 
 def wreath_cp(A: PermGroup, p: int) -> tuple[PermGroup, PermGroup]:
@@ -190,8 +183,10 @@ def wreath_cp(A: PermGroup, p: int) -> tuple[PermGroup, PermGroup]:
     G = group_from_generators(degree, gens)
     if G.order != A.order ** p * p:
         raise ConstructionError("wreath product order mismatch")
+    # the base, the block action's kernel: each block's first point stays in its block
+    keep = (G._rows()[:, ::d] // d == np.arange(p)).all(axis=1)
     base_gens = [embed(g, b) for b in range(p) for g in A.generators]
-    H = PermGroup(degree, base_gens, parent=G)
+    H = G._subgroup_of_keys(G.element_keys()[1][keep], generators=base_gens)
     if H.order != A.order ** p:
         raise ConstructionError("wreath product base order mismatch")
     return G, H

@@ -23,13 +23,13 @@ actions all go through it.  Conjugacy classes are the orbits of the index
 maps that conjugation by each generator makes, found by min-label
 propagation.
 
-Subgroups carry a reference to the ambient group they were cut from; they
-share its degree and are otherwise ordinary groups.  A group keeps the
-content keys of the groups it was found to lie in, or be normal in.  A
-class set keeps its power map, built once on first use: the one place that
-holds powers of elements, one row per class, as wide as the exponent.  The
-exponent and the chief series' tests are class functions, read at the
-representatives, never at all |G| elements.
+A subgroup of a known group is cut from its keys as a mask, or closed from
+generators checked to lie in it, and is never searched for in it again; it
+records the group's content key.  A group keeps the content keys of the
+groups it lies in, or is normal in.  A class set keeps its power map, built
+once on first use: the one place that holds powers of elements, one row per
+class, as wide as the exponent.  The exponent and the chief series' tests
+are class functions, read at the representatives, never at all |G| elements.
 """
 
 from __future__ import annotations
@@ -311,7 +311,6 @@ class PermGroup:
         degree: int,
         generators: Iterable[Permutation],
         *,
-        parent: Optional["PermGroup"] = None,
         order_cap: int = DEFAULT_ORDER_CAP,
         _keys: Optional[np.ndarray] = None,
     ):
@@ -337,8 +336,6 @@ class PermGroup:
         self._class_actions: dict = {}
         self._subgroup_of: set[str] = set()  # content keys of known supergroups
         self._normal_in: set[str] = set()  # content keys of groups known to normalize it
-        if parent is not None and not self.is_subgroup_of(parent):
-            raise GroupError("not a subgroup")
 
     @property
     def elements(self) -> tuple[Permutation, ...]:
@@ -371,25 +368,32 @@ class PermGroup:
     def subgroup_from_elements(
         self, elements: Iterable[Permutation], generators: Optional[Iterable[Permutation]] = None
     ) -> "PermGroup":
-        elems = _checked(self.degree, elements)
-        rows = np.array([x.images for x in elems], dtype=self.element_keys()[0])
-        keys = np.unique(_as_keys(rows.reshape(len(elems), self.degree)))
-        return self._subgroup_of_keys(keys, generators)
+        """The subgroup made of the given elements, found in one key search;
+        GroupError("not a subgroup") if one is not in this group."""
+        pos, there = _locate_rows(self, _rows_of(_checked(self.degree, elements), self.degree))
+        if not there.all():
+            raise GroupError("not a subgroup")
+        return self._subgroup_of_keys(self.element_keys()[1][np.unique(pos)], generators)
 
     def _subgroup_of_keys(self, keys: np.ndarray, generators=None) -> "PermGroup":
-        """The subgroup whose sorted element keys are keys, generated by
-        default by all its non-identity elements, in order."""
+        """The subgroup whose sorted element keys are keys, a mask of this
+        group's (unchecked), generated by default by its other elements."""
         if generators is None:
             dtype = self.element_keys()[0]
             rows = keys[keys != _as_keys(np.arange(self.degree, dtype=dtype))].view(dtype)
             rows = rows.reshape(-1, self.degree).tolist()
             generators = [Permutation._from_images(tuple(row)) for row in rows]
-        return PermGroup(self.degree, generators, parent=self, _keys=keys)
+        H = PermGroup(self.degree, generators, _keys=keys)
+        H._subgroup_of.add(self.content_key)
+        return H
 
-    def subgroup(
-        self, generators: Iterable[Permutation], order_cap: int = DEFAULT_ORDER_CAP
-    ) -> "PermGroup":
-        return PermGroup(self.degree, generators, parent=self, order_cap=order_cap)
+    def subgroup(self, generators: Iterable[Permutation]) -> "PermGroup":
+        """The closure of generators checked in one key search first;
+        GroupError("not a subgroup") if one is not in this group."""
+        gens = _checked(self.degree, generators)
+        if not _locate_rows(self, _rows_of(gens, self.degree))[1].all():
+            raise GroupError("not a subgroup")
+        return self._subgroup_of_keys(_close_generators(self.degree, gens, self.order)[1], gens)
 
     def is_subgroup_of(self, other: "PermGroup") -> bool:
         if other.content_key not in self._subgroup_of:

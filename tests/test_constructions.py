@@ -3,6 +3,7 @@
 import pytest
 
 import etalab.constructions as constructions
+import etalab.perm as perm
 from etalab.charops import eta_count, restrict
 from etalab.clifford import stabilizer
 from etalab.constructions import (
@@ -16,7 +17,7 @@ from etalab.constructions import (
     wreath_cp,
 )
 from etalab.errors import ConstructionError, GroupError
-from etalab.perm import DEFAULT_ORDER_CAP
+from etalab.perm import DEFAULT_ORDER_CAP, group_from_generators
 from etalab.table import character_table
 
 
@@ -77,7 +78,7 @@ def test_extraspecial_structure():
         extraspecial_exp_p(9)
 
 
-def test_wreath_product_shape():
+def test_wreath_product_shape(monkeypatch):
     A = cyclic(4)
     G, H = wreath_cp(A, 2)
     assert G.order == 4 ** 2 * 2
@@ -87,6 +88,27 @@ def test_wreath_product_shape():
     G3, H3 = wreath_cp(cyclic(3), 3)
     assert G3.order == 27 * 3
     assert H3.is_normal_in(G3)
+    # the base is cut from G as the kernel of the block action: it equals
+    # the closure of its generators, for bases that are not transitive
+    # (C2 x C2, dihedral(2)) and of degree 1 (the trivial group)
+    bases = [
+        (cyclic(4), 2),
+        (direct_product(cyclic(2), cyclic(2)), 2),
+        (dihedral(2), 3),
+        (cyclic(1), 3),
+        (prop5_witness(2, 1).group, 2),
+        (extraspecial_exp_p(3), 3),
+        (cyclic(3), 5),
+    ]
+    closures = []
+    close = perm._close_generators
+    monkeypatch.setattr(perm, "_close_generators", lambda *a: closures.append(a) or close(*a))
+    for A, p in bases:
+        closures.clear()
+        G, H = wreath_cp(A, p)
+        assert len(closures) == 1  # G's; the base is not closed again
+        assert H.order == A.order ** p
+        assert H.same_elements(group_from_generators(G.degree, H.generators))
 
 
 def test_witness_restricts_to_p_distinct_base_constituents():

@@ -263,6 +263,20 @@ def test_subgroup_membership_errors():
         G.centralizer(other)
 
 
+def test_subgroup_refuses_a_non_member():
+    G = dihedral(4)
+    x = Permutation.from_cycles(4, [(0, 1)])
+    assert x not in G
+    with pytest.raises(GroupError, match="^not a subgroup$"):
+        G.subgroup([x])
+    with pytest.raises(GroupError, match="^not a subgroup$"):
+        G.subgroup_from_elements([G.identity, x])
+    # members are cut and recorded as lying in G
+    H = G.subgroup([G.generators[1]])
+    assert H.order == 2 and H.is_subgroup_of(G)
+    assert G.subgroup_from_elements(H.elements).same_elements(H)
+
+
 def test_exponent_values():
     assert cyclic(12).exponent() == 12
     assert dihedral(4).exponent() == 4
